@@ -7,7 +7,8 @@
 //!
 //! * [`netlist`]/[`mna`] — a small-signal **modified nodal analysis** engine
 //!   over complex admittances (R, C, L, VCCS, sources), solved per frequency
-//!   with the complex LU from [`bmf_linalg`].
+//!   with the complex LU from [`bmf_linalg`] or reduced once to a rational
+//!   transfer function `N(s)/D(s)`.
 //! * [`mosfet`] — square-law MOSFET operating point and small-signal
 //!   parameters (gm, gds, capacitances) as functions of process parameters.
 //! * [`variation`] — global + local (Pelgrom area-scaled) process variation.

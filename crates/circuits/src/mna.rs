@@ -1,22 +1,39 @@
 //! Modified nodal analysis (MNA) over complex admittances.
 //!
-//! For each angular frequency `ω`, the engine assembles the extended MNA
-//! system
+//! The unknowns are the node voltages `v` (ground eliminated) and one
+//! branch current `j` per voltage source:
 //!
 //! ```text
-//! [ Y  B ] [ v ]   [ i ]
-//! [ C  0 ] [ j ] = [ e ]
+//! [ Y   B ] [ v ]   [ i ]
+//! [ Bᵀ  0 ] [ j ] = [ e ]
 //! ```
 //!
-//! where `Y` holds element admittance stamps (`1/R`, `jωC`, `1/(jωL)`, VCCS
-//! gm entries), `B`/`C` couple voltage-source branch currents `j`, `i` holds
-//! current-source injections and `e` the source voltages. Ground (node 0) is
-//! eliminated. The system is solved with the complex LU factorisation from
-//! [`bmf_linalg`].
+//! where `Y` holds element admittance stamps (`1/R`, VCCS gm entries,
+//! `sC`, `1/(sL)`), `B` is the voltage-source incidence, `i` holds
+//! current-source injections and `e` the source voltages. Without
+//! inductors the system matrix is the real pencil `G + sC` — `C` the
+//! capacitances, `G` everything else — and the right-hand side a real
+//! vector `b`; the netlist is stamped into them once.
+//!
+//! Two ways to read a response off the pencil:
+//!
+//! * [`AcAnalysis::solve`] forms `G + jωC` (plus inductor admittances
+//!   `1/(jωL)`) at one frequency and solves it with the complex LU from
+//!   [`bmf_linalg`] — the dense reference, one factorisation per `ω`.
+//! * [`AcAnalysis::transfer_function`] extracts `H(s) = N(s)/D(s)` once, by
+//!   Cramer's rule on the pencil: `D(s) = det(G + sC)` and `N(s)` the same
+//!   determinant with the output column replaced by `b`, both as real
+//!   polynomial coefficients. [`RationalTransfer::eval`] then costs two
+//!   Horner evaluations per `ω`.
 
 use crate::netlist::{Element, Netlist, GROUND};
 use crate::{CircuitError, Result};
-use bmf_linalg::{CLu, CMatrix, CVector, Complex64};
+use bmf_linalg::{CLu, CMatrix, CVector, Complex64, Matrix};
+use std::ops::{AddAssign, IndexMut, SubAssign};
+
+/// Most unknowns [`AcAnalysis::transfer_function`] expands: the subset
+/// expansion holds `2^n` partial determinants of degree ≤ `n`.
+const MAX_TRANSFER_UNKNOWNS: usize = 16;
 
 /// Solution of one AC operating point: node-voltage phasors (plus branch
 /// currents of voltage sources, kept internal).
@@ -53,6 +70,209 @@ impl AcSolution {
     }
 }
 
+/// The netlist stamped over the reduced unknowns (see the module docs).
+#[derive(Debug, Clone)]
+struct Pencil {
+    g: Matrix,
+    c: Matrix,
+    b: Vec<f64>,
+    /// `(a, b, henries)` per inductor, in insertion order.
+    inductors: Vec<(usize, usize, f64)>,
+}
+
+/// Index of node `n` in the reduced unknown vector, or `None` for ground.
+fn node_index(n: usize) -> Option<usize> {
+    if n == GROUND {
+        None
+    } else {
+        Some(n - 1)
+    }
+}
+
+/// Stamps admittance `y` between nodes `n1` and `n2`: `+y` on both
+/// diagonal entries, `−y` on the two off-diagonal ones, ground dropped.
+fn stamp_admittance<M, T>(m: &mut M, n1: usize, n2: usize, y: T)
+where
+    M: IndexMut<(usize, usize), Output = T>,
+    T: Copy + AddAssign + SubAssign,
+{
+    match (node_index(n1), node_index(n2)) {
+        (Some(i), Some(j)) => {
+            m[(i, i)] += y;
+            m[(j, j)] += y;
+            m[(i, j)] -= y;
+            m[(j, i)] -= y;
+        }
+        (Some(i), None) | (None, Some(i)) => m[(i, i)] += y,
+        (None, None) => {}
+    }
+}
+
+/// Stamps `netlist` over its `dim` reduced unknowns: the real pencil
+/// `G + sC`, the source vector `b`, and the inductors, whose admittance
+/// `1/(sL)` has no place in the pencil.
+///
+/// `G` holds conductances, VCCS gm entries and the voltage-source
+/// incidence, `C` the capacitances; `b` holds current-source
+/// injections and source voltages.
+fn stamp(netlist: &Netlist, dim: usize) -> Pencil {
+    let mut p = Pencil {
+        g: Matrix::zeros(dim, dim),
+        c: Matrix::zeros(dim, dim),
+        b: vec![0.0; dim],
+        inductors: Vec::new(),
+    };
+    let mut vsrc_row = netlist.node_count() - 1;
+    for e in netlist.elements() {
+        match *e {
+            Element::Resistor { a: n1, b: n2, ohms } => {
+                stamp_admittance(&mut p.g, n1, n2, 1.0 / ohms);
+            }
+            Element::Capacitor {
+                a: n1,
+                b: n2,
+                farads,
+            } => stamp_admittance(&mut p.c, n1, n2, farads),
+            Element::Inductor {
+                a: n1,
+                b: n2,
+                henries,
+            } => p.inductors.push((n1, n2, henries)),
+            Element::Vccs {
+                a: n1,
+                b: n2,
+                cp,
+                cn,
+                gm,
+            } => {
+                // i flows n1 → n2 through the source: KCL at n1 gains
+                // +gm·vc, at n2 −gm·vc.
+                for (node, sign) in [(n1, 1.0), (n2, -1.0)] {
+                    if let Some(i) = node_index(node) {
+                        if let Some(jp) = node_index(cp) {
+                            p.g[(i, jp)] += gm * sign;
+                        }
+                        if let Some(jn) = node_index(cn) {
+                            p.g[(i, jn)] -= gm * sign;
+                        }
+                    }
+                }
+            }
+            Element::CurrentSource { from, into, amps } => {
+                if let Some(k) = node_index(into) {
+                    p.b[k] += amps;
+                }
+                if let Some(k) = node_index(from) {
+                    p.b[k] -= amps;
+                }
+            }
+            Element::VoltageSource { p: np, n, volts } => {
+                let row = vsrc_row;
+                vsrc_row += 1;
+                if let Some(i) = node_index(np) {
+                    p.g[(i, row)] += 1.0;
+                    p.g[(row, i)] += 1.0;
+                }
+                if let Some(i) = node_index(n) {
+                    p.g[(i, row)] -= 1.0;
+                    p.g[(row, i)] -= 1.0;
+                }
+                p.b[row] = volts;
+            }
+        }
+    }
+    p
+}
+
+/// `det(G + sC)` as the real coefficients of `s⁰ … sⁿ`; with `replace =
+/// Some((k, b))`, of the same pencil with column `k` replaced by the
+/// constant vector `b` (Cramer's rule).
+///
+/// Laplace expansion row by row over column subsets: `minors[mask]` is
+/// the determinant of the first `|mask|` rows restricted to the columns in
+/// `mask`, a polynomial of degree ≤ `|mask|`, and each entry multiplies in
+/// as `g + s·c`. Only products and sums — no pivot, no division — so a
+/// power of `s` that no permutation reaches comes out exactly `0`.
+fn pencil_det(g: &Matrix, c: &Matrix, replace: Option<(usize, &[f64])>) -> Vec<f64> {
+    let n = g.nrows();
+    let width = n + 1;
+    let full = (1usize << n) - 1;
+    let mut minors = vec![0.0; (full + 1) * width];
+    minors[0] = 1.0;
+    let mut src = vec![0.0; width];
+    // Every subset precedes its supersets in numeric order.
+    for mask in 0..full {
+        let row = mask.count_ones() as usize;
+        src.copy_from_slice(&minors[mask * width..(mask + 1) * width]);
+        if src.iter().all(|&v| v == 0.0) {
+            continue; // a zero minor extends to zero terms only
+        }
+        for col in (0..n).filter(|&col| mask & (1 << col) == 0) {
+            let (gv, cv) = match replace {
+                Some((k, b)) if col == k => (b[row], 0.0),
+                _ => (g[(row, col)], c[(row, col)]),
+            };
+            if gv == 0.0 && cv == 0.0 {
+                continue;
+            }
+            // Each used column right of `col` is one more inversion.
+            let sign = if (mask >> col).count_ones() % 2 == 1 {
+                -1.0
+            } else {
+                1.0
+            };
+            let (gv, cv) = (sign * gv, sign * cv);
+            let dst = &mut minors[(mask | 1 << col) * width..][..width];
+            for k in 0..=row {
+                dst[k] += gv * src[k];
+                dst[k + 1] += cv * src[k];
+            }
+        }
+    }
+    minors[full * width..].to_vec()
+}
+
+/// `p(jω)` for the real coefficients `p[k]` of `sᵏ`, by Horner's rule.
+fn horner(p: &[f64], omega: f64) -> Complex64 {
+    let (mut re, mut im) = (0.0, 0.0);
+    for &coef in p.iter().rev() {
+        // (re + j·im)·jω + coef
+        (re, im) = (coef - im * omega, re * omega);
+    }
+    Complex64::new(re, im)
+}
+
+/// A transfer function `H(s) = N(s)/D(s)` with real polynomial
+/// coefficients, as extracted by [`AcAnalysis::transfer_function`].
+///
+/// Both coefficient vectors run from `s⁰` up to `sⁿ` for `n` MNA unknowns;
+/// powers the circuit's structure cannot reach are exactly `0`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RationalTransfer {
+    /// `N(s)`: `num[k]` multiplies `sᵏ`.
+    num: Vec<f64>,
+    /// `D(s) = det(G + sC)`: `den[k]` multiplies `sᵏ`.
+    den: Vec<f64>,
+}
+
+impl RationalTransfer {
+    /// `H(jω)` at angular frequency `omega` (rad/s), by Horner's rule on
+    /// both polynomials.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::SingularSystem`] where `D(jω)` is exactly
+    /// zero — at every `ω` for a structurally singular netlist (a floating
+    /// node makes `D ≡ 0`).
+    pub fn eval(&self, omega: f64) -> Result<Complex64> {
+        let den = horner(&self.den, omega);
+        if den == Complex64::ZERO {
+            return Err(CircuitError::SingularSystem { omega });
+        }
+        Ok(horner(&self.num, omega) / den)
+    }
+}
+
 /// AC analysis engine bound to a [`Netlist`].
 ///
 /// # Example
@@ -80,13 +300,18 @@ pub struct AcAnalysis<'a> {
     netlist: &'a Netlist,
     /// Unknown count: (nodes − 1) + voltage sources.
     dim: usize,
+    pencil: Pencil,
 }
 
 impl<'a> AcAnalysis<'a> {
-    /// Creates an analysis for the given netlist.
+    /// Creates an analysis for the given netlist, stamping it once.
     pub fn new(netlist: &'a Netlist) -> Self {
         let dim = netlist.node_count() - 1 + netlist.voltage_source_count();
-        AcAnalysis { netlist, dim }
+        AcAnalysis {
+            netlist,
+            dim,
+            pencil: stamp(netlist, dim),
+        }
     }
 
     /// Size of the assembled MNA system.
@@ -94,111 +319,30 @@ impl<'a> AcAnalysis<'a> {
         self.dim
     }
 
-    /// Index of node `n` in the reduced unknown vector, or `None` for
-    /// ground.
-    fn node_index(n: usize) -> Option<usize> {
-        if n == GROUND {
-            None
-        } else {
-            Some(n - 1)
-        }
-    }
-
-    /// Assembles the MNA matrix and right-hand side at angular frequency
-    /// `omega`.
+    /// Assembles the MNA matrix `G + jωC` (plus inductor admittances) and
+    /// right-hand side at angular frequency `omega`.
     fn assemble(&self, omega: f64) -> (CMatrix, CVector) {
-        let nv = self.netlist.node_count() - 1;
+        let p = &self.pencil;
         let mut a = CMatrix::zeros(self.dim, self.dim);
+        for i in 0..self.dim {
+            for j in 0..self.dim {
+                a[(i, j)] = Complex64::new(p.g[(i, j)], omega * p.c[(i, j)]);
+            }
+        }
+        for &(n1, n2, henries) in &p.inductors {
+            // Y = 1/(jωL); at DC (ω = 0) an inductor is a short —
+            // approximate with a very large conductance to keep the system
+            // non-singular.
+            let y = if omega > 0.0 {
+                Complex64::new(0.0, -1.0 / (omega * henries))
+            } else {
+                Complex64::from_re(1e12)
+            };
+            stamp_admittance(&mut a, n1, n2, y);
+        }
         let mut rhs = CVector::zeros(self.dim);
-        let mut vsrc_row = nv;
-
-        let stamp_admittance = |a: &mut CMatrix, n1: usize, n2: usize, y: Complex64| match (
-            Self::node_index(n1),
-            Self::node_index(n2),
-        ) {
-            (Some(i), Some(j)) => {
-                a[(i, i)] += y;
-                a[(j, j)] += y;
-                a[(i, j)] -= y;
-                a[(j, i)] -= y;
-            }
-            (Some(i), None) | (None, Some(i)) => {
-                a[(i, i)] += y;
-            }
-            (None, None) => {}
-        };
-
-        for e in self.netlist.elements() {
-            match *e {
-                Element::Resistor { a: n1, b: n2, ohms } => {
-                    stamp_admittance(&mut a, n1, n2, Complex64::from_re(1.0 / ohms));
-                }
-                Element::Capacitor {
-                    a: n1,
-                    b: n2,
-                    farads,
-                } => {
-                    stamp_admittance(&mut a, n1, n2, Complex64::new(0.0, omega * farads));
-                }
-                Element::Inductor {
-                    a: n1,
-                    b: n2,
-                    henries,
-                } => {
-                    // Y = 1/(jωL); at DC (ω = 0) an inductor is a short —
-                    // approximate with a very large conductance to keep the
-                    // system non-singular.
-                    let y = if omega > 0.0 {
-                        Complex64::new(0.0, -1.0 / (omega * henries))
-                    } else {
-                        Complex64::from_re(1e12)
-                    };
-                    stamp_admittance(&mut a, n1, n2, y);
-                }
-                Element::Vccs {
-                    a: n1,
-                    b: n2,
-                    cp,
-                    cn,
-                    gm,
-                } => {
-                    // i flows n1 → n2 through the source: KCL at n1 gains
-                    // +gm·vc, at n2 −gm·vc.
-                    let g = Complex64::from_re(gm);
-                    for (node, sign) in [(n1, 1.0), (n2, -1.0)] {
-                        if let Some(i) = Self::node_index(node) {
-                            if let Some(jp) = Self::node_index(cp) {
-                                a[(i, jp)] += g * sign;
-                            }
-                            if let Some(jn) = Self::node_index(cn) {
-                                a[(i, jn)] -= g * sign;
-                            }
-                        }
-                    }
-                }
-                Element::CurrentSource { from, into, amps } => {
-                    let i = Complex64::from_re(amps);
-                    if let Some(k) = Self::node_index(into) {
-                        rhs[k] += i;
-                    }
-                    if let Some(k) = Self::node_index(from) {
-                        rhs[k] -= i;
-                    }
-                }
-                Element::VoltageSource { p, n, volts } => {
-                    let row = vsrc_row;
-                    vsrc_row += 1;
-                    if let Some(i) = Self::node_index(p) {
-                        a[(i, row)] += Complex64::ONE;
-                        a[(row, i)] += Complex64::ONE;
-                    }
-                    if let Some(i) = Self::node_index(n) {
-                        a[(i, row)] -= Complex64::ONE;
-                        a[(row, i)] -= Complex64::ONE;
-                    }
-                    rhs[row] = Complex64::from_re(volts);
-                }
-            }
+        for (k, &v) in p.b.iter().enumerate() {
+            rhs[k] = Complex64::from_re(v);
         }
         (a, rhs)
     }
@@ -238,6 +382,53 @@ impl<'a> AcAnalysis<'a> {
     /// Propagates [`CircuitError::SingularSystem`] from the solve.
     pub fn transfer(&self, out_node: usize, omega: f64) -> Result<Complex64> {
         Ok(self.solve(omega)?.voltage(out_node))
+    }
+
+    /// Extracts the transfer function from the (single) source to
+    /// `out_node` as `H(s) = N(s)/D(s)`: two determinant expansions of the
+    /// pencil, after which every `H(jω)` is a
+    /// [`RationalTransfer::eval`] instead of a [`Self::transfer`] solve.
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::UnknownNode`] for an out-of-range `out_node`.
+    /// * [`CircuitError::InvalidValue`] for `out_node` = ground, or more
+    ///   than 16 unknowns (the expansion holds `2^n` partial determinants).
+    /// * [`CircuitError::Unsupported`] for a netlist with an inductor,
+    ///   whose `1/(sL)` is not polynomial in `s`.
+    pub fn transfer_function(&self, out_node: usize) -> Result<RationalTransfer> {
+        let node_count = self.netlist.node_count();
+        if out_node >= node_count {
+            return Err(CircuitError::UnknownNode {
+                node: out_node,
+                node_count,
+            });
+        }
+        let Some(out) = node_index(out_node) else {
+            return Err(CircuitError::InvalidValue {
+                what: "output node",
+                value: out_node as f64,
+                constraint: "not ground",
+            });
+        };
+        if self.dim > MAX_TRANSFER_UNKNOWNS {
+            return Err(CircuitError::InvalidValue {
+                what: "MNA unknowns",
+                value: self.dim as f64,
+                constraint: "at most 16 for the subset expansion",
+            });
+        }
+        let p = &self.pencil;
+        if !p.inductors.is_empty() {
+            return Err(CircuitError::Unsupported {
+                what: "inductor in a transfer-function extraction",
+                reason: "1/(sL) is not polynomial in s; use solve or transfer",
+            });
+        }
+        Ok(RationalTransfer {
+            num: pencil_det(&p.g, &p.c, Some((out, &p.b))),
+            den: pencil_det(&p.g, &p.c, None),
+        })
     }
 
     /// Sweeps a log-spaced frequency grid, returning `(f_hz, v_out)` pairs.
@@ -419,6 +610,127 @@ mod tests {
         // Node 2: by symmetry v = 2/3 V.
         assert!((sol.voltage(2).re - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ac.system_dim(), 3 + 2);
+    }
+
+    /// The op-amp's small-signal topology: source, two gm stages, Miller
+    /// `R_z + C_c` between them.
+    fn two_stage() -> Netlist {
+        let mut nl = Netlist::new(5);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.vccs(2, 0, 1, 0, 2e-4).unwrap();
+        nl.resistor(2, 0, 5e5).unwrap();
+        nl.capacitor(2, 0, 5e-14).unwrap();
+        nl.vccs(3, 0, 2, 0, 1e-3).unwrap();
+        nl.resistor(3, 0, 1e5).unwrap();
+        nl.capacitor(3, 0, 2e-12).unwrap();
+        nl.capacitor(2, 4, 1e-12).unwrap();
+        nl.resistor(4, 3, 300.0).unwrap();
+        nl
+    }
+
+    #[test]
+    fn rc_transfer_function_is_one_pole() {
+        let (r, c) = (1e3, 1e-9);
+        let mut nl = Netlist::new(3);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.resistor(1, 2, r).unwrap();
+        nl.capacitor(2, 0, c).unwrap();
+        let ac = AcAnalysis::new(&nl);
+        let h = ac.transfer_function(2).unwrap();
+        // H(s) = 1/(1 + sRC): the ratio of the s¹ and s⁰ denominator
+        // coefficients is RC, the numerator is a constant.
+        let den = &h.den;
+        assert!((den[1] / den[0] - r * c).abs() < 1e-18);
+        assert_eq!(den[2], 0.0);
+        assert!(h.num[1..].iter().all(|&v| v == 0.0));
+        for f in [1.0, 1e5, 159_155.0, 1e9] {
+            let w = TWO_PI * f;
+            let dense = ac.transfer(2, w).unwrap();
+            assert!((h.eval(w).unwrap() - dense).abs() <= 1e-12 * dense.abs());
+        }
+    }
+
+    #[test]
+    fn two_stage_transfer_function_matches_dense_solve() {
+        let nl = two_stage();
+        let ac = AcAnalysis::new(&nl);
+        let h = ac.transfer_function(3).unwrap();
+        // 5 unknowns, but C only touches nodes 2–4: D(s) is cubic and the
+        // s⁴/s⁵ terms are exactly zero, not merely small.
+        assert_eq!(h.den.len(), 6);
+        assert_eq!(&h.den[4..], &[0.0, 0.0]);
+        assert!(h.den[3] != 0.0);
+        for k in 0..=48 {
+            let w = TWO_PI * 10f64.powf(k as f64 / 4.0);
+            let dense = ac.transfer(3, w).unwrap();
+            let pencil = h.eval(w).unwrap();
+            assert!(
+                (pencil - dense).abs() <= 1e-12 * dense.abs(),
+                "f = {:e}: {pencil} vs {dense}",
+                w / TWO_PI
+            );
+        }
+        // DC gain (gm1·R1)·(gm2·R2), non-inverting overall.
+        let dc = h.eval(0.0).unwrap();
+        assert!((dc.re - 2e-4 * 5e5 * 1e-3 * 1e5).abs() < 1e-9 * dc.re);
+    }
+
+    #[test]
+    fn transfer_function_rejects_what_the_pencil_cannot_hold() {
+        let nl = two_stage();
+        let ac = AcAnalysis::new(&nl);
+        assert!(matches!(
+            ac.transfer_function(0),
+            Err(CircuitError::InvalidValue {
+                what: "output node",
+                ..
+            })
+        ));
+        assert!(matches!(
+            ac.transfer_function(5),
+            Err(CircuitError::UnknownNode {
+                node: 5,
+                node_count: 5
+            })
+        ));
+
+        let mut rlc = Netlist::new(3);
+        rlc.voltage_source(1, 0, 1.0).unwrap();
+        rlc.inductor(1, 2, 1e-6).unwrap();
+        rlc.capacitor(2, 0, 1e-9).unwrap();
+        assert!(matches!(
+            AcAnalysis::new(&rlc).transfer_function(2),
+            Err(CircuitError::Unsupported { .. })
+        ));
+
+        let mut ladder = Netlist::new(MAX_TRANSFER_UNKNOWNS + 1);
+        ladder.voltage_source(1, 0, 1.0).unwrap();
+        for k in 1..MAX_TRANSFER_UNKNOWNS {
+            ladder.resistor(k, k + 1, 1e3).unwrap();
+        }
+        assert!(matches!(
+            AcAnalysis::new(&ladder).transfer_function(2),
+            Err(CircuitError::InvalidValue {
+                what: "MNA unknowns",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn floating_node_transfer_is_singular_at_every_frequency() {
+        let mut nl = Netlist::new(3);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.resistor(1, 0, 1e3).unwrap();
+        nl.capacitor(2, 0, 0.0).unwrap();
+        let h = AcAnalysis::new(&nl).transfer_function(2).unwrap();
+        assert!(h.den.iter().all(|&d| d == 0.0));
+        for w in [0.0, 1.0, 1e9] {
+            assert!(matches!(
+                h.eval(w),
+                Err(CircuitError::SingularSystem { omega }) if omega == w
+            ));
+        }
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //! 2. resolves the bias point (mirror ratio errors from V_th mismatch,
 //!    headroom compression from global V_th shift),
 //! 3. extracts each device's small-signal parameters,
-//! 4. builds the small-signal [`Netlist`] and runs full MNA AC analysis
-//!    ([`crate::mna::AcAnalysis`]) to measure gain/bandwidth/phase margin,
+//! 4. builds the small-signal [`Netlist`], extracts its transfer function
+//!    `H(s) = N(s)/D(s)` once from the MNA pencil `G + sC`
+//!    ([`crate::mna::AcAnalysis::transfer_function`]) and measures
+//!    gain/bandwidth/phase margin on it — a log scan plus bisection for
+//!    each crossing and an unwrapped phase sweep, each probe one Horner
+//!    evaluation (the dense per-`ω` solve, [`crate::mna::AcAnalysis::transfer`],
+//!    is the reference it is tested against),
 //! 5. computes power from the actual branch currents and the input offset
 //!    from the mismatch terms.
 //!
@@ -32,6 +37,7 @@ use crate::mosfet::{DeviceVariation, Geometry, Mosfet, Polarity, TechnologyParam
 use crate::netlist::Netlist;
 use crate::variation::VariationModel;
 use crate::{CircuitError, Result};
+use bmf_linalg::Complex64;
 use bmf_stats::sample_standard_normal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -130,6 +136,9 @@ impl LayoutParasitics {
 /// `OpAmpTestbench::headroom_factor`.
 const HEADROOM_ALPHA: f64 = 10.0;
 
+/// Output node of the small-signal netlist (see `OpAmpTestbench::bias_die`).
+const OUT_NODE: usize = 3;
+
 /// Design parameters of the two-stage op-amp.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpAmpDesign {
@@ -219,6 +228,22 @@ impl DieVariations {
             global_dvth: 0.0,
         }
     }
+}
+
+/// Internal: one biased die, ready for its AC measurement.
+struct BiasedDie {
+    /// Small-signal netlist, driven at node 1, output at [`OUT_NODE`].
+    netlist: Netlist,
+    power_w: f64,
+    offset_v: f64,
+}
+
+/// Internal: the three metrics read off `H(jω)`.
+#[derive(Debug)]
+struct AcMetrics {
+    gain_db: f64,
+    bandwidth_hz: f64,
+    phase_margin_deg: f64,
 }
 
 impl OpAmpTestbench {
@@ -344,6 +369,21 @@ impl OpAmpTestbench {
 
     /// Simulates one die at the given stage and variation set.
     fn simulate(&self, stage: Stage, vars: &DieVariations) -> Result<OpAmpPerformance> {
+        let die = self.bias_die(stage, vars)?;
+        let h = AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)?;
+        let ac = measure_ac(|omega| h.eval(omega))?;
+        Ok(OpAmpPerformance {
+            gain_db: ac.gain_db,
+            bandwidth_hz: ac.bandwidth_hz,
+            power_w: die.power_w,
+            offset_v: die.offset_v,
+            phase_margin_deg: ac.phase_margin_deg,
+        })
+    }
+
+    /// Resolves one die's bias point and builds its small-signal netlist;
+    /// power and offset follow from the bias alone.
+    fn bias_die(&self, stage: Stage, vars: &DieVariations) -> Result<BiasedDie> {
         let d = &self.design;
         let (gm_derate, ro_derate, c1_extra, cout_extra, cc_extra, power_over, offset_sys) =
             match stage {
@@ -411,41 +451,11 @@ impl OpAmpTestbench {
         nl.vccs(2, 0, 1, 0, gm1)?;
         nl.resistor(2, 0, r1)?;
         nl.capacitor(2, 0, c1)?;
-        nl.vccs(3, 0, 2, 0, gm6)?;
-        nl.resistor(3, 0, r2)?;
-        nl.capacitor(3, 0, c_out)?;
+        nl.vccs(OUT_NODE, 0, 2, 0, gm6)?;
+        nl.resistor(OUT_NODE, 0, r2)?;
+        nl.capacitor(OUT_NODE, 0, c_out)?;
         nl.capacitor(2, 4, cc)?;
-        nl.resistor(4, 3, d.rz)?;
-        let ac = AcAnalysis::new(&nl);
-
-        // --- Measurements ----------------------------------------------------
-        let dc = ac.transfer(3, 0.0)?;
-        let gain0 = dc.abs();
-        if !(gain0 > 1.0) {
-            return Err(CircuitError::MeasurementFailure {
-                metric: "dc gain",
-                reason: format!("|H(0)| = {gain0:.3e} <= 1"),
-            });
-        }
-        let gain_db = 20.0 * gain0.log10();
-
-        let bandwidth_hz =
-            find_crossing_freq(&ac, 3, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
-                CircuitError::MeasurementFailure {
-                    metric: "-3dB bandwidth",
-                    reason: "no crossing in [1 Hz, 100 GHz]".to_string(),
-                }
-            })?;
-
-        let unity_hz = find_crossing_freq(&ac, 3, 1.0, bandwidth_hz, 1e12).ok_or_else(|| {
-            CircuitError::MeasurementFailure {
-                metric: "unity-gain frequency",
-                reason: "no crossing above the -3dB point".to_string(),
-            }
-        })?;
-        let phase_margin_deg = phase_margin(&ac, 3, unity_hz, bandwidth_hz)?;
-
-        let power_w = d.vdd * (d.iref + i_tail + i6) * power_over;
+        nl.resistor(4, OUT_NODE, d.rz)?;
 
         // Input-referred offset: input-pair mismatch plus mirror mismatch
         // reflected through the gm ratio, plus layout-systematic term.
@@ -453,12 +463,10 @@ impl OpAmpTestbench {
             + (ss3.gm / gm1.max(1e-12)) * (vars.m3.delta_vth - vars.m4.delta_vth)
             + offset_sys;
 
-        Ok(OpAmpPerformance {
-            gain_db,
-            bandwidth_hz,
-            power_w,
+        Ok(BiasedDie {
+            netlist: nl,
+            power_w: d.vdd * (d.iref + i_tail + i6) * power_over,
             offset_v,
-            phase_margin_deg,
         })
     }
 
@@ -488,31 +496,60 @@ impl OpAmpTestbench {
     }
 }
 
+/// Measures DC gain, −3 dB bandwidth and phase margin from `h`, an
+/// evaluator of `H(jω)` at the output node for angular frequency `ω`.
+///
+/// # Errors
+///
+/// [`CircuitError::MeasurementFailure`] naming the metric that could not
+/// be measured; evaluator errors propagate where a value is required.
+fn measure_ac(h: impl Fn(f64) -> Result<Complex64>) -> Result<AcMetrics> {
+    let gain0 = h(0.0)?.abs();
+    if !(gain0 > 1.0) {
+        return Err(CircuitError::MeasurementFailure {
+            metric: "dc gain",
+            reason: format!("|H(0)| = {gain0:.3e} <= 1"),
+        });
+    }
+    let bandwidth_hz = find_crossing_freq(&h, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
+        CircuitError::MeasurementFailure {
+            metric: "-3dB bandwidth",
+            reason: "no crossing in [1 Hz, 100 GHz]".to_string(),
+        }
+    })?;
+    let unity_hz = find_crossing_freq(&h, 1.0, bandwidth_hz, 1e12).ok_or_else(|| {
+        CircuitError::MeasurementFailure {
+            metric: "unity-gain frequency",
+            reason: "no crossing above the -3dB point".to_string(),
+        }
+    })?;
+    Ok(AcMetrics {
+        gain_db: 20.0 * gain0.log10(),
+        bandwidth_hz,
+        phase_margin_deg: phase_margin(&h, unity_hz, bandwidth_hz)?,
+    })
+}
+
 /// Finds the frequency (Hz) where `|H|` first crosses `target` from above,
 /// searching `[f_lo, f_hi]` on a log grid followed by bisection. Returns
-/// `None` if no bracket is found.
+/// `None` if no bracket is found or `|H|` is NaN (a failed evaluation) at
+/// any probe.
 fn find_crossing_freq(
-    ac: &AcAnalysis<'_>,
-    out_node: usize,
+    h: impl Fn(f64) -> Result<Complex64>,
     target: f64,
     f_lo: f64,
     f_hi: f64,
 ) -> Option<f64> {
     const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
-    let mag = |f: f64| -> f64 {
-        ac.transfer(out_node, TWO_PI * f)
-            .map(|v| v.abs())
-            .unwrap_or(f64::NAN)
-    };
+    let mag = |f: f64| -> f64 { h(TWO_PI * f).map(|v| v.abs()).unwrap_or(f64::NAN) };
     // Coarse log scan to bracket the crossing.
     let points = 60;
     let l0 = f_lo.log10();
     let l1 = f_hi.log10();
-    let mut prev_f = f_lo;
-    let mut prev_m = mag(f_lo);
-    if !(prev_m > target) {
+    if !(mag(f_lo) > target) {
         return None; // already below target at the low end
     }
+    let mut prev_f = f_lo;
     let mut bracket = None;
     for k in 1..=points {
         let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
@@ -525,15 +562,17 @@ fn find_crossing_freq(
             break;
         }
         prev_f = f;
-        prev_m = m;
     }
-    let _ = prev_m;
     let (mut lo, mut hi) = bracket?;
     // Log-domain bisection.
     for _ in 0..60 {
         let mid = (lo.log10() + hi.log10()) / 2.0;
         let fm = 10f64.powf(mid);
-        if mag(fm) > target {
+        let m = mag(fm);
+        if m.is_nan() {
+            return None;
+        }
+        if m > target {
             lo = fm;
         } else {
             hi = fm;
@@ -544,20 +583,20 @@ fn find_crossing_freq(
 
 /// Phase margin at the unity-gain frequency, with the phase unwrapped along
 /// a sweep from a decade below the −3 dB corner.
-fn phase_margin(ac: &AcAnalysis<'_>, out_node: usize, unity_hz: f64, bw_hz: f64) -> Result<f64> {
+fn phase_margin(h: impl Fn(f64) -> Result<Complex64>, unity_hz: f64, bw_hz: f64) -> Result<f64> {
     const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
     let f_start = (bw_hz / 10.0).max(1e-2);
     let points = 240;
     let l0 = f_start.log10();
     let l1 = unity_hz.log10();
     let mut phase = 0.0;
-    let mut prev = ac.transfer(out_node, TWO_PI * f_start)?.arg();
+    let mut prev = h(TWO_PI * f_start)?.arg();
     // Phase relative to the DC phase (0 for the double-inverting path).
-    let dc_phase = ac.transfer(out_node, 0.0)?.arg();
+    let dc_phase = h(0.0)?.arg();
     let mut unwrapped = prev - dc_phase;
     for k in 1..=points {
         let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
-        let cur = ac.transfer(out_node, TWO_PI * f)?.arg();
+        let cur = h(TWO_PI * f)?.arg();
         let mut delta = cur - prev;
         while delta > std::f64::consts::PI {
             delta -= 2.0 * std::f64::consts::PI;
@@ -704,7 +743,8 @@ mod tests {
 
     #[test]
     fn crossing_finder_agrees_with_analytic_rc() {
-        // Single-pole RC: crossing of 1/√2 is exactly f_c.
+        // Single-pole RC: crossing of 1/√2 is exactly f_c, whichever way
+        // H(jω) is evaluated.
         let r = 1e3;
         let c = 1e-9;
         let fc = 1.0 / (2.0 * std::f64::consts::PI * r * c);
@@ -713,9 +753,130 @@ mod tests {
         nl.resistor(1, 2, r).unwrap();
         nl.capacitor(2, 0, c).unwrap();
         let ac = AcAnalysis::new(&nl);
-        let f = find_crossing_freq(&ac, 2, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap();
-        assert!((f - fc).abs() / fc < 1e-6, "f = {f}, fc = {fc}");
+        let tf = ac.transfer_function(2).unwrap();
+        let dense = |w: f64| ac.transfer(2, w);
+        let pencil = |w: f64| tf.eval(w);
+        for f in [
+            find_crossing_freq(dense, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap(),
+            find_crossing_freq(pencil, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap(),
+        ] {
+            assert!((f - fc).abs() / fc < 1e-6, "f = {f}, fc = {fc}");
+        }
         // No crossing when the target is above the passband value.
-        assert!(find_crossing_freq(&ac, 2, 2.0, 1.0, 1e10).is_none());
+        assert!(find_crossing_freq(dense, 2.0, 1.0, 1e10).is_none());
+        assert!(find_crossing_freq(pencil, 2.0, 1.0, 1e10).is_none());
+    }
+
+    #[test]
+    fn failed_probe_inside_the_bracket_is_no_crossing() {
+        // One pole at f_c ≈ 159 kHz. The log scan over [1 Hz, 10 GHz]
+        // brackets it between 10^(31/6) ≈ 147 kHz and 10^(32/6) ≈ 215 kHz;
+        // every probe strictly inside (150, 210) kHz fails, so the first
+        // bisection midpoint (≈ 178 kHz) does.
+        let fc = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
+        let one_pole =
+            |w: f64| Complex64::ONE / Complex64::new(1.0, w / (2.0 * std::f64::consts::PI * fc));
+        let in_hole = |w: f64| {
+            let f = w / (2.0 * std::f64::consts::PI);
+            f > 150e3 && f < 210e3
+        };
+        let target = std::f64::consts::FRAC_1_SQRT_2;
+        assert!(find_crossing_freq(|w| Ok(one_pole(w)), target, 1.0, 1e10).is_some());
+        let nan = |w: f64| {
+            Ok(if in_hole(w) {
+                Complex64::new(f64::NAN, f64::NAN)
+            } else {
+                one_pole(w)
+            })
+        };
+        assert_eq!(find_crossing_freq(nan, target, 1.0, 1e10), None);
+        let err = |w: f64| {
+            if in_hole(w) {
+                Err(CircuitError::SingularSystem { omega: w })
+            } else {
+                Ok(one_pole(w))
+            }
+        };
+        assert_eq!(find_crossing_freq(err, target, 1.0, 1e10), None);
+        // So a die whose bandwidth probe fails is a measurement failure.
+        let die = |w: f64| nan(w).map(|h| h * 1e3);
+        assert!(matches!(
+            measure_ac(die),
+            Err(CircuitError::MeasurementFailure {
+                metric: "-3dB bandwidth",
+                ..
+            })
+        ));
+    }
+
+    /// Measures `dies` seeded dies per stage with the dense per-ω solve
+    /// and with the extracted transfer function; the metrics must agree to
+    /// 1e-9 relative and the same dies must fail with the same metric.
+    /// Returns the number of measurement failures.
+    fn check_pencil_against_dense(tb: &OpAmpTestbench, dies: usize, seed: u64) -> usize {
+        let mut failures = 0;
+        for stage in [Stage::Schematic, Stage::PostLayout] {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            for die in 0..dies {
+                let vars = tb.draw_variations(&mut r, stage);
+                // Bias failures happen before either evaluator is built.
+                let Ok(biased) = tb.bias_die(stage, &vars) else {
+                    continue;
+                };
+                let ac = AcAnalysis::new(&biased.netlist);
+                let tf = ac.transfer_function(OUT_NODE).unwrap();
+                let dense = measure_ac(|w| ac.transfer(OUT_NODE, w));
+                let pencil = measure_ac(|w| tf.eval(w));
+                match (dense, pencil) {
+                    (Ok(a), Ok(b)) => {
+                        for (name, x, y) in [
+                            ("gain", a.gain_db, b.gain_db),
+                            ("bandwidth", a.bandwidth_hz, b.bandwidth_hz),
+                            ("phase margin", a.phase_margin_deg, b.phase_margin_deg),
+                        ] {
+                            assert!(
+                                (x - y).abs() <= 1e-9 * x.abs(),
+                                "{stage} die {die}: {name} {x} (dense) vs {y} (pencil)"
+                            );
+                        }
+                    }
+                    (
+                        Err(CircuitError::MeasurementFailure { metric: m1, .. }),
+                        Err(CircuitError::MeasurementFailure { metric: m2, .. }),
+                    ) => {
+                        assert_eq!(m1, m2, "{stage} die {die}");
+                        failures += 1;
+                    }
+                    (a, b) => panic!("{stage} die {die}: dense {a:?} vs pencil {b:?}"),
+                }
+            }
+        }
+        failures
+    }
+
+    #[test]
+    fn pencil_measurement_matches_dense_oracle() {
+        let tb = OpAmpTestbench::default_45nm();
+        assert_eq!(check_pencil_against_dense(&tb, 2000, 2015), 0);
+    }
+
+    #[test]
+    fn pencil_measurement_matches_dense_oracle_at_corners() {
+        // Every σ twelve-fold: corner dies whose λ nearly vanishes have
+        // their −3 dB corner below 1 Hz, and both paths must reject the
+        // same ones with the same metric.
+        let base = OpAmpTestbench::default_45nm();
+        let v = VariationModel::nominal_45nm();
+        let wide = VariationModel {
+            sigma_vth_global: 12.0 * v.sigma_vth_global,
+            avt: 12.0 * v.avt,
+            sigma_kprime_global: 12.0 * v.sigma_kprime_global,
+            ak: 12.0 * v.ak,
+            sigma_lambda_global: 12.0 * v.sigma_lambda_global,
+        };
+        let tb =
+            OpAmpTestbench::new(base.design, base.nmos, base.pmos, wide, base.parasitics).unwrap();
+        let failures = check_pencil_against_dense(&tb, 1000, 7);
+        assert!(failures > 0, "the widened run must reach failing dies");
     }
 }
