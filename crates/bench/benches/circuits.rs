@@ -1,15 +1,11 @@
 //! Criterion benchmarks for the circuit-simulation substrate.
 
 use bmf_circuits::adc::AdcTestbench;
-use bmf_circuits::dc::{DcElement, DcNetlist, DcSolver};
 use bmf_circuits::fft::fft_real;
 use bmf_circuits::mna::AcAnalysis;
 use bmf_circuits::monte_carlo::Stage;
-use bmf_circuits::mosfet::{DeviceVariation, Geometry, Mosfet, Polarity, TechnologyParams};
 use bmf_circuits::netlist::Netlist;
 use bmf_circuits::opamp::OpAmpTestbench;
-use bmf_circuits::ring_oscillator::RingOscTestbench;
-use bmf_circuits::tran::{TranElement, TranNetlist, TransientSolver, Waveform};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 
@@ -64,90 +60,11 @@ fn bench_fft(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dc_newton(c: &mut Criterion) {
-    // Diode-connected bias cell: the DC solve inside the ring-oscillator
-    // Monte Carlo loop.
-    let m = Mosfet::new(
-        Polarity::Nmos,
-        TechnologyParams::nmos_180nm(),
-        Geometry::new(10e-6, 1e-6).expect("geometry"),
-    );
-    let mut nl = DcNetlist::new(3);
-    nl.add(DcElement::VoltageSource {
-        p: 1,
-        n: 0,
-        volts: 1.8,
-    })
-    .expect("vdd");
-    nl.add(DcElement::Resistor {
-        a: 1,
-        b: 2,
-        ohms: 20e3,
-    })
-    .expect("r");
-    nl.add(DcElement::nmos_diode_connected(
-        2,
-        0,
-        m,
-        DeviceVariation::default(),
-    ))
-    .expect("mosfet");
-    c.bench_function("dc_newton_diode_bias", |b| {
-        b.iter(|| DcSolver::new().solve(black_box(&nl)).expect("converges"))
-    });
-}
-
-fn bench_transient_rc(c: &mut Criterion) {
-    let mut nl = TranNetlist::new(3);
-    nl.add(TranElement::VoltageSource {
-        p: 1,
-        n: 0,
-        waveform: Waveform::Step {
-            level: 1.0,
-            at: 0.0,
-        },
-    })
-    .expect("src");
-    nl.add(TranElement::Resistor {
-        a: 1,
-        b: 2,
-        ohms: 1e3,
-    })
-    .expect("r");
-    nl.add(TranElement::Capacitor {
-        a: 2,
-        b: 0,
-        farads: 1e-9,
-    })
-    .expect("c");
-    let solver = TransientSolver::new(5e-9, 5e-6).expect("solver");
-    let mut group = c.benchmark_group("transient");
-    group.sample_size(20);
-    group.bench_function("rc_1000_steps", |b| {
-        b.iter(|| solver.run(black_box(&nl)).expect("runs"))
-    });
-    group.finish();
-}
-
-fn bench_ring_osc_sample(c: &mut Criterion) {
-    let tb = RingOscTestbench::default_45nm();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    c.bench_function("ring_osc_mc_sample", |b| {
-        b.iter(|| {
-            tb.sample_performance(Stage::PostLayout, &mut rng)
-                .expect("sample")
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_mna_solve,
     bench_opamp_sample,
     bench_adc_sample,
-    bench_fft,
-    bench_dc_newton,
-    bench_transient_rc,
-    bench_ring_osc_sample
+    bench_fft
 );
 criterion_main!(benches);

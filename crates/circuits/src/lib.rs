@@ -49,7 +49,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod adc;
-pub mod dc;
 mod error;
 pub mod fault;
 pub mod fft;
@@ -58,10 +57,8 @@ pub mod monte_carlo;
 pub mod mosfet;
 pub mod netlist;
 pub mod opamp;
-pub mod ring_oscillator;
 pub mod shard;
 pub mod spectrum;
-pub mod tran;
 pub mod variation;
 
 pub use error::CircuitError;

@@ -90,7 +90,6 @@ pub mod parallel;
 pub mod pipeline;
 pub mod prior;
 pub mod robustness;
-pub mod sequential;
 pub mod suffstats;
 pub mod transform;
 pub mod univariate;

@@ -17,17 +17,27 @@
 //! 4. **early-only** — when even MLE is impossible (e.g. every late row
 //!    was dropped by the guard), return the early-stage moments.
 //!
+//! Two entry points feed that one ladder. [`RobustPipeline::estimate`]
+//! screens a late-stage sample matrix (guard, strict data checks,
+//! cross-validated `κ₀`/`ν₀`) and reduces it once to the sufficient
+//! statistics `(n, X̄, S)`. [`RobustPipeline::estimate_from_stats`] takes
+//! statistics a sharded merge already reduced (upstream drops, shard
+//! coverage, pinned or default `κ₀`/`ν₀`). Both then condition the prior
+//! and run the same ladder and health assessment on the statistics, so
+//! equal statistics and hyper-parameters give bit-identical estimates.
+//!
 //! Two failure modes select between *fail loudly* and *degrade loudly*:
 //! [`FailureMode::Strict`] turns any repair, dropped row or fallback into
 //! a typed error; [`FailureMode::Degrade`] walks the ladder and reports
 //! what it did. In both modes the caller can see *why* an estimate is
 //! what it is — nothing is silently patched.
 
-use crate::cv::CrossValidation;
+use crate::cv::{CrossValidation, HyperParameterSelection};
 use crate::guard::{self, DataQualityReport, GuardPolicy};
 use crate::map::BmfEstimator;
 use crate::mle::MleEstimator;
 use crate::prior::NormalWishartPrior;
+use crate::suffstats::SufficientStats;
 use crate::{BmfError, MomentEstimate, Result};
 use bmf_linalg::{Cholesky, Matrix, SpdRepair};
 
@@ -158,6 +168,29 @@ fn json_indices(idx: &[usize]) -> String {
 }
 
 impl FusionReport {
+    /// A report holding only what the guard and prior stages found: the
+    /// MAP rung, no selection, notes or health yet.
+    fn pending(
+        data_quality: DataQualityReport,
+        prior_condition: f64,
+        prior_repair: SpdRepair,
+    ) -> FusionReport {
+        FusionReport {
+            data_quality,
+            prior_condition,
+            prior_repair,
+            selection: None,
+            fallback: FallbackLevel::Map,
+            fallback_reason: None,
+            notes: Vec::new(),
+            timings: StageTimings::default(),
+            counters: Vec::new(),
+            health: None,
+            run_id: None,
+            shard: None,
+        }
+    }
+
     /// Serializes the report as a self-contained JSON object (hand-rolled
     /// — the workspace's serde is a marker facade; see `vendor/README.md`).
     pub fn to_json(&self) -> String {
@@ -431,7 +464,7 @@ impl RobustPipeline {
     pub fn estimate_from_stats(
         &self,
         early: &MomentEstimate,
-        late: &crate::suffstats::SufficientStats,
+        late: &SufficientStats,
         shard: Option<bmf_obs::ShardCoverage>,
     ) -> Result<(MomentEstimate, FusionReport)> {
         let _span = bmf_obs::span("pipeline.estimate_from_stats");
@@ -479,18 +512,26 @@ impl RobustPipeline {
         result
     }
 
-    fn estimate_from_stats_inner(
-        &self,
-        early: &MomentEstimate,
-        late: &crate::suffstats::SufficientStats,
-        shard: Option<bmf_obs::ShardCoverage>,
-        timings: &mut StageTimings,
-    ) -> Result<(MomentEstimate, FusionReport)> {
+    fn check_threads(&self) -> Result<()> {
         if self.threads == 0 {
             return Err(BmfError::InvalidConfig {
                 reason: "robust pipeline needs at least one worker thread".to_string(),
             });
         }
+        Ok(())
+    }
+
+    /// The stats path's own stages — upstream-drop and shard-coverage
+    /// policy, fixed or default hyper-parameters — then the shared
+    /// [`Self::ladder`].
+    fn estimate_from_stats_inner(
+        &self,
+        early: &MomentEstimate,
+        late: &SufficientStats,
+        shard: Option<bmf_obs::ShardCoverage>,
+        timings: &mut StageTimings,
+    ) -> Result<(MomentEstimate, FusionReport)> {
+        self.check_threads()?;
         early.validate()?;
         late.validate()?;
         if late.dim() != early.dim() {
@@ -541,173 +582,36 @@ impl RobustPipeline {
         }
         timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
 
-        // ── Stage 2: prior conditioning (same ladder as the sample path).
-        let prior_span = bmf_obs::span("pipeline.prior");
-        let stage_start = std::time::Instant::now();
-        let prior_condition = bmf_linalg::condition_number(&early.cov)?;
-        let repaired = Cholesky::new_with_repair(&early.cov)?;
-        timings.prior_ns = stage_start.elapsed().as_nanos() as u64;
-        drop(prior_span);
-        let prior_repair = repaired.repair;
-        if self.mode == FailureMode::Strict && prior_repair.is_repaired() {
-            return Err(BmfError::InvalidMoments {
-                reason: format!(
-                    "strict mode: early-stage covariance needed repair ({prior_repair}), \
-                     condition = {prior_condition:.3e}"
-                ),
-            });
-        }
-        let effective_early = if prior_repair.is_repaired() {
-            MomentEstimate {
-                mean: early.mean.clone(),
-                cov: repaired.matrix,
-            }
-        } else {
-            early.clone()
-        };
+        let prior = self.condition_prior(early, timings)?;
 
         // ── Stage 3: hyper-parameters (CV needs raw samples). ─────────
-        let d = early.dim() as f64;
-        let (kappa0, nu0) = match self.fixed_hypers {
-            Some(h) => h,
-            None => {
-                notes.push(
-                    "stats-only input: cross-validation unavailable; using default \
-                     hyper-parameters kappa0 = 1, nu0 = d + 2"
-                        .to_string(),
-                );
-                (1.0, d + 2.0)
-            }
-        };
+        if self.fixed_hypers.is_none() {
+            notes.push(
+                "stats-only input: cross-validation unavailable; using default \
+                 hyper-parameters kappa0 = 1, nu0 = d + 2"
+                    .to_string(),
+            );
+        }
 
-        // ── Stage 4: the ladder. MAP → MLE → early-only. ─────────────
-        let stage_start = std::time::Instant::now();
-        let map_span = bmf_obs::span("ladder.map");
-        let map_attempt = NormalWishartPrior::from_early_moments(&effective_early, kappa0, nu0)
-            .and_then(|prior| BmfEstimator::new(prior)?.estimate_from_stats(late));
-        drop(map_span);
-        let assess_health = |est: &MomentEstimate, notes: &mut Vec<String>| {
-            let _span = bmf_obs::span("pipeline.health");
-            match crate::health::assess_from_stats(
-                &effective_early,
-                late,
-                kappa0,
-                nu0,
-                None,
-                &dq,
-                est,
-            ) {
-                Ok(h) => {
-                    bmf_obs::serve::publish_health(&h);
-                    Some(h)
-                }
-                Err(e) => {
-                    notes.push(format!("health assessment unavailable: {e}"));
-                    None
-                }
-            }
+        let report = FusionReport {
+            selection: self.fixed_hypers,
+            notes,
+            shard,
+            ..FusionReport::pending(dq, prior.condition, prior.repair)
         };
-        let result = match map_attempt {
-            Ok(est) => {
-                let fallback = if prior_repair.is_repaired() {
-                    bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                    bmf_obs::event!(Info, "ladder.transition",
-                        "from": "map", "to": "map_repaired_prior",
-                        "cause": prior_repair.to_string());
-                    FallbackLevel::MapRepairedPrior
-                } else {
-                    FallbackLevel::Map
-                };
-                let health = assess_health(&est.map, &mut notes);
-                let report = FusionReport {
-                    data_quality: dq,
-                    prior_condition,
-                    prior_repair,
-                    selection: self.fixed_hypers,
-                    fallback,
-                    fallback_reason: if prior_repair.is_repaired() {
-                        Some(format!("prior covariance repaired: {prior_repair}"))
-                    } else {
-                        None
-                    },
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health,
-                    run_id: None,
-                    shard,
-                };
-                Ok((est.map, report))
-            }
-            Err(map_err) => {
-                if self.mode == FailureMode::Strict {
-                    return Err(map_err);
-                }
-                bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                bmf_obs::event!(Warn, "ladder.transition",
-                    "from": "map", "to": "mle", "cause": map_err.to_string());
-                let mle_span = bmf_obs::span("ladder.mle");
-                let mle_attempt = MleEstimator::new().estimate_from_stats(late);
-                drop(mle_span);
-                match mle_attempt {
-                    Ok(mle) => {
-                        let health = assess_health(&mle, &mut notes);
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection: self.fixed_hypers,
-                            fallback: FallbackLevel::Mle,
-                            fallback_reason: Some(format!("MAP estimation failed: {map_err}")),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health,
-                            run_id: None,
-                            shard,
-                        };
-                        Ok((mle, report))
-                    }
-                    Err(mle_err) => {
-                        bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                        bmf_obs::event!(Error, "ladder.transition",
-                            "from": "mle", "to": "early_only", "cause": mle_err.to_string());
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection: self.fixed_hypers,
-                            fallback: FallbackLevel::EarlyOnly,
-                            fallback_reason: Some(format!(
-                                "MAP failed ({map_err}); MLE failed ({mle_err})"
-                            )),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health: None,
-                            run_id: None,
-                            shard,
-                        };
-                        Ok((early.clone(), report))
-                    }
-                }
-            }
-        };
-        timings.ladder_ns = stage_start.elapsed().as_nanos() as u64;
-        result
+        self.ladder(early, &prior, late, None, report, timings)
     }
 
+    /// The sample path's own stages — guard, strict data checks and
+    /// cross-validation — then one reduction to `(n, X̄, S)` for the
+    /// shared [`Self::ladder`].
     fn estimate_inner(
         &self,
         early: &MomentEstimate,
         late_samples: &Matrix,
         timings: &mut StageTimings,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        if self.threads == 0 {
-            return Err(BmfError::InvalidConfig {
-                reason: "robust pipeline needs at least one worker thread".to_string(),
-            });
-        }
+        self.check_threads()?;
         self.guard.validate()?;
         // The early moments are the last rung of the ladder; if they are
         // structurally broken there is nothing to return at any rung.
@@ -721,8 +625,6 @@ impl RobustPipeline {
                 ),
             });
         }
-
-        let mut notes: Vec<String> = Vec::new();
 
         // ── Stage 1: data-quality guard on the late samples. ──────────
         let guard_span = bmf_obs::span("pipeline.guard");
@@ -741,22 +643,17 @@ impl RobustPipeline {
                 bmf_obs::event!(Warn, "ladder.transition",
                     "from": "map", "to": "early_only", "cause": e.to_string());
                 let report = FusionReport {
-                    data_quality: DataQualityReport {
-                        rows_in: late_samples.nrows(),
-                        rows_out: 0,
-                        ..DataQualityReport::default()
-                    },
-                    prior_condition: bmf_linalg::condition_number(&early.cov)?,
-                    prior_repair: SpdRepair::None,
-                    selection: None,
                     fallback: FallbackLevel::EarlyOnly,
                     fallback_reason: Some(format!("late-stage data unusable: {e}")),
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health: None,
-                    run_id: None,
-                    shard: None,
+                    ..FusionReport::pending(
+                        DataQualityReport {
+                            rows_in: late_samples.nrows(),
+                            rows_out: 0,
+                            ..DataQualityReport::default()
+                        },
+                        bmf_linalg::condition_number(&early.cov)?,
+                        SpdRepair::None,
+                    )
                 };
                 return Ok((early.clone(), report));
             }
@@ -777,45 +674,20 @@ impl RobustPipeline {
             }
         }
 
-        // ── Stage 2: prior conditioning. ──────────────────────────────
-        let prior_span = bmf_obs::span("pipeline.prior");
-        let stage_start = std::time::Instant::now();
-        let prior_condition = bmf_linalg::condition_number(&early.cov)?;
-        let repaired = Cholesky::new_with_repair(&early.cov)?;
-        timings.prior_ns = stage_start.elapsed().as_nanos() as u64;
-        drop(prior_span);
-        let prior_repair = repaired.repair;
-        if self.mode == FailureMode::Strict && prior_repair.is_repaired() {
-            return Err(BmfError::InvalidMoments {
-                reason: format!(
-                    "strict mode: early-stage covariance needed repair ({prior_repair}), \
-                     condition = {prior_condition:.3e}"
-                ),
-            });
-        }
-        let effective_early = if prior_repair.is_repaired() {
-            MomentEstimate {
-                mean: early.mean.clone(),
-                cov: repaired.matrix,
-            }
-        } else {
-            early.clone()
-        };
+        let prior = self.condition_prior(early, timings)?;
+        let mut report = FusionReport::pending(dq, prior.condition, prior.repair);
 
         // ── Stage 3: hyper-parameter selection (absorb CV failure). ───
-        let d = early.dim() as f64;
         let stage_start = std::time::Instant::now();
         // Pinned hyper-parameters skip CV entirely — the only option on
         // the stats-only path, and the way to make a sharded merge and a
         // single-process run select identically.
         let selected = match self.fixed_hypers {
             Some(_) => None,
-            None => {
-                Some(
-                    self.cv
-                        .select_seeded(&effective_early, &cleaned, self.seed, self.threads),
-                )
-            }
+            None => Some(
+                self.cv
+                    .select_seeded(&prior.early, &cleaned, self.seed, self.threads),
+            ),
         };
         timings.cv_ns = stage_start.elapsed().as_nanos() as u64;
         // Keep the full selection (grid + per-point scores) alive for the
@@ -828,79 +700,101 @@ impl RobustPipeline {
                 if self.mode == FailureMode::Strict {
                     return Err(e);
                 }
-                notes.push(format!(
+                report.notes.push(format!(
                     "cross-validation failed ({e}); using default hyper-parameters \
                      kappa0 = 1, nu0 = d + 2"
                 ));
                 None
             }
         };
-        let selection = self
+        report.selection = self
             .fixed_hypers
             .or_else(|| selection_full.as_ref().map(|sel| (sel.kappa0, sel.nu0)));
-        let (kappa0, nu0) = selection.unwrap_or((1.0, d + 2.0));
 
-        // ── Stage 4: the ladder. MAP → MLE → early-only. ─────────────
+        // The guard leaves a non-empty, finite matrix, so this one
+        // reduction serves the MAP and MLE rungs and the health check.
+        let late = SufficientStats::from_samples(&cleaned)?;
+        self.ladder(
+            early,
+            &prior,
+            &late,
+            selection_full.as_ref(),
+            report,
+            timings,
+        )
+    }
+
+    /// Stage 2, shared by both entry points: the early covariance's
+    /// condition number and, when it is not SPD, its repair — a typed
+    /// error in strict mode.
+    fn condition_prior(
+        &self,
+        early: &MomentEstimate,
+        timings: &mut StageTimings,
+    ) -> Result<ConditionedPrior> {
+        let prior_span = bmf_obs::span("pipeline.prior");
+        let stage_start = std::time::Instant::now();
+        let condition = bmf_linalg::condition_number(&early.cov)?;
+        let repaired = Cholesky::new_with_repair(&early.cov)?;
+        timings.prior_ns = stage_start.elapsed().as_nanos() as u64;
+        drop(prior_span);
+        let repair = repaired.repair;
+        if self.mode == FailureMode::Strict && repair.is_repaired() {
+            return Err(BmfError::InvalidMoments {
+                reason: format!(
+                    "strict mode: early-stage covariance needed repair ({repair}), \
+                     condition = {condition:.3e}"
+                ),
+            });
+        }
+        let early = if repair.is_repaired() {
+            MomentEstimate {
+                mean: early.mean.clone(),
+                cov: repaired.matrix,
+            }
+        } else {
+            early.clone()
+        };
+        Ok(ConditionedPrior {
+            early,
+            condition,
+            repair,
+        })
+    }
+
+    /// Stage 4, the one ladder both entry points share: MAP → MLE →
+    /// early-only on the late statistics, then the health assessment of
+    /// whichever rung answered. `report` arrives with what the earlier
+    /// stages found, its `selection` included; the ladder adds the rung,
+    /// its reason and the health.
+    fn ladder(
+        &self,
+        early: &MomentEstimate,
+        prior: &ConditionedPrior,
+        late: &SufficientStats,
+        cv: Option<&HyperParameterSelection>,
+        mut report: FusionReport,
+        timings: &mut StageTimings,
+    ) -> Result<(MomentEstimate, FusionReport)> {
+        // No selection → the defaults the earlier stages' notes announce.
+        let (kappa0, nu0) = report.selection.unwrap_or((1.0, early.dim() as f64 + 2.0));
         let stage_start = std::time::Instant::now();
         let map_span = bmf_obs::span("ladder.map");
-        let map_attempt = NormalWishartPrior::from_early_moments(&effective_early, kappa0, nu0)
-            .and_then(|prior| BmfEstimator::new(prior)?.estimate(&cleaned));
+        let map_attempt = NormalWishartPrior::from_early_moments(&prior.early, kappa0, nu0)
+            .and_then(|p| BmfEstimator::new(p)?.estimate_from_stats(late));
         drop(map_span);
-        // Health assessment of a fused estimate. Read-only (no RNG, no
-        // feedback into the estimate); a failure degrades to "health
-        // unavailable" with a note rather than sinking the pipeline.
-        let assess_health = |est: &MomentEstimate, notes: &mut Vec<String>| {
-            let _span = bmf_obs::span("pipeline.health");
-            match crate::health::assess(
-                &effective_early,
-                &cleaned,
-                kappa0,
-                nu0,
-                selection_full.as_ref(),
-                &dq,
-                est,
-            ) {
-                Ok(h) => {
-                    bmf_obs::serve::publish_health(&h);
-                    Some(h)
-                }
-                Err(e) => {
-                    notes.push(format!("health assessment unavailable: {e}"));
-                    None
-                }
-            }
-        };
-        let result = match map_attempt {
+        let fused = match map_attempt {
             Ok(est) => {
-                let fallback = if prior_repair.is_repaired() {
+                if prior.repair.is_repaired() {
                     bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
                     bmf_obs::event!(Info, "ladder.transition",
                         "from": "map", "to": "map_repaired_prior",
-                        "cause": prior_repair.to_string());
-                    FallbackLevel::MapRepairedPrior
-                } else {
-                    FallbackLevel::Map
-                };
-                let health = assess_health(&est.map, &mut notes);
-                let report = FusionReport {
-                    data_quality: dq,
-                    prior_condition,
-                    prior_repair,
-                    selection,
-                    fallback,
-                    fallback_reason: if prior_repair.is_repaired() {
-                        Some(format!("prior covariance repaired: {prior_repair}"))
-                    } else {
-                        None
-                    },
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health,
-                    run_id: None,
-                    shard: None,
-                };
-                Ok((est.map, report))
+                        "cause": prior.repair.to_string());
+                    report.fallback = FallbackLevel::MapRepairedPrior;
+                    report.fallback_reason =
+                        Some(format!("prior covariance repaired: {}", prior.repair));
+                }
+                Some(est.map)
             }
             Err(map_err) => {
                 if self.mode == FailureMode::Strict {
@@ -910,55 +804,64 @@ impl RobustPipeline {
                 bmf_obs::event!(Warn, "ladder.transition",
                     "from": "map", "to": "mle", "cause": map_err.to_string());
                 let mle_span = bmf_obs::span("ladder.mle");
-                let mle_attempt = MleEstimator::new().estimate(&cleaned);
+                let mle_attempt = MleEstimator::new().estimate_from_stats(late);
                 drop(mle_span);
                 match mle_attempt {
                     Ok(mle) => {
-                        let health = assess_health(&mle, &mut notes);
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection,
-                            fallback: FallbackLevel::Mle,
-                            fallback_reason: Some(format!("MAP estimation failed: {map_err}")),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health,
-                            run_id: None,
-                            shard: None,
-                        };
-                        Ok((mle, report))
+                        report.fallback = FallbackLevel::Mle;
+                        report.fallback_reason = Some(format!("MAP estimation failed: {map_err}"));
+                        Some(mle)
                     }
                     Err(mle_err) => {
                         bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
                         bmf_obs::event!(Error, "ladder.transition",
                             "from": "mle", "to": "early_only", "cause": mle_err.to_string());
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection,
-                            fallback: FallbackLevel::EarlyOnly,
-                            fallback_reason: Some(format!(
-                                "MAP failed ({map_err}); MLE failed ({mle_err})"
-                            )),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health: None,
-                            run_id: None,
-                            shard: None,
-                        };
-                        Ok((early.clone(), report))
+                        report.fallback = FallbackLevel::EarlyOnly;
+                        report.fallback_reason =
+                            Some(format!("MAP failed ({map_err}); MLE failed ({mle_err})"));
+                        None
                     }
                 }
             }
         };
+        let estimate = match fused {
+            Some(est) => {
+                // Read-only (no RNG, no feedback into the estimate); a
+                // failure degrades to "health unavailable" with a note
+                // rather than sinking the pipeline.
+                let _span = bmf_obs::span("pipeline.health");
+                match crate::health::assess(
+                    &prior.early,
+                    late,
+                    kappa0,
+                    nu0,
+                    cv,
+                    &report.data_quality,
+                    &est,
+                ) {
+                    Ok(h) => {
+                        bmf_obs::serve::publish_health(&h);
+                        report.health = Some(h);
+                    }
+                    Err(e) => report
+                        .notes
+                        .push(format!("health assessment unavailable: {e}")),
+                }
+                est
+            }
+            None => early.clone(),
+        };
         timings.ladder_ns = stage_start.elapsed().as_nanos() as u64;
-        result
+        Ok((estimate, report))
     }
+}
+
+/// Stage 2's outcome: the early moments the prior is built from (SPD
+/// repaired when needed) and what conditioning them found.
+struct ConditionedPrior {
+    early: MomentEstimate,
+    condition: f64,
+    repair: SpdRepair,
 }
 
 #[cfg(test)]
@@ -1155,17 +1058,46 @@ mod tests {
 
     #[test]
     fn stats_path_matches_sample_path_with_fixed_hypers() {
+        // A clean sample matrix and its statistics walk the one ladder to
+        // the same bits on every rung, and to the same error in strict
+        // mode wherever strict mode refuses.
         let late = clean_late(16, 14);
-        let stats = crate::suffstats::SufficientStats::from_samples(&late).unwrap();
-        let p = RobustPipeline::new().with_fixed_hypers(2.0, 8.0);
-        let (a, ra) = p.estimate(&early(), &late).unwrap();
-        let (b, rb) = p.estimate_from_stats(&early(), &stats, None).unwrap();
-        assert_eq!(a, b, "sample and stats paths must agree bit-for-bit");
-        assert_eq!(ra.fallback, rb.fallback);
-        assert_eq!(ra.selection, Some((2.0, 8.0)));
-        assert_eq!(rb.selection, Some((2.0, 8.0)));
-        assert!(rb.shard.is_none());
-        assert!(rb.health.is_some());
+        let stats = SufficientStats::from_samples(&late).unwrap();
+        let not_spd = MomentEstimate {
+            mean: Vector::zeros(2),
+            cov: Matrix::outer(&Vector::from_slice(&[1.0, 1.0])), // rank 1
+        };
+        let d = early().dim() as f64;
+        let cases = [
+            (early(), (2.0, 8.0), FallbackLevel::Map),
+            (not_spd, (2.0, 8.0), FallbackLevel::MapRepairedPrior),
+            // ν₀ = d leaves no valid prior, so MAP fails over to MLE.
+            (early(), (1.0, d), FallbackLevel::Mle),
+        ];
+        for (early, (kappa0, nu0), rung) in cases {
+            for mode in [FailureMode::Degrade, FailureMode::Strict] {
+                let p = RobustPipeline::new()
+                    .with_mode(mode)
+                    .with_fixed_hypers(kappa0, nu0);
+                let a = p.estimate(&early, &late);
+                let b = p.estimate_from_stats(&early, &stats, None);
+                let refused = mode == FailureMode::Strict && rung != FallbackLevel::Map;
+                assert_eq!(a.is_err(), refused, "{rung} {mode:?}: {a:?}");
+                match (a, b) {
+                    (Ok((ea, mut ra)), Ok((eb, mut rb))) => {
+                        assert_eq!(ea, eb, "{rung} {mode:?}: estimates differ");
+                        assert_eq!(ra.fallback, rung);
+                        assert_eq!(ra.selection, Some((kappa0, nu0)));
+                        assert!(rb.health.is_some());
+                        ra.timings = StageTimings::default();
+                        rb.timings = StageTimings::default();
+                        assert_eq!(ra.to_json(), rb.to_json(), "{rung} {mode:?}");
+                    }
+                    (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{rung} {mode:?}"),
+                    (a, b) => panic!("{rung} {mode:?}: paths disagree: {a:?} vs {b:?}"),
+                }
+            }
+        }
         // Without pinned hypers the stats path falls back to defaults
         // and says so.
         let (_, r) = RobustPipeline::new()
@@ -1181,7 +1113,7 @@ mod tests {
     #[test]
     fn shard_coverage_is_reported_and_enforced() {
         let late = clean_late(16, 15);
-        let stats = crate::suffstats::SufficientStats::from_samples(&late).unwrap();
+        let stats = SufficientStats::from_samples(&late).unwrap();
         let degraded = bmf_obs::ShardCoverage {
             shard_count: 4,
             merged: 3,

@@ -9,13 +9,15 @@
 //!
 //! The process half runs the actual `bmf` executable (CARGO_BIN_EXE) so
 //! the exit-code taxonomy and the `BMF_SHARD_KILL` crash window are
-//! tested exactly as operators hit them.
+//! tested exactly as operators hit them, and pins the bytes a fixed-seed
+//! generate → estimate → shard → merge sequence writes.
 
 use bmf_ams::circuits::monte_carlo::two_stage_study_seeded;
 use bmf_ams::circuits::shard::{
     merge_packet_texts, merge_packets, run_shard, study_reference_stats, MergePolicy, StudyConfig,
 };
 use bmf_ams::circuits::CircuitError;
+use bmf_ams::obs::run::fnv1a;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -524,4 +526,104 @@ fn cli_report_write_is_atomic_and_complete() {
         leftovers.is_empty(),
         "temp files left behind: {leftovers:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Golden CLI digests
+// ---------------------------------------------------------------------------
+
+/// FNV-1a of every artifact of one fixed-seed CLI sequence: both
+/// `bmf generate` stages, `bmf estimate --report`, a 3-way `bmf shard`
+/// and `bmf merge --report`. Reports are hashed without `run_id` (the
+/// estimate's id hashes its input paths) and `timings_ns` (wall clock).
+/// A mismatch means a command now writes different bits; re-baseline
+/// only on purpose.
+const GOLDEN_DIGESTS: &[(&str, u64)] = &[
+    ("early.csv", 0xC0FA_0313_8736_E52C),
+    ("late.csv", 0x0331_05F6_FCF6_729C),
+    ("estimate.csv", 0x309F_B9DF_4DD3_4995),
+    ("estimate.json", 0x5B78_3532_D9DC_DB0D),
+    ("p0.json", 0x72BC_D75C_7661_E94B),
+    ("p1.json", 0x7346_72B8_1F46_E9CB),
+    ("p2.json", 0x30D5_68C6_DEEC_3DA0),
+    ("merge.csv", 0xBA28_D18F_410A_FB14),
+    ("merge.json", 0xC37F_26C4_286B_DAFF),
+];
+
+/// `json` without the member `"key":value` and the comma after it. The
+/// value must be a scalar or an object without nested objects, which is
+/// what `run_id` and `timings_ns` are in a report.
+fn without_member(json: &str, key: &str) -> String {
+    let start = json
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("report has no {key}"));
+    let value = start + key.len() + 3;
+    let mut end = value
+        + if json[value..].starts_with('{') {
+            json[value..].find('}').expect("object closes") + 1
+        } else {
+            json[value..].find([',', '}']).expect("member ends")
+        };
+    if json[end..].starts_with(',') {
+        end += 1;
+    }
+    format!("{}{}", &json[..start], &json[end..])
+}
+
+#[test]
+fn cli_outputs_match_golden_digests() {
+    let dir = TempDir::new("golden");
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().unwrap();
+        assert_eq!(
+            exit_code(&out),
+            0,
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    for (stage, samples, seed, out) in [
+        ("schematic", "40", "3", "early.csv"),
+        ("postlayout", "12", "4", "late.csv"),
+    ] {
+        run(bmf()
+            .args(["generate", "--circuit", "opamp", "--stage", stage])
+            .args(["--samples", samples, "--seed", seed, "--threads", "2"])
+            .arg("--out")
+            .arg(dir.path(out)));
+    }
+    run(bmf()
+        .args(["estimate", "--threads", "2"])
+        .arg("--early")
+        .arg(dir.path("early.csv"))
+        .arg("--late")
+        .arg(dir.path("late.csv"))
+        .arg("--report")
+        .arg(dir.path("estimate.json"))
+        .arg("--out")
+        .arg(dir.path("estimate.csv")));
+    let mut merge = bmf();
+    merge.args(["merge", "--threads", "2"]);
+    for i in 0..3 {
+        let packet = format!("p{i}.json");
+        run(&mut shard_cmd(&dir, i, 3, &packet));
+        merge.arg("--packet").arg(dir.path(&packet));
+    }
+    run(merge
+        .arg("--report")
+        .arg(dir.path("merge.json"))
+        .arg("--out")
+        .arg(dir.path("merge.csv")));
+
+    let actual: Vec<(&str, u64)> = GOLDEN_DIGESTS
+        .iter()
+        .map(|&(name, _)| {
+            let mut text = std::fs::read_to_string(dir.path(name)).unwrap();
+            if name == "estimate.json" || name == "merge.json" {
+                text = without_member(&without_member(&text, "run_id"), "timings_ns");
+            }
+            (name, fnv1a(text.as_bytes()))
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_DIGESTS, "a CLI output changed its bits");
 }
