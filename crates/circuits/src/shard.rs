@@ -34,25 +34,19 @@ use crate::{CircuitError, Result};
 use bmf_linalg::{Matrix, Vector};
 use bmf_obs::json::{self, Value};
 use bmf_obs::run::fnv1a;
-use bmf_obs::{FleetShardRow, FleetSummary, RunContext, ShardCoverage};
+use bmf_obs::{RunContext, ShardCoverage};
 
 /// Format marker every packet carries.
 pub const PACKET_FORMAT: &str = "bmf-shard-packet";
 /// The packet schema version, the only one this build writes or reads:
 /// packets are intermediate files that the same build shards and
-/// merges. It carries an optional `telemetry` envelope with a compact
-/// span summary, time-series digest and wall-clock bounds.
+/// merges. A packet carries sufficient statistics and nothing else, so
+/// recording in the shard's process never changes its bytes; a shard's
+/// telemetry travels in its own `--trace-out`/`--metrics-out`/
+/// `--events-out` files under the study's run id. The parser reads only
+/// the members it needs, so an extra payload member (the `telemetry`
+/// envelope earlier builds of this version wrote) is ignored.
 pub const PACKET_VERSION: u64 = 3;
-/// Longest event tail a packet ships (newest events win).
-pub const TELEMETRY_EVENT_TAIL: usize = 32;
-/// Most spans a packet's trace summary ships (longest spans win).
-pub const TELEMETRY_SPAN_CAP: usize = 64;
-/// Deepest span nesting the trace summary keeps: stage-level work only.
-pub const TELEMETRY_SPAN_DEPTH: u32 = 1;
-/// Most series a packet's time-series digest carries.
-pub const TELEMETRY_SERIES_CAP: usize = 32;
-/// Most (newest) points each digested series keeps.
-pub const TELEMETRY_SERIES_TAIL: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Study configuration
@@ -204,8 +198,7 @@ impl StudyConfig {
         };
         let count = |key: &str| -> Result<usize> {
             v.get(key)
-                .and_then(Value::as_f64)
-                .filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x < 2f64.powi(53))
+                .and_then(Value::as_count)
                 .map(|x| x as usize)
                 .ok_or_else(|| corrupt(&format!("config field {key} missing or not a count")))
         };
@@ -257,14 +250,6 @@ pub struct StageSuffStats {
     delta: Vec<ExactSum>,
     /// `d(d+1)/2` exact sums of `δ_a·δ_b`, upper triangle row-major.
     cross: Vec<ExactSum>,
-}
-
-/// A JSON number that is an exact non-negative integer below 2⁵³, the
-/// range in which an `f64` counts without rounding.
-fn json_count(v: &Value) -> Option<u64> {
-    v.as_f64()
-        .filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x < 2f64.powi(53))
-        .map(|x| x as u64)
 }
 
 /// Index of `(a, b)` with `a ≤ b` in an upper-triangle row-major pack.
@@ -414,7 +399,7 @@ impl StageSuffStats {
         };
         let count = |key: &str| -> Result<usize> {
             v.get(key)
-                .and_then(json_count)
+                .and_then(Value::as_count)
                 .map(|x| x as usize)
                 .ok_or_else(|| corrupt(format!("stage field {key} missing or not a count")))
         };
@@ -485,399 +470,8 @@ pub struct StageMoments {
 // Shard execution and packets
 // ---------------------------------------------------------------------------
 
-/// A compact ship-with-the-packet digest of one observability
-/// histogram: enough for fleet dashboards, nothing bucket-shaped.
-/// Empty-histogram percentiles are explicit `None`s (serialized as
-/// JSON `null`), never fabricated zeros.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSketch {
-    /// Histogram name (e.g. `"cholesky.ns"`).
-    pub name: String,
-    /// Observation count.
-    pub count: u64,
-    /// Sum of observations, nanoseconds.
-    pub sum_ns: u64,
-    /// Smallest observation, nanoseconds.
-    pub min_ns: u64,
-    /// Largest observation, nanoseconds.
-    pub max_ns: u64,
-    /// Estimated median, absent when the histogram is empty.
-    pub p50_ns: Option<u64>,
-    /// Estimated 90th percentile, absent when empty.
-    pub p90_ns: Option<u64>,
-    /// Estimated 99th percentile, absent when empty.
-    pub p99_ns: Option<u64>,
-}
-
-/// One completed span in a packet's compact trace summary: just enough
-/// to reconstruct a stage-level timeline track for the shard in a
-/// stitched fleet trace. Timestamps are nanoseconds since the producing
-/// process's trace epoch; [`fleet_trace_json`] aligns shards against
-/// each other via the packet's wall-clock bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Span name (e.g. `"monte_carlo.schematic"`).
-    pub name: String,
-    /// Nesting depth at open time (0 = top level).
-    pub depth: u32,
-    /// Open time, nanoseconds since the shard process's trace epoch.
-    pub start_ns: u64,
-    /// Wall time from open to close, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Tail digest of one in-process time-series ring, shipped with the
-/// packet so the merge can chart the fleet's recent behaviour. Values
-/// are stored as `f64` bit patterns: the digest round-trips through
-/// JSON byte-exactly and the type stays `Eq`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesDigest {
-    /// Series name (charset as in `bmf_obs::tsdb`).
-    pub name: String,
-    /// Newest `(timestamp_ms, value_bits)` points, oldest first, at
-    /// most [`TELEMETRY_SERIES_TAIL`].
-    pub points: Vec<(u64, u64)>,
-}
-
-/// Per-shard observability telemetry carried in a packet so a
-/// merge can build a fleet view without the shards' processes being
-/// alive. Captured only when recording was enabled in the shard's
-/// process (`--events-out`, `--obs-listen`, ...); a quiet shard ships
-/// `telemetry: None` and costs nothing.
-///
-/// Telemetry is measurement, not input: it never enters the checksum'd
-/// statistics the merge reduces, so two packets for one shard that
-/// differ only in telemetry still merge as duplicates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTelemetry {
-    /// Wall-clock time the shard spent running both stages, nanoseconds.
-    pub wall_ns: u64,
-    /// Counter increments observed during the shard run (non-zero only).
-    pub counters: Vec<(String, u64)>,
-    /// Histogram digests at shard completion (non-empty only).
-    pub histograms: Vec<HistogramSketch>,
-    /// Tail of the shard's structured event log, each entry one
-    /// pre-rendered JSON object line (newest last, at most
-    /// [`TELEMETRY_EVENT_TAIL`]).
-    pub events: Vec<String>,
-    /// Compact trace summary: spans of depth ≤
-    /// [`TELEMETRY_SPAN_DEPTH`] recorded during the shard run, the
-    /// [`TELEMETRY_SPAN_CAP`] longest, in start order.
-    pub spans: Vec<SpanSummary>,
-    /// Time-series tail digest at shard completion.
-    pub timeseries: Vec<SeriesDigest>,
-    /// Unix wall clock when the shard run started, milliseconds
-    /// (`0` = unknown: the clock read before the epoch). Observability
-    /// only — never merged into statistics.
-    pub start_unix_ms: u64,
-    /// Unix wall clock when the shard run finished, milliseconds
-    /// (`0` = unknown).
-    pub end_unix_ms: u64,
-}
-
-impl ShardTelemetry {
-    /// The shard's `monte_carlo.sims` counter increment, `0` when the
-    /// counter never moved.
-    #[must_use]
-    pub fn sims(&self) -> u64 {
-        self.counters
-            .iter()
-            .find(|(name, _)| name == "monte_carlo.sims")
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Captures the delta between two metrics snapshots plus the event
-    /// tail, span summary and time-series digest visible to the calling
-    /// thread. `trace_t0_ns` windows the span summary to spans opened
-    /// during the shard run; `start_unix_ms` anchors the stitched fleet
-    /// timeline.
-    fn capture(
-        wall_ns: u64,
-        before: &bmf_obs::MetricsSnapshot,
-        trace_t0_ns: u64,
-        start_unix_ms: u64,
-    ) -> ShardTelemetry {
-        let after = bmf_obs::metrics::snapshot();
-        let counters = after
-            .counters
-            .iter()
-            .filter_map(|(name, v)| {
-                let base = before
-                    .counters
-                    .iter()
-                    .find(|(b, _)| b == name)
-                    .map_or(0, |(_, b)| *b);
-                let delta = v.saturating_sub(base);
-                (delta > 0).then(|| ((*name).to_string(), delta))
-            })
-            .collect();
-        let histograms = after
-            .histograms
-            .iter()
-            .filter(|h| h.count > 0)
-            .map(|h| HistogramSketch {
-                name: h.name.to_string(),
-                count: h.count,
-                sum_ns: h.sum_ns,
-                min_ns: h.min_ns,
-                max_ns: h.max_ns,
-                p50_ns: h.p50_ns(),
-                p90_ns: h.p90_ns(),
-                p99_ns: h.p99_ns(),
-            })
-            .collect();
-        let records = bmf_obs::event::peek_records();
-        let skip = records.len().saturating_sub(TELEMETRY_EVENT_TAIL);
-        let events = records[skip..].iter().map(|r| r.to_json(None)).collect();
-        // Span summary: stage-level spans opened during this run, the
-        // longest first for the cap, then start order for the timeline.
-        let mut spans: Vec<SpanSummary> = bmf_obs::span::peek_events()
-            .into_iter()
-            .filter(|e| e.start_ns >= trace_t0_ns && e.depth <= TELEMETRY_SPAN_DEPTH)
-            .map(|e| SpanSummary {
-                name: e.name.to_string(),
-                depth: e.depth,
-                start_ns: e.start_ns,
-                dur_ns: e.dur_ns,
-            })
-            .collect();
-        spans.sort_by_key(|s| std::cmp::Reverse(s.dur_ns));
-        spans.truncate(TELEMETRY_SPAN_CAP);
-        spans.sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        let timeseries = bmf_obs::tsdb::snapshot()
-            .into_iter()
-            .take(TELEMETRY_SERIES_CAP)
-            .map(|s| SeriesDigest {
-                name: s.name,
-                points: s
-                    .points
-                    .iter()
-                    .skip(s.points.len().saturating_sub(TELEMETRY_SERIES_TAIL))
-                    .map(|&(t, v)| (t, v.to_bits()))
-                    .collect(),
-            })
-            .collect();
-        ShardTelemetry {
-            wall_ns,
-            counters,
-            histograms,
-            events,
-            spans,
-            timeseries,
-            start_unix_ms,
-            end_unix_ms: unix_ms_now(),
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, v)| format!("[{},{v}]", json::string(name)))
-            .collect();
-        let pct = |p: Option<u64>| p.map_or_else(|| "null".to_string(), |v| v.to_string());
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"name\":{},\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-                    json::string(&h.name),
-                    h.count,
-                    h.sum_ns,
-                    h.min_ns,
-                    h.max_ns,
-                    pct(h.p50_ns),
-                    pct(h.p90_ns),
-                    pct(h.p99_ns),
-                )
-            })
-            .collect();
-        // Event lines are embedded as strings, not objects: the tail
-        // round-trips byte-exactly without this parser owning the event
-        // schema.
-        let events: Vec<String> = self.events.iter().map(|e| json::string(e)).collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":{},\"depth\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                    json::string(&s.name),
-                    s.depth,
-                    s.start_ns,
-                    s.dur_ns,
-                )
-            })
-            .collect();
-        let timeseries: Vec<String> = self
-            .timeseries
-            .iter()
-            .map(|d| {
-                let points: Vec<String> = d
-                    .points
-                    .iter()
-                    .map(|(t, bits)| format!("[{t},\"{bits:016x}\"]"))
-                    .collect();
-                format!(
-                    "{{\"name\":{},\"points\":[{}]}}",
-                    json::string(&d.name),
-                    points.join(","),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"wall_ns\":{},\"counters\":[{}],\"histograms\":[{}],\"events\":[{}],\"spans\":[{}],\"timeseries\":[{}],\"start_unix_ms\":{},\"end_unix_ms\":{}}}",
-            self.wall_ns,
-            counters.join(","),
-            histograms.join(","),
-            events.join(","),
-            spans.join(","),
-            timeseries.join(","),
-            self.start_unix_ms,
-            self.end_unix_ms,
-        )
-    }
-
-    fn from_value(v: &Value, label: &str) -> Result<ShardTelemetry> {
-        let corrupt = |reason: String| CircuitError::PacketCorrupt {
-            source: label.to_string(),
-            reason,
-        };
-        let nat = |v: &Value, what: &str| -> Result<u64> {
-            json_count(v)
-                .ok_or_else(|| corrupt(format!("telemetry field {what} missing or not a count")))
-        };
-        let wall_ns = nat(v.get("wall_ns").unwrap_or(&Value::Null), "wall_ns")?;
-        let counters = v
-            .get("counters")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field counters missing".to_string()))?
-            .iter()
-            .map(|pair| {
-                let items = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                    corrupt("telemetry counter is not a [name, value] pair".to_string())
-                })?;
-                let name = items[0]
-                    .as_str()
-                    .ok_or_else(|| corrupt("telemetry counter name is not a string".to_string()))?;
-                Ok((name.to_string(), nat(&items[1], "counter value")?))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let histograms = v
-            .get("histograms")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field histograms missing".to_string()))?
-            .iter()
-            .map(|h| {
-                let pct = |key: &str| -> Result<Option<u64>> {
-                    match h.get(key) {
-                        None | Some(Value::Null) => Ok(None),
-                        Some(x) => nat(x, key).map(Some),
-                    }
-                };
-                Ok(HistogramSketch {
-                    name: h
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| corrupt("telemetry histogram name missing".to_string()))?
-                        .to_string(),
-                    count: nat(h.get("count").unwrap_or(&Value::Null), "count")?,
-                    sum_ns: nat(h.get("sum_ns").unwrap_or(&Value::Null), "sum_ns")?,
-                    min_ns: nat(h.get("min_ns").unwrap_or(&Value::Null), "min_ns")?,
-                    max_ns: nat(h.get("max_ns").unwrap_or(&Value::Null), "max_ns")?,
-                    p50_ns: pct("p50_ns")?,
-                    p90_ns: pct("p90_ns")?,
-                    p99_ns: pct("p99_ns")?,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let events = v
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field events missing".to_string()))?
-            .iter()
-            .map(|e| {
-                e.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| corrupt("telemetry event line is not a string".to_string()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let spans = v
-            .get("spans")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field spans missing".to_string()))?
-            .iter()
-            .map(|s| {
-                Ok(SpanSummary {
-                    name: s
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| corrupt("telemetry span name missing".to_string()))?
-                        .to_string(),
-                    depth: u32::try_from(nat(
-                        s.get("depth").unwrap_or(&Value::Null),
-                        "span depth",
-                    )?)
-                    .map_err(|_| corrupt("telemetry span depth overflows".to_string()))?,
-                    start_ns: nat(s.get("start_ns").unwrap_or(&Value::Null), "span start_ns")?,
-                    dur_ns: nat(s.get("dur_ns").unwrap_or(&Value::Null), "span dur_ns")?,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let timeseries = v
-            .get("timeseries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field timeseries missing".to_string()))?
-            .iter()
-            .map(|d| {
-                let points = d
-                    .get("points")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| corrupt("telemetry series points missing".to_string()))?
-                    .iter()
-                    .map(|p| {
-                        let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                            corrupt("telemetry series point is not a [ts, bits] pair".to_string())
-                        })?;
-                        let ts = nat(&pair[0], "series point timestamp")?;
-                        let bits = pair[1]
-                            .as_str()
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| {
-                                corrupt("telemetry series value is not 64-bit hex".to_string())
-                            })?;
-                        Ok((ts, bits))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(SeriesDigest {
-                    name: d
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| corrupt("telemetry series name missing".to_string()))?
-                        .to_string(),
-                    points,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardTelemetry {
-            wall_ns,
-            counters,
-            histograms,
-            events,
-            spans,
-            timeseries,
-            start_unix_ms: nat(
-                v.get("start_unix_ms").unwrap_or(&Value::Null),
-                "start_unix_ms",
-            )?,
-            end_unix_ms: nat(v.get("end_unix_ms").unwrap_or(&Value::Null), "end_unix_ms")?,
-        })
-    }
-}
-
 /// One shard's result: the sufficient statistics of its early and late
-/// slices plus deterministic telemetry, ready for packet serialization.
+/// slices plus its retry count, ready for packet serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPacket {
     /// The study this shard belongs to.
@@ -891,32 +485,6 @@ pub struct ShardPacket {
     /// Total simulator redraws across both slices (deterministic: each
     /// sample retries within its own stream).
     pub retries: u64,
-    /// Observability telemetry of the producing process, captured only
-    /// when recording was enabled there. Never merged into statistics;
-    /// feeds the fleet view.
-    pub telemetry: Option<ShardTelemetry>,
-}
-
-impl ShardPacket {
-    /// Whether two packets describe the same shard result — the
-    /// statistics, not the telemetry. A shard re-run with observability
-    /// on reports different wall clocks but identical science.
-    #[must_use]
-    pub fn same_result(&self, other: &ShardPacket) -> bool {
-        self.config == other.config
-            && self.shard_index == other.shard_index
-            && self.early == other.early
-            && self.late == other.late
-            && self.retries == other.retries
-    }
-}
-
-/// Unix wall clock in milliseconds; `0` if the system clock is before
-/// the epoch (observability-only data, never worth a panic).
-fn unix_ms_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
 }
 
 /// Runs shard `index` of the study described by `config`: both stages'
@@ -940,18 +508,6 @@ pub fn run_shard(config: &StudyConfig, index: usize, threads: usize) -> Result<S
     let policy = RetryPolicy {
         max_attempts: config.max_attempts,
     };
-    // Telemetry baseline: only when the producing process records.
-    // Recording never perturbs the statistics (the crate invariant), so
-    // a telemetry-bearing packet is bit-identical in its payload science
-    // to a quiet one — only the envelope grows.
-    let baseline = bmf_obs::is_enabled().then(|| {
-        (
-            std::time::Instant::now(),
-            bmf_obs::metrics::snapshot(),
-            bmf_obs::span::now_ns(),
-            unix_ms_now(),
-        )
-    });
     let mut retries = 0u64;
     let mut run_stage = |stage: Stage, total: usize| -> Result<StageSuffStats> {
         let (start, len) = StudyConfig::slice(total, index, config.shard_count);
@@ -971,33 +527,20 @@ pub fn run_shard(config: &StudyConfig, index: usize, threads: usize) -> Result<S
     };
     let early = run_stage(Stage::Schematic, config.n_early)?;
     let late = run_stage(Stage::PostLayout, config.n_late)?;
-    let telemetry = baseline.map(|(t0, before, trace_t0_ns, start_unix_ms)| {
-        ShardTelemetry::capture(
-            t0.elapsed().as_nanos() as u64,
-            &before,
-            trace_t0_ns,
-            start_unix_ms,
-        )
-    });
     Ok(ShardPacket {
         config: config.clone(),
         shard_index: index,
         early,
         late,
         retries,
-        telemetry,
     })
 }
 
 impl ShardPacket {
     fn payload_json(&self) -> String {
         let run = self.config.run_context();
-        let telemetry = self
-            .telemetry
-            .as_ref()
-            .map_or_else(String::new, |t| format!(",\"telemetry\":{}", t.to_json()));
         format!(
-            "{{\"run_id\":{},\"config_hash\":\"{:016x}\",\"config\":{},\"shard_index\":{},\"retries\":{},\"early\":{},\"late\":{}{telemetry}}}",
+            "{{\"run_id\":{},\"config_hash\":\"{:016x}\",\"config\":{},\"shard_index\":{},\"retries\":{},\"early\":{},\"late\":{}}}",
             json::string(&run.run_id),
             run.config_hash,
             self.config.config_json(),
@@ -1120,7 +663,7 @@ pub fn parse_packet(text: &str, label: &str) -> Result<ShardPacket> {
     }
     let shard_index = payload
         .get("shard_index")
-        .and_then(json_count)
+        .and_then(Value::as_count)
         .map(|x| x as usize)
         .ok_or_else(|| corrupt("shard_index missing or not a count".to_string()))?;
     if shard_index >= config.shard_count {
@@ -1131,7 +674,7 @@ pub fn parse_packet(text: &str, label: &str) -> Result<ShardPacket> {
     }
     let retries = payload
         .get("retries")
-        .and_then(json_count)
+        .and_then(Value::as_count)
         .ok_or_else(|| corrupt("retries missing or not a count".to_string()))?;
     let early = StageSuffStats::from_value(
         payload
@@ -1145,18 +688,12 @@ pub fn parse_packet(text: &str, label: &str) -> Result<ShardPacket> {
             .ok_or_else(|| corrupt("late stage missing".to_string()))?,
         label,
     )?;
-    // A shard that ran with recording off ships no telemetry.
-    let telemetry = match payload.get("telemetry") {
-        None | Some(Value::Null) => None,
-        Some(t) => Some(ShardTelemetry::from_value(t, label)?),
-    };
     Ok(ShardPacket {
         config,
         shard_index,
         early,
         late,
         retries,
-        telemetry,
     })
 }
 
@@ -1189,18 +726,10 @@ pub struct MergeOutcome {
     pub coverage: ShardCoverage,
     /// Total simulator redraws across merged shards.
     pub retries: u64,
-    /// Fleet telemetry view folded from packets that carried telemetry;
-    /// `None` when every merged shard ran quiet.
-    pub fleet: Option<FleetSummary>,
-    /// Raw per-shard telemetry retained from telemetry-bearing packets
-    /// (`(shard_index, telemetry)`, ascending index) so downstream
-    /// tooling — the stitched fleet trace — can see the spans and
-    /// time-series digests, not just the folded summary.
-    pub telemetry: Vec<(usize, ShardTelemetry)>,
 }
 
 /// Reduces parsed packets into one study under `policy`. Duplicate
-/// packets (same index, identical checksum) are deduped; two different
+/// packets (same index, equal content) are deduped; two different
 /// packets claiming one index are rejected; config mismatches are
 /// rejected; coverage below quorum is a typed error. See
 /// [`merge_packet_texts`] for the raw-bytes front end that also
@@ -1304,25 +833,19 @@ fn merge_validated(
         }
     }
 
-    // Dedupe: identical *results* collapse, conflicting ones reject.
-    // Equality is structural (stats + retries), not checksum: a shard
-    // re-run with observability on carries different telemetry wall
-    // clocks but the same science, and must still count as a duplicate.
+    // Dedupe: identical packets collapse, conflicting ones reject. A
+    // re-run shard is bit-identical, so a resumed packet dedupes against
+    // the one it replaces.
     let mut by_index: Vec<Option<&ShardPacket>> = vec![None; shard_count];
     let mut duplicates = 0usize;
     for p in packets {
         match by_index[p.shard_index] {
             None => by_index[p.shard_index] = Some(p),
             Some(kept) => {
-                if kept.same_result(p) {
+                if kept == p {
                     duplicates += 1;
                     bmf_obs::counters::SHARD_DUPLICATES.incr();
                     bmf_obs::event!(Warn, "shard.duplicate", "index": p.shard_index);
-                    // Keep the telemetry-bearing copy: a fleet view is
-                    // worth more than arrival order.
-                    if kept.telemetry.is_none() && p.telemetry.is_some() {
-                        by_index[p.shard_index] = Some(p);
-                    }
                 } else {
                     return Err(CircuitError::PacketIncompatible {
                         reason: format!(
@@ -1426,52 +949,6 @@ fn merge_validated(
             "inflation": coverage.inflation);
     }
 
-    // Fold per-shard telemetry into the fleet view. Quiet shards are
-    // simply absent from the table; an all-quiet merge has no fleet.
-    let fleet_rows: Vec<FleetShardRow> = merged_indices
-        .iter()
-        .filter_map(|&i| {
-            let p = by_index[i].expect("merged index has a packet");
-            p.telemetry.as_ref().map(|t| FleetShardRow {
-                index: i,
-                wall_ns: t.wall_ns,
-                sims: t.sims(),
-                retries: p.retries,
-                events: t.events.len(),
-                straggler: false, // recomputed against the median below
-            })
-        })
-        .collect();
-    let fleet = if fleet_rows.is_empty() {
-        None
-    } else {
-        let summary = FleetSummary::from_rows(&run.run_id, fleet_rows);
-        // Straggler warnings repeat verbatim on every re-merge of the
-        // same packets (watch loops, live re-scrapes): one batch per
-        // interval carries all the information.
-        static STRAGGLER_WARNS: std::sync::LazyLock<bmf_obs::RateLimiter> =
-            std::sync::LazyLock::new(|| bmf_obs::RateLimiter::new(5_000_000_000));
-        let stragglers = summary.stragglers();
-        if !stragglers.is_empty() && STRAGGLER_WARNS.allow(bmf_obs::span::now_ns()) {
-            for &i in &stragglers {
-                bmf_obs::event!(Warn, "fleet.straggler",
-                    "index": i,
-                    "ratio": summary.straggler_ratio);
-            }
-        }
-        Some(summary)
-    };
-    let telemetry: Vec<(usize, ShardTelemetry)> = merged_indices
-        .iter()
-        .filter_map(|&i| {
-            by_index[i]
-                .expect("merged index has a packet")
-                .telemetry
-                .clone()
-                .map(|t| (i, t))
-        })
-        .collect();
-
     Ok(MergeOutcome {
         early: early.expect("quorum >= 1 guarantees a packet"),
         late: late.expect("quorum >= 1 guarantees a packet"),
@@ -1479,73 +956,7 @@ fn merge_validated(
         run,
         coverage,
         retries,
-        fleet,
-        telemetry,
     })
-}
-
-/// Stitches the merged packets' span summaries into one Chrome
-/// trace-event document (loadable in Perfetto / `chrome://tracing`):
-/// one track per telemetry-bearing shard (`tid` = shard index, named
-/// `"shard N"`), clock-aligned across machines via each packet's Unix
-/// wall-clock start. Within a track, span timestamps are relative to
-/// that shard's earliest summarized span; across tracks, each shard is
-/// offset by its start relative to the earliest-starting shard. Shards
-/// that ran quiet or summarized no span contribute no track.
-/// `otherData` carries the hardware context, the run identity and the
-/// stitch coverage.
-#[must_use]
-pub fn fleet_trace_json(outcome: &MergeOutcome, hardware: &bmf_obs::HardwareContext) -> String {
-    let tracks: Vec<&(usize, ShardTelemetry)> = outcome
-        .telemetry
-        .iter()
-        .filter(|(_, t)| !t.spans.is_empty())
-        .collect();
-    let min_start = tracks
-        .iter()
-        .map(|(_, t)| t.start_unix_ms)
-        .filter(|&ms| ms > 0)
-        .min()
-        .unwrap_or(0);
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (index, t) in &tracks {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{index},\
-             \"args\":{{\"name\":{}}}}}",
-            json::string(&format!("shard {index}")),
-        ));
-        // A pre-epoch wall clock aligns at the fleet origin.
-        let base_us = t.start_unix_ms.saturating_sub(min_start) * 1000;
-        let t0_ns = t
-            .spans
-            .iter()
-            .map(|s| s.start_ns)
-            .min()
-            .expect("track has spans");
-        for s in &t.spans {
-            out.push_str(&format!(
-                ",{{\"name\":{},\"cat\":\"shard\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":1,\"tid\":{index},\"args\":{{\"depth\":{}}}}}",
-                json::string(&s.name),
-                base_us as f64 + (s.start_ns - t0_ns) as f64 / 1000.0,
-                s.dur_ns as f64 / 1000.0,
-                s.depth,
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{{},{},\"shards\":{},\"stitched\":{}}}}}",
-        hardware.json_fields(),
-        outcome.run.json_fields(),
-        outcome.config.shard_count,
-        tracks.len(),
-    ));
-    out
 }
 
 /// Builds the single-process reference statistics from an in-memory
@@ -1715,97 +1126,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_trace_stitches_one_clock_aligned_track_per_shard() {
-        let cfg = StudyConfig {
-            shard_count: 2,
-            ..config()
-        };
-        let mut a = run_shard(&cfg, 0, 1).unwrap();
-        let mut b = run_shard(&cfg, 1, 1).unwrap();
-        let telem = |start_unix_ms: u64, spans: Vec<SpanSummary>| ShardTelemetry {
-            wall_ns: 10,
-            counters: Vec::new(),
-            histograms: Vec::new(),
-            events: Vec::new(),
-            spans,
-            timeseries: Vec::new(),
-            start_unix_ms,
-            end_unix_ms: start_unix_ms + 1,
-        };
-        // Shard 0 started 2 s before shard 1; each shard's spans sit at
-        // an arbitrary offset from its own (independent) trace epoch.
-        a.telemetry = Some(telem(
-            1_000,
-            vec![SpanSummary {
-                name: "stage.early".to_string(),
-                depth: 0,
-                start_ns: 500_000,
-                dur_ns: 2_000,
-            }],
-        ));
-        b.telemetry = Some(telem(
-            3_000,
-            vec![SpanSummary {
-                name: "stage.late".to_string(),
-                depth: 0,
-                start_ns: 9_000_000,
-                dur_ns: 4_000,
-            }],
-        ));
-        let merged = merge_packets(&[a, b], &MergePolicy::default()).unwrap();
-        assert_eq!(merged.telemetry.len(), 2);
-        let trace = fleet_trace_json(&merged, &bmf_obs::HardwareContext::detect(1));
-        let v = json::parse(&trace).unwrap();
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        let metas: Vec<&Value> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
-            .collect();
-        let xs: Vec<&Value> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
-            .collect();
-        assert_eq!(metas.len(), 2, "one thread_name track per shard");
-        assert_eq!(
-            metas[0]
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Value::as_str),
-            Some("shard 0")
-        );
-        assert_eq!(xs.len(), 2);
-        // Shard 0 is the fleet origin; its span starts at ts = 0. Shard
-        // 1 is offset by the 2 s wall-clock gap, not by its own (larger)
-        // trace-epoch offset.
-        let ts = |e: &Value| e.get("ts").and_then(Value::as_f64).unwrap();
-        assert_eq!(ts(xs[0]), 0.0);
-        assert_eq!(ts(xs[1]), 2_000_000.0);
-        assert_eq!(xs[1].get("tid").and_then(Value::as_f64), Some(1.0));
-        let other = v.get("otherData").expect("otherData present");
-        assert_eq!(other.get("shards").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(other.get("stitched").and_then(Value::as_f64), Some(2.0));
-        assert!(other.get("run_id").is_some(), "run identity rides along");
-        // Quiet packets contribute no track but the document stays valid.
-        let mut c = run_shard(&cfg, 0, 1).unwrap();
-        c.telemetry = None;
-        let d = run_shard(&cfg, 1, 1).unwrap();
-        let merged = merge_packets(&[c, d], &MergePolicy::default()).unwrap();
-        let trace = fleet_trace_json(&merged, &bmf_obs::HardwareContext::detect(1));
-        let v = json::parse(&trace).unwrap();
-        assert!(v.get("traceEvents").unwrap().as_array().unwrap().is_empty());
-        assert_eq!(
-            v.get("otherData")
-                .unwrap()
-                .get("stitched")
-                .and_then(Value::as_f64),
-            Some(0.0)
-        );
-    }
-
-    #[test]
-    fn telemetry_rides_the_packet_and_feeds_the_fleet_view() {
+    fn recording_never_changes_a_packet() {
         // Serializes access to the process-wide obs switch against any
-        // future recording test in this binary.
+        // other recording test in this binary.
         static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _g = OBS_LOCK
             .lock()
@@ -1815,41 +1138,39 @@ mod tests {
             shard_count: 2,
             ..config()
         };
-        // Shard 0 runs quiet; shard 1 runs with recording on.
-        let quiet = run_shard(&cfg, 0, 1).unwrap();
-        assert!(quiet.telemetry.is_none());
+        let quiet = run_shard(&cfg, 1, 1).unwrap().to_json();
         bmf_obs::enable();
-        let loud = run_shard(&cfg, 1, 1).unwrap();
+        let recorded = run_shard(&cfg, 1, 1).unwrap().to_json();
         bmf_obs::reset();
-        let t = loud.telemetry.as_ref().expect("recording on → telemetry");
-        assert!(t.sims() > 0, "sims counter moved: {:?}", t.counters);
-        // Telemetry survives the JSON round trip byte-exactly.
-        let text = loud.to_json();
-        let back = parse_packet(&text, "telemetry-roundtrip").unwrap();
-        assert_eq!(back, loud);
-        assert_eq!(back.to_json(), text);
-        // The loud shard's science equals a quiet re-run's bits:
-        // telemetry observes, never perturbs.
-        let quiet_rerun = run_shard(&cfg, 1, 1).unwrap();
-        assert!(quiet_rerun.same_result(&loud));
-        assert_ne!(quiet_rerun, loud, "telemetry differs, science does not");
-        // Merge folds the one telemetry-bearing shard into a fleet view.
-        let merged =
-            merge_packets(&[quiet.clone(), loud.clone()], &MergePolicy::default()).unwrap();
-        let fleet = merged.fleet.expect("one loud shard → fleet view");
-        assert_eq!(fleet.shards.len(), 1);
-        assert_eq!(fleet.shards[0].index, 1);
-        assert!(fleet.shards[0].wall_ns > 0);
-        // Duplicate with different telemetry still dedupes, and the
-        // telemetry-bearing copy wins.
-        let merged =
-            merge_packets(&[quiet.clone(), quiet_rerun, loud], &MergePolicy::default()).unwrap();
+        assert_eq!(recorded, quiet);
+    }
+
+    #[test]
+    fn an_extra_payload_member_is_ignored() {
+        // Earlier builds of this packet version appended a `telemetry`
+        // member when the shard recorded; such a packet still parses to
+        // the statistics it carries and dedupes against a quiet one.
+        let p = run_shard(&config(), 0, 1).unwrap();
+        let payload = p
+            .payload_json()
+            .strip_suffix('}')
+            .map(|body| format!("{body},\"telemetry\":{{\"wall_ns\":7,\"spans\":[]}}}}"))
+            .unwrap();
+        let text = format!(
+            "{{\"format\":\"{PACKET_FORMAT}\",\"version\":{PACKET_VERSION},\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
+            fnv1a(payload.as_bytes()),
+        );
+        let back = parse_packet(&text, "with-telemetry").unwrap();
+        assert_eq!(back, p);
+        let merged = merge_packets(
+            &[p, back],
+            &MergePolicy {
+                min_shards: Some(1),
+            },
+        )
+        .unwrap();
+        assert_eq!(merged.coverage.merged, 1);
         assert_eq!(merged.coverage.duplicates, 1);
-        assert!(merged.fleet.is_some(), "telemetry copy kept over quiet one");
-        // An all-quiet merge has no fleet view.
-        let quiet_b = run_shard(&cfg, 1, 1).unwrap();
-        let merged = merge_packets(&[quiet, quiet_b], &MergePolicy::default()).unwrap();
-        assert!(merged.fleet.is_none());
     }
 
     #[test]

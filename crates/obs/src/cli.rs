@@ -13,17 +13,10 @@
 //!   (one JSON object per line) and arm the flight-recorder panic hook
 //! * `--obs-listen <addr>` — serve live observability over HTTP while
 //!   the run is in flight (`/metrics`, `/health`, `/events`,
-//!   `/progress`, `/flight`, `/timeseries`, `/alerts` and a live
-//!   dashboard at `/`); port `0` picks a free port, and the bound
-//!   address is printed (and written to `$BMF_OBS_ADDR_FILE` when set)
-//!   so scripts can find it
-//! * `--alerts <rules.json>` — install declarative alert rules (see
-//!   [`crate::alert`]) evaluated on every sampler tick; firing rules
-//!   emit `alert.fired` events and flip `/health` to 503 on critical
-//! * `--sample-interval-ms <n>` — cadence of the background telemetry
-//!   sampler feeding [`crate::tsdb`] (defaults to
-//!   [`crate::tsdb::DEFAULT_SAMPLE_INTERVAL_MS`]; the sampler starts
-//!   automatically whenever `--obs-listen` or `--alerts` is given)
+//!   `/progress`, `/flight` and a live dashboard at `/`); port `0` picks
+//!   a free port, and the bound address is printed (and written to
+//!   `$BMF_OBS_ADDR_FILE` when set) so scripts can find it. History and
+//!   alert rules are the scraper's job: `/metrics` is Prometheus text.
 //! * `--log-level <error|warn|info|debug>` — console verbosity for the
 //!   [`crate::error!`]/[`crate::warn!`]/[`crate::info!`]/[`crate::outln!`]
 //!   macros; `--log-level error` makes a binary fully quiet. Unlike the
@@ -48,7 +41,7 @@ use crate::event::Level;
 use crate::export::HardwareContext;
 use crate::fsio::atomic_write;
 use crate::health::{DriftTimeline, HealthReport};
-use crate::shard::{FleetSummary, ShardCoverage};
+use crate::shard::ShardCoverage;
 use std::io;
 
 /// Filename the dashboard looks for (in the working directory) to
@@ -70,10 +63,6 @@ pub struct ObsOptions {
     pub events_out: Option<String>,
     /// Listen address for the live observability HTTP server, if given.
     pub obs_listen: Option<String>,
-    /// Path of the alert rules file from `--alerts`, if given.
-    pub alerts: Option<String>,
-    /// Sampler cadence from `--sample-interval-ms`, if given.
-    pub sample_interval_ms: Option<u64>,
     /// Console level from `--log-level`, if given (applied at extract).
     pub log_level: Option<Level>,
     /// Worker thread count recorded in exports; bins set this after
@@ -87,8 +76,6 @@ pub struct ObsOptions {
     pub drift: Option<DriftTimeline>,
     /// Shard coverage attached by a merge, rendered in the dashboard.
     pub shard: Option<ShardCoverage>,
-    /// Fleet telemetry attached by a merge, rendered in the dashboard.
-    pub fleet: Option<FleetSummary>,
 }
 
 /// Error raised when an observability flag is missing or has an
@@ -125,13 +112,14 @@ impl std::error::Error for ObsFlagError {}
 
 impl ObsOptions {
     /// Removes `--trace-out <path>`, `--profile`, `--metrics-out <path>`,
-    /// `--dashboard-out <path>`, `--events-out <path>` and
-    /// `--log-level <level>` (also the `--flag=value` spellings) from
-    /// `args`, returning the parsed options. If any output flag was
-    /// present, recording is enabled process-wide before returning, so
-    /// spans, counters and events hit from the very first pipeline call
-    /// are captured; `--events-out` additionally arms the
-    /// flight-recorder panic hook. The `BMF_LOG` environment variable
+    /// `--dashboard-out <path>`, `--events-out <path>`,
+    /// `--obs-listen <addr>` and `--log-level <level>` (also the
+    /// `--flag=value` spellings) from `args`, returning the parsed
+    /// options. If any output flag was present, recording is enabled
+    /// process-wide before returning, so spans, counters and events hit
+    /// from the very first pipeline call are captured; `--events-out`
+    /// additionally arms the flight-recorder panic hook and
+    /// `--obs-listen` starts the server. The `BMF_LOG` environment variable
     /// sets both level filters first; `--log-level` then overrides the
     /// console side.
     pub fn extract(args: &mut Vec<String>) -> Result<ObsOptions, ObsFlagError> {
@@ -146,7 +134,6 @@ impl ObsOptions {
         let mut iter = args.drain(..);
         let mut error: Option<ObsFlagError> = None;
         let mut level_arg: Option<String> = None;
-        let mut interval_arg: Option<String> = None;
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--profile" => options.profile = true,
@@ -185,20 +172,6 @@ impl ObsOptions {
                         break;
                     }
                 },
-                "--alerts" => match iter.next() {
-                    Some(path) => options.alerts = Some(path),
-                    None => {
-                        error = Some(ObsFlagError::missing_value("--alerts"));
-                        break;
-                    }
-                },
-                "--sample-interval-ms" => match iter.next() {
-                    Some(spec) => interval_arg = Some(spec),
-                    None => {
-                        error = Some(ObsFlagError::missing_value("--sample-interval-ms"));
-                        break;
-                    }
-                },
                 "--log-level" => match iter.next() {
                     Some(level) => level_arg = Some(level),
                     None => {
@@ -217,10 +190,6 @@ impl ObsOptions {
                         options.events_out = Some(path.to_string());
                     } else if let Some(addr) = arg.strip_prefix("--obs-listen=") {
                         options.obs_listen = Some(addr.to_string());
-                    } else if let Some(path) = arg.strip_prefix("--alerts=") {
-                        options.alerts = Some(path.to_string());
-                    } else if let Some(spec) = arg.strip_prefix("--sample-interval-ms=") {
-                        interval_arg = Some(spec.to_string());
                     } else if let Some(level) = arg.strip_prefix("--log-level=") {
                         level_arg = Some(level.to_string());
                     } else {
@@ -249,46 +218,8 @@ impl ObsOptions {
             options.log_level = Some(level);
             crate::event::set_console_level(level);
         }
-        if let Some(spec) = interval_arg {
-            match spec.parse::<u64>() {
-                Ok(ms) if ms > 0 => options.sample_interval_ms = Some(ms),
-                _ => {
-                    return Err(ObsFlagError {
-                        flag: "--sample-interval-ms",
-                        message: format!(
-                            "requires a positive integer of milliseconds, got {spec:?}"
-                        ),
-                    })
-                }
-            }
-        }
         if options.any() {
             crate::enable();
-        }
-        if let Some(path) = &options.alerts {
-            let text = std::fs::read_to_string(path).map_err(|e| ObsFlagError {
-                flag: "--alerts",
-                message: format!("cannot read {path:?}: {e}"),
-            })?;
-            let rules = crate::alert::parse_rules(&text).map_err(|e| ObsFlagError {
-                flag: "--alerts",
-                message: format!("{path:?}: {e}"),
-            })?;
-            crate::info!("installed {} alert rule(s) from {path}", rules.len());
-            crate::alert::install(rules);
-        }
-        // The sampler backs both the live `/timeseries` endpoint and the
-        // alert engine, so either consumer (or an explicit cadence)
-        // starts it.
-        if options.sample_interval_ms.is_some()
-            || options.alerts.is_some()
-            || options.obs_listen.is_some()
-        {
-            crate::tsdb::start_global(
-                options
-                    .sample_interval_ms
-                    .unwrap_or(crate::tsdb::DEFAULT_SAMPLE_INTERVAL_MS),
-            );
         }
         if options.events_out.is_some() {
             crate::flight::install_panic_hook();
@@ -320,8 +251,6 @@ impl ObsOptions {
             || self.dashboard_out.is_some()
             || self.events_out.is_some()
             || self.obs_listen.is_some()
-            || self.alerts.is_some()
-            || self.sample_interval_ms.is_some()
     }
 
     /// Records the worker thread count for export hardware context.
@@ -361,13 +290,6 @@ impl ObsOptions {
         self.shard = Some(shard);
     }
 
-    /// Attaches a merge's fleet telemetry view for dashboard rendering
-    /// (and publishes it to the live dashboard when serving).
-    pub fn attach_fleet(&mut self, fleet: FleetSummary) {
-        crate::serve::publish_fleet(&fleet);
-        self.fleet = Some(fleet);
-    }
-
     /// Derives and installs the process-wide [`crate::run::RunContext`]
     /// from the run's root seed and configuration description. Call once
     /// after argument parsing; the id is then stamped into every JSONL
@@ -385,11 +307,8 @@ impl ObsOptions {
         if !self.any() {
             return Ok(());
         }
-        // Stop the sampler first: its final synchronous tick lets alerts
-        // whose condition cleared late still resolve while the server is
-        // up. Then stop serving before draining: a scrape racing the
-        // drain would see a half-empty registry.
-        crate::tsdb::stop_global();
+        // Stop serving before draining: a scrape racing the drain would
+        // see a half-empty registry.
         crate::serve::stop_global();
         crate::disable();
         let events = crate::span::take_events();
@@ -425,8 +344,6 @@ impl ObsOptions {
             let snapshot = crate::metrics::snapshot();
             let bench_history = std::fs::read_to_string(BENCH_HISTORY_FILE).ok();
             let flight_dump = crate::flight::last_dump();
-            let timeseries = crate::tsdb::snapshot();
-            let alerts_json = crate::alert::installed().then(crate::alert::render_json);
             let page = dashboard::render(&DashboardData {
                 title: if self.title.is_empty() {
                     "bmf dashboard"
@@ -443,10 +360,7 @@ impl ObsOptions {
                 health: self.health.as_ref(),
                 drift: self.drift.as_ref(),
                 shard: self.shard.as_ref(),
-                fleet: self.fleet.as_ref(),
                 bench_history_json: bench_history.as_deref(),
-                timeseries: &timeseries,
-                alerts_json: alerts_json.as_deref(),
                 refresh_s: None,
             });
             atomic_write(path, page)?;
@@ -633,77 +547,6 @@ mod tests {
         let mut args = argv(&["bmf", "--obs-listen", "not-an-address"]);
         let err = ObsOptions::extract(&mut args).unwrap_err();
         assert_eq!(err.flag, "--obs-listen");
-        crate::reset();
-    }
-
-    #[test]
-    fn alerts_flag_installs_rules_and_starts_the_sampler() {
-        let _g = test_lock();
-        crate::reset();
-        let dir = std::env::temp_dir().join(format!("bmf-cli-alerts-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("rules.json");
-        std::fs::write(
-            &rules,
-            r#"{"rules":[{"name":"retry-burst","series":"monte_carlo.retries","op":">=","value":100}]}"#,
-        )
-        .unwrap();
-        let mut args = argv(&[
-            "bmf",
-            "--alerts",
-            rules.to_str().unwrap(),
-            "--sample-interval-ms=5",
-            "--log-level",
-            "error",
-        ]);
-        let options = ObsOptions::extract(&mut args).unwrap();
-        assert_eq!(args, argv(&["bmf"]));
-        assert_eq!(options.sample_interval_ms, Some(5));
-        assert!(options.any(), "--alerts requests recording");
-        assert!(crate::is_enabled());
-        assert!(crate::alert::installed());
-        // The background sampler populates the store within a few ticks
-        // (process stats are always recorded).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while crate::tsdb::snapshot().is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(!crate::tsdb::snapshot().is_empty(), "sampler never ticked");
-        options.finish().unwrap();
-        let _ = std::fs::remove_file(&rules);
-        crate::reset();
-    }
-
-    #[test]
-    fn alerts_flag_rejects_missing_and_malformed_rule_files() {
-        let _g = test_lock();
-        crate::reset();
-        let mut args = argv(&["bmf", "--alerts", "/nonexistent/rules.json"]);
-        let err = ObsOptions::extract(&mut args).unwrap_err();
-        assert_eq!(err.flag, "--alerts");
-        crate::reset();
-
-        let dir = std::env::temp_dir().join(format!("bmf-cli-badrules-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("bad.json");
-        std::fs::write(&rules, r#"{"rules":[{"series":"x"}]}"#).unwrap();
-        let mut args = argv(&["bmf", "--alerts", rules.to_str().unwrap()]);
-        let err = ObsOptions::extract(&mut args).unwrap_err();
-        assert_eq!(err.flag, "--alerts");
-        assert!(!crate::alert::installed());
-        let _ = std::fs::remove_file(&rules);
-        crate::reset();
-    }
-
-    #[test]
-    fn sample_interval_rejects_zero_and_garbage() {
-        let _g = test_lock();
-        crate::reset();
-        for bad in ["0", "-5", "fast"] {
-            let mut args = argv(&["bmf", "--sample-interval-ms", bad]);
-            let err = ObsOptions::extract(&mut args).unwrap_err();
-            assert_eq!(err.flag, "--sample-interval-ms");
-        }
         crate::reset();
     }
 

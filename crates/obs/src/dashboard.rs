@@ -9,9 +9,15 @@
 //!
 //! Charts are rendered server-side: bench history JSON is parsed with
 //! [`crate::json`] inside this crate and drawn as SVG polylines. The raw
-//! health/drift/bench JSON is also embedded verbatim in inert
-//! `<script type="application/json">` blocks so downstream tooling (and
-//! the `trace_check` CI gate) can re-parse exactly what the page shows.
+//! health/drift/shard/bench JSON and the event tail are also embedded
+//! verbatim in inert `<script type="application/json">` blocks so
+//! downstream tooling can re-parse exactly what the page shows.
+//! [`validate`] is that re-parse: it checks a rendered page against
+//! [`IDS`] and the blob schemas, and is what `trace_check --dashboard`
+//! runs.
+//!
+//! The same page is served live at `/` by [`crate::serve`], re-rendered
+//! on every request and refreshed by a meta tag.
 //!
 //! Styling follows the repo's chart conventions: categorical series
 //! colors in fixed slot order (blue, orange, aqua — the three slots that
@@ -23,13 +29,14 @@
 use crate::event::{EventRecord, Level};
 use crate::export::{aggregate, fmt_ns, HardwareContext};
 use crate::flight::DumpInfo;
-use crate::health::{DriftTimeline, HealthReport, Severity};
+use crate::health::{
+    validate_drift_json, validate_health_json, DriftTimeline, HealthReport, Severity,
+};
 use crate::json::{self, Value};
 use crate::metrics::MetricsSnapshot;
 use crate::run::RunContext;
-use crate::shard::{FleetSummary, ShardCoverage};
+use crate::shard::ShardCoverage;
 use crate::span::SpanEvent;
-use crate::tsdb::SeriesSnapshot;
 use std::fmt::Write as _;
 
 /// Everything one dashboard page is built from. All fields are borrowed:
@@ -58,15 +65,8 @@ pub struct DashboardData<'a> {
     pub drift: Option<&'a DriftTimeline>,
     /// Shard coverage, when the run was a packet merge.
     pub shard: Option<&'a ShardCoverage>,
-    /// Fleet telemetry view, when the merged packets carried telemetry.
-    pub fleet: Option<&'a FleetSummary>,
     /// Raw contents of `BENCH_history.json`, when available.
     pub bench_history_json: Option<&'a str>,
-    /// Time-series snapshots from [`crate::tsdb`] (timeline section).
-    pub timeseries: &'a [SeriesSnapshot],
-    /// Rendered alert-engine JSON from [`crate::alert::render_json`],
-    /// when rules are installed.
-    pub alerts_json: Option<&'a str>,
     /// Auto-refresh cadence in seconds. Only the live server sets this;
     /// static exports stay static.
     pub refresh_s: Option<u32>,
@@ -74,6 +74,23 @@ pub struct DashboardData<'a> {
 
 /// How many event-log rows the dashboard tail shows (and embeds).
 const EVENT_TAIL: usize = 50;
+
+/// The ids every rendered page carries: the seven section anchors, then
+/// the five machine-readable JSON blobs (`*-data`).
+pub const IDS: [&str; 12] = [
+    "health",
+    "shard",
+    "drift",
+    "events",
+    "profile",
+    "metrics",
+    "bench",
+    "health-data",
+    "drift-data",
+    "shard-data",
+    "bench-data",
+    "events-data",
+];
 
 /// Escapes text for HTML element and attribute content.
 fn html_escape(s: &str) -> String {
@@ -273,160 +290,9 @@ fn svg_line_chart(series: &[ChartSeries], y_label: &str, thresholds: &[(&str, f6
     svg + &out
 }
 
-/// Renders one series as a compact axis-free sparkline. Returns an
-/// empty string when fewer than two finite points exist (a lone sample
-/// has no shape to draw; the table cell shows its value instead).
-fn svg_sparkline(points: &[(u64, f64)], label: &str) -> String {
-    const W: f64 = 220.0;
-    const H: f64 = 34.0;
-    const M: f64 = 3.0;
-    let finite: Vec<(f64, f64)> = points
-        .iter()
-        .map(|&(t, v)| (t as f64, v))
-        .filter(|(_, v)| v.is_finite())
-        .collect();
-    if finite.len() < 2 {
-        return String::new();
-    }
-    let (mut x_min, mut x_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(x, y) in &finite {
-        x_min = x_min.min(x);
-        x_max = x_max.max(x);
-        y_min = y_min.min(y);
-        y_max = y_max.max(y);
-    }
-    if x_max <= x_min {
-        x_max = x_min + 1.0;
-    }
-    if y_max <= y_min {
-        y_max = y_min + 1.0;
-    }
-    let px = |x: f64| M + (x - x_min) / (x_max - x_min) * (W - 2.0 * M);
-    let py = |y: f64| H - M - (y - y_min) / (y_max - y_min) * (H - 2.0 * M);
-    let path: Vec<String> = finite
-        .iter()
-        .map(|&(x, y)| format!("{:.1},{:.1}", px(x), py(y)))
-        .collect();
-    let (lx, ly) = *finite.last().expect("len >= 2");
-    format!(
-        "<svg class=\"spark\" viewBox=\"0 0 {W} {H}\" role=\"img\" aria-label=\"{}\">\
-         <polyline class=\"line\" style=\"stroke:var(--series-1)\" points=\"{}\"/>\
-         <circle class=\"mark\" style=\"fill:var(--series-1)\" cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.5\"/>\
-         </svg>",
-        html_escape(label),
-        path.join(" "),
-        px(lx),
-        py(ly),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Sections
 // ---------------------------------------------------------------------------
-
-/// How many series the timeline section draws (the embedded JSON blob
-/// always carries all of them).
-const TIMELINE_MAX_ROWS: usize = 24;
-
-fn timeline_section(data: &DashboardData) -> String {
-    let mut out = String::from("<section id=\"timeline\"><h2>Timeline</h2>");
-    if data.timeseries.is_empty() {
-        out.push_str(
-            "<p class=\"muted\">No time-series samples \
-             (run with <code>--obs-listen</code> or <code>--sample-interval-ms</code>).</p>",
-        );
-    } else {
-        let shown = data.timeseries.len().min(TIMELINE_MAX_ROWS);
-        if data.timeseries.len() > shown {
-            let _ = write!(
-                out,
-                "<p class=\"muted\">First {shown} of {} series; \
-                 the full set is in the embedded JSON.</p>",
-                data.timeseries.len()
-            );
-        }
-        out.push_str(
-            "<table><thead><tr><th>series</th><th class=\"num\">samples</th>\
-             <th class=\"num\">last</th><th>trend</th></tr></thead><tbody>",
-        );
-        for s in &data.timeseries[..shown] {
-            let last = s.points.last().map_or(f64::NAN, |&(_, v)| v);
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td class=\"num\">{}{}</td><td class=\"num\">{}</td>\
-                 <td>{}</td></tr>",
-                html_escape(&s.name),
-                s.points.len(),
-                if s.downsample > 1 {
-                    format!(" (\u{00f7}{})", s.downsample)
-                } else {
-                    String::new()
-                },
-                fmt_sig(last),
-                svg_sparkline(&s.points, &s.name),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
-    out.push_str("<h3>Alerts</h3>");
-    let parsed = data.alerts_json.and_then(|s| json::parse(s).ok());
-    let rules: Vec<Value> = parsed
-        .as_ref()
-        .and_then(|v| v.get("rules"))
-        .and_then(Value::as_array)
-        .map(<[Value]>::to_vec)
-        .unwrap_or_default();
-    if rules.is_empty() {
-        out.push_str(
-            "<p class=\"muted\">No alert rules installed \
-             (run with <code>--alerts rules.json</code>).</p>",
-        );
-    } else {
-        out.push_str(
-            "<table><thead><tr><th>rule</th><th>kind</th><th>series</th>\
-             <th>severity</th><th>state</th><th class=\"num\">value</th>\
-             <th class=\"num\">fired</th><th class=\"num\">resolved</th></tr></thead><tbody>",
-        );
-        for r in &rules {
-            let get = |k: &str| r.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
-            let state = get("state");
-            let state_badge = match state.as_str() {
-                "firing" => "<span class=\"badge status-critical\">\
-                     <span class=\"icon\">\u{2716}</span> firing</span>"
-                    .to_string(),
-                "pending" => "<span class=\"badge status-warning\">\
-                     <span class=\"icon\">\u{26a0}</span> pending</span>"
-                    .to_string(),
-                _ => format!(
-                    "<span class=\"badge status-good\">\
-                     <span class=\"icon\">\u{2713}</span> {}</span>",
-                    html_escape(&state)
-                ),
-            };
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-                html_escape(&get("name")),
-                html_escape(&get("kind")),
-                html_escape(&get("series")),
-                html_escape(&get("severity")),
-                state_badge,
-                r.get("last_value")
-                    .and_then(Value::as_f64)
-                    .map_or_else(|| "\u{2014}".to_string(), fmt_sig),
-                r.get("fired_count").and_then(Value::as_f64).unwrap_or(0.0),
-                r.get("resolved_count")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
-    out.push_str("</section>");
-    out
-}
 
 fn profile_section(data: &DashboardData) -> String {
     let rows = aggregate(data.events);
@@ -620,56 +486,6 @@ fn shard_section(data: &DashboardData) -> String {
             );
             row(&mut out, "duplicate packets", s.duplicates.to_string());
             row(&mut out, "uncertainty inflation", fmt_sig(s.inflation));
-            out.push_str("</tbody></table>");
-        }
-    }
-    out.push_str("</section>");
-    out
-}
-
-fn fleet_section(data: &DashboardData) -> String {
-    let mut out = String::from("<section id=\"fleet\"><h2>Fleet telemetry</h2>");
-    match data.fleet {
-        None => out.push_str(
-            "<p class=\"muted\">No per-shard telemetry \
-             (shards recorded with observability off, or single-process run).</p>",
-        ),
-        Some(f) => {
-            let _ = write!(
-                out,
-                "<p>{} shard(s) reporting \u{00b7} median wall {} \u{00b7} slowest {} ({}\u{00d7})</p>",
-                f.shards.len(),
-                fmt_ns(f.median_wall_ns),
-                fmt_ns(f.slowest_wall_ns),
-                fmt_sig(f.straggler_ratio),
-            );
-            out.push_str(
-                "<table><thead><tr><th class=\"num\">shard</th><th class=\"num\">wall</th>\
-                 <th class=\"num\">sims</th><th class=\"num\">retries</th>\
-                 <th class=\"num\">events</th><th>status</th></tr></thead><tbody>",
-            );
-            for row in &f.shards {
-                let _ = write!(
-                    out,
-                    "<tr><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                     <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                     <td class=\"num\">{}</td><td>{}</td></tr>",
-                    row.index,
-                    fmt_ns(row.wall_ns),
-                    row.sims,
-                    row.retries,
-                    row.events,
-                    if row.straggler {
-                        "<span class=\"badge status-warning\">\
-                         <span class=\"icon\">\u{26a0}</span> straggler</span>"
-                            .to_string()
-                    } else {
-                        "<span class=\"badge status-good\">\
-                         <span class=\"icon\">\u{2713}</span> ok</span>"
-                            .to_string()
-                    },
-                );
-            }
             out.push_str("</tbody></table>");
         }
     }
@@ -930,7 +746,6 @@ th.num,td.num{text-align:right;font-variant-numeric:tabular-nums}\
 .status-good{color:var(--status-good)}.status-warning{color:var(--status-warning)}\
 .status-serious{color:var(--status-serious)}.status-critical{color:var(--status-critical)}\
 svg{display:block;width:100%;height:auto;margin-top:0.5rem}\
-svg.spark{width:220px;height:34px;margin:0}\
 svg .grid{stroke:var(--grid);stroke-width:1}\
 svg .axis{stroke:var(--baseline);stroke-width:1}\
 svg .threshold{stroke:var(--status-warning);stroke-width:1;stroke-dasharray:4 3}\
@@ -967,15 +782,12 @@ pub fn render(data: &DashboardData) -> String {
     }
     out.push_str(
         "<nav><a href=\"#health\">Health</a><a href=\"#shard\">Shards</a>\
-         <a href=\"#fleet\">Fleet</a><a href=\"#timeline\">Timeline</a>\
          <a href=\"#drift\">Drift</a>\
          <a href=\"#events\">Events</a><a href=\"#profile\">Profile</a>\
          <a href=\"#metrics\">Metrics</a><a href=\"#bench\">Bench</a></nav></header>",
     );
     out.push_str(&health_section(data));
     out.push_str(&shard_section(data));
-    out.push_str(&fleet_section(data));
-    out.push_str(&timeline_section(data));
     out.push_str(&drift_section(data));
     out.push_str(&events_section(data));
     out.push_str(&profile_section(data));
@@ -1010,50 +822,10 @@ pub fn render(data: &DashboardData) -> String {
         "<script type=\"application/json\" id=\"shard-data\">{}</script>",
         embed_json(&shard_json)
     );
-    let fleet_json = data
-        .fleet
-        .map_or_else(|| "null".to_string(), FleetSummary::to_json);
-    let _ = write!(
-        out,
-        "<script type=\"application/json\" id=\"fleet-data\">{}</script>",
-        embed_json(&fleet_json)
-    );
     let _ = write!(
         out,
         "<script type=\"application/json\" id=\"bench-data\">{}</script>",
         embed_json(&bench_json)
-    );
-    // Timeline blob: every series (not just the drawn rows) plus the
-    // alert engine state, so `trace_check` and offline tooling see the
-    // same data the live `/timeseries` and `/alerts` endpoints serve.
-    let mut timeline_json = String::from("{\"series\":[");
-    for (i, s) in data.timeseries.iter().enumerate() {
-        if i > 0 {
-            timeline_json.push(',');
-        }
-        let _ = write!(
-            timeline_json,
-            "{{\"name\":{},\"downsample\":{},\"points\":[",
-            json::string(&s.name),
-            s.downsample
-        );
-        for (j, (t, v)) in s.points.iter().enumerate() {
-            if j > 0 {
-                timeline_json.push(',');
-            }
-            let _ = write!(timeline_json, "[{t},{}]", json::number(*v));
-        }
-        timeline_json.push_str("]}");
-    }
-    let _ = write!(
-        timeline_json,
-        "],\"alerts\":{}}}",
-        data.alerts_json.unwrap_or("null")
-    );
-    let _ = write!(
-        out,
-        "<script type=\"application/json\" id=\"timeline-data\">{}</script>",
-        embed_json(&timeline_json)
     );
     // The same event tail the table shows, as a machine-readable array.
     let run_id = data.run.map(|r| r.run_id.as_str());
@@ -1072,6 +844,103 @@ pub fn render(data: &DashboardData) -> String {
     );
     out.push_str("</main></body></html>\n");
     out
+}
+
+/// The JSON text of the page's embedded `<script id="{id}">` blob, with
+/// the `<\/` embedding escape undone: exactly what was embedded.
+///
+/// # Errors
+///
+/// When the page has no such blob or it is unterminated.
+pub fn embedded_json(html: &str, id: &str) -> Result<String, String> {
+    let marker = format!("id=\"{id}\">");
+    let start = html
+        .find(&marker)
+        .ok_or_else(|| format!("no embedded JSON blob with id {id}"))?
+        + marker.len();
+    let end = html[start..]
+        .find("</script>")
+        .ok_or_else(|| format!("blob {id} is not terminated by </script>"))?;
+    Ok(html[start..start + end].replace("<\\/", "</"))
+}
+
+/// Checks a [`render`]ed page: an HTML document carrying every id in
+/// [`IDS`], with every `href="#…"` resolving to an id on the page, every
+/// `*-data` blob re-parsing as JSON, the health and drift blobs (when
+/// not `null`) passing [`validate_health_json`] and
+/// [`validate_drift_json`], and each event-blob entry a well-formed
+/// record. With `expect_health`, the health blob must be present and
+/// graded exactly that. Returns a one-line description of the page.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate(html: &str, expect_health: Option<Severity>) -> Result<String, String> {
+    let lower = html.to_ascii_lowercase();
+    if !lower.starts_with("<!doctype html") {
+        return Err("missing <!doctype html> prologue".to_string());
+    }
+    if !lower.contains("</html>") {
+        return Err("missing closing </html> tag".to_string());
+    }
+    for id in IDS {
+        if !html.contains(&format!("id=\"{id}\"")) {
+            return Err(format!("required id {id:?} is missing"));
+        }
+    }
+    let mut rest = html;
+    while let Some(pos) = rest.find("href=\"#") {
+        let tail = &rest[pos + 7..];
+        let end = tail.find('"').ok_or("unterminated href attribute")?;
+        let target = &tail[..end];
+        if !html.contains(&format!("id=\"{target}\"")) {
+            return Err(format!("href=\"#{target}\" has no matching id"));
+        }
+        rest = &tail[end..];
+    }
+    let blob = |id: &str| -> Result<(String, Value), String> {
+        let text = embedded_json(html, id)?;
+        let value = json::parse(&text).map_err(|e| format!("blob {id} is not valid JSON: {e}"))?;
+        Ok((text, value))
+    };
+
+    let (health_text, health) = blob("health-data")?;
+    let health_desc = if health == Value::Null {
+        if let Some(expected) = expect_health {
+            return Err(format!("health-data is null but {expected} was expected"));
+        }
+        "health: absent".to_string()
+    } else {
+        let overall = validate_health_json(&health_text)?;
+        match expect_health {
+            Some(expected) if expected != overall => {
+                return Err(format!("health overall is {overall}, expected {expected}"));
+            }
+            _ => format!("health: {overall}"),
+        }
+    };
+    let (drift_text, drift) = blob("drift-data")?;
+    let drift_desc = if drift == Value::Null {
+        "drift: absent".to_string()
+    } else {
+        format!("drift: {} window(s)", validate_drift_json(&drift_text)?)
+    };
+    // Shard coverage has no schema beyond its JSON.
+    blob("shard-data")?;
+    let (_, events) = blob("events-data")?;
+    let events = events.as_array().ok_or("events-data is not an array")?;
+    for (i, ev) in events.iter().enumerate() {
+        crate::event::check_record(ev, &format!("events-data entry {i}"))?;
+    }
+    let bench_entries = blob("bench-data")?
+        .1
+        .get("entries")
+        .and_then(Value::as_array)
+        .map_or(0, <[Value]>::len);
+    Ok(format!(
+        "{health_desc}, {drift_desc}, {} event(s), {bench_entries} bench entr(ies)",
+        events.len()
+    ))
 }
 
 #[cfg(test)]
@@ -1174,8 +1043,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dashboard_contains_all_sections_and_embedded_json() {
+    fn full_page() -> String {
         let health = health();
         let drift = drift();
         let bench = r#"{"entries":[{"timestamp_iso":"2026-08-05T00:00:00Z","hardware":{"detected_cores":8,"threads_used":2},"stages":{"cv":1.5,"mc":0.5}}]}"#;
@@ -1215,49 +1083,7 @@ mod tests {
             observed_late: 150,
             inflation: 200.0 / 150.0,
         };
-        let fleet = FleetSummary::from_rows(
-            "deadbeef",
-            vec![
-                crate::shard::FleetShardRow {
-                    index: 0,
-                    wall_ns: 1_000_000,
-                    sims: 50,
-                    retries: 0,
-                    events: 3,
-                    straggler: false,
-                },
-                crate::shard::FleetShardRow {
-                    index: 1,
-                    wall_ns: 9_000_000,
-                    sims: 50,
-                    retries: 2,
-                    events: 7,
-                    straggler: false,
-                },
-                crate::shard::FleetShardRow {
-                    index: 2,
-                    wall_ns: 1_100_000,
-                    sims: 50,
-                    retries: 0,
-                    events: 3,
-                    straggler: false,
-                },
-            ],
-        );
-        let timeseries = vec![
-            SeriesSnapshot {
-                name: "monte_carlo.sims".to_string(),
-                downsample: 2,
-                points: vec![(0, 10.0), (250, 20.0), (500, 35.0)],
-            },
-            SeriesSnapshot {
-                name: "process.rss_bytes".to_string(),
-                downsample: 1,
-                points: vec![(500, 1.5e6)],
-            },
-        ];
-        let alerts_json = r#"{"rules":[{"name":"retry-burst","kind":"threshold","series":"monte_carlo.retries","severity":"warn","state":"firing","op":">=","for_ms":0,"since_ms":250,"last_value":9,"fired_count":1,"resolved_count":0,"suppressed":0}],"firing":1,"critical_firing":false}"#;
-        let page = render(&DashboardData {
+        render(&DashboardData {
             title: "fig4 <smoke>",
             hardware: &hw(),
             run: Some(&run),
@@ -1269,52 +1095,56 @@ mod tests {
             health: Some(&health),
             drift: Some(&drift),
             shard: Some(&shard),
-            fleet: Some(&fleet),
             bench_history_json: Some(bench),
-            timeseries: &timeseries,
-            alerts_json: Some(alerts_json),
             refresh_s: Some(2),
-        });
+        })
+    }
+
+    fn empty_page() -> String {
+        let snap = MetricsSnapshot {
+            counters: vec![],
+            histograms: vec![],
+            process: None,
+        };
+        render(&DashboardData {
+            title: "empty run",
+            hardware: &hw(),
+            run: None,
+            events: &[],
+            event_log: &[],
+            flight_occupancy: 0,
+            flight_dump: None,
+            snapshot: &snap,
+            health: None,
+            drift: None,
+            shard: None,
+            bench_history_json: None,
+            refresh_s: None,
+        })
+    }
+
+    fn blob(page: &str, id: &str) -> Value {
+        json::parse(&embedded_json(page, id).unwrap()).expect("blob parses")
+    }
+
+    #[test]
+    fn dashboard_contains_all_sections_and_embedded_json() {
+        let page = full_page();
         assert!(page.starts_with("<!DOCTYPE html>"));
         // Title is escaped.
         assert!(page.contains("fig4 &lt;smoke&gt;"));
-        for id in [
-            "id=\"profile\"",
-            "id=\"metrics\"",
-            "id=\"health\"",
-            "id=\"shard\"",
-            "id=\"fleet\"",
-            "id=\"timeline\"",
-            "id=\"drift\"",
-            "id=\"events\"",
-            "id=\"bench\"",
-            "id=\"health-data\"",
-            "id=\"drift-data\"",
-            "id=\"shard-data\"",
-            "id=\"fleet-data\"",
-            "id=\"bench-data\"",
-            "id=\"timeline-data\"",
-            "id=\"events-data\"",
-        ] {
-            assert!(page.contains(id), "missing {id}");
-        }
-        // Every nav href has a matching section id.
-        for target in [
-            "#health",
-            "#shard",
-            "#fleet",
-            "#timeline",
-            "#drift",
-            "#events",
-            "#profile",
-            "#metrics",
-            "#bench",
-        ] {
-            assert!(page.contains(&format!("href=\"{target}\"")));
+        assert_eq!(
+            validate(&page, Some(Severity::Ok)).unwrap(),
+            "health: ok, drift: 2 window(s), 2 event(s), 1 bench entr(ies)"
+        );
+        // Every section is linked from the nav.
+        for id in IDS.iter().filter(|id| !id.ends_with("-data")) {
+            assert!(page.contains(&format!("href=\"#{id}\"")), "nav misses {id}");
         }
         // The refresh request renders as a meta tag.
         assert!(page.contains("http-equiv=\"refresh\" content=\"2\""));
         // Run identity and flight status render.
+        let run = RunContext::derive(2015, "dashboard test");
         assert!(page.contains(&run.run_id));
         assert!(page.contains("Flight recorder"));
         assert!(page.contains("flight-abc.json"));
@@ -1323,33 +1153,19 @@ mod tests {
         // the embedded JSON (it is either HTML-escaped in the list or
         // backslash-escaped in the blob).
         let blob_start = page.find("id=\"drift-data\"").unwrap();
-        let blob = &page[blob_start..];
-        let blob_end = blob.find("</script>").unwrap();
-        assert!(!blob[..blob_end].contains("</s"));
-        // Embedded health JSON re-parses to the same severity.
-        let extract = |id: &str| -> String {
-            let open = format!("id=\"{id}\">");
-            let s = page.find(&open).unwrap() + open.len();
-            let rest = &page[s..];
-            rest[..rest.find("</script>").unwrap()].replace("<\\/", "</")
-        };
-        let health_v = json::parse(&extract("health-data")).expect("health blob parses");
-        assert_eq!(health_v.get("overall").and_then(Value::as_str), Some("ok"));
-        let drift_v = json::parse(&extract("drift-data")).expect("drift blob parses");
-        assert_eq!(drift_v.get("overall").and_then(Value::as_str), Some("warn"));
-        let bench_v = json::parse(&extract("bench-data")).expect("bench blob parses");
+        let drift_blob = &page[blob_start..];
+        let blob_end = drift_blob.find("</script>").unwrap();
+        assert!(!drift_blob[..blob_end].contains("</s"));
         assert_eq!(
-            bench_v
-                .get("entries")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(1)
+            blob(&page, "drift-data")
+                .get("overall")
+                .and_then(Value::as_str),
+            Some("warn")
         );
         // Embedded events blob re-parses (its hostile </script> payload
         // included) and carries the run id per record.
-        let events_v = json::parse(&extract("events-data")).expect("events blob parses");
+        let events_v = blob(&page, "events-data");
         let recs = events_v.as_array().unwrap();
-        assert_eq!(recs.len(), 2);
         assert_eq!(
             recs[0].get("kind").and_then(Value::as_str),
             Some("spd.repair")
@@ -1370,100 +1186,37 @@ mod tests {
         // Charts rendered.
         assert!(page.contains("<svg"));
         assert!(page.contains("polyline"));
-        // Fleet table flags the slow shard and the blob re-parses.
-        assert!(page.contains("straggler"));
-        let fleet_v = json::parse(&extract("fleet-data")).expect("fleet blob parses");
-        assert_eq!(
-            fleet_v.get("run_id").and_then(Value::as_str),
-            Some("deadbeef")
-        );
-        assert_eq!(
-            fleet_v
-                .get("stragglers")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(1)
-        );
-        // Timeline section: sparkline drawn for the multi-point series,
-        // alert row rendered with its firing badge.
-        assert!(page.contains("class=\"spark\""));
-        assert!(page.contains("retry-burst"));
-        assert!(page.contains("firing"));
-        // Timeline blob re-parses and carries every series plus the
-        // alert engine state verbatim.
-        let timeline_v = json::parse(&extract("timeline-data")).expect("timeline blob parses");
-        let series = timeline_v.get("series").and_then(Value::as_array).unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(
-            series[0].get("name").and_then(Value::as_str),
-            Some("monte_carlo.sims")
-        );
-        assert_eq!(
-            series[0]
-                .get("points")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            timeline_v
-                .get("alerts")
-                .and_then(|a| a.get("firing"))
-                .and_then(Value::as_f64),
-            Some(1.0)
-        );
     }
 
     #[test]
     fn dashboard_renders_without_optional_data() {
-        let snap = MetricsSnapshot {
-            counters: vec![],
-            histograms: vec![],
-            process: None,
-        };
-        let page = render(&DashboardData {
-            title: "empty run",
-            hardware: &hw(),
-            run: None,
-            events: &[],
-            event_log: &[],
-            flight_occupancy: 0,
-            flight_dump: None,
-            snapshot: &snap,
-            health: None,
-            drift: None,
-            shard: None,
-            fleet: None,
-            bench_history_json: None,
-            timeseries: &[],
-            alerts_json: None,
-            refresh_s: None,
-        });
-        for id in [
-            "id=\"health\"",
-            "id=\"shard\"",
-            "id=\"fleet\"",
-            "id=\"timeline\"",
-            "id=\"drift\"",
-            "id=\"events\"",
-            "id=\"bench\"",
-            "id=\"health-data\"",
-            "id=\"fleet-data\"",
-            "id=\"timeline-data\"",
-            "id=\"events-data\"",
-        ] {
-            assert!(page.contains(id), "missing {id}");
-        }
+        let page = empty_page();
+        assert_eq!(
+            validate(&page, None).unwrap(),
+            "health: absent, drift: absent, 0 event(s), 0 bench entr(ies)"
+        );
         assert!(page.contains("No health report"));
         assert!(page.contains("Not a sharded merge"));
-        assert!(page.contains("No per-shard telemetry"));
-        assert!(page.contains("No time-series samples"));
-        assert!(page.contains("No alert rules installed"));
         assert!(page.contains("No structured events"));
         assert!(page.contains("No dump written"));
         assert!(!page.contains("http-equiv=\"refresh\""));
         assert!(page.contains(">null</script>"));
         // Empty event tail embeds an empty array.
         assert!(page.contains("id=\"events-data\">[]</script>"));
+    }
+
+    #[test]
+    fn validate_rejects_a_dangling_link_a_missing_id_and_a_health_mismatch() {
+        let page = full_page();
+        let dangling = page.replacen("href=\"#drift\"", "href=\"#nowhere\"", 1);
+        let err = validate(&dangling, None).unwrap_err();
+        assert!(err.contains("#nowhere"), "{err}");
+        let missing = page.replacen("id=\"shard-data\"", "id=\"shard-gone\"", 1);
+        let err = validate(&missing, None).unwrap_err();
+        assert!(err.contains("shard-data"), "{err}");
+        let err = validate(&page, Some(Severity::Critical)).unwrap_err();
+        assert!(err.contains("expected critical"), "{err}");
+        let err = validate(&empty_page(), Some(Severity::Ok)).unwrap_err();
+        assert!(err.contains("null"), "{err}");
     }
 }

@@ -31,6 +31,7 @@
 //! bit-identical with events on or off at every thread count), and the
 //! disabled path is one relaxed load.
 
+use crate::json::Value;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -180,6 +181,89 @@ impl EventRecord {
         out.push('}');
         out
     }
+}
+
+/// Checks one event object as [`EventRecord::to_json`] renders it:
+/// `seq`, `ts_ns` and `tid` are counts, `level` is a level name and
+/// `kind` a string. The JSONL log, the flight dump and the dashboard's
+/// event blob all embed this same object.
+pub(crate) fn check_record(ev: &Value, what: &str) -> Result<(), String> {
+    for key in ["seq", "ts_ns", "tid"] {
+        if ev.get(key).and_then(Value::as_count).is_none() {
+            return Err(format!("{what} has no unsigned integer {key}"));
+        }
+    }
+    // The writer emits `Level::as_str` names exactly; `parse` alone
+    // would also take "WARN" or "warning".
+    match ev.get("level").and_then(Value::as_str) {
+        Some(l) if Level::parse(l).map(Level::as_str) == Some(l) => {}
+        other => return Err(format!("{what} has invalid level {other:?}")),
+    }
+    if ev.get("kind").and_then(Value::as_str).is_none() {
+        return Err(format!("{what} has no kind string"));
+    }
+    Ok(())
+}
+
+/// Checks an event log as `--events-out` writes it: every non-blank line
+/// is one record ([`EventRecord::to_json`]) with `seq` strictly
+/// increasing, the log carries at most one distinct `run_id`, it is not
+/// empty, and every kind in `expect_kinds` appears. Returns the record
+/// count and the run id, when the lines are stamped.
+///
+/// # Errors
+///
+/// A message naming the first offending line or the missing kind.
+pub fn validate_jsonl(
+    text: &str,
+    expect_kinds: &[&str],
+) -> Result<(usize, Option<String>), String> {
+    let mut count = 0usize;
+    let mut last_seq: Option<u64> = None;
+    let mut run_id: Option<String> = None;
+    let mut kinds: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let what = format!("line {}", i + 1);
+        let ev = crate::json::parse(line).map_err(|e| format!("{what}: {e}"))?;
+        check_record(&ev, &what)?;
+        let seq = ev
+            .get("seq")
+            .and_then(Value::as_count)
+            .expect("check_record vetted seq");
+        if let Some(prev) = last_seq.filter(|&prev| seq <= prev) {
+            return Err(format!(
+                "{what}: seq {seq} is not strictly increasing (previous {prev})"
+            ));
+        }
+        last_seq = Some(seq);
+        if let Some(id) = ev.get("run_id").and_then(Value::as_str) {
+            match &run_id {
+                None => run_id = Some(id.to_string()),
+                Some(seen) if seen != id => {
+                    return Err(format!("{what}: run_id {id:?} differs from {seen:?}"));
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some(kind) = ev.get("kind").and_then(Value::as_str) {
+            kinds.insert(kind.to_string());
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return Err("event log is empty".to_string());
+    }
+    for kind in expect_kinds {
+        if !kinds.contains(*kind) {
+            return Err(format!(
+                "no {kind:?} event in the log (kinds seen: {kinds:?})"
+            ));
+        }
+    }
+    Ok((count, run_id))
 }
 
 /// A value renderable as a JSON field payload. Strings are escaped and
@@ -891,5 +975,57 @@ mod tests {
         }
         assert!(take_records().is_empty());
         crate::reset();
+    }
+
+    /// A JSONL log as `--events-out` writes it: one `to_json` line per
+    /// record, every line stamped with `run_id`.
+    fn jsonl(run_id: &str) -> String {
+        let record = |seq: u64, level: Level, kind: &'static str| EventRecord {
+            seq,
+            ts_ns: 1_000 * seq,
+            tid: 1,
+            level,
+            kind,
+            fields: "\"note\":\"x\"".to_string(),
+        };
+        [
+            record(0, Level::Info, "progress"),
+            record(1, Level::Warn, "guard.flag"),
+            record(4, Level::Debug, "progress"),
+        ]
+        .iter()
+        .map(|r| r.to_json(Some(run_id)) + "\n")
+        .collect()
+    }
+
+    #[test]
+    fn validate_jsonl_accepts_the_log_and_rejects_mutations() {
+        let good = jsonl("abc");
+        assert_eq!(
+            validate_jsonl(&good, &["progress", "guard.flag"]),
+            Ok((3, Some("abc".to_string())))
+        );
+        let repeated_seq = good.replacen("\"seq\":4", "\"seq\":1", 1);
+        let err = validate_jsonl(&repeated_seq, &[]).unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        let two_runs = good.replacen("\"run_id\":\"abc\"", "\"run_id\":\"xyz\"", 1);
+        let err = validate_jsonl(&two_runs, &[]).unwrap_err();
+        assert!(err.contains("differs"), "{err}");
+        let err = validate_jsonl(&good, &["spd.repair"]).unwrap_err();
+        assert!(err.contains("spd.repair"), "{err}");
+        assert!(
+            validate_jsonl("\n", &[]).is_err(),
+            "an empty log is rejected"
+        );
+    }
+
+    #[test]
+    fn validate_jsonl_rejects_counts_no_writer_produces() {
+        let line = r#"{"seq":1.5,"ts_ns":-3,"tid":0,"level":"info","kind":"k"}"#;
+        let err = validate_jsonl(line, &[]).unwrap_err();
+        assert!(err.contains("seq"), "{err}");
+        let err = validate_jsonl(&line.replace("1.5", "1"), &[]).unwrap_err();
+        assert!(err.contains("ts_ns"), "{err}");
+        assert!(validate_jsonl(&line.replace("1.5", "1").replace("-3", "3"), &[]).is_ok());
     }
 }

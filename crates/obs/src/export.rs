@@ -6,7 +6,7 @@
 //! container and were misread as a scaling regression precisely because
 //! the file did not say so.
 
-use crate::json;
+use crate::json::{self, Value};
 use crate::metrics::MetricsSnapshot;
 use crate::span::SpanEvent;
 use std::fmt::Write as _;
@@ -99,6 +99,60 @@ pub fn chrome_trace_json(
             .unwrap_or_default()
     );
     out
+}
+
+/// Checks a [`chrome_trace_json`] document the way Perfetto loads it:
+/// every trace event has `ph`, `name`, `pid` and `tid`; complete
+/// (`ph == "X"`) events have non-negative `ts` and `dur` and there is at
+/// least one; and `otherData` carries the [`HardwareContext`]. Returns
+/// the event count and the complete-event count.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate_chrome_trace(text: &str) -> Result<(usize, usize), String> {
+    let doc = json::parse(text).map_err(|e| format!("trace: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("missing traceEvents array")?;
+    let mut complete = 0usize;
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev
+            .get("ph")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("event {i} has no ph"))?;
+        for key in ["name", "pid", "tid"] {
+            if ev.get(key).is_none() {
+                return Err(format!("event {i} (ph {ph}) has no {key}"));
+            }
+        }
+        if ph == "X" {
+            complete += 1;
+            let ts = ev.get("ts").and_then(Value::as_f64);
+            let dur = ev.get("dur").and_then(Value::as_f64);
+            match (ts, dur) {
+                (Some(ts), Some(dur)) if ts >= 0.0 && dur >= 0.0 => {}
+                _ => return Err(format!("complete event {i} has bad ts/dur")),
+            }
+        }
+    }
+    if complete == 0 {
+        return Err("no complete (ph == X) span events".to_string());
+    }
+    let other = doc.get("otherData").ok_or("missing otherData")?;
+    check_hardware(other, "otherData")?;
+    Ok((events.len(), complete))
+}
+
+/// The [`HardwareContext::json_fields`] members, as counts.
+fn check_hardware(v: &Value, what: &str) -> Result<(), String> {
+    for key in ["detected_cores", "threads_used"] {
+        if v.get(key).and_then(Value::as_count).is_none() {
+            return Err(format!("{what} has no unsigned integer {key}"));
+        }
+    }
+    Ok(())
 }
 
 /// One row of the aggregated per-span profile.
@@ -313,6 +367,41 @@ pub fn metrics_json(
     out
 }
 
+/// Checks a [`metrics_json`] document: the hardware context, a
+/// `histograms` object, and a `counters` object of counts in which every
+/// name in `expect_counters` is present and nonzero. Returns the number
+/// of counters.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate_metrics(text: &str, expect_counters: &[&str]) -> Result<usize, String> {
+    let doc = json::parse(text).map_err(|e| format!("metrics: {e}"))?;
+    check_hardware(
+        doc.get("hardware").ok_or("missing hardware object")?,
+        "hardware",
+    )?;
+    if !matches!(doc.get("histograms"), Some(Value::Object(_))) {
+        return Err("missing histograms object".to_string());
+    }
+    let Some(Value::Object(counters)) = doc.get("counters") else {
+        return Err("missing counters object".to_string());
+    };
+    for (name, value) in counters {
+        if value.as_count().is_none() {
+            return Err(format!("counter {name} is not an unsigned integer"));
+        }
+    }
+    for name in expect_counters {
+        match counters.get(*name).and_then(Value::as_count) {
+            Some(v) if v > 0 => {}
+            Some(_) => return Err(format!("counter {name} is zero")),
+            None => return Err(format!("counter {name} is missing")),
+        }
+    }
+    Ok(counters.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,5 +608,34 @@ mod tests {
             assert!(val.as_f64().is_none(), "{key} must not read as a number");
         }
         assert!(v.get("process").is_some(), "process key always present");
+    }
+
+    #[test]
+    fn validate_chrome_trace_accepts_the_export_and_rejects_mutations() {
+        let run = crate::run::RunContext::derive(2015, "export test");
+        let doc = chrome_trace_json(&sample_events(), &hw(), Some(&run));
+        assert_eq!(validate_chrome_trace(&doc), Ok((5, 3)));
+        let start = doc.find(",\"otherData\"").unwrap();
+        let no_other = format!("{}}}", &doc[..start]);
+        let err = validate_chrome_trace(&no_other).unwrap_err();
+        assert!(err.contains("otherData"), "{err}");
+        let negative = doc.replacen("\"dur\":10", "\"dur\":-10", 1);
+        let err = validate_chrome_trace(&negative).unwrap_err();
+        assert!(err.contains("ts/dur"), "{err}");
+    }
+
+    #[test]
+    fn validate_metrics_accepts_the_export_and_rejects_a_zero_counter() {
+        let snapshot = MetricsSnapshot {
+            counters: vec![("monte_carlo.sims", 42), ("cholesky.calls", 0)],
+            histograms: vec![],
+            process: crate::metrics::ProcessStats::sample(),
+        };
+        let doc = metrics_json(&snapshot, &hw(), None);
+        assert_eq!(validate_metrics(&doc, &["monte_carlo.sims"]), Ok(2));
+        let err = validate_metrics(&doc, &["cholesky.calls"]).unwrap_err();
+        assert!(err.contains("cholesky.calls is zero"), "{err}");
+        let err = validate_metrics(&doc, &["cv.fold_evals"]).unwrap_err();
+        assert!(err.contains("missing"), "{err}");
     }
 }

@@ -18,6 +18,7 @@
 //! or counter bumps.
 
 use crate::event::EventRecord;
+use crate::json::Value;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Mutex, Once};
@@ -153,6 +154,52 @@ fn render(reason: &str, run: Option<&crate::run::RunContext>, events: &[EventRec
     }
     out.push_str("]}");
     out
+}
+
+/// Checks a black-box document as [`dump`] and [`render_current`] write
+/// it: a `reason` string, a `run_id`, `captured` and `capacity` counts,
+/// and an `events` array of exactly `captured` records (each as
+/// [`EventRecord::to_json`] renders it) no longer than `capacity`.
+/// Returns the reason and the event count.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate_dump(text: &str) -> Result<(String, usize), String> {
+    let doc = crate::json::parse(text).map_err(|e| format!("flight dump: {e}"))?;
+    let reason = doc
+        .get("reason")
+        .and_then(Value::as_str)
+        .ok_or("flight dump has no reason string")?;
+    if doc.get("run_id").and_then(Value::as_str).is_none() {
+        return Err("flight dump has no run_id".to_string());
+    }
+    let count = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_count)
+            .ok_or_else(|| format!("flight dump has no unsigned integer {key}"))
+    };
+    let capacity = count("capacity")?;
+    let captured = count("captured")?;
+    let events = doc
+        .get("events")
+        .and_then(Value::as_array)
+        .ok_or("flight dump has no events array")?;
+    if events.len() as u64 != captured {
+        return Err(format!(
+            "captured says {captured} but events array has {}",
+            events.len()
+        ));
+    }
+    if captured > capacity {
+        return Err(format!(
+            "events array ({captured}) exceeds capacity ({capacity})"
+        ));
+    }
+    for (i, ev) in events.iter().enumerate() {
+        crate::event::check_record(ev, &format!("event {i}"))?;
+    }
+    Ok((reason.to_string(), events.len()))
 }
 
 /// Installs (once) a panic hook that dumps the flight recorder before
@@ -303,5 +350,41 @@ mod tests {
         let _ = std::fs::remove_file(&info.path);
         crate::reset();
         assert_eq!(last_dump(), None);
+    }
+
+    #[test]
+    fn validate_dump_accepts_the_box_and_rejects_a_miscount() {
+        let _g = test_lock();
+        crate::reset();
+        crate::enable();
+        crate::run::set(crate::run::RunContext::derive(3, "flight validate test"));
+        crate::event!(Warn, "guard.flag", "rows": 2u64);
+        crate::event!(Error, "ladder.transition", "from": "map", "to": "mle");
+        crate::disable();
+        let body = render_current("strict_failure");
+        crate::reset();
+        assert_eq!(validate_dump(&body), Ok(("strict_failure".to_string(), 2)));
+        let miscounted = body.replacen("\"captured\":2", "\"captured\":3", 1);
+        let err = validate_dump(&miscounted).unwrap_err();
+        assert!(err.contains("captured says 3"), "{err}");
+    }
+
+    #[test]
+    fn validate_dump_rejects_counts_no_writer_produces() {
+        for (doc, key) in [
+            (
+                r#"{"reason":"x","run_id":"r","captured":-1,"capacity":256,"events":[]}"#,
+                "captured",
+            ),
+            (
+                r#"{"reason":"x","run_id":"r","captured":0,"capacity":-5,"events":[]}"#,
+                "capacity",
+            ),
+        ] {
+            let err = validate_dump(doc).unwrap_err();
+            assert!(err.contains(key), "{doc}: {err}");
+        }
+        let ok = r#"{"reason":"x","run_id":"r","captured":0,"capacity":256,"events":[]}"#;
+        assert_eq!(validate_dump(ok), Ok(("x".to_string(), 0)));
     }
 }

@@ -14,7 +14,7 @@
 //! this module touches process-wide recording state, so building a
 //! report is pure data shuffling.
 
-use crate::json::{number, string};
+use crate::json::{number, string, Value};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -46,6 +46,12 @@ impl Severity {
     /// The worse of two severities.
     pub fn worst(self, other: Severity) -> Severity {
         self.max(other)
+    }
+
+    fn from_label(label: &str) -> Option<Severity> {
+        [Severity::Ok, Severity::Warn, Severity::Critical]
+            .into_iter()
+            .find(|s| s.label() == label)
     }
 }
 
@@ -457,6 +463,84 @@ impl DriftTimeline {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Validation of the two wire formats
+// ---------------------------------------------------------------------------
+
+/// The severity label under `key`, read back into a [`Severity`].
+fn severity_at(v: &Value, key: &str, what: &str) -> Result<Severity, String> {
+    let label = v.get(key).and_then(Value::as_str);
+    label
+        .and_then(Severity::from_label)
+        .ok_or_else(|| format!("{what} has no valid {key} (got {label:?})"))
+}
+
+/// Checks a [`HealthReport::to_json`] document: a graded `conflict`,
+/// `ess`, `spectrum` and `data_quality` section, a `cv` section that is
+/// graded or `null`, and an `overall` grade equal to the worst of them.
+/// Returns the overall severity.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate_health_json(text: &str) -> Result<Severity, String> {
+    let doc = crate::json::parse(text).map_err(|e| format!("health: {e}"))?;
+    let overall = severity_at(&doc, "overall", "health")?;
+    let mut worst = Severity::Ok;
+    for section in ["conflict", "ess", "spectrum", "data_quality"] {
+        let sec = doc
+            .get(section)
+            .ok_or_else(|| format!("health has no {section} section"))?;
+        worst = worst.worst(severity_at(sec, "severity", &format!("health {section}"))?);
+    }
+    match doc.get("cv") {
+        Some(Value::Null) => {}
+        Some(cv) => worst = worst.worst(severity_at(cv, "severity", "health cv")?),
+        None => return Err("health has no cv section (null when skipped)".to_string()),
+    }
+    if overall != worst {
+        return Err(format!(
+            "health overall is {overall} but its worst section is {worst}"
+        ));
+    }
+    Ok(overall)
+}
+
+/// Checks a [`DriftTimeline::to_json`] document: every window carries
+/// its index, start, size, the three divergences and a grade; the
+/// `alerts` list is present; and `overall` is the worst window grade.
+/// Returns the window count.
+///
+/// # Errors
+///
+/// A message naming the first failed check.
+pub fn validate_drift_json(text: &str) -> Result<usize, String> {
+    let doc = crate::json::parse(text).map_err(|e| format!("drift: {e}"))?;
+    let windows = doc
+        .get("windows")
+        .and_then(Value::as_array)
+        .ok_or("drift has no windows array")?;
+    let mut worst = Severity::Ok;
+    for (i, w) in windows.iter().enumerate() {
+        for key in ["index", "start_sample", "n", "kl", "mean_dist", "cov_frob"] {
+            if w.get(key).is_none() {
+                return Err(format!("drift window {i} has no {key}"));
+            }
+        }
+        worst = worst.worst(severity_at(w, "severity", &format!("drift window {i}"))?);
+    }
+    if doc.get("alerts").and_then(Value::as_array).is_none() {
+        return Err("drift has no alerts array".to_string());
+    }
+    let overall = severity_at(&doc, "overall", "drift")?;
+    if overall != worst {
+        return Err(format!(
+            "drift overall is {overall} but its worst window is {worst}"
+        ));
+    }
+    Ok(windows.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,5 +710,52 @@ mod tests {
         assert_eq!(timeline.overall(), Severity::Ok);
         let value = parse(&timeline.to_json()).expect("empty drift JSON must parse");
         assert_eq!(value.get("overall").and_then(|v| v.as_str()), Some("ok"));
+    }
+
+    #[test]
+    fn validate_health_json_accepts_the_report_and_rejects_a_bad_severity() {
+        let report = sample_report();
+        let text = report.to_json();
+        assert_eq!(validate_health_json(&text), Ok(report.overall()));
+        let without_cv = HealthReport {
+            cv: None,
+            ..sample_report()
+        };
+        assert_eq!(
+            validate_health_json(&without_cv.to_json()),
+            Ok(without_cv.overall())
+        );
+        let bad = text.replacen(
+            &format!("\"severity\":\"{}\"}}", report.ess.severity.label()),
+            "\"severity\":\"fine\"}",
+            1,
+        );
+        assert_ne!(bad, text);
+        let err = validate_health_json(&bad).unwrap_err();
+        assert!(err.contains("fine"), "{err}");
+    }
+
+    #[test]
+    fn validate_drift_json_accepts_the_timeline_and_rejects_a_window_without_kl() {
+        let timeline = DriftTimeline {
+            windows: vec![DriftWindow {
+                index: 0,
+                start_sample: 0,
+                n: 16,
+                kl: 3.0,
+                mean_dist: 1.0,
+                cov_frob: 0.2,
+                severity: classify_drift(3.0),
+            }],
+            alerts: vec!["window 0: kl=3".to_string()],
+        };
+        let text = timeline.to_json();
+        assert_eq!(validate_drift_json(&text), Ok(1));
+        let err = validate_drift_json(&text.replacen("\"kl\":", "\"kl_gone\":", 1)).unwrap_err();
+        assert!(err.contains("no kl"), "{err}");
+        assert_eq!(
+            validate_drift_json(&DriftTimeline::default().to_json()),
+            Ok(0)
+        );
     }
 }

@@ -100,6 +100,16 @@ impl Value {
         }
     }
 
+    /// A count: a number that is an exact non-negative integer below
+    /// 2⁵³, the range in which an `f64` counts without rounding. Every
+    /// `u64`/`usize` this workspace writes reads back through here, so
+    /// `-1`, `1.5` or `1e300` are rejected instead of saturating.
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x < 2f64.powi(53))
+            .map(|x| x as u64)
+    }
+
     /// Serializes this value back to compact JSON text. Object keys come
     /// out in `BTreeMap` (alphabetical) order, so a parse → serialize
     /// round trip is deterministic even if the source ordering was not.
@@ -150,9 +160,9 @@ impl Value {
 
 /// Maximum container nesting the parser accepts. The recursive-descent
 /// [`parse`]r uses one stack frame per open object/array, so an
-/// adversarial input (a shard packet or alert-rules file of nothing but
-/// `[[[[…`) could otherwise overflow the thread stack; 128 levels is far
-/// beyond any document this workspace emits.
+/// adversarial input (a shard packet of nothing but `[[[[…`) could
+/// otherwise overflow the thread stack; 128 levels is far beyond any
+/// document this workspace emits.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document, rejecting trailing garbage.
@@ -562,6 +572,22 @@ mod tests {
             "\"unpaired \\ud800\"",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+    }
+
+    #[test]
+    fn as_count_accepts_only_exact_unsigned_integers() {
+        for (text, want) in [
+            ("0", Some(0)),
+            ("42", Some(42)),
+            ("9007199254740991", Some((1u64 << 53) - 1)),
+            ("9007199254740992", None),
+            ("1e300", None),
+            ("-1", None),
+            ("1.5", None),
+            ("\"7\"", None),
+        ] {
+            assert_eq!(parse(text).unwrap().as_count(), want, "{text}");
         }
     }
 }

@@ -48,9 +48,25 @@
 //!   The math that fills these types lives in `bmf_core`.
 //! * **[`dashboard`]** — a zero-dependency, self-contained HTML
 //!   dashboard (inline CSS + SVG, no JavaScript) combining profile,
-//!   metrics, health, drift and bench history in one static page.
-//! * **[`cli`]** — `--trace-out/--profile/--metrics-out/--dashboard-out`
-//!   flag handling shared by `bmf` and the figure binaries.
+//!   metrics, health, shard coverage, drift and bench history in one
+//!   static page.
+//! * **[`serve`]** — the `--obs-listen` HTTP server: the live scrape of
+//!   the same state (`/metrics` as Prometheus text, `/health`,
+//!   `/events`, `/progress`, `/flight` and the dashboard at `/`).
+//! * **[`cli`]** — `--trace-out/--profile/--metrics-out/--dashboard-out/
+//!   --events-out/--obs-listen` flag handling shared by `bmf` and the
+//!   figure binaries.
+//!
+//! Observability leaves a process two ways only: the exit-time
+//! artifacts [`ObsOptions::finish`] writes, and the live `--obs-listen`
+//! scrape. History and alerting belong to whatever scrapes `/metrics`.
+//! Each artifact's writer module also owns its checker
+//! ([`event::validate_jsonl`], [`flight::validate_dump`],
+//! [`export::validate_chrome_trace`], [`export::validate_metrics`],
+//! [`health::validate_health_json`], [`health::validate_drift_json`],
+//! [`dashboard::validate`], [`prom::validate_exposition`]), so the
+//! format and its check cannot drift apart; `trace_check` only
+//! dispatches to them.
 //!
 //! # The two hard invariants
 //!
@@ -85,7 +101,6 @@
 //! bmf_obs::reset();
 //! ```
 
-pub mod alert;
 pub mod cli;
 pub mod dashboard;
 pub mod event;
@@ -100,17 +115,16 @@ pub mod run;
 pub mod serve;
 pub mod shard;
 pub mod span;
-pub mod tsdb;
 
 pub use cli::{ObsOptions, BENCH_HISTORY_FILE};
-pub use event::{EventRecord, Heartbeat, Level, ProgressEntry, RateLimiter};
+pub use event::{EventRecord, Heartbeat, Level, ProgressEntry};
 pub use export::{chrome_trace_json, metrics_json, profile_json, profile_table, HardwareContext};
 pub use fsio::atomic_write;
 pub use health::{DriftTimeline, DriftWindow, HealthReport, Severity};
 pub use metrics::{counters, histograms, Counter, Histogram, MetricsSnapshot, ProcessStats};
 pub use run::RunContext;
 pub use serve::ObsServer;
-pub use shard::{FleetShardRow, FleetSummary, ShardCoverage};
+pub use shard::ShardCoverage;
 pub use span::{span, take_events, Span, SpanEvent};
 
 /// Drains every recorded structured event (see [`mod@event`]).
@@ -143,12 +157,11 @@ pub fn is_enabled() -> bool {
 
 /// Disables recording and clears all recorded events and metric values:
 /// spans, structured events, the flight-recorder ring, the run context,
-/// the time-series store, the alert engine and the event level filters.
+/// the live server's published state and the event level filters.
 /// Intended for tests and for delimiting independent measurement
 /// windows.
 pub fn reset() {
     disable();
-    tsdb::stop_global();
     span::clear();
     event::clear();
     event::reset_levels();
@@ -156,8 +169,6 @@ pub fn reset() {
     run::clear();
     metrics::reset_all();
     serve::clear_live();
-    tsdb::clear();
-    alert::clear();
 }
 
 #[cfg(test)]

@@ -16,10 +16,10 @@
 //!   from live state
 //! * `GET /flight` — the current flight-recorder ring, so a hung run
 //!   can be black-boxed without killing it
-//! * `GET /timeseries?metric=&since=&step=` — the [`crate::tsdb`] ring
-//!   store as JSON, so a scraper can see a regression *developing*
-//! * `GET /alerts` — current [`crate::alert`] rule states; a firing
-//!   critical rule also flips `/health` to `503`
+//!
+//! The server keeps no history: a scraper that wants a time series or
+//! an alert rule pulls `/metrics` on its own cadence and evaluates it
+//! there, as with any Prometheus target.
 //!
 //! **The server never perturbs results.** Handler threads only *read*
 //! the existing lock-free registries through the non-draining peeks
@@ -41,7 +41,7 @@
 
 use crate::export::HardwareContext;
 use crate::health::{DriftTimeline, HealthReport, Severity};
-use crate::shard::{FleetSummary, ShardCoverage};
+use crate::shard::ShardCoverage;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,7 +75,6 @@ struct LiveState {
     health: Option<HealthReport>,
     drift: Option<DriftTimeline>,
     shard: Option<ShardCoverage>,
-    fleet: Option<FleetSummary>,
 }
 
 static LIVE: Mutex<Option<LiveState>> = Mutex::new(None);
@@ -115,15 +114,6 @@ pub fn publish_shard(shard: &ShardCoverage) {
     with_live(|l| l.shard = Some(shard.clone()));
 }
 
-/// Publishes the latest fleet summary for live scrapers. No-op while
-/// recording is disabled.
-pub fn publish_fleet(fleet: &FleetSummary) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_live(|l| l.fleet = Some(fleet.clone()));
-}
-
 /// Records the dashboard title / worker thread count used by live
 /// renders (mirrors `ObsOptions` state into the live plane).
 pub fn set_live_context(title: &str, threads_used: usize) {
@@ -138,17 +128,6 @@ pub(crate) fn clear_live() {
     if let Ok(mut guard) = LIVE.lock() {
         *guard = None;
     }
-}
-
-/// Current live (health, drift) severities, for the alert engine's
-/// health/drift rules. `None` until the estimator publishes a report.
-pub(crate) fn live_severities() -> (Option<Severity>, Option<Severity>) {
-    with_live(|l| {
-        (
-            l.health.as_ref().map(HealthReport::overall),
-            l.drift.as_ref().map(DriftTimeline::overall),
-        )
-    })
 }
 
 /// One rendered HTTP response.
@@ -198,8 +177,6 @@ fn respond(target: &str) -> Response {
         "/health" => render_health(),
         "/events" => render_events(query),
         "/progress" => render_progress(),
-        "/timeseries" => render_timeseries(query),
-        "/alerts" => Response::new(200, "application/json", crate::alert::render_json()),
         "/" | "/index.html" => render_dashboard(),
         "/flight" => Response::new(
             200,
@@ -238,61 +215,17 @@ fn render_health() -> Response {
         });
         (health, drift, worst)
     });
-    // A firing critical alert makes the process unhealthy too — the
-    // rule engine's escalation has the same weight as the estimator's
-    // own health grade.
-    let critical_alerts = crate::alert::any_critical_firing();
     let body = format!(
-        "{{\"health\":{},\"drift\":{},\"critical_alerts\":{critical_alerts}}}",
+        "{{\"health\":{},\"drift\":{}}}",
         health_json.unwrap_or_else(|| "null".to_string()),
         drift_json.unwrap_or_else(|| "null".to_string()),
     );
-    let status = if worst == Severity::Critical || critical_alerts {
+    let status = if worst == Severity::Critical {
         503
     } else {
         200
     };
     Response::new(status, "application/json", body)
-}
-
-/// `GET /timeseries?metric=&since=&step=`: the tsdb ring store as JSON.
-/// `metric` filters to series equal to or prefixed by the value;
-/// `since` (ms since the trace epoch) and `step` (minimum ms between
-/// returned points) must be unsigned integers.
-fn render_timeseries(query: &str) -> Response {
-    let mut metric: Option<String> = None;
-    let mut since_ms: Option<u64> = None;
-    let mut step_ms: Option<u64> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "metric" => metric = Some(value.to_string()),
-            "since" => match value.parse::<u64>() {
-                Ok(ms) => since_ms = Some(ms),
-                Err(_) => {
-                    return Response::text(
-                        400,
-                        format!("since must be milliseconds, got {value:?}\n"),
-                    );
-                }
-            },
-            "step" => match value.parse::<u64>() {
-                Ok(ms) => step_ms = Some(ms),
-                Err(_) => {
-                    return Response::text(
-                        400,
-                        format!("step must be milliseconds, got {value:?}\n"),
-                    );
-                }
-            },
-            _ => return Response::text(400, format!("unknown query key {key:?}\n")),
-        }
-    }
-    Response::new(
-        200,
-        "application/json",
-        crate::tsdb::render_json(metric.as_deref(), since_ms, step_ms),
-    )
 }
 
 fn render_events(query: &str) -> Response {
@@ -351,8 +284,6 @@ fn render_dashboard() -> Response {
     let hardware = live_hardware();
     let bench_history = std::fs::read_to_string(crate::cli::BENCH_HISTORY_FILE).ok();
     let flight_dump = crate::flight::last_dump();
-    let timeseries = crate::tsdb::snapshot();
-    let alerts_json = crate::alert::installed().then(crate::alert::render_json);
     let body = with_live(|l| {
         crate::dashboard::render(&crate::dashboard::DashboardData {
             title: if l.title.is_empty() {
@@ -370,11 +301,8 @@ fn render_dashboard() -> Response {
             health: l.health.as_ref(),
             drift: l.drift.as_ref(),
             shard: l.shard.as_ref(),
-            fleet: l.fleet.as_ref(),
             bench_history_json: bench_history.as_deref(),
-            timeseries: &timeseries,
-            alerts_json: alerts_json.as_deref(),
-            // The live page re-fetches itself so sparklines move while
+            // The live page re-fetches itself so its tables move while
             // the run is in flight; static exports never set this.
             refresh_s: Some(2),
         })
@@ -622,15 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn serves_all_eight_endpoints() {
+    fn serves_every_endpoint() {
         let _g = test_lock();
         crate::reset();
         crate::enable();
         crate::run::set(crate::run::RunContext::derive(7, "serve test"));
         set_live_context("serve test", 2);
         crate::event!(Info, "serve.test", "i": 1u64);
-        crate::tsdb::record("serve.series", 100, 1.0);
-        crate::tsdb::record("serve.series", 200, 2.0);
         {
             let hb = crate::event::Heartbeat::new("serve.loop", 3);
             for _ in 0..3 {
@@ -681,42 +607,12 @@ mod tests {
 
         let (status, _, body) = http_get(addr, "/flight");
         assert_eq!(status, 200);
-        let v = crate::json::parse(&body).expect("flight JSON parses");
-        assert_eq!(
-            v.get("reason").and_then(crate::json::Value::as_str),
-            Some("live")
-        );
+        let (reason, _) = crate::flight::validate_dump(&body).expect("served flight validates");
+        assert_eq!(reason, "live");
 
-        let (status, ctype, body) = http_get(addr, "/timeseries?metric=serve.series");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let v = crate::json::parse(&body).expect("timeseries JSON parses");
-        let series = v
-            .get("series")
-            .and_then(crate::json::Value::as_array)
-            .unwrap();
-        assert_eq!(series.len(), 1);
-        assert_eq!(
-            series[0].get("name").and_then(crate::json::Value::as_str),
-            Some("serve.series")
-        );
-
-        let (status, ctype, body) = http_get(addr, "/alerts");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let v = crate::json::parse(&body).expect("alerts JSON parses");
-        assert!(v
-            .get("rules")
-            .and_then(crate::json::Value::as_array)
-            .is_some());
-        assert_eq!(
-            v.get("critical_firing")
-                .and_then(crate::json::Value::as_bool),
-            Some(false)
-        );
-
-        let (status, _, _) = http_get(addr, "/nope");
-        assert_eq!(status, 404);
+        for gone in ["/timeseries", "/alerts", "/nope"] {
+            assert_eq!(http_get(addr, gone).0, 404, "{gone}");
+        }
 
         // The scrapes must not have drained anything.
         assert!(!crate::event::peek_records().is_empty());
@@ -817,53 +713,6 @@ mod tests {
         assert_eq!(render_events("n=many").status, 400);
         assert_eq!(render_events("what=ever").status, 400);
         assert_eq!(render_events("level=warn&n=5").status, 200);
-        crate::reset();
-    }
-
-    #[test]
-    fn timeseries_endpoint_validates_query() {
-        let _g = test_lock();
-        crate::reset();
-        assert_eq!(render_timeseries("since=soon").status, 400);
-        assert_eq!(render_timeseries("step=big").status, 400);
-        assert_eq!(render_timeseries("what=ever").status, 400);
-        assert_eq!(render_timeseries("metric=x&since=5&step=10").status, 200);
-        assert_eq!(render_timeseries("").status, 200);
-        crate::reset();
-    }
-
-    #[test]
-    fn health_endpoint_returns_503_while_a_critical_alert_fires() {
-        let _g = test_lock();
-        crate::reset();
-        crate::enable();
-        crate::tsdb::record("m.x", 100, 50.0);
-        crate::alert::install(vec![crate::alert::Rule {
-            name: "hot".to_string(),
-            series: "m.x".to_string(),
-            severity: crate::health::Severity::Critical,
-            for_ms: 0,
-            kind: crate::alert::RuleKind::Threshold {
-                op: crate::alert::Comparison::Ge,
-                value: 10.0,
-                clear: 10.0,
-            },
-        }]);
-        crate::alert::evaluate(100);
-        assert!(crate::alert::any_critical_firing());
-        let response = render_health();
-        assert_eq!(response.status, 503);
-        let v = crate::json::parse(&response.body).unwrap();
-        assert_eq!(
-            v.get("critical_alerts")
-                .and_then(crate::json::Value::as_bool),
-            Some(true)
-        );
-        // The alert clearing flips /health back to 200.
-        crate::tsdb::record("m.x", 200, 1.0);
-        crate::alert::evaluate(200);
-        assert!(!crate::alert::any_critical_firing());
-        assert_eq!(render_health().status, 200);
         crate::reset();
     }
 }

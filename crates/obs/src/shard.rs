@@ -126,140 +126,6 @@ impl ShardCoverage {
     }
 }
 
-/// A shard's wall-clock is flagged as a straggler when it exceeds the
-/// fleet median by this factor.
-pub const STRAGGLER_RATIO: f64 = 1.5;
-
-/// One shard's telemetry row in a merged fleet view.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetShardRow {
-    /// Shard index within the partition.
-    pub index: usize,
-    /// Wall-clock span of the shard process's compute phase.
-    pub wall_ns: u64,
-    /// Monte Carlo simulations the shard ran (`monte_carlo.sims` delta).
-    pub sims: u64,
-    /// Simulator retries the shard absorbed.
-    pub retries: u64,
-    /// Structured events the shard recorded (tail length carried in the
-    /// packet, capped at the packet's event-tail capacity).
-    pub events: usize,
-    /// Whether this shard's wall-clock exceeds [`STRAGGLER_RATIO`] ×
-    /// the fleet median.
-    pub straggler: bool,
-}
-
-/// Fleet-wide view folded from per-shard packet telemetry at merge
-/// time: per-shard rows plus straggler detection as the slowest/median
-/// wall-clock ratio. Only shards whose packets carried telemetry
-/// appear (shards run with recording off contribute stats but no row).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSummary {
-    /// Run id the packets were stamped with.
-    pub run_id: String,
-    /// Per-shard rows, sorted by shard index.
-    pub shards: Vec<FleetShardRow>,
-    /// Median shard wall-clock (average of the middle two when even).
-    pub median_wall_ns: u64,
-    /// Slowest shard wall-clock.
-    pub slowest_wall_ns: u64,
-    /// `slowest / median` — the straggler signal; 1.0 for a balanced
-    /// fleet, 0.0 when no shard reported a wall-clock.
-    pub straggler_ratio: f64,
-}
-
-impl FleetSummary {
-    /// Folds per-shard rows into a fleet view, computing the median,
-    /// the slowest shard, and straggler flags.
-    #[must_use]
-    pub fn from_rows(run_id: &str, mut shards: Vec<FleetShardRow>) -> FleetSummary {
-        shards.sort_by_key(|r| r.index);
-        let mut walls: Vec<u64> = shards.iter().map(|r| r.wall_ns).collect();
-        walls.sort_unstable();
-        let median_wall_ns = if walls.is_empty() {
-            0
-        } else if walls.len() % 2 == 1 {
-            walls[walls.len() / 2]
-        } else {
-            (walls[walls.len() / 2 - 1] + walls[walls.len() / 2]) / 2
-        };
-        let slowest_wall_ns = walls.last().copied().unwrap_or(0);
-        let straggler_ratio = if median_wall_ns > 0 {
-            slowest_wall_ns as f64 / median_wall_ns as f64
-        } else {
-            0.0
-        };
-        for row in &mut shards {
-            row.straggler =
-                median_wall_ns > 0 && row.wall_ns as f64 >= STRAGGLER_RATIO * median_wall_ns as f64;
-        }
-        FleetSummary {
-            run_id: run_id.to_string(),
-            shards,
-            median_wall_ns,
-            slowest_wall_ns,
-            straggler_ratio,
-        }
-    }
-
-    /// Indices of the flagged stragglers, sorted.
-    #[must_use]
-    pub fn stragglers(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .filter(|r| r.straggler)
-            .map(|r| r.index)
-            .collect()
-    }
-
-    /// Serializes the fleet view as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.shards.len() * 96);
-        out.push_str("{\"run_id\":");
-        out.push_str(&string(&self.run_id));
-        out.push_str(&format!(
-            ",\"median_wall_ns\":{},\"slowest_wall_ns\":{},\"straggler_ratio\":{},\"stragglers\":[{}],\"shards\":[",
-            self.median_wall_ns,
-            self.slowest_wall_ns,
-            number(self.straggler_ratio),
-            self.stragglers()
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        ));
-        for (i, row) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"wall_ns\":{},\"sims\":{},\"retries\":{},\"events\":{},\"straggler\":{}}}",
-                row.index, row.wall_ns, row.sims, row.retries, row.events, row.straggler,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// One-line human summary for merge status lines.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut line = format!(
-            "fleet: {} shard(s) reporting, median {:.3}s, slowest {:.3}s ({:.2}x)",
-            self.shards.len(),
-            self.median_wall_ns as f64 / 1e9,
-            self.slowest_wall_ns as f64 / 1e9,
-            self.straggler_ratio,
-        );
-        let stragglers = self.stragglers();
-        if !stragglers.is_empty() {
-            line.push_str(&format!(" stragglers={stragglers:?}"));
-        }
-        line
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,65 +229,6 @@ mod tests {
         assert!(line.contains("inflation=1.3333"), "{line}");
         assert!(line.contains("[warn]"), "{line}");
         assert!(complete().summary().contains("[ok]"));
-    }
-
-    fn row(index: usize, wall_ns: u64) -> FleetShardRow {
-        FleetShardRow {
-            index,
-            wall_ns,
-            sims: 100,
-            retries: 2,
-            events: 10,
-            straggler: false,
-        }
-    }
-
-    #[test]
-    fn fleet_summary_flags_stragglers_against_the_median() {
-        let fleet = FleetSummary::from_rows(
-            "deadbeefdeadbeef",
-            vec![row(2, 1_000), row(0, 1_100), row(1, 900), row(3, 4_000)],
-        );
-        // Rows come back sorted by index.
-        let indices: Vec<usize> = fleet.shards.iter().map(|r| r.index).collect();
-        assert_eq!(indices, [0, 1, 2, 3]);
-        // Even count: median of {900,1000,1100,4000} = (1000+1100)/2.
-        assert_eq!(fleet.median_wall_ns, 1_050);
-        assert_eq!(fleet.slowest_wall_ns, 4_000);
-        assert!((fleet.straggler_ratio - 4_000.0 / 1_050.0).abs() < 1e-12);
-        assert_eq!(fleet.stragglers(), [3]);
-        assert!(fleet.shards[3].straggler);
-        assert!(!fleet.shards[0].straggler);
-
-        let v = crate::json::parse(&fleet.to_json()).expect("fleet JSON parses");
-        assert_eq!(
-            v.get("run_id").and_then(crate::json::Value::as_str),
-            Some("deadbeefdeadbeef")
-        );
-        let shards = v
-            .get("shards")
-            .and_then(crate::json::Value::as_array)
-            .unwrap();
-        assert_eq!(shards.len(), 4);
-        assert_eq!(
-            shards[3]
-                .get("straggler")
-                .and_then(crate::json::Value::as_bool),
-            Some(true)
-        );
-        assert!(fleet.summary().contains("stragglers=[3]"));
-    }
-
-    #[test]
-    fn balanced_fleet_has_no_stragglers_and_empty_fleet_is_sane() {
-        let fleet = FleetSummary::from_rows("abc", vec![row(0, 1_000), row(1, 1_001)]);
-        assert!(fleet.stragglers().is_empty());
-        assert!(fleet.straggler_ratio >= 1.0 && fleet.straggler_ratio < 1.01);
-
-        let empty = FleetSummary::from_rows("abc", vec![]);
-        assert_eq!(empty.median_wall_ns, 0);
-        assert_eq!(empty.straggler_ratio, 0.0);
-        assert!(crate::json::parse(&empty.to_json()).is_ok());
     }
 
     #[test]

@@ -47,8 +47,7 @@ use bmf_ams::circuits::monte_carlo::{
 };
 use bmf_ams::circuits::opamp::OpAmpTestbench;
 use bmf_ams::circuits::shard::{
-    fleet_trace_json, merge_packet_texts, run_shard, MergeOutcome, MergePolicy, StageMoments,
-    StudyConfig,
+    merge_packet_texts, run_shard, MergeOutcome, MergePolicy, StageMoments, StudyConfig,
 };
 use bmf_ams::circuits::CircuitError;
 use bmf_ams::core::io::{
@@ -186,7 +185,7 @@ fn print_usage() {
     println!("           [--fault-rate <r>] [--retry-attempts <n>]");
     println!("  merge    --packet <json> [--packet <json> ...] [--out <csv>]");
     println!("           [--min-shards <q>] [--strict | --degrade] [--report <json-path|->]");
-    println!("           [--kappa0 <x> --nu0 <y>] [--threads <n>] [--fleet-trace-out <json>]");
+    println!("           [--kappa0 <x> --nu0 <y>] [--threads <n>]");
     println!("  yield    --moments <csv> --spec \"<metric><=|>=<value>\" ... [--draws <n>]");
     println!("  diagnose --samples <csv>");
     println!();
@@ -202,29 +201,15 @@ fn print_usage() {
     println!("FusionReport and flight-recorder dumps. --obs-listen <addr> serves the");
     println!("run live over HTTP while it executes: GET /metrics (Prometheus text),");
     println!("/health (200/503 keyed on severity), /events?level=&n= (JSONL tail),");
-    println!("/progress (heartbeat fractions + ETA), /flight (flight-recorder ring),");
-    println!("/timeseries?metric=&since=&step= (sampled counter/gauge history),");
-    println!("/alerts (rule states), and / (the live dashboard, with sparkline");
-    println!("timelines); port 0 picks a free port, printed at start and written to");
-    println!("$BMF_OBS_ADDR_FILE when set. --sample-interval-ms <n> sets the");
-    println!("time-series sampler cadence (default 250; the sampler also starts");
-    println!("whenever --obs-listen or --alerts is given). --alerts <rules.json>");
-    println!("installs declarative SLO rules (threshold / rate-of-change / health /");
-    println!("drift-severity, with hysteresis and for-duration debouncing) evaluated");
-    println!("on every sampler tick; a firing rule emits alert.fired / alert.resolved");
-    println!("events and a critical one flips /health to 503 and arms a flight-");
-    println!("recorder dump. --log-level error|warn|info|debug");
+    println!("/progress (heartbeat fractions + ETA), /flight (flight-recorder ring)");
+    println!("and / (the live dashboard); port 0 picks a free port, printed at start");
+    println!("and written to $BMF_OBS_ADDR_FILE when set. History and alert rules");
+    println!("belong to whatever scrapes /metrics. --log-level error|warn|info|debug");
     println!("(or the BMF_LOG env var) sets console verbosity. Recording never alters");
-    println!("numeric results. All file outputs are written atomically (temp + rename):");
-    println!("a crash mid-write never leaves a truncated artifact behind.");
-    println!();
-    println!("a merge of packets whose shards ran with recording on (any observability");
-    println!("flag) folds their telemetry into a fleet view: per-shard wall clock,");
-    println!("sims, retries and straggler flags (slowest/median >= 1.5x), written to");
-    println!("fleet-<run_id>.json and rendered in the dashboard's Fleet section.");
-    println!("merge --fleet-trace-out <json> additionally stitches the packets' span");
-    println!("summaries into one Perfetto-loadable trace, one clock-aligned track per");
-    println!("shard.");
+    println!("numeric results, and a shard packet's bytes are the same with or without");
+    println!("it: a shard's telemetry stays in its own output files. All file outputs");
+    println!("are written atomically (temp + rename): a crash mid-write never leaves a");
+    println!("truncated artifact behind.");
     println!();
     println!("--threads defaults to the machine's available parallelism; results are");
     println!("bit-identical for every thread count (per-task seed derivation).");
@@ -803,35 +788,6 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     obs.set_run(outcome.config.seed, &outcome.config.canonical());
     obs.attach_shard(outcome.coverage.clone());
     bmf_ams::obs::info!("{}", outcome.coverage.summary());
-
-    // Fleet view: present when any merged packet carried telemetry.
-    // The artifact lands next to the moments so a post-mortem can ask
-    // "which shard was slow" without the shard processes being alive.
-    if let Some(fleet) = &outcome.fleet {
-        let fleet_path = format!("fleet-{}.json", outcome.run.run_id);
-        bmf_ams::obs::atomic_write(&fleet_path, fleet.to_json())
-            .map_err(|e| rt(format!("cannot write fleet summary {fleet_path}: {e}")))?;
-        bmf_ams::obs::info!("{}", fleet.summary());
-        bmf_ams::obs::info!("wrote fleet summary to {fleet_path}");
-        obs.attach_fleet(fleet.clone());
-    }
-
-    // Stitched fleet timeline: one Perfetto-loadable document with a
-    // clock-aligned track per telemetry-bearing shard. Valid (possibly
-    // empty) even when every packet ran quiet, so scripted pipelines can
-    // pass the flag unconditionally.
-    if let Some(path) = optional(&flags, "fleet-trace-out") {
-        let hardware = bmf_ams::obs::HardwareContext::detect(threads);
-        let trace = fleet_trace_json(&outcome, &hardware);
-        atomic_write(path, trace)
-            .map_err(|e| rt(format!("cannot write fleet trace {path}: {e}")))?;
-        let tracks = outcome
-            .telemetry
-            .iter()
-            .filter(|(_, t)| !t.spans.is_empty())
-            .count();
-        bmf_ams::obs::info!("wrote stitched fleet trace to {path} ({tracks} shard track(s))");
-    }
 
     let (early_norm, late_stats, late_t) = normalized_study(&outcome)?;
     let mode = if strict {

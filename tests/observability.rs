@@ -248,27 +248,15 @@ fn event_stream_preserves_bit_identity_and_emits_valid_jsonl() {
                 "drained events must be in emission order"
             );
         }
-        for rec in &records {
-            let line = rec.to_json(Some(&run_id));
-            let ev = bmf_ams::obs::json::parse(&line)
-                .unwrap_or_else(|e| panic!("event line must parse: {e}: {line}"));
-            assert_eq!(
-                ev.get("run_id").and_then(Value::as_str),
-                Some(run_id.as_str())
-            );
-            for key in ["seq", "ts_ns", "tid"] {
-                assert!(
-                    ev.get(key).and_then(Value::as_f64).is_some(),
-                    "event missing numeric {key}: {line}"
-                );
-            }
-            let level = ev.get("level").and_then(Value::as_str).expect("level");
-            assert!(
-                ["error", "warn", "info", "debug"].contains(&level),
-                "unknown level {level}"
-            );
-            assert!(ev.get("kind").and_then(Value::as_str).is_some());
-        }
+        let jsonl: String = records
+            .iter()
+            .map(|rec| rec.to_json(Some(&run_id)) + "\n")
+            .collect();
+        assert_eq!(
+            bmf_ams::obs::event::validate_jsonl(&jsonl, &["progress"]),
+            Ok((records.len(), Some(run_id.clone()))),
+            "threads={threads}"
+        );
     }
     bmf_ams::obs::reset();
 }
@@ -302,25 +290,15 @@ fn strict_failure_dumps_flight_recorder_black_box() {
     assert!(result.is_err(), "strict mode must reject non-finite cells");
 
     let body = std::fs::read_to_string(&flight_path).expect("strict failure writes a black box");
+    let (reason, captured) =
+        bmf_ams::obs::flight::validate_dump(&body).expect("flight dump must validate");
+    assert_eq!(reason, "strict_failure");
     let doc = bmf_ams::obs::json::parse(&body).expect("flight dump must parse");
-    assert_eq!(
-        doc.get("reason").and_then(Value::as_str),
-        Some("strict_failure")
-    );
     assert_eq!(
         doc.get("run_id").and_then(Value::as_str),
         Some(run_id.as_str())
     );
     let events = doc.get("events").and_then(Value::as_array).expect("events");
-    let captured = doc
-        .get("captured")
-        .and_then(Value::as_f64)
-        .expect("captured");
-    assert_eq!(
-        captured as usize,
-        events.len(),
-        "captured must match the event count"
-    );
     assert!(
         events
             .iter()
@@ -329,7 +307,7 @@ fn strict_failure_dumps_flight_recorder_black_box() {
     );
     let last = bmf_ams::obs::flight::last_dump().expect("dump recorded");
     assert_eq!(last.path, flight_path);
-    assert_eq!(last.events, events.len());
+    assert_eq!(last.events, captured);
 
     let _ = std::fs::remove_file(&flight_path);
     bmf_ams::obs::reset();
