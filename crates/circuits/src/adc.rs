@@ -19,15 +19,25 @@
 //!
 //! Post-layout additionally introduces a cubic input-settling nonlinearity
 //! — the classic source of third-harmonic distortion in high-speed testing.
+//!
+//! Only the thresholds change from die to die. So the testbench builds,
+//! once and on its first simulation, what every die shares: each stage's
+//! settled sine record sorted ascending, the DAC's reconstruction levels
+//! and the real-input FFT plan. A die then sorts its own thresholds and
+//! quantises the whole record in one merge walk (the ones-counter code is a
+//! rank, so comparator order does not matter), and the spectrum comes from
+//! a half-length FFT on the shared plan.
 
+use crate::fft::RealFftPlan;
 use crate::monte_carlo::Stage;
 use crate::mosfet::Geometry;
-use crate::spectrum::{analyze, coherent_sine};
+use crate::spectrum::{analyze_with, coherent_sine, SpectralMetrics};
 use crate::variation::VariationModel;
 use crate::{CircuitError, Result};
 use bmf_stats::sample_standard_normal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The five ADC performance metrics of one simulated die.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -135,6 +145,97 @@ pub struct AdcTestbench {
     design: FlashAdcDesign,
     variation: VariationModel,
     layout: AdcLayoutEffects,
+    /// Built on the first simulation, not in [`Self::new`]: flows that only
+    /// construct the testbench (every op-amp-only run) never pay for it.
+    tables: OnceLock<AdcTables>,
+}
+
+/// The die-independent part of every simulation, shared by all dies.
+#[derive(Clone)]
+struct AdcTables {
+    /// The comparator-bank input record of each stage, indexed by
+    /// [`stage_index`].
+    inputs: [SortedRecord; 2],
+    /// Reconstruction level of each output code (mid-tread DAC).
+    levels: Vec<f64>,
+    /// The FFT plan of the record length.
+    plan: RealFftPlan,
+}
+
+impl std::fmt::Debug for AdcTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AdcTables")
+            .field("record_len", &self.inputs[0].0.len())
+            .field("levels", &self.levels.len())
+            .finish_non_exhaustive()
+    }
+}
+
+fn stage_index(stage: Stage) -> usize {
+    match stage {
+        Stage::Schematic => 0,
+        Stage::PostLayout => 1,
+    }
+}
+
+/// A record sorted ascending: each sample with its position in the record.
+#[derive(Clone)]
+struct SortedRecord(Vec<(f64, usize)>);
+
+impl SortedRecord {
+    /// Sorts `record`. A NaN sample trips no comparator (`x > t` is false),
+    /// so it is kept as −∞, which trips none either.
+    fn new(record: impl Iterator<Item = f64>) -> Self {
+        let mut order: Vec<(f64, usize)> = record
+            .map(|x| if x.is_nan() { f64::NEG_INFINITY } else { x })
+            .zip(0..)
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        SortedRecord(order)
+    }
+
+    /// Quantises the record through a comparator bank, in record order:
+    /// sample `x` becomes `levels[#{t : x > t}]`, the code of a
+    /// bubble-tolerant (ones-counter) encoder. That count is a rank, so it
+    /// does not depend on the comparators' order (which mismatch may
+    /// scramble): sort the thresholds and walk them once along the sorted
+    /// samples, in O(N + T log T) instead of O(N·T). `levels` needs one
+    /// entry more than there are thresholds.
+    fn convert(&self, mut thresholds: Vec<f64>, levels: &[f64]) -> Vec<f64> {
+        // A NaN threshold never trips (`x > NaN` is false).
+        thresholds.retain(|t| !t.is_nan());
+        thresholds.sort_unstable_by(f64::total_cmp);
+        let mut out = vec![0.0; self.0.len()];
+        let mut code = 0;
+        for &(x, i) in &self.0 {
+            while code < thresholds.len() && thresholds[code] < x {
+                code += 1;
+            }
+            out[i] = levels[code];
+        }
+        out
+    }
+}
+
+/// One die's mismatch realisation; empty vectors and a unit corner give
+/// the nominal die.
+struct Die {
+    /// Comparator input offsets, volts, one per comparator.
+    offsets: Vec<f64>,
+    /// Relative mismatch of each ladder segment.
+    ladder_rel: Vec<f64>,
+    /// Bias-current multiplier from the global `k'` corner.
+    power_corner: f64,
+}
+
+impl Die {
+    fn nominal() -> Self {
+        Die {
+            offsets: Vec::new(),
+            ladder_rel: Vec::new(),
+            power_corner: 1.0,
+        }
+    }
 }
 
 impl AdcTestbench {
@@ -201,6 +302,7 @@ impl AdcTestbench {
             design,
             variation,
             layout,
+            tables: OnceLock::new(),
         })
     }
 
@@ -273,47 +375,72 @@ impl AdcTestbench {
             .collect()
     }
 
-    /// Quantises one input voltage through the comparator bank, returning
-    /// the reconstructed analogue value (mid-tread DAC).
-    fn convert(&self, thresholds: &[f64], x: f64) -> f64 {
-        // Thermometer code: number of thresholds below the input. The
-        // thresholds may be locally non-monotonic under mismatch — counting
-        // comparators models a bubble-tolerant (ones-counter) encoder.
-        let code = thresholds.iter().filter(|&&t| x > t).count();
-        let levels = (1usize << self.design.bits) as f64;
-        (code as f64 + 0.5) / levels * self.design.vref
+    /// The die-independent tables, built on the first call.
+    fn tables(&self) -> &AdcTables {
+        self.tables.get_or_init(|| {
+            let sine = self
+                .stimulus()
+                .expect("record_len and signal_bin are validated by new");
+            let input = |stage| SortedRecord::new(sine.iter().map(|&x| self.settled(stage, x)));
+            let levels = (0..1usize << self.design.bits)
+                .map(|code| self.level(code))
+                .collect();
+            AdcTables {
+                inputs: [input(Stage::Schematic), input(Stage::PostLayout)],
+                levels,
+                plan: RealFftPlan::new(self.design.record_len)
+                    .expect("record_len is validated by new"),
+            }
+        })
     }
 
-    /// Simulates one die with explicit mismatch realisations.
-    fn simulate(
-        &self,
-        stage: Stage,
-        offsets: &[f64],
-        ladder_rel: &[f64],
-        power_corner: f64,
-    ) -> Result<AdcPerformance> {
+    /// The coherent test sine driving every die.
+    fn stimulus(&self) -> Result<Vec<f64>> {
         let d = &self.design;
-        let vcm = 0.5 * d.vref;
-        let amplitude = 0.49 * d.vref;
-        let input = coherent_sine(d.record_len, d.signal_bin, amplitude, vcm, 0.3)?;
+        coherent_sine(d.record_len, d.signal_bin, 0.49 * d.vref, 0.5 * d.vref, 0.3)
+    }
 
+    /// What the comparator bank sees of input `x`: post-layout adds the
+    /// cubic settling `x + k₃ (x − Vcm)³`.
+    fn settled(&self, stage: Stage, x: f64) -> f64 {
         let k3 = match stage {
             Stage::Schematic => 0.0,
             Stage::PostLayout => self.layout.cubic_nonlinearity,
         };
-        let thresholds = self.thresholds(stage, offsets, ladder_rel);
+        let dx = x - 0.5 * self.design.vref;
+        x + k3 * dx * dx * dx
+    }
 
-        let output: Vec<f64> = input
-            .iter()
-            .map(|&x| {
-                let dx = x - vcm;
-                let x_nl = x + k3 * dx * dx * dx;
-                self.convert(&thresholds, x_nl)
-            })
-            .collect();
+    /// The reconstructed analogue value of an output code (mid-tread DAC).
+    fn level(&self, code: usize) -> f64 {
+        let levels = (1usize << self.design.bits) as f64;
+        (code as f64 + 0.5) / levels * self.design.vref
+    }
 
-        let metrics = analyze(&output, d.signal_bin)?;
+    /// Quantises one input voltage through the comparator bank: the
+    /// per-sample ones-counter that [`SortedRecord::convert`] replaces.
+    #[cfg(test)]
+    fn convert(&self, thresholds: &[f64], x: f64) -> f64 {
+        self.level(thresholds.iter().filter(|&&t| x > t).count())
+    }
 
+    /// Simulates one die with explicit mismatch realisations.
+    fn simulate(&self, stage: Stage, die: &Die) -> Result<AdcPerformance> {
+        let tables = self.tables();
+        let thresholds = self.thresholds(stage, &die.offsets, &die.ladder_rel);
+        let output = tables.inputs[stage_index(stage)].convert(thresholds, &tables.levels);
+        let metrics = analyze_with(&tables.plan, &output, self.design.signal_bin)?;
+        Ok(self.performance(stage, metrics, die.power_corner))
+    }
+
+    /// Assembles a die's metrics from its spectrum and its power corner.
+    fn performance(
+        &self,
+        stage: Stage,
+        metrics: SpectralMetrics,
+        power_corner: f64,
+    ) -> AdcPerformance {
+        let d = &self.design;
         let overhead = match stage {
             Stage::Schematic => 1.0,
             Stage::PostLayout => 1.0 + self.layout.power_overhead,
@@ -321,13 +448,13 @@ impl AdcTestbench {
         let power_w =
             self.comparator_count() as f64 * d.comparator_bias * d.vdd * power_corner * overhead;
 
-        Ok(AdcPerformance {
+        AdcPerformance {
             snr_db: metrics.snr_db,
             sinad_db: metrics.sinad_db,
             sfdr_db: metrics.sfdr_db,
             thd_db: metrics.thd_db,
             power_w,
-        })
+        }
     }
 
     /// Performance at the nominal (variation-free) corner — `P_NOM` for the
@@ -337,7 +464,7 @@ impl AdcTestbench {
     ///
     /// Propagates signal-analysis failures.
     pub fn nominal_performance(&self, stage: Stage) -> Result<AdcPerformance> {
-        self.simulate(stage, &[], &[], 1.0)
+        self.simulate(stage, &Die::nominal())
     }
 
     /// Simulates one Monte Carlo die.
@@ -350,6 +477,12 @@ impl AdcTestbench {
         stage: Stage,
         rng: &mut R,
     ) -> Result<AdcPerformance> {
+        let die = self.draw(stage, rng);
+        self.simulate(stage, &die)
+    }
+
+    /// Draws one die's mismatch.
+    fn draw<R: Rng + ?Sized>(&self, stage: Stage, rng: &mut R) -> Die {
         let global = self.variation.sample_global(rng);
         let count = self.comparator_count();
 
@@ -373,7 +506,11 @@ impl AdcTestbench {
         // Bias currents track the global k' corner (same mirror for all).
         let power_corner = (1.0 + global.rel_kprime).max(0.2);
 
-        self.simulate(stage, &offsets, &ladder_rel, power_corner)
+        Die {
+            offsets,
+            ladder_rel,
+            power_corner,
+        }
     }
 }
 
@@ -499,6 +636,129 @@ mod tests {
             assert!(y >= prev);
             prev = y;
         }
+    }
+
+    /// The per-die path the tables replace: the stimulus settled and
+    /// quantised sample by sample by the ones-counter.
+    fn reference_record(
+        tb: &AdcTestbench,
+        stimulus: &[f64],
+        stage: Stage,
+        thresholds: &[f64],
+    ) -> Vec<f64> {
+        stimulus
+            .iter()
+            .map(|&x| tb.convert(thresholds, tb.settled(stage, x)))
+            .collect()
+    }
+
+    /// Simulates 2,000 seeded dies of `stage` both ways. The reference is
+    /// the path before the tables and the real-input plan: the per-sample
+    /// ones-counter, then the complex FFT of the full record. Records must
+    /// match bit for bit, metrics to 1e-9 relative.
+    fn check_against_reference(stage: Stage) {
+        let tb = AdcTestbench::default_180nm();
+        let tables = tb.tables();
+        let stimulus = tb.stimulus().unwrap();
+        let names = AdcPerformance::metric_names();
+        let mut r = rand::rngs::StdRng::seed_from_u64(2015);
+        for die in 0..2000 {
+            let d = tb.draw(stage, &mut r);
+            let thresholds = tb.thresholds(stage, &d.offsets, &d.ladder_rel);
+            let record = reference_record(&tb, &stimulus, stage, &thresholds);
+            let walked = tables.inputs[stage_index(stage)].convert(thresholds, &tables.levels);
+            assert_eq!(walked, record, "{stage} die {die}");
+            let reference = tb.performance(
+                stage,
+                crate::spectrum::analyze_reference(&record, tb.design.signal_bin).unwrap(),
+                d.power_corner,
+            );
+            let planned = tb.simulate(stage, &d).unwrap();
+            for ((name, x), y) in names
+                .iter()
+                .zip(reference.to_array())
+                .zip(planned.to_array())
+            {
+                assert!(
+                    (x - y).abs() <= 1e-9 * x.abs(),
+                    "{stage} die {die}: {name} {x} (reference) vs {y} (planned)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn schematic_dies_match_reference_path() {
+        check_against_reference(Stage::Schematic);
+    }
+
+    #[test]
+    fn post_layout_dies_match_reference_path() {
+        check_against_reference(Stage::PostLayout);
+    }
+
+    proptest::proptest! {
+        /// The merge walk is the ones-counter on any comparator bank:
+        /// thresholds on a coarse grid in random order (non-monotone, with
+        /// ties, some NaN), inputs exactly on thresholds, beyond both ends
+        /// of the ladder and non-finite.
+        #[test]
+        fn merge_walk_matches_ones_counter(
+            grid in proptest::collection::vec(0usize..18, 1..64),
+            on in proptest::collection::vec(0usize..64, 0..40),
+            free in proptest::collection::vec(-0.5..1.5f64, 0..40),
+        ) {
+            let tb = AdcTestbench::default_180nm();
+            let thresholds: Vec<f64> = grid
+                .iter()
+                .map(|&q| if q == 17 { f64::NAN } else { q as f64 / 16.0 })
+                .collect();
+            let mut inputs: Vec<f64> =
+                on.iter().map(|&i| thresholds[i % thresholds.len()]).collect();
+            inputs.extend(free);
+            inputs.extend([-1.0, 2.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN]);
+            let walked = SortedRecord::new(inputs.iter().copied())
+                .convert(thresholds.clone(), &tb.tables().levels);
+            let counted: Vec<f64> =
+                inputs.iter().map(|&x| tb.convert(&thresholds, x)).collect();
+            proptest::prop_assert_eq!(walked, counted);
+        }
+
+        /// With k₃ = −3 V⁻² the settled transfer `x + k₃(x − Vcm)³` folds
+        /// back for |x − Vcm| > 1/3 V, so the post-layout record is not in
+        /// the schematic's order. Its own sort must still give the
+        /// ones-counter's record on every die.
+        #[test]
+        fn non_monotone_settling_keeps_its_own_order(seed in 0u64..1_000_000) {
+            let layout = AdcLayoutEffects {
+                cubic_nonlinearity: -3.0,
+                ..AdcLayoutEffects::default_180nm()
+            };
+            let tb = AdcTestbench::new(
+                *AdcTestbench::default_180nm().design(),
+                VariationModel::nominal_180nm(),
+                layout,
+            )
+            .unwrap();
+            let tables = tb.tables();
+            let order = |r: &SortedRecord| r.0.iter().map(|&(_, i)| i).collect::<Vec<_>>();
+            proptest::prop_assert_ne!(order(&tables.inputs[0]), order(&tables.inputs[1]));
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let die = tb.draw(Stage::PostLayout, &mut r);
+            let thresholds = tb.thresholds(Stage::PostLayout, &die.offsets, &die.ladder_rel);
+            let stimulus = tb.stimulus().unwrap();
+            let record = reference_record(&tb, &stimulus, Stage::PostLayout, &thresholds);
+            let walked = tables.inputs[1].convert(thresholds, &tables.levels);
+            proptest::prop_assert_eq!(walked, record);
+        }
+    }
+
+    #[test]
+    fn tables_wait_for_the_first_simulation() {
+        let tb = AdcTestbench::default_180nm();
+        assert!(tb.tables.get().is_none());
+        tb.nominal_performance(Stage::Schematic).unwrap();
+        assert!(tb.tables.get().is_some());
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! sine (`f_in/f_s = M/N`, `M` odd and coprime to the power-of-two `N`), so
 //! every signal and harmonic component lands exactly on an FFT bin and no
 //! window is needed — the standard ADC characterisation setup.
+//!
+//! A real record's spectrum is conjugate-symmetric, so [`analyze`] reads
+//! only the one-sided spectrum `X[0..=N/2]`, which it takes from the
+//! half-length real-input transform of [`crate::fft`]. The ADC testbench
+//! builds that transform's plan once and reuses it for every die.
 
-use crate::fft::fft_real;
+use crate::fft::RealFftPlan;
 use crate::{CircuitError, Result};
+use bmf_linalg::Complex64;
 
 /// Number of harmonics (2nd..) included in THD, per the common "first five
 /// harmonics" convention.
@@ -25,6 +31,22 @@ pub struct SpectralMetrics {
     pub thd_db: f64,
 }
 
+/// Checks a coherent record's length `n` (a power of two, at least 8) and
+/// tone bin (in `1..n/2`).
+fn check_record(n: usize, bin: usize) -> Result<()> {
+    if n < 8 || !n.is_power_of_two() {
+        return Err(CircuitError::InvalidSignal {
+            reason: format!("record length must be a power of two >= 8, got {n}"),
+        });
+    }
+    if bin == 0 || bin >= n / 2 {
+        return Err(CircuitError::InvalidSignal {
+            reason: format!("signal bin {bin} outside 1..{}", n / 2),
+        });
+    }
+    Ok(())
+}
+
 /// Analyses a coherently sampled record.
 ///
 /// * `signal` — time-domain samples, length a power of two `N`.
@@ -36,8 +58,8 @@ pub struct SpectralMetrics {
 ///
 /// # Errors
 ///
-/// * [`CircuitError::InvalidSignal`] for a bad length or bin, or a record
-///   with no signal energy.
+/// * [`CircuitError::InvalidSignal`] for a bad length or bin, a non-finite
+///   sample or spectrum, or a record with no signal energy.
 ///
 /// # Example
 ///
@@ -57,32 +79,35 @@ pub struct SpectralMetrics {
 /// # }
 /// ```
 pub fn analyze(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
+    check_record(signal.len(), signal_bin)?;
+    analyze_with(&RealFftPlan::new(signal.len())?, signal, signal_bin)
+}
+
+/// [`analyze`] on a plan for `signal.len()`, for a record whose length and
+/// bin are already checked.
+pub(crate) fn analyze_with(
+    plan: &RealFftPlan,
+    signal: &[f64],
+    signal_bin: usize,
+) -> Result<SpectralMetrics> {
     bmf_obs::counters::SPECTRUM_ANALYSES.incr();
     let _timer = bmf_obs::histograms::SPECTRUM_NS.timer();
     let _span = bmf_obs::span("spectrum.analyze");
-    let n = signal.len();
-    if n < 8 || !n.is_power_of_two() {
+    if let Some(i) = signal.iter().position(|x| !x.is_finite()) {
         return Err(CircuitError::InvalidSignal {
-            reason: format!("record length must be a power of two >= 8, got {n}"),
+            reason: format!("sample {i} is {}", signal[i]),
         });
     }
-    if signal_bin == 0 || signal_bin >= n / 2 {
-        return Err(CircuitError::InvalidSignal {
-            reason: format!("signal bin {signal_bin} outside 1..{}", n / 2),
-        });
-    }
+    metrics(&plan.half_spectrum(signal), signal.len(), signal_bin)
+}
 
-    let spec = fft_real(signal)?;
+/// The metrics of an `n`-point record from its spectrum `spec`, of which
+/// only bins `1..n/2` are read.
+fn metrics(spec: &[Complex64], n: usize, signal_bin: usize) -> Result<SpectralMetrics> {
     // One-sided power spectrum over bins 1..N/2 (DC and Nyquist excluded
     // from the analysis set).
     let power = |bin: usize| -> f64 { spec[bin].abs_sq() };
-
     let p_signal = power(signal_bin);
-    if p_signal <= 0.0 {
-        return Err(CircuitError::InvalidSignal {
-            reason: "no energy in the signal bin".to_string(),
-        });
-    }
 
     // Fold harmonic k·M into the first Nyquist zone.
     let fold = |k: usize| -> usize {
@@ -97,22 +122,39 @@ pub fn analyze(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
         .map(fold)
         .filter(|&b| b >= 1 && b < n / 2 && b != signal_bin)
         .collect();
+    let mut is_harmonic = vec![false; n / 2];
+    for &b in &harmonic_bins {
+        is_harmonic[b] = true;
+    }
 
     let p_harmonics: f64 = harmonic_bins.iter().map(|&b| power(b)).sum();
 
     let mut p_noise = 0.0;
     let mut p_max_spur = 0.0;
-    for b in 1..n / 2 {
+    for (b, &harmonic) in is_harmonic.iter().enumerate().skip(1) {
         if b == signal_bin {
             continue;
         }
         let p = power(b);
-        if !harmonic_bins.contains(&b) {
+        if !harmonic {
             p_noise += p;
         }
         if p > p_max_spur {
             p_max_spur = p;
         }
+    }
+
+    // Every bin other than the signal's is noise or harmonic, so these
+    // three sums are finite only if the whole analysed spectrum is.
+    if !(p_signal.is_finite() && p_noise.is_finite() && p_harmonics.is_finite()) {
+        return Err(CircuitError::InvalidSignal {
+            reason: "non-finite spectrum".to_string(),
+        });
+    }
+    if p_signal <= 0.0 {
+        return Err(CircuitError::InvalidSignal {
+            reason: "no energy in the signal bin".to_string(),
+        });
     }
 
     let db = |ratio: f64| 10.0 * ratio.max(1e-30).log10();
@@ -122,6 +164,16 @@ pub fn analyze(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
         sfdr_db: db(p_signal / p_max_spur.max(1e-30)),
         thd_db: db(p_harmonics.max(1e-30) / p_signal),
     })
+}
+
+/// [`analyze`] by the complex FFT of the full record: the path the
+/// half-length real transform replaced, kept as its reference.
+#[cfg(test)]
+pub(crate) fn analyze_reference(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
+    check_record(signal.len(), signal_bin)?;
+    let mut spec: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_re(x)).collect();
+    crate::fft::fft_in_place(&mut spec)?;
+    metrics(&spec, signal.len(), signal_bin)
 }
 
 /// Generates a coherently sampled sine record:
@@ -138,16 +190,7 @@ pub fn coherent_sine(
     offset: f64,
     phase: f64,
 ) -> Result<Vec<f64>> {
-    if n < 8 || !n.is_power_of_two() {
-        return Err(CircuitError::InvalidSignal {
-            reason: format!("record length must be a power of two >= 8, got {n}"),
-        });
-    }
-    if bin == 0 || bin >= n / 2 {
-        return Err(CircuitError::InvalidSignal {
-            reason: format!("signal bin {bin} outside 1..{}", n / 2),
-        });
-    }
+    check_record(n, bin)?;
     Ok((0..n)
         .map(|i| {
             amplitude
@@ -169,6 +212,28 @@ mod tests {
         assert!(analyze(&[0.0; 16], 3).is_err()); // zero energy
         assert!(coherent_sine(12, 1, 1.0, 0.0, 0.0).is_err());
         assert!(coherent_sine(16, 0, 1.0, 0.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_records_are_invalid_signals() {
+        // A bad sample must fail the record, not read as −300 dB on every
+        // metric: a failed die is retried, a plausible-looking one is kept.
+        let tone = coherent_sine(64, 5, 1.0, 0.0, 0.0).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut signal = tone.clone();
+            signal[17] = bad;
+            assert!(
+                matches!(analyze(&signal, 5), Err(CircuitError::InvalidSignal { .. })),
+                "sample {bad} was accepted"
+            );
+        }
+        // Finite samples whose spectrum overflows are refused too.
+        let huge = coherent_sine(64, 5, 1e306, 0.0, 0.0).unwrap();
+        assert!(huge.iter().all(|x| x.is_finite()));
+        assert!(matches!(
+            analyze(&huge, 5),
+            Err(CircuitError::InvalidSignal { .. })
+        ));
     }
 
     #[test]

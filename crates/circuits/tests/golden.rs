@@ -7,8 +7,15 @@
 //!
 //! The op-amp digests date from the switch of its AC measurement to one
 //! `G + sC` transfer-function extraction per die (metrics within 1e-9
-//! relative of the dense per-frequency solve, checked in `opamp.rs`). The
-//! ADC digests predate that switch: the ADC path shares no code with it.
+//! relative of the dense per-frequency solve, checked in `opamp.rs`).
+//!
+//! The two ADC digests date from the switch of its spectrum to the
+//! half-length real-input FFT with directly computed twiddles. The
+//! die-independent tables and the sorted comparator walk that came with it
+//! left every bit as it was; the FFT moved the last bits of the metrics. The
+//! oracle bounding them is `adc.rs`'s `*_dies_match_reference_path`: over
+//! 2,000 seeded dies per stage, the per-sample ones-counter plus the complex
+//! FFT of the full record agree with the testbench to 1e-9 relative.
 
 use bmf_circuits::adc::AdcTestbench;
 use bmf_circuits::monte_carlo::{run_monte_carlo_seeded, Stage, Testbench};
@@ -57,7 +64,7 @@ fn adc_schematic_digest() {
     check(
         &AdcTestbench::default_180nm(),
         Stage::Schematic,
-        0x654e_54ee_d6d7_b3a3,
+        0x623c_a0f2_1505_54b9,
     );
 }
 
@@ -66,6 +73,6 @@ fn adc_post_layout_digest() {
     check(
         &AdcTestbench::default_180nm(),
         Stage::PostLayout,
-        0x0ca5_82f8_3b93_8868,
+        0x2b0f_b63f_57c4_aac8,
     );
 }

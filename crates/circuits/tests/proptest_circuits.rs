@@ -1,10 +1,11 @@
 //! Property-based tests for the circuit-simulation substrate.
 
-use bmf_circuits::fft::{fft_real, ifft_in_place};
+use bmf_circuits::fft::{fft_in_place, fft_real, ifft_in_place};
 use bmf_circuits::mna::AcAnalysis;
 use bmf_circuits::mosfet::{DeviceVariation, Geometry, Mosfet, Polarity, TechnologyParams};
 use bmf_circuits::netlist::Netlist;
 use bmf_circuits::CircuitError;
+use bmf_linalg::Complex64;
 use proptest::prelude::*;
 
 /// `10^(lo + u·(hi − lo))` for `u` in `[0, 1)`: log-uniform component values.
@@ -113,16 +114,41 @@ proptest! {
         }
     }
 
-    /// Parseval holds for arbitrary signals.
+    /// Parseval and conjugate symmetry hold for arbitrary real signals.
     #[test]
-    fn fft_parseval(raw in proptest::collection::vec(-10.0..10.0f64, 8..64)) {
+    fn fft_parseval(raw in proptest::collection::vec(-10.0..10.0f64, 1..4097)) {
         let n = raw.len().next_power_of_two();
         let mut signal = raw.clone();
         signal.resize(n, 0.0);
         let spec = fft_real(&signal).unwrap();
+        prop_assert_eq!(spec.len(), n);
+        for k in 1..n {
+            prop_assert_eq!(spec[n - k], spec[k].conj());
+        }
+        prop_assert!(spec[0].im == 0.0 && spec[n / 2].im == 0.0);
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
         let freq_energy: f64 = spec.iter().map(|z| z.abs_sq()).sum::<f64>() / n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
+    }
+
+    /// The packed half-length real transform is the complex transform of
+    /// the same record, bin for bin: at the ADC's 4,096 samples and at a
+    /// shorter power of two.
+    #[test]
+    fn real_fft_matches_complex_fft(
+        bits in 1u32..12,
+        raw in proptest::collection::vec(-100.0..100.0f64, 4096),
+    ) {
+        for signal in [&raw[..], &raw[..1usize << bits]] {
+            let packed = fft_real(signal).unwrap();
+            let mut full: Vec<Complex64> =
+                signal.iter().map(|&x| Complex64::from_re(x)).collect();
+            fft_in_place(&mut full).unwrap();
+            let scale = full.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            for (k, (a, b)) in packed.iter().zip(&full).enumerate() {
+                prop_assert!((*a - *b).abs() <= 1e-12 * scale, "bin {k}: {a} vs {b}");
+            }
+        }
     }
 
     /// Square-law drain current is monotone in both controls (in
