@@ -1,12 +1,10 @@
-//! Shared harness code for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared harness code for the figure-regeneration binaries.
 //!
 //! The paper's evaluation (§5) consists of Figure 4 (op-amp) and Figure 5
 //! (ADC), each plotting mean-vector and covariance estimation error versus
 //! the number of late-stage samples for MLE and BMF, plus in-text
 //! cost-reduction factors and CV-selected hyper-parameters. The binaries
-//! `fig4_opamp`, `fig5_adc` and `ablations` regenerate all of them;
-//! `benches/` holds the Criterion component benchmarks.
+//! `fig4_opamp`, `fig5_adc` and `ablations` regenerate all of them.
 
 pub mod plot;
 pub mod stages;

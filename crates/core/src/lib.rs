@@ -27,11 +27,11 @@
 //! paper — is provided in [`yield_estimation`] (plain Monte Carlo plus
 //! mean-shift importance sampling for high-sigma failures).
 //!
-//! Companion modules extend the reproduction: [`univariate`] (the
-//! single-metric prior art the paper generalises), [`bernoulli`] (BMF-BD
-//! pass/fail yield fusion), [`diagnostics`] (Mardia normality test for the
-//! Gaussian assumption), [`robustness`] (non-Gaussian stress harness) and
-//! [`io`] (CSV interchange).
+//! The single-metric BMF the paper generalises (§2, ref. \[7\]) is
+//! [`map::BmfEstimator`] at `d = 1`. Companion modules extend the
+//! reproduction: [`diagnostics`] (Mardia normality test for the Gaussian
+//! assumption), [`robustness`] (non-Gaussian stress harness) and [`io`]
+//! (CSV interchange).
 //!
 //! # Quickstart
 //!
@@ -74,7 +74,6 @@
 // the semantics every constructor here wants.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod bernoulli;
 pub mod cv;
 pub mod diagnostics;
 pub mod drift;
@@ -92,7 +91,6 @@ pub mod prior;
 pub mod robustness;
 pub mod suffstats;
 pub mod transform;
-pub mod univariate;
 pub mod yield_estimation;
 
 pub use error::BmfError;

@@ -24,8 +24,8 @@ impl SpecLimits {
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidConfig`] for empty limits or an interval
-    /// with `lower >= upper`.
+    /// Returns [`BmfError::InvalidConfig`] for empty limits, a non-finite
+    /// bound or an interval with `lower >= upper`.
     pub fn new(lower: Vec<Option<f64>>, upper: Vec<Option<f64>>) -> Result<Self> {
         if lower.is_empty() || lower.len() != upper.len() {
             return Err(BmfError::InvalidConfig {
@@ -37,6 +37,13 @@ impl SpecLimits {
             });
         }
         for (i, (lo, hi)) in lower.iter().zip(upper.iter()).enumerate() {
+            // A NaN bound fails every comparison in `passes` and so never
+            // rejects a die; an infinite one rejects every die or none.
+            if let Some(b) = lo.iter().chain(hi).find(|b| !b.is_finite()) {
+                return Err(BmfError::InvalidConfig {
+                    reason: format!("metric {i}: spec limit {b} is not finite"),
+                });
+            }
             if let (Some(l), Some(h)) = (lo, hi) {
                 if l >= h {
                     return Err(BmfError::InvalidConfig {
@@ -338,6 +345,10 @@ mod tests {
         assert!(SpecLimits::new(vec![Some(2.0)], vec![Some(1.0)]).is_err());
         assert!(SpecLimits::new(vec![Some(1.0)], vec![Some(2.0)]).is_ok());
         assert!(SpecLimits::new(vec![None], vec![None]).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(SpecLimits::new(vec![Some(bad)], vec![None]).is_err());
+            assert!(SpecLimits::new(vec![None], vec![Some(bad)]).is_err());
+        }
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //!   usual arithmetic, norms and views.
 //! * [`Cholesky`]: SPD factorisation — solve, inverse, log-determinant and
 //!   the lower factor used to colour white noise when sampling Gaussians.
-//! * [`Lu`]: partial-pivoted LU for general square systems.
 //! * [`SymmetricEigen`]: cyclic Jacobi eigen-decomposition of symmetric
 //!   matrices (used for PSD diagnostics and nearest-SPD projection).
 //! * [`spd`]: condition-number estimation and the SPD repair ladder
 //!   ([`Cholesky::new_with_repair`]) for near-singular covariances.
-//! * [`Qr`]: Householder QR with least-squares solve.
 //! * [`Complex64`], [`CVector`], [`CMatrix`], [`CLu`]: complex arithmetic
 //!   and a complex LU solver for AC circuit analysis.
 //!
@@ -46,9 +44,7 @@ mod cholesky;
 mod complex;
 mod eigen;
 mod error;
-mod lu;
 mod matrix;
-mod qr;
 pub mod spd;
 mod vector;
 
@@ -56,9 +52,7 @@ pub use cholesky::{nearest_spd, Cholesky};
 pub use complex::{CLu, CMatrix, CVector, Complex64};
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use spd::{condition_number, RepairedCholesky, SpdRepair};
 pub use vector::Vector;
 

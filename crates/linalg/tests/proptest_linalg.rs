@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra kernel.
 
-use bmf_linalg::{nearest_spd, Cholesky, Lu, Matrix, Qr, SymmetricEigen, Vector};
+use bmf_linalg::{nearest_spd, Cholesky, Matrix, SymmetricEigen, Vector};
 use proptest::prelude::*;
 
 /// Strategy: vector of length `n` with entries in a tame range.
@@ -74,19 +74,12 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_lndet_matches_lu(a in spd_strategy(3)) {
+    fn cholesky_lndet_matches_eigen(a in spd_strategy(3)) {
+        // ln|A| = Σ ln λᵢ; Jacobi shares no arithmetic with Cholesky.
         let chol_lndet = Cholesky::new(&a).unwrap().ln_det();
-        let lu_lndet = Lu::new(&a).unwrap().ln_abs_det();
-        prop_assert!((chol_lndet - lu_lndet).abs() < 1e-8 * (1.0 + chol_lndet.abs()));
-    }
-
-    #[test]
-    fn lu_solve_residual_small(a in spd_strategy(5), b in vec_strategy(5)) {
-        // SPD guarantees non-singularity; LU must solve it too.
-        let x = Lu::new(&a).unwrap().solve_vec(&b).unwrap();
-        let r = a.mat_vec(&x).unwrap();
-        let scale = b.norm2().max(1.0) * a.norm_max().max(1.0);
-        prop_assert!(r.max_abs_diff(&b).unwrap() < 1e-7 * scale);
+        let eig = SymmetricEigen::new(&a).unwrap();
+        let eig_lndet: f64 = eig.eigenvalues().iter().map(|l| l.ln()).sum();
+        prop_assert!((chol_lndet - eig_lndet).abs() < 1e-8 * (1.0 + chol_lndet.abs()));
     }
 
     #[test]
@@ -114,14 +107,6 @@ proptest! {
         sym.symmetrize().unwrap();
         let spd = nearest_spd(&sym, 1e-8).unwrap();
         prop_assert!(Cholesky::new(&spd).is_ok());
-    }
-
-    #[test]
-    fn qr_least_squares_is_exact_for_square_spd(a in spd_strategy(3), b in vec_strategy(3)) {
-        let x = Qr::new(&a).unwrap().solve_least_squares(&b).unwrap();
-        let r = a.mat_vec(&x).unwrap();
-        let scale = b.norm2().max(1.0) * a.norm_max().max(1.0);
-        prop_assert!(r.max_abs_diff(&b).unwrap() < 1e-6 * scale);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! it and no allowed crate provides it), the joint normal-Wishart
 //! distribution of the BMF prior, and the multivariate Student-t that arises
 //! as its posterior predictive. Supporting analysis tools: descriptive
-//! statistics up to kurtosis ([`descriptive`]), Latin hypercube sampling
-//! ([`lhs`]) and principal component analysis ([`pca`]).
+//! statistics up to kurtosis ([`descriptive`]) and principal component
+//! analysis ([`pca`]).
 //!
 //! # Example — estimating moments of a sampled Gaussian
 //!
@@ -39,7 +39,6 @@
 pub mod descriptive;
 mod error;
 pub mod exact;
-pub mod lhs;
 mod mvn;
 mod normal_wishart;
 pub mod parallel;

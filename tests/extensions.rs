@@ -1,17 +1,15 @@
 //! Integration tests for the extension modules, exercised on real circuit
-//! data: univariate-vs-multivariate BMF, Bernoulli yield fusion vs
-//! moment-based yield, Gaussianity diagnostics, LHS sampling and PCA.
+//! data: multivariate vs per-metric BMF, moment-based yield vs the
+//! empirical pass rate, Gaussianity diagnostics and PCA.
 
 use bmf_ams::circuits::monte_carlo::{run_monte_carlo, Stage};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
-use bmf_ams::core::bernoulli::BernoulliBmf;
 use bmf_ams::core::diagnostics::mardia_test;
 use bmf_ams::core::prelude::*;
-use bmf_ams::core::univariate;
 use bmf_ams::core::yield_estimation::estimate_yield;
-use bmf_ams::linalg::Matrix;
+use bmf_ams::linalg::{Matrix, Vector};
+use bmf_ams::stats::descriptive;
 use bmf_ams::stats::pca::Pca;
-use bmf_ams::stats::{descriptive, lhs, MultivariateNormal};
 use rand::SeedableRng;
 
 fn opamp_pools(seed: u64, n: usize) -> (Matrix, Matrix) {
@@ -47,8 +45,26 @@ fn multivariate_bmf_beats_per_metric_univariate_on_circuit_data() {
     };
     let few = Matrix::from_fn(16, 5, |i, j| late_norm[(i, j)]);
 
-    let per_metric =
-        univariate::estimate_per_metric(&early_moments, 5.0, 50.0, &few).expect("univariate");
+    // The single-metric BMF of ref. [7] is the same estimator at d = 1, run
+    // once per column; only the diagonal of Σ survives.
+    let mut per_metric = MomentEstimate {
+        mean: Vector::zeros(5),
+        cov: Matrix::zeros(5, 5),
+    };
+    for j in 0..5 {
+        let early_j = MomentEstimate {
+            mean: Vector::from_slice(&[early_moments.mean[j]]),
+            cov: Matrix::from_fn(1, 1, |_, _| early_moments.cov[(j, j)]),
+        };
+        let prior_j = NormalWishartPrior::from_early_moments(&early_j, 5.0, 50.0).expect("prior");
+        let column = Matrix::from_fn(few.nrows(), 1, |i, _| few[(i, j)]);
+        let fused = BmfEstimator::new(prior_j)
+            .expect("estimator")
+            .estimate(&column)
+            .expect("map");
+        per_metric.mean[j] = fused.map.mean[0];
+        per_metric.cov[(j, j)] = fused.map.cov[(0, 0)];
+    }
     let prior = NormalWishartPrior::from_early_moments(&early_moments, 5.0, 50.0).expect("prior");
     let multi = BmfEstimator::new(prior)
         .expect("estimator")
@@ -61,7 +77,7 @@ fn multivariate_bmf_beats_per_metric_univariate_on_circuit_data() {
         multi_err < uni_err,
         "multivariate ({multi_err:.4}) must beat correlation-blind per-metric ({uni_err:.4})"
     );
-    // The gap is the off-diagonal mass the univariate method cannot see.
+    // The gap is the off-diagonal mass the per-metric method cannot see.
     let corr = descriptive::correlation_from_cov(&exact.cov).expect("corr");
     let mut max_off = 0.0_f64;
     for i in 0..5 {
@@ -76,10 +92,9 @@ fn multivariate_bmf_beats_per_metric_univariate_on_circuit_data() {
 }
 
 #[test]
-fn bernoulli_fusion_agrees_with_moment_based_yield() {
-    // Two routes to the same quantity: (a) BMF moments → Gaussian yield,
-    // (b) Beta-Bernoulli fusion of pass/fail counts. With a good prior and
-    // the same data they should land in the same neighbourhood.
+fn moment_based_yield_matches_empirical_pass_rate() {
+    // The pool's moments → Gaussian yield must land near the pass rate
+    // counted on the same dies.
     let (_, late_pool) = opamp_pools(2, 1200);
     let specs = SpecLimits::new(
         vec![Some(82.0), None, None, Some(-5e-3), Some(64.0)],
@@ -100,29 +115,6 @@ fn bernoulli_fusion_agrees_with_moment_based_yield() {
         "reference = {reference}"
     );
 
-    // Route (b): early yield (here: reference as a stand-in prior) fused
-    // with 20 observed dies.
-    let n_obs = 20;
-    let mut obs_pass = 0usize;
-    for i in 0..n_obs {
-        if specs.passes(&late_pool.row_vec(i)) {
-            obs_pass += 1;
-        }
-    }
-    let bd = BernoulliBmf::from_early_yield(reference.clamp(0.01, 0.99), 30.0).expect("prior");
-    let post = bd.observe(obs_pass, n_obs - obs_pass).expect("observe");
-    assert!(
-        (post.mean_yield() - reference).abs() < 0.15,
-        "beta-fused {} vs reference {reference}",
-        post.mean_yield()
-    );
-    let (lo, hi) = post.credible_interval(0.95).expect("interval");
-    assert!(
-        lo < reference && reference < hi,
-        "[{lo}, {hi}] vs {reference}"
-    );
-
-    // Route (a): moments of the pool → Gaussian yield.
     let moments = MomentEstimate {
         mean: descriptive::mean_vector(&late_pool).expect("mean"),
         cov: descriptive::covariance_mle(&late_pool).expect("cov"),
@@ -145,39 +137,6 @@ fn mardia_diagnostics_run_on_both_stages() {
     // near d(d+2) = 35 for both stages.
     assert!((e.kurtosis - 35.0).abs() < 8.0, "early b2 = {}", e.kurtosis);
     assert!((l.kurtosis - 35.0).abs() < 8.0, "late b2 = {}", l.kurtosis);
-}
-
-#[test]
-fn lhs_early_pool_gives_tighter_prior_mean() {
-    // Using LHS for the early pool reduces the prior-moment noise at equal
-    // simulation cost — demonstrated on the fitted Gaussian surrogate.
-    let (early_pool, _) = opamp_pools(5, 1500);
-    let surrogate = MultivariateNormal::new(
-        descriptive::mean_vector(&early_pool).expect("mean"),
-        bmf_ams::linalg::nearest_spd(
-            &descriptive::covariance_mle(&early_pool).expect("cov"),
-            1e-9,
-        )
-        .expect("spd"),
-    )
-    .expect("surrogate");
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-    let reps = 30;
-    let n = 64;
-    let mut iid_err = 0.0;
-    let mut lhs_err = 0.0;
-    for _ in 0..reps {
-        let iid = surrogate.sample_matrix(&mut rng, n);
-        iid_err += (&descriptive::mean_vector(&iid).expect("mean") - surrogate.mean()).norm2();
-        let stratified = lhs::sample_mvn_lhs(&surrogate, &mut rng, n).expect("lhs");
-        lhs_err +=
-            (&descriptive::mean_vector(&stratified).expect("mean") - surrogate.mean()).norm2();
-    }
-    assert!(
-        lhs_err < 0.5 * iid_err,
-        "LHS mean error {lhs_err:.4} should be well below IID {iid_err:.4}"
-    );
 }
 
 #[test]

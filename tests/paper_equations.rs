@@ -20,7 +20,9 @@ fn samples(n: usize, seed: u64) -> Matrix {
     truth.sample_matrix(&mut rng, n)
 }
 
-/// Eq. 31: μ_MAP = (κ₀ μ_E + n X̄)/(κ₀ + n), verified element-wise.
+/// Eq. 31: μ_MAP = (κ₀ μ_E + n X̄)/(κ₀ + n), verified element-wise, and
+/// against the known-Σ oracle: with Σ = Σ_E fixed, the posterior mean is
+/// the product of the Gaussians N(μ_E, Σ_E/κ₀) and N(X̄, Σ_E/n).
 #[test]
 fn eq31_map_mean_formula() {
     let s = samples(10, 1);
@@ -35,6 +37,19 @@ fn eq31_map_mean_formula() {
                 "kappa0 = {kappa0}, j = {j}"
             );
         }
+
+        // μ = cov₂(cov₁+cov₂)⁻¹μ₁ + cov₁(cov₁+cov₂)⁻¹μ₂ for N(μ₁, cov₁)·N(μ₂, cov₂).
+        let cov1 = early().cov / kappa0;
+        let cov2 = early().cov / 10.0;
+        let inv12 = Cholesky::new(&(&cov1 + &cov2)).unwrap().inverse().unwrap();
+        let w1 = cov2.mat_mul(&inv12).unwrap();
+        let w2 = cov1.mat_mul(&inv12).unwrap();
+        let fused = &w1.mat_vec(&early().mean).unwrap() + &w2.mat_vec(&xbar).unwrap();
+        assert!(
+            (&est.map.mean - &fused).norm2() < 1e-10 * fused.norm2(),
+            "kappa0 = {kappa0}: known-Σ fusion {fused} vs MAP {}",
+            est.map.mean
+        );
     }
 }
 

@@ -14,7 +14,64 @@ fn spd2(vals: &[f64]) -> Matrix {
     a
 }
 
+/// ln p(μ, Λ | X) up to a constant, built from its two factors alone: the
+/// normal-Wishart prior density and the Gaussian likelihood of the samples.
+fn ln_posterior(prior: &NormalWishartPrior, s: &Matrix, mu: &Vector, lambda: &Matrix) -> f64 {
+    let nw = prior.to_normal_wishart().unwrap();
+    let cov = Cholesky::new(lambda).unwrap().inverse().unwrap();
+    let model = MultivariateNormal::new(mu.clone(), cov).unwrap();
+    nw.ln_pdf(mu, lambda).unwrap() + model.ln_likelihood(s).unwrap()
+}
+
 proptest! {
+    /// Eq. 31–32 is the argmax of the joint log-posterior: stepping away
+    /// from (μ_MAP, Σ_MAP⁻¹) in either direction along a random line in
+    /// (μ, symmetric Λ) lowers it, at every step size.
+    #[test]
+    fn map_is_the_argmax_of_the_log_posterior(
+        vals in proptest::collection::vec(-1.0..1.0f64, 4),
+        kappa0 in 0.05..200.0f64,
+        nu0_excess in 0.05..200.0f64,
+        n in 1usize..20,
+        seed in 0u64..1000,
+        dir in proptest::collection::vec(-1.0..1.0f64, 5),
+        k in 1i32..4,
+    ) {
+        let early = MomentEstimate { mean: Vector::zeros(2), cov: spd2(&vals) };
+        let truth = MultivariateNormal::new(
+            Vector::from_slice(&[1.0, -1.0]),
+            Matrix::from_rows(&[&[1.0, 0.3], &[0.3, 0.8]]).unwrap(),
+        ).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let s = truth.sample_matrix(&mut rng, n);
+
+        let prior = NormalWishartPrior::from_early_moments(&early, kappa0, 2.0 + nu0_excess).unwrap();
+        let map = BmfEstimator::new(prior.clone()).unwrap().estimate(&s).unwrap().map;
+        let lambda_map = Cholesky::new(&map.cov).unwrap().inverse().unwrap();
+        let peak = ln_posterior(&prior, &s, &map.mean, &lambda_map);
+
+        let norm = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let u: Vec<f64> = dir.iter().map(|v| v / norm).collect();
+        let eps = 10f64.powi(-k);
+        for sign in [1.0, -1.0] {
+            let step = sign * eps;
+            let mu = &map.mean + &(Vector::from_slice(&u[..2]) * step);
+            let mut lambda = lambda_map.clone();
+            lambda[(0, 0)] += step * u[2];
+            lambda[(1, 1)] += step * u[3];
+            lambda[(0, 1)] += step * u[4];
+            lambda[(1, 0)] += step * u[4];
+            if Cholesky::new(&lambda).is_err() {
+                continue;
+            }
+            let moved = ln_posterior(&prior, &s, &mu, &lambda);
+            prop_assert!(
+                moved < peak,
+                "step {step}: ln posterior {moved} >= {peak} at the MAP"
+            );
+        }
+    }
+
     /// μ_MAP always lies on the segment between μ_E and X̄ (Eq. 31 is a
     /// convex combination), for any positive κ₀.
     #[test]
