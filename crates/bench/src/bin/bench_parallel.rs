@@ -170,7 +170,7 @@ fn main() {
         });
     }
 
-    // CV scaling gate: with ≥ 2 real cores, the (candidate × repeat)
+    // CV scaling gate: with ≥ 2 real cores, the one-task-per-repeat
     // work split must make 2 threads beat 1. On 1-core hardware the
     // 2-thread cell is oversubscribed and the gate is vacuous — a
     // saturated timing says nothing about the work split.

@@ -8,7 +8,7 @@
 //! n = 32. The printed lines must also appear verbatim in the committed
 //! `results/` tables, so those cannot go stale either.
 //!
-//! Release-only (about 7 s optimised):
+//! Release-only (about 1 s optimised):
 //! `cargo test --release -p bmf-bench --test paper_claims`.
 
 use bmf_bench::{format_cost_reduction, run_circuit_experiment};

@@ -10,39 +10,52 @@
 //! # The fast scoring path
 //!
 //! Read literally, the paper's procedure refits the whole estimator per
-//! candidate × repeat × fold: fresh sufficient statistics (O(n·d²)) plus a
-//! fresh covariance factorisation (O(d³)) for every grid point. This module
-//! instead exploits the grid's rank structure (the `FoldCaches` internals):
+//! candidate × repeat × fold and then evaluates every held-out row. This
+//! module scores each fold from sufficient statistics instead, the
+//! local-statistics pattern of Weng & Djurić: a held-out fold enters its
+//! Gaussian log-likelihood only through its count, mean and scatter
+//! `(n_t, X̄_t, S_t)`, because
 //!
-//! * per (repeat, fold), the training statistics `(n, X̄, S)`, the prior–data
-//!   gap `δ = μ_E − X̄` and the centred held-out rows are computed **once**,
-//!   outside the candidate loop;
-//! * per feasible ν₀, the base matrix `M(ν₀) = S + (ν₀−d)Σ_E` is factorised
-//!   **once** per fold (`|ν|` Cholesky calls instead of `|ν|·|κ|`), and its
-//!   factor is applied to the held-out rows and to δ right away
-//!   (`ŷ_t = L⁻¹(x_t−X̄)`, `ẑ = L⁻¹δ`);
-//! * per candidate, the posterior inverse scale differs from `M(ν₀)` only by
-//!   the rank-one term `κ₀n/(κ₀+n)·δδᵀ` (Eq. 25) and the MAP covariance by
-//!   the scalar `1/(ν₀+n−d)` (Eq. 32), so the matrix determinant lemma and
-//!   Sherman–Morrison reduce each grid point to scalar arithmetic on the
-//!   cached solves — O(d) per held-out row, no factorisation, no triangular
-//!   solve, and no allocation in the candidate loop. (When the explicit
-//!   posterior factor is needed, [`bmf_linalg::Cholesky::rank1_update`] +
-//!   [`bmf_linalg::Cholesky::scaled`] perform the same update in O(d²).)
+//! `Σ_t (x_t−μ)ᵀΣ⁻¹(x_t−μ) = tr(Σ⁻¹S_t) + n_t·(X̄_t−μ)ᵀΣ⁻¹(X̄_t−μ)`.
+//!
+//! * Per repeat, one pass over the permuted rows reduces the `Q` held-out
+//!   folds to `(n_t, X̄_t, S_t)`. A fold's training statistics `(n, X̄, S)`
+//!   are the merge of the other `Q − 1`; `δ = μ_E − X̄` is the prior–data
+//!   mean gap and `e = X̄_t − X̄` the held-out mean's offset.
+//! * Per (fold, ν₀), the base matrix `M(ν₀) = S + (ν₀−d)Σ_E` is factorised
+//!   **once** (`|ν|` Cholesky calls per fold instead of `|ν|·|κ|`) and
+//!   reduced to six scalars: `ln|M|`, `g = δᵀM⁻¹δ`, `tr(M⁻¹S_t)`,
+//!   `h = δᵀM⁻¹S_tM⁻¹δ`, `eᵀM⁻¹e` and `eᵀM⁻¹δ`. The trace and `eᵀM⁻¹e` are
+//!   kept as their parts across `M⁻¹δ` (`tr(M⁻¹S_t) − h/g`,
+//!   `eᵀM⁻¹e − (eᵀM⁻¹δ)²/g`), which the candidate formula needs and which
+//!   stay accurate however far the prior mean sits from the data. The
+//!   trace costs O(d²·min(n_t, d)): one triangular solve per centred
+//!   held-out row when there are at most `d` of them, else two per row of
+//!   `S_t`.
+//! * Per candidate, the posterior inverse scale differs from `M(ν₀)` only
+//!   by the rank-one term `c·δδᵀ`, `c = κ₀n/(κ₀+n)` (Eq. 25), and the MAP
+//!   covariance by the scalar `1/(ν₀+n−d)` (Eq. 32), so the matrix
+//!   determinant lemma and Sherman–Morrison score each fold in O(1) from
+//!   the six scalars: no factorisation, solve, row or allocation.
+//!
+//! One search therefore costs `|ν|·Q·repeats` factorisations of O(d³)
+//! plus `|κ|·|ν|·Q·repeats` O(1) scores, and beyond the O(n·d²) pass that
+//! forms the fold statistics it no longer grows with `n`.
 //!
 //! The naive per-candidate refit survives behind
 //! [`CrossValidation::with_naive_scoring`] as the equivalence oracle; the two
 //! paths agree to ≤ 1e-10 per grid score (`tests/cv_equivalence.rs` — exact
-//! bit-identity is impossible because the fast path reassociates the same
-//! arithmetic). Parallel scoring splits over (candidate × repeat) work items
-//! so small grids still occupy every worker, while each candidate's repeats
-//! are reduced in repeat order — bit-identical at every thread count.
+//! bit-identity is impossible because the two reach the same numbers by
+//! different arithmetic). The parallel work item is the repeat: each task
+//! draws its fold permutation, reduces its folds and scores every
+//! candidate, and the caller combines each candidate's repeats in repeat
+//! order — bit-identical at every thread count.
 
 use crate::map::BmfEstimator;
 use crate::parallel;
 use crate::prior::NormalWishartPrior;
 use crate::{BmfError, MomentEstimate, Result};
-use bmf_linalg::{Cholesky, Matrix, Vector};
+use bmf_linalg::{Cholesky, Matrix};
 use bmf_stats::{descriptive, MultivariateNormal};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -383,18 +396,16 @@ impl CrossValidation {
     }
 
     /// [`CrossValidation::select`] with an explicit root seed and thread
-    /// count: the grid is scored in parallel over `threads` scoped
-    /// workers — split over (candidate × repeat) work items so even small
-    /// grids occupy every worker — and the per-repeat fold shuffles are
+    /// count: the repeats are scored in parallel over `threads` scoped
+    /// workers, one task per repeat, and the per-repeat fold shuffles are
     /// derived from `seed` (stream
     /// [`parallel::streams::CV_FOLD_SHUFFLE`], index = repeat).
     ///
     /// The result is **bit-identical for every `threads` value**: each
-    /// (candidate, repeat) item's score is accumulated entirely within one
-    /// task, items are reduced per candidate in repeat order, and
-    /// candidates are combined in grid order, so neither the random
-    /// streams nor the floating-point reduction order depend on
-    /// scheduling.
+    /// repeat's scores are computed entirely within one task, reduced per
+    /// candidate in repeat order, and candidates are combined in grid
+    /// order, so neither the random streams nor the floating-point
+    /// reduction order depend on scheduling.
     ///
     /// # Errors
     ///
@@ -447,47 +458,33 @@ impl CrossValidation {
             });
         }
 
-        // Assemble each repeat's folds and training sets up front (cheap —
-        // data movement only), with the row shuffle of repeat `rep` drawn
-        // from its own derived seed so it is independent of both thread
-        // count and the caller's RNG state.
-        let mut fold_sets: Vec<(Vec<Matrix>, Vec<Matrix>)> = Vec::with_capacity(self.repeats);
-        for rep in 0..self.repeats {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(parallel::derive_seed(
-                seed,
-                parallel::streams::CV_FOLD_SHUFFLE,
-                rep as u64,
-            ));
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
-            let shuffled = Matrix::from_fn(n, d, |i, j| late_samples[(order[i], j)]);
-            let q = self.q.min(n);
-            let folds = descriptive::split_folds(&shuffled, q)?;
-
-            // Pre-assemble the Q training sets (all folds but one).
-            let mut training: Vec<Matrix> = Vec::with_capacity(q);
-            for k in 0..q {
-                let parts: Vec<&Matrix> = folds
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != k)
-                    .map(|(_, f)| f)
-                    .collect();
-                training.push(descriptive::vstack(&parts)?);
-            }
-            fold_sets.push((training, folds));
-        }
-
-        // Score the grid; this is the hot loop. The fast path hoists the
-        // per-(repeat, fold) sufficient statistics and per-ν₀ base factors
-        // into `FoldCaches` and splits the parallel work over
-        // (candidate × repeat) items so small grids still occupy every
-        // worker; the naive path refits per candidate exactly as before.
-        // Both accumulate each candidate's score in repeat order, so the
-        // reduction is scheduling-invariant at every thread count.
+        // Score the grid; this is the hot loop. Each repeat's row shuffle
+        // is drawn from its own derived seed, so it is independent of both
+        // thread count and the caller's RNG state. The fast path makes the
+        // repeat the work item; the naive path refits per candidate exactly
+        // as the paper reads. Both accumulate each candidate's score in
+        // repeat order, so the reduction is scheduling-invariant.
         bmf_obs::counters::CV_CANDIDATES.add(candidates.len() as u64);
+        let q = self.q.min(n);
         let repeats_f = self.repeats as f64;
         let scored: Vec<(f64, Option<ScoreFailure>)> = if self.naive {
+            let mut fold_sets: Vec<(Vec<Matrix>, Vec<Matrix>)> = Vec::with_capacity(self.repeats);
+            for rep in 0..self.repeats {
+                let order = fold_order(seed, rep, n);
+                let shuffled = Matrix::from_fn(n, d, |i, j| late_samples[(order[i], j)]);
+                let folds = descriptive::split_folds(&shuffled, q)?;
+                let mut training: Vec<Matrix> = Vec::with_capacity(q);
+                for k in 0..q {
+                    let parts: Vec<&Matrix> = folds
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != k)
+                        .map(|(_, f)| f)
+                        .collect();
+                    training.push(descriptive::vstack(&parts)?);
+                }
+                fold_sets.push((training, folds));
+            }
             parallel::map_slice(&candidates, threads, |_, &(kappa0, nu0)| {
                 let _span = bmf_obs::span("cv.candidate");
                 let mut score = 0.0_f64;
@@ -499,19 +496,25 @@ impl CrossValidation {
                 }
                 (score, failure)
             })?
+        } else if let Some(stage) = global_failure(early, late_samples) {
+            vec![(f64::NEG_INFINITY, Some(stage)); candidates.len()]
         } else {
-            let caches = FoldCaches::build(early, late_samples, &nu_values, &fold_sets, threads)?;
-            let per_repeat =
-                parallel::map_product(candidates.len(), self.repeats, threads, |c, rep| {
-                    let (kappa0, nu0) = candidates[c];
-                    caches.score_repeat(rep, kappa0, nu0, c / self.kappa_grid.len())
-                })?;
-            per_repeat
-                .into_iter()
-                .map(|reps| {
+            let scorer = FoldScorer {
+                early,
+                samples: late_samples,
+                q,
+                nu_values: &nu_values,
+                kappa_grid: &self.kappa_grid,
+            };
+            let per_repeat = parallel::map_range(self.repeats, threads, |rep| {
+                scorer.score_repeat(&fold_order(seed, rep, n))
+            })?;
+            (0..candidates.len())
+                .map(|c| {
                     let mut score = 0.0_f64;
                     let mut failure = None;
-                    for (s, f) in reps {
+                    for scores in &per_repeat {
+                        let (s, f) = scores[c];
                         score += s / repeats_f;
                         failure = failure.or(f);
                     }
@@ -740,210 +743,355 @@ impl CrossValidation {
     }
 }
 
-/// The hoisted state of one fast CV search (the tentpole of the fast
-/// scoring path): per-(repeat, fold) training statistics and per-ν₀ base
-/// factors, built once outside the candidate loop and then shared
-/// read-only by every (candidate × repeat) scoring task.
-struct FoldCaches {
-    d: usize,
-    /// `caches[rep][fold]`; `None` marks a degenerate (empty) fold that
-    /// the scorer skips, mirroring the naive path's `continue`.
-    caches: Vec<Vec<Option<FoldCache>>>,
-    /// A condition that fails every candidate identically (non-SPD early
-    /// covariance, non-finite samples), detected once up front instead of
-    /// once per candidate as the naive path does.
-    global_failure: Option<ScoreFailure>,
+/// The fold permutation of repeat `rep`: position `i` of the returned
+/// order holds the row that goes to fold `i mod Q`.
+fn fold_order(seed: u64, rep: usize, n: usize) -> Vec<usize> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(parallel::derive_seed(
+        seed,
+        parallel::streams::CV_FOLD_SHUFFLE,
+        rep as u64,
+    ));
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    order
 }
 
-/// Per-(repeat, fold) cache: everything candidate-independent about one
-/// train/test split, reduced per feasible ν₀ to the solved vectors the
-/// candidate loop consumes.
-struct FoldCache {
-    /// Training rows `n` of this split.
+/// A condition that fails every candidate identically (non-SPD early
+/// covariance, non-finite samples), detected once up front instead of
+/// once per candidate as the naive path does.
+fn global_failure(early: &MomentEstimate, samples: &Matrix) -> Option<ScoreFailure> {
+    if Cholesky::new(&early.cov).is_err() {
+        Some(ScoreFailure::Prior)
+    } else if !samples.is_finite() {
+        Some(ScoreFailure::Statistics)
+    } else {
+        None
+    }
+}
+
+/// The candidate-independent inputs of the fast scorer, shared read-only
+/// by every repeat task.
+struct FoldScorer<'a> {
+    early: &'a MomentEstimate,
+    samples: &'a Matrix,
+    /// Effective fold count `min(Q, n)`.
+    q: usize,
+    /// The feasible ν₀ candidates (`ν₀ > d`).
+    nu_values: &'a [f64],
+    kappa_grid: &'a [f64],
+}
+
+/// One (fold, ν₀) reduced to the six scalars every candidate sharing
+/// this ν₀ is scored from, against `M = M(ν₀)`: `ln|M|` (inside
+/// `ln_norm`), `g`, `h`, `tr(M⁻¹S_t)` and `eᵀM⁻¹e` (as their parts across
+/// `M⁻¹δ`), and `eᵀM⁻¹δ`.
+#[derive(Debug, Clone, Copy)]
+struct FoldScalars {
+    /// Training rows `n` and held-out rows `n_t` of the fold.
     n_train: f64,
-    /// Per feasible ν₀ (indexed like `nu_values`): the base-factor solves
-    /// of this split (`None` when `M(ν₀)` is not SPD).
-    nus: Vec<Option<NuCache>>,
-}
-
-/// The candidate-independent solves against one fold's base factor
-/// `L L' = M(ν₀) = S + (ν₀−d)Σ_E`. Every candidate sharing this ν₀
-/// scores from these scalars alone (Sherman–Morrison on the rank-one
-/// κ₀-term), without touching the factor again.
-struct NuCache {
-    /// `ln det M(ν₀)`.
-    ln_det_m: f64,
-    /// `ẑ = L⁻¹δ`, where `δ = μ_E − X̄` is the prior–data mean gap
-    /// (Eq. 24's blend axis).
-    z: Vector,
-    /// `g = ẑᵀẑ = δᵀM⁻¹δ`.
+    n_test: f64,
+    /// `a = ν₀ + n − d`: `Σ_MAP = (M + c·δδᵀ)/a` (Eq. 32).
+    a: f64,
+    /// `d·ln 2π + ln|M| − d·ln a`: the candidate-independent part of
+    /// `ln|2πΣ_MAP|`.
+    ln_norm: f64,
+    /// `g = δᵀM⁻¹δ`.
     g: f64,
-    /// Row `t` is `ŷ_t = L⁻¹(x_t − X̄)` for held-out row `x_t`.
-    y: Matrix,
+    /// `h = δᵀM⁻¹S_tM⁻¹δ`.
+    h: f64,
+    /// `tr(M⁻¹S_t) − h/g`: the held-out scatter across `M⁻¹δ`.
+    trace_perp: f64,
+    /// `eᵀM⁻¹δ`.
+    gap_dot: f64,
+    /// `eᵀM⁻¹e − (eᵀM⁻¹δ)²/g`: the held-out mean offset across `M⁻¹δ`.
+    gap_perp: f64,
 }
 
-impl FoldCaches {
-    fn build(
-        early: &MomentEstimate,
-        late_samples: &Matrix,
-        nu_values: &[f64],
-        fold_sets: &[(Vec<Matrix>, Vec<Matrix>)],
-        threads: usize,
-    ) -> Result<Self> {
-        let _span = bmf_obs::span("cv.fold_precompute");
-        let d = early.dim();
-        // Conditions the naive path rediscovers per candidate are checked
-        // once and replayed for every scoring task.
-        let global_failure = if Cholesky::new(&early.cov).is_err() {
-            Some(ScoreFailure::Prior)
-        } else if !late_samples.is_finite() {
-            Some(ScoreFailure::Statistics)
-        } else {
-            None
-        };
-        if global_failure.is_some() {
-            return Ok(FoldCaches {
-                d,
-                caches: Vec::new(),
-                global_failure,
-            });
-        }
-        let q = fold_sets.first().map_or(0, |(training, _)| training.len());
-        let caches = parallel::map_product(fold_sets.len(), q, threads, |rep, k| {
-            let (training, folds) = &fold_sets[rep];
-            FoldCache::build(early, nu_values, &training[k], &folds[k])
-        })?;
-        Ok(FoldCaches {
-            d,
-            caches,
-            global_failure: None,
-        })
-    }
-
-    /// Scores candidate `(κ₀, ν₀)` on one repeat's folds: mean held-out
-    /// per-sample log-likelihood, plus the failing stage on −∞.
+impl FoldScalars {
+    /// The held-out log-likelihood of the fold's `n_test` rows under the
+    /// MAP fit of `(κ₀, ν₀)` to its `n_train` training rows.
     ///
-    /// Per fold this is pure scalar arithmetic on the cached solves: the
-    /// posterior inverse scale is `M(ν₀) + c·δδᵀ` (c = κ₀n/(κ₀+n),
-    /// Eq. 25), so the matrix determinant lemma gives its log-determinant
-    /// as `ln det M + ln(1+c·g)` and Sherman–Morrison gives the held-out
-    /// Mahalanobis term from `ŷ_t`, `ẑ` and `g` in O(d) per row — no
-    /// factorisation, triangular solve, or allocation per candidate. The
-    /// ν₀ axis enters only through the cache index and the scalar rescale
-    /// `1/(ν₀+n−d)` of Eq. 32.
-    fn score_repeat(
-        &self,
-        rep: usize,
-        kappa0: f64,
-        nu0: f64,
-        nu_idx: usize,
-    ) -> (f64, Option<ScoreFailure>) {
-        if let Some(stage) = self.global_failure {
-            return (f64::NEG_INFINITY, Some(stage));
-        }
-        let df = self.d as f64;
-        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for cache in &self.caches[rep] {
-            let Some(cache) = cache.as_ref() else {
-                continue;
-            };
-            bmf_obs::counters::CV_FOLD_EVALS.incr();
-            let Some(nu) = cache.nus[nu_idx].as_ref() else {
-                return (f64::NEG_INFINITY, Some(ScoreFailure::Factorisation));
-            };
-            let nf = cache.n_train;
-            // Posterior mean shifts the residual by w·δ (w = κ₀/(κ₀+n),
-            // Eq. 24): L⁻¹(x_t − μ_n) = ŷ_t − w·ẑ.
-            let w = kappa0 / (kappa0 + nf);
-            let c = kappa0 * nf / (kappa0 + nf);
-            let a = nu0 + nf - df;
-            let cg = c * nu.g;
-            // Σ_MAP = (M + c·δδᵀ)/a, so ln det Σ_MAP = ln det M
-            // + ln(1+c·g) − d·ln a and x'Σ_MAP⁻¹x = a·(‖e‖² − c(e·ẑ)²/(1+c·g))
-            // with e = L⁻¹x.
-            let denom = c / (1.0 + cg);
-            let norm = df * ln_2pi + nu.ln_det_m + cg.ln_1p() - df * a.ln();
-            for t in 0..nu.y.nrows() {
-                let mut ee = 0.0;
-                let mut ez = 0.0;
-                for j in 0..self.d {
-                    let e = nu.y[(t, j)] - w * nu.z[j];
-                    ee += e * e;
-                    ez += e * nu.z[j];
-                }
-                let m2 = a * (ee - denom * ez * ez);
-                let ll = -0.5 * (norm + m2);
-                if !ll.is_finite() {
-                    return (f64::NEG_INFINITY, Some(ScoreFailure::Likelihood));
-                }
-                total += ll;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            (f64::NEG_INFINITY, Some(ScoreFailure::EmptyFolds))
+    /// With `w = κ₀/(κ₀+n)` and `c = κ₀n/(κ₀+n)`, the posterior mean is
+    /// `X̄ + wδ` (Eq. 24) and `Σ_MAP = (M + c·δδᵀ)/a` (Eq. 25, 32). The
+    /// determinant lemma gives `ln|Σ_MAP| = ln|M| + ln(1+cg) − d·ln a`;
+    /// Sherman–Morrison gives the summed Mahalanobis term as `a` times
+    /// `trace_perp + h·r + n_test·(gap_perp + (gap_dot − wg)²·r)`,
+    /// `r = 1/(g(1+cg))`. At `δ = 0` (`g = 0`) the `r` terms vanish.
+    fn ln_likelihood(&self, kappa0: f64) -> f64 {
+        let (n_train, n_test) = (self.n_train, self.n_test);
+        let w = kappa0 / (kappa0 + n_train);
+        let c = w * n_train;
+        let cg = c * self.g;
+        let r = if self.g > 0.0 {
+            1.0 / (self.g * (1.0 + cg))
         } else {
-            (total / count as f64, None)
-        }
+            0.0
+        };
+        let along = self.gap_dot - w * self.g;
+        let quad = self.trace_perp + self.h * r + n_test * (self.gap_perp + along * along * r);
+        -0.5 * (n_test * (self.ln_norm + cg.ln_1p()) + self.a * quad)
     }
 }
 
-impl FoldCache {
-    fn build(
-        early: &MomentEstimate,
-        nu_values: &[f64],
-        training: &Matrix,
-        test: &Matrix,
-    ) -> Option<FoldCache> {
-        if training.nrows() == 0 || test.nrows() == 0 {
-            return None;
+/// Solves `L y = b` in place, `l` the row-major lower-triangular factor.
+fn forward_solve(l: &[f64], b: &mut [f64]) {
+    let d = b.len();
+    for i in 0..d {
+        let mut s = b[i];
+        for k in 0..i {
+            s -= l[i * d + k] * b[k];
         }
-        let df = training.ncols() as f64;
-        let xbar = descriptive::mean_vector(training).ok()?;
-        let s = descriptive::scatter_about(training, &xbar).ok()?;
-        let delta = &early.mean - &xbar;
-        let test_centered =
-            Matrix::from_fn(test.nrows(), test.ncols(), |i, j| test[(i, j)] - xbar[j]);
-        let nus = nu_values
-            .iter()
-            .map(|&nu0| {
-                let mut m = &early.cov * (nu0 - df);
-                m += &s;
-                NuCache::build(&m, &delta, &test_centered)
-            })
-            .collect();
-        Some(FoldCache {
-            n_train: training.nrows() as f64,
-            nus,
-        })
+        b[i] = s / l[i * d + i];
     }
 }
 
-impl NuCache {
-    /// Factorises one fold's base matrix `M(ν₀)` and pre-solves the
-    /// prior–data gap and the centred held-out rows against it, so the
-    /// candidate loop never touches the factor. `None` when `M(ν₀)` is
-    /// not SPD (a per-ν₀ factorisation failure).
-    fn build(m: &Matrix, delta: &Vector, test_centered: &Matrix) -> Option<NuCache> {
-        let chol = Cholesky::new(m).ok()?;
-        let z = chol.solve_lower(delta).ok()?;
-        let g = z.dot(&z).ok()?;
-        let d = test_centered.ncols();
-        let mut y = Matrix::from_fn(test_centered.nrows(), d, |_, _| 0.0);
-        for t in 0..test_centered.nrows() {
-            let u = Vector::from_fn(d, |j| test_centered[(t, j)]);
-            let yt = chol.solve_lower(&u).ok()?;
-            for j in 0..d {
-                y[(t, j)] = yt[j];
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// The per-task buffers of [`FoldScorer::score_repeat`], allocated once
+/// per repeat and reused for every (fold, ν₀).
+struct Scratch {
+    /// Held-out fold statistics, fold `k` at `k·d` / `k·d²`.
+    count: Vec<usize>,
+    mean: Vec<f64>,
+    scatter: Vec<f64>,
+    /// One fold's training mean and scatter, `δ` and `e`.
+    train_mean: Vec<f64>,
+    train_scatter: Vec<f64>,
+    delta: Vec<f64>,
+    gap: Vec<f64>,
+    /// The centred held-out rows of a fold with at most `d` of them;
+    /// else, per ν₀, `S_t` solved in place to `S_t L⁻ᵀ`.
+    rows: Vec<f64>,
+    /// `M(ν₀)`, refilled per ν₀.
+    m: Matrix,
+    /// `L⁻¹δ`, `L⁻¹e` and one solve's workspace.
+    z: Vec<f64>,
+    e: Vec<f64>,
+    work: Vec<f64>,
+}
+
+impl FoldScorer<'_> {
+    /// Scores every candidate (ν-major, like the caller's list) on the
+    /// folds of one repeat: mean held-out per-sample log-likelihood, plus
+    /// the failing stage on −∞.
+    fn score_repeat(&self, order: &[usize]) -> Vec<(f64, Option<ScoreFailure>)> {
+        let d = self.samples.ncols();
+        let q = self.q;
+        let mut sc = Scratch {
+            count: vec![0; q],
+            mean: vec![0.0; q * d],
+            scatter: vec![0.0; q * d * d],
+            train_mean: vec![0.0; d],
+            train_scatter: vec![0.0; d * d],
+            delta: vec![0.0; d],
+            gap: vec![0.0; d],
+            rows: vec![0.0; d * d],
+            m: Matrix::zeros(d, d),
+            z: vec![0.0; d],
+            e: vec![0.0; d],
+            work: vec![0.0; d],
+        };
+        self.reduce_folds(order, &mut sc);
+
+        // Each fold's scalars per ν₀ (`None` where `M(ν₀)` is not SPD),
+        // fold-major. `q = min(Q, n)` with `n ≥ 2` leaves every fold and
+        // its training complement non-empty.
+        let nv = self.nu_values.len();
+        let mut scalars: Vec<Option<FoldScalars>> = Vec::with_capacity(q * nv);
+        for t in 0..q {
+            let n_train = order.len() - sc.count[t];
+            self.merge_training(t, n_train, &mut sc);
+            self.centre_held_out_rows(order, t, &mut sc);
+            for &nu0 in self.nu_values {
+                bmf_obs::counters::CV_FOLD_EVALS.incr();
+                scalars.push(self.fold_scalars(nu0, t, n_train, &mut sc));
             }
         }
-        Some(NuCache {
-            ln_det_m: chol.ln_det(),
-            z,
+
+        let n = order.len() as f64;
+        let nk = self.kappa_grid.len();
+        (0..nv * nk)
+            .map(|c| {
+                let (v, kappa0) = (c / nk, self.kappa_grid[c % nk]);
+                let mut total = 0.0;
+                for fold in scalars.chunks_exact(nv) {
+                    let Some(s) = fold[v] else {
+                        return (f64::NEG_INFINITY, Some(ScoreFailure::Factorisation));
+                    };
+                    let ll = s.ln_likelihood(kappa0);
+                    if !ll.is_finite() {
+                        return (f64::NEG_INFINITY, Some(ScoreFailure::Likelihood));
+                    }
+                    total += ll;
+                }
+                (total / n, None)
+            })
+            .collect()
+    }
+
+    /// One pass over the permuted rows: position `i` joins fold `i mod q`,
+    /// whose count, mean and scatter are updated in place (Welford).
+    fn reduce_folds(&self, order: &[usize], sc: &mut Scratch) {
+        let d = self.samples.ncols();
+        for (i, &row) in order.iter().enumerate() {
+            let k = i % self.q;
+            let x = self.samples.row(row);
+            sc.count[k] += 1;
+            let inv = 1.0 / sc.count[k] as f64;
+            let mean = &mut sc.mean[k * d..(k + 1) * d];
+            for ((w, m), &xj) in sc.work.iter_mut().zip(mean.iter_mut()).zip(x) {
+                *w = xj - *m;
+                *m += *w * inv;
+            }
+            let weight = 1.0 - inv;
+            let scatter = &mut sc.scatter[k * d * d..(k + 1) * d * d];
+            for (a, row) in scatter.chunks_exact_mut(d).enumerate() {
+                let wa = weight * sc.work[a];
+                for (s, &wb) in row[a..].iter_mut().zip(&sc.work[a..]) {
+                    *s += wa * wb;
+                }
+            }
+        }
+        for scatter in sc.scatter.chunks_exact_mut(d * d) {
+            for a in 0..d {
+                for b in (a + 1)..d {
+                    scatter[b * d + a] = scatter[a * d + b];
+                }
+            }
+        }
+    }
+
+    /// Merges every fold but `t` into the training statistics of fold
+    /// `t`, and forms `δ = μ_E − X̄` and `e = X̄_t − X̄`.
+    fn merge_training(&self, t: usize, n_train: usize, sc: &mut Scratch) {
+        let d = self.samples.ncols();
+        let others = (0..self.q).filter(|&k| k != t);
+        sc.train_mean.fill(0.0);
+        for k in others.clone() {
+            let nk = sc.count[k] as f64;
+            for j in 0..d {
+                sc.train_mean[j] += nk * sc.mean[k * d + j];
+            }
+        }
+        for v in &mut sc.train_mean {
+            *v /= n_train as f64;
+        }
+        sc.train_scatter.fill(0.0);
+        for k in others {
+            let nk = sc.count[k] as f64;
+            for j in 0..d {
+                sc.work[j] = sc.mean[k * d + j] - sc.train_mean[j];
+            }
+            let scatter = &sc.scatter[k * d * d..(k + 1) * d * d];
+            for a in 0..d {
+                for b in 0..d {
+                    sc.train_scatter[a * d + b] +=
+                        scatter[a * d + b] + nk * sc.work[a] * sc.work[b];
+                }
+            }
+        }
+        for j in 0..d {
+            sc.delta[j] = self.early.mean[j] - sc.train_mean[j];
+            sc.gap[j] = sc.mean[t * d + j] - sc.train_mean[j];
+        }
+    }
+
+    /// Stores the centred rows of held-out fold `t` in `sc.rows` when it
+    /// has at most `d` of them (the cheaper way to its trace term).
+    fn centre_held_out_rows(&self, order: &[usize], t: usize, sc: &mut Scratch) {
+        let d = self.samples.ncols();
+        if sc.count[t] > d {
+            return;
+        }
+        let mean = &sc.mean[t * d..(t + 1) * d];
+        let rows = order.iter().skip(t).step_by(self.q);
+        for (y, &row) in sc.rows.chunks_exact_mut(d).zip(rows) {
+            for ((yj, &xj), &mj) in y.iter_mut().zip(self.samples.row(row)).zip(mean) {
+                *yj = xj - mj;
+            }
+        }
+    }
+
+    /// Factorises `M(ν₀)` for held-out fold `t` (training statistics in
+    /// `sc`) and reduces it to its six scalars; `None` when `M(ν₀)` is not
+    /// SPD.
+    fn fold_scalars(
+        &self,
+        nu0: f64,
+        t: usize,
+        n_train: usize,
+        sc: &mut Scratch,
+    ) -> Option<FoldScalars> {
+        let d = self.samples.ncols();
+        let df = d as f64;
+        let cov = self.early.cov.as_slice();
+        for ((m, &c), &s) in
+            sc.m.as_mut_slice()
+                .iter_mut()
+                .zip(cov)
+                .zip(&sc.train_scatter)
+        {
+            *m = c * (nu0 - df) + s;
+        }
+        let chol = Cholesky::new(&sc.m).ok()?;
+        let l = chol.factor().as_slice();
+
+        sc.z.copy_from_slice(&sc.delta);
+        forward_solve(l, &mut sc.z);
+        let g = dot(&sc.z, &sc.z);
+        sc.e.copy_from_slice(&sc.gap);
+        forward_solve(l, &mut sc.e);
+        let gap_dot = dot(&sc.e, &sc.z);
+        let along = if g > 0.0 { gap_dot / g } else { 0.0 };
+        let gap_perp =
+            sc.e.iter()
+                .zip(&sc.z)
+                .map(|(e, z)| (e - along * z) * (e - along * z))
+                .sum();
+
+        // tr(M⁻¹S_t) and h = ẑᵀ(L⁻¹S_tL⁻ᵀ)ẑ with ẑ = L⁻¹δ. From the
+        // centred rows y_r: Σ‖L⁻¹y_r‖² and Σ(ẑ·L⁻¹y_r)². From S_t: L⁻¹ on
+        // each row of S_t gives the rows of S_tL⁻ᵀ, and L⁻¹ on each column
+        // of that the columns of L⁻¹S_tL⁻ᵀ.
+        let (mut trace, mut h) = (0.0, 0.0);
+        let n_test = sc.count[t];
+        if n_test <= d {
+            for y in sc.rows.chunks_exact(d).take(n_test) {
+                sc.work.copy_from_slice(y);
+                forward_solve(l, &mut sc.work);
+                trace += dot(&sc.work, &sc.work);
+                let zy = dot(&sc.z, &sc.work);
+                h += zy * zy;
+            }
+        } else {
+            sc.rows
+                .copy_from_slice(&sc.scatter[t * d * d..(t + 1) * d * d]);
+            for row in sc.rows.chunks_exact_mut(d) {
+                forward_solve(l, row);
+            }
+            for j in 0..d {
+                for (w, row) in sc.work.iter_mut().zip(sc.rows.chunks_exact(d)) {
+                    *w = row[j];
+                }
+                forward_solve(l, &mut sc.work);
+                trace += sc.work[j];
+                h += sc.z[j] * dot(&sc.z, &sc.work);
+            }
+        }
+        let trace_perp = if g > 0.0 { trace - h / g } else { trace };
+        let a = nu0 + n_train as f64 - df;
+        Some(FoldScalars {
+            n_train: n_train as f64,
+            n_test: n_test as f64,
+            a,
+            ln_norm: df * (2.0 * std::f64::consts::PI).ln() + chol.ln_det() - df * a.ln(),
             g,
-            y,
+            h,
+            trace_perp,
+            gap_dot,
+            gap_perp,
         })
     }
 }

@@ -25,8 +25,7 @@
 //! index order.
 
 pub use bmf_stats::parallel::{
-    available_threads, derive_seed, resolve_threads, scoped_map, scoped_map_product,
-    scoped_map_range, WorkerPanic,
+    available_threads, derive_seed, resolve_threads, scoped_map, scoped_map_range, WorkerPanic,
 };
 
 use crate::{BmfError, Result};
@@ -72,26 +71,6 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     scoped_map(items, threads, f).map_err(BmfError::from)
-}
-
-/// [`scoped_map_product`] with worker panics converted to
-/// [`BmfError::Worker`]: the `(outer × inner)` fine-grained work split
-/// used by the CV scorer (candidates × repeats).
-///
-/// # Errors
-///
-/// Returns [`BmfError::Worker`] when a worker thread panics.
-pub fn map_product<U, F>(
-    outer_len: usize,
-    inner_len: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<Vec<U>>>
-where
-    U: Send,
-    F: Fn(usize, usize) -> U + Sync,
-{
-    scoped_map_product(outer_len, inner_len, threads, f).map_err(BmfError::from)
 }
 
 impl From<WorkerPanic> for BmfError {

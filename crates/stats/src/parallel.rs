@@ -156,55 +156,6 @@ where
         .collect())
 }
 
-/// Runs `f(outer, inner)` for every pair in `0..outer_len × 0..inner_len`
-/// across at most `threads` workers and returns the results grouped by
-/// outer index, each group in inner order.
-///
-/// This is the fine-grained work split for stages whose outer axis alone
-/// is too coarse to occupy the workers — e.g. a small CV candidate grid
-/// (outer) times its fold-assignment repeats (inner): splitting only over
-/// candidates strands workers whenever `outer_len < threads` or the
-/// per-candidate cost is uneven, while the flattened product keeps every
-/// worker busy. Scheduling stays deterministic (round-robin over the
-/// flattened index) and the grouping restores a stable reduction order:
-/// callers combine each group's inner results in inner order, so the
-/// reduction — like the work itself — never depends on thread count.
-///
-/// # Errors
-///
-/// Returns [`WorkerPanic`] if any worker panics.
-///
-/// # Panics
-///
-/// Panics when `outer_len * inner_len` overflows `usize` (no realistic
-/// workload approaches this).
-pub fn scoped_map_product<U, F>(
-    outer_len: usize,
-    inner_len: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<Vec<U>>, WorkerPanic>
-where
-    U: Send,
-    F: Fn(usize, usize) -> U + Sync,
-{
-    let total = outer_len
-        .checked_mul(inner_len)
-        .expect("work-item product overflows usize");
-    if inner_len == 0 {
-        return Ok((0..outer_len).map(|_| Vec::new()).collect());
-    }
-    let flat = scoped_map_range(total, threads, |idx| f(idx / inner_len, idx % inner_len))?;
-    let mut it = flat.into_iter();
-    Ok((0..outer_len)
-        .map(|_| {
-            (0..inner_len)
-                .map(|_| it.next().expect("exact length"))
-                .collect()
-        })
-        .collect())
-}
-
 /// Runs `f(index, &items[index])` over `items` across at most `threads`
 /// workers and returns the results in item order.
 ///
@@ -255,37 +206,6 @@ mod tests {
     fn scoped_map_range_handles_empty_input() {
         let out = scoped_map_range(0, 4, |i| i).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scoped_map_product_groups_by_outer_in_inner_order() {
-        let serial = scoped_map_product(5, 3, 1, |a, b| (a, b)).unwrap();
-        assert_eq!(serial.len(), 5);
-        for (a, group) in serial.iter().enumerate() {
-            assert_eq!(group, &(0..3).map(|b| (a, b)).collect::<Vec<_>>());
-        }
-        for threads in [2, 3, 7, 64] {
-            let par = scoped_map_product(5, 3, threads, |a, b| (a, b)).unwrap();
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-        // The flattened split occupies more workers than the outer axis
-        // alone: 2 outer × 4 inner = 8 items still succeeds at 8 threads.
-        let wide = scoped_map_product(2, 4, 8, |a, b| a * 10 + b).unwrap();
-        assert_eq!(wide, vec![vec![0, 1, 2, 3], vec![10, 11, 12, 13]]);
-        // Degenerate axes.
-        assert_eq!(scoped_map_product(0, 3, 2, |a, _| a).unwrap().len(), 0);
-        let empty_inner = scoped_map_product(3, 0, 2, |a, _| a).unwrap();
-        assert_eq!(empty_inner, vec![Vec::<usize>::new(); 3]);
-    }
-
-    #[test]
-    fn scoped_map_product_contains_worker_panics() {
-        let err = scoped_map_product(3, 3, 2, |a, b| {
-            assert!(!(a == 1 && b == 2), "pair exploded");
-            a + b
-        })
-        .unwrap_err();
-        assert!(err.message.contains("pair exploded"), "{err}");
     }
 
     #[test]

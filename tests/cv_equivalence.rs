@@ -1,21 +1,24 @@
 //! Equivalence tests for the fast CV scoring path against the naive
 //! oracle.
 //!
-//! The fast path (hoisted fold statistics + rank-one Cholesky updates,
-//! see `bmf_core::cv`) reassociates the same arithmetic the naive
-//! per-candidate refit performs, so bit-identity between the two is not
-//! achievable — the contract is:
+//! The fast path (per-fold sufficient statistics scored through the
+//! determinant lemma and Sherman–Morrison, see `bmf_core::cv`) reaches
+//! the naive per-candidate refit's numbers by different arithmetic, so
+//! bit-identity between the two is not achievable — the contract is:
 //!
 //! * every grid score agrees to a 1e-10 relative tolerance (−∞ scores
 //!   must coincide exactly);
 //! * the selected `(κ₀, ν₀)` agrees whenever the naive score surface has
 //!   a non-degenerate argmax (margin > 1e-8);
 //! * the fast path itself stays **bit-identical** across 1, 2 and 7
-//!   threads (the (candidate × repeat) work split must not perturb the
-//!   reduction order).
+//!   threads (the per-repeat work split must not perturb the reduction
+//!   order).
 //!
 //! Cases deliberately include ν₀ just above the `ν₀ > d` feasibility
-//! floor, infeasible ν₀ ≤ d values, and `n < Q` (shrunken fold counts).
+//! floor, infeasible ν₀ ≤ d values, `n < Q` (shrunken fold counts),
+//! unequal folds (`n mod Q ≠ 0`) with both fewer and more held-out rows
+//! than `d` (a rank-deficient and a full-rank held-out scatter), and a
+//! prior mean up to 30σ away from the data.
 
 use bmf_ams::core::cv::CrossValidation;
 use bmf_ams::core::MomentEstimate;
@@ -24,14 +27,20 @@ use bmf_ams::stats::MultivariateNormal;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-fn synthetic(d: usize, n: usize, seed: u64) -> (MomentEstimate, Matrix) {
+/// Early moments and `n` late samples drawn around a zero mean. The
+/// early mean sits `gap` standard deviations off the truth in every
+/// coordinate (alternating sign), on top of a small fixed offset.
+fn synthetic(d: usize, n: usize, seed: u64, gap: f64) -> (MomentEstimate, Matrix) {
     let b = Matrix::from_fn(d, d, |i, j| ((i + 2 * j) % 5) as f64 / 5.0);
     let mut cov = b.mat_mul(&b.transpose()).expect("square");
     for i in 0..d {
         cov[(i, i)] += 1.0;
     }
+    let sign = |i: usize| if i.is_multiple_of(2) { 1.0 } else { -1.0 };
     let early = MomentEstimate {
-        mean: Vector::from_fn(d, |i| 0.2 * (i as f64 + 1.0)),
+        mean: Vector::from_fn(d, |i| {
+            0.2 * (i as f64 + 1.0) + sign(i) * gap * cov[(i, i)].sqrt()
+        }),
         cov: cov.clone(),
     };
     let truth = MultivariateNormal::new(Vector::zeros(d), cov).expect("spd");
@@ -113,20 +122,30 @@ fn check_fast_vs_naive(
 proptest! {
     /// Fast vs naive: same grids, same seed — scores within 1e-10, same
     /// argmax away from ties, and the fast path bit-identical at 1/2/7
-    /// threads. d = 3; ν₀ = 3.02 sits just above the feasibility floor
-    /// and ν₀ = 2.5 below it; n as small as 2 exercises n < Q = 4.
+    /// threads. d ∈ {1, 3, 5} and Q ∈ {2, 4, 5}; ν₀ = d + 0.02 sits just
+    /// above the feasibility floor and ν₀ = d − 0.5 below it; n runs from
+    /// 2 (n < Q) to about 300, never a multiple of Q, so the held-out
+    /// folds are unequal and hold fewer or more rows than d.
     #[test]
     fn fast_path_matches_naive_oracle(
         seed in 0u64..10_000,
-        n in 2usize..12,
+        d_pick in 0usize..3,
+        q_pick in 0usize..3,
+        ln_n in 0.7f64..5.7,
+        gap in 0.0f64..30.0,
         kmask in 1u8..16,
         nmask in 1u8..16,
     ) {
-        let d = 3;
+        let d = [1, 3, 5][d_pick];
+        let q = [2, 4, 5][q_pick];
+        // Log-uniform over [2, 300): small folds are as common as large.
+        let n_pick = (ln_n.exp() as usize).max(2);
+        let n = if n_pick.is_multiple_of(q) { n_pick + 1 } else { n_pick };
+        let df = d as f64;
         let kappa = masked(&[0.7, 4.67, 55.0, 900.0], kmask);
-        let nu = masked(&[2.5, 3.02, 12.0, 420.0], nmask);
-        let (early, late) = synthetic(d, n, seed ^ 0xC0FE);
-        let fast_cv = CrossValidation::with_repeats(kappa, nu, 4, 2).expect("cv");
+        let nu = masked(&[df - 0.5, df + 0.02, 12.0, 420.0], nmask);
+        let (early, late) = synthetic(d, n, seed ^ 0xC0FE, gap);
+        let fast_cv = CrossValidation::with_repeats(kappa, nu, q, 2).expect("cv");
         let naive_cv = fast_cv.clone().with_naive_scoring(true);
 
         if fast_cv.feasible_candidate_count(d) == 0 {
@@ -147,7 +166,7 @@ proptest! {
     fn refined_search_agrees_with_naive_oracle(
         seed in 0u64..2_000,
     ) {
-        let (early, late) = synthetic(2, 16, seed ^ 0x5EED);
+        let (early, late) = synthetic(2, 16, seed ^ 0x5EED, 0.0);
         let cv = CrossValidation::with_repeats(vec![1.0, 100.0], vec![4.0, 400.0], 2, 2)
             .expect("cv");
         let fast = cv.select_refined_seeded(&early, &late, 3, seed, 2).expect("fast");
@@ -166,7 +185,7 @@ proptest! {
 /// misdiagnosing a perfectly feasible grid.
 #[test]
 fn all_nan_samples_error_names_scoring_stage_not_grid() {
-    let (early, _) = synthetic(2, 8, 1);
+    let (early, _) = synthetic(2, 8, 1, 0.0);
     let late = Matrix::from_fn(8, 2, |_, _| f64::NAN);
     let cv = CrossValidation::new(vec![1.0, 10.0], vec![5.0, 50.0], 4).unwrap();
     for naive in [false, true] {

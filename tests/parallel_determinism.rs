@@ -54,19 +54,17 @@ fn shared_study() -> &'static PreparedStudy {
 }
 
 proptest! {
-    /// CV grid selection is bit-identical for threads ∈ {1, 2, 7}.
+    /// CV grid selection is bit-identical for threads ∈ {1, 2, 7}: the
+    /// default 12×12 grid with 8 repeats at d = 5, so 8 repeat tasks run
+    /// over 7 workers.
     #[test]
     fn cv_selection_is_thread_count_invariant(
         seed in 0u64..10_000,
         n in 8usize..24,
     ) {
-        let (early, late) = synthetic(2, n, seed ^ 0xA5A5);
-        let cv = CrossValidation::with_repeats(
-            vec![1.0, 10.0, 100.0],
-            vec![4.0, 40.0],
-            3,
-            2,
-        ).expect("cv");
+        let (early, late) = synthetic(5, n, seed ^ 0xA5A5);
+        let cv = CrossValidation::default();
+        prop_assert_eq!(cv.repeat_count(), 8);
         let reference = cv.select_seeded(&early, &late, seed, THREAD_COUNTS[0]).expect("select");
         for &t in &THREAD_COUNTS[1..] {
             let sel = cv.select_seeded(&early, &late, seed, t).expect("select");

@@ -542,7 +542,7 @@ const GOLDEN_DIGESTS: &[(&str, u64)] = &[
     ("early.csv", 0xC0FA_0313_8736_E52C),
     ("late.csv", 0x0331_05F6_FCF6_729C),
     ("estimate.csv", 0x309F_B9DF_4DD3_4995),
-    ("estimate.json", 0x5B78_3532_D9DC_DB0D),
+    ("estimate.json", 0x4657_8DB1_8414_20BE),
     ("p0.json", 0x72BC_D75C_7661_E94B),
     ("p1.json", 0x7346_72B8_1F46_E9CB),
     ("p2.json", 0x30D5_68C6_DEEC_3DA0),
