@@ -24,7 +24,8 @@
 //!   Cramer's rule on the pencil: `D(s) = det(G + sC)` and `N(s)` the same
 //!   determinant with the output column replaced by `b`, both as real
 //!   polynomial coefficients. [`RationalTransfer::eval`] then costs two
-//!   Horner evaluations per `ω`.
+//!   Horner evaluations per `ω`, and [`RationalTransfer::phase`] reads the
+//!   unwrapped phase at any `ω` off the roots of `N` and `D`.
 
 use crate::netlist::{Element, Netlist, GROUND};
 use crate::{CircuitError, Result};
@@ -34,6 +35,14 @@ use std::ops::{AddAssign, IndexMut, SubAssign};
 /// Most unknowns [`AcAnalysis::transfer_function`] expands: the subset
 /// expansion holds `2^n` partial determinants of degree ≤ `n`.
 const MAX_TRANSFER_UNKNOWNS: usize = 16;
+
+/// Most Aberth–Ehrlich sweeps [`roots`] runs before it gives up.
+const MAX_ROOT_SWEEPS: usize = 100;
+
+/// A root whose real part is below this fraction of its modulus counts as
+/// on the jω axis: its angle term in [`RationalTransfer::phase`] would be
+/// `+π` or `−π` by the sign of rounding noise.
+const AXIS_TOL: f64 = 1e-12;
 
 /// Solution of one AC operating point: node-voltage phasors (plus branch
 /// currents of voltage sources, kept internal).
@@ -242,6 +251,98 @@ fn horner(p: &[f64], omega: f64) -> Complex64 {
     Complex64::new(re, im)
 }
 
+/// The roots of the real polynomial `p` (`p[k]` multiplies `sᵏ`; `p[0]`
+/// and the top coefficient non-zero), or `None` if the Aberth–Ehrlich
+/// iteration has not converged within `max_sweeps` sweeps.
+///
+/// `s = σt` with `σ = |p₀/pₙ|^{1/n}` puts the geometric mean of the root
+/// moduli at 1, and the iteration starts from [`newton_polygon_starts`].
+/// Each sweep moves every unfinished root by the Aberth correction, using
+/// the roots already moved in it. A root is finished after the sweep in
+/// which `|q(t)|` sank to the rounding level of its Horner evaluation,
+/// `4n·ε·Σ|qₖ||t|ᵏ`.
+fn roots(p: &[f64], max_sweeps: usize) -> Option<Vec<Complex64>> {
+    let n = p.len() - 1;
+    let scale = ((p[0].abs().ln() - p[n].abs().ln()) / n as f64).exp();
+    let mut power = 1.0;
+    let q: Vec<f64> = p
+        .iter()
+        .map(|&c| {
+            let scaled = c * power;
+            power *= scale;
+            scaled
+        })
+        .collect();
+    let tol = 4.0 * n as f64 * f64::EPSILON;
+    let mut t = newton_polygon_starts(&q);
+    if t.len() != n {
+        return None; // the scaled top coefficient underflowed to zero
+    }
+    let mut done = vec![false; n];
+    for _ in 0..max_sweeps {
+        for k in 0..n {
+            if done[k] {
+                continue;
+            }
+            let z = t[k];
+            let r = z.abs_sq().sqrt();
+            let (mut v, mut dv, mut bound) = (Complex64::ZERO, Complex64::ZERO, 0.0);
+            for &c in q.iter().rev() {
+                dv = dv * z + v;
+                v = v * z + Complex64::from_re(c);
+                bound = bound * r + c.abs();
+            }
+            let newton = v / dv;
+            let mut repulsion = Complex64::ZERO;
+            for (j, &other) in t.iter().enumerate() {
+                if j != k {
+                    repulsion += (z - other).recip();
+                }
+            }
+            t[k] = z - newton / (Complex64::ONE - newton * repulsion);
+            done[k] = v.abs_sq().sqrt() <= tol * bound && t[k].is_finite();
+        }
+        if done.iter().all(|&d| d) {
+            return Some(t.into_iter().map(|z| z * scale).collect());
+        }
+    }
+    None
+}
+
+/// Starting points for [`roots`]: for each edge `(i, ln|qᵢ|)` →
+/// `(j, ln|qⱼ|)` of the upper convex hull of the points `(k, ln|qₖ|)`,
+/// `j − i` points on the circle of radius `|qᵢ/qⱼ|^{1/(j−i)}`, the modulus
+/// that many roots cluster at when the root moduli are spread apart. The
+/// circles are turned against each other and off the real axis, so that
+/// no two points start as a conjugate pair.
+fn newton_polygon_starts(q: &[f64]) -> Vec<Complex64> {
+    let n = q.len() - 1;
+    let mut hull: Vec<(usize, f64)> = Vec::with_capacity(q.len());
+    for (k, &c) in q.iter().enumerate().filter(|(_, &c)| c != 0.0) {
+        let point = (k, c.abs().ln());
+        // Drop the last vertex while it lies on or below the chord from
+        // the vertex before it to the new point.
+        while let [.., (i, li), (j, lj)] = hull[..] {
+            if (lj - li) * (k - i) as f64 > (point.1 - li) * (j - i) as f64 {
+                break;
+            }
+            hull.pop();
+        }
+        hull.push(point);
+    }
+    let mut starts = Vec::with_capacity(n);
+    for edge in hull.windows(2) {
+        let ((i, li), (j, lj)) = (edge[0], edge[1]);
+        let m = j - i;
+        let radius = ((li - lj) / m as f64).exp();
+        for k in 0..m {
+            let angle = std::f64::consts::TAU * (k as f64 / m as f64 + i as f64 / n as f64) + 0.4;
+            starts.push(Complex64::from_polar(radius, angle));
+        }
+    }
+    starts
+}
+
 /// A transfer function `H(s) = N(s)/D(s)` with real polynomial
 /// coefficients, as extracted by [`AcAnalysis::transfer_function`].
 ///
@@ -256,6 +357,27 @@ pub struct RationalTransfer {
 }
 
 impl RationalTransfer {
+    /// `H(s) = gain·Π(1 − s/z)/Π(1 − s/p)` over `zeros` and `poles`, which
+    /// are real or come in conjugate pairs.
+    #[cfg(test)]
+    pub(crate) fn from_roots(gain: f64, zeros: &[Complex64], poles: &[Complex64]) -> Self {
+        let expand = |roots: &[Complex64]| {
+            let mut c = vec![Complex64::ONE];
+            for &r in roots {
+                c.push(Complex64::ZERO);
+                for k in (1..c.len()).rev() {
+                    let lower = c[k - 1];
+                    c[k] -= lower / r;
+                }
+            }
+            c.into_iter().map(|v| v.re).collect::<Vec<f64>>()
+        };
+        RationalTransfer {
+            num: expand(zeros).into_iter().map(|v| gain * v).collect(),
+            den: expand(poles),
+        }
+    }
+
     /// `H(jω)` at angular frequency `omega` (rad/s), by Horner's rule on
     /// both polynomials.
     ///
@@ -270,6 +392,61 @@ impl RationalTransfer {
             return Err(CircuitError::SingularSystem { omega });
         }
         Ok(horner(&self.num, omega) / den)
+    }
+
+    /// Phase of `H(jω)` relative to `H(0)`, in radians, unwrapped from
+    /// `ω = 0`.
+    ///
+    /// `H(jω)/H(0) = Π(1 − jω/z)/Π(1 − jω/p)` over the zeros `z` of `N`
+    /// and the poles `p` of `D`, so the phase is the sum of
+    /// `arg((jω − z)/(−z))` over the zeros minus the same sum over the
+    /// poles. Each term is the angle under which its root sees the segment
+    /// `[0, jω]`, continuous in `ω` unless the root lies on that segment:
+    /// the sum needs no sweep and no unwrapping. The roots come from
+    /// Aberth–Ehrlich on each polynomial with its exactly-zero top
+    /// coefficients trimmed. A cluster of `m` nearly equal roots is only
+    /// resolved to about `ε^{1/m}` of its modulus, and so is its share of
+    /// the phase: an exact triple pole reads about 5e-7 rad off.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::MeasurementFailure`] (metric `"phase"`) where `N(0)`
+    /// or `D(0)` is zero, where a root lies on the jω axis at or below
+    /// `ω`, or where a root iteration does not converge.
+    pub fn phase(&self, omega: f64) -> Result<f64> {
+        let fail = |reason: String| CircuitError::MeasurementFailure {
+            metric: "phase",
+            reason,
+        };
+        let mut phase = 0.0;
+        for (name, poly, sign) in [("N", &self.num, 1.0), ("D", &self.den, -1.0)] {
+            let len = poly
+                .iter()
+                .rposition(|&c| c != 0.0)
+                .map_or(0, |top| top + 1);
+            let poly = &poly[..len];
+            if poly.first().is_none_or(|&c| c == 0.0) {
+                return Err(fail(format!("{name}(0) = 0: no phase relative to H(0)")));
+            }
+            if poly.len() == 1 {
+                continue;
+            }
+            let zs = roots(poly, MAX_ROOT_SWEEPS).ok_or_else(|| {
+                fail(format!(
+                    "the roots of {name}(s) did not converge in {MAX_ROOT_SWEEPS} sweeps"
+                ))
+            })?;
+            for z in zs {
+                if z.re.abs() <= AXIS_TOL * z.abs() && z.im.abs() <= omega {
+                    return Err(fail(format!(
+                        "{name}(s) has a root {z} on the jω axis at or below ω = {omega:.6e} rad/s"
+                    )));
+                }
+                // arg(1 − jω/z) with the common factor 1/|z|² dropped.
+                phase += sign * (-omega * z.re).atan2(z.abs_sq() - omega * z.im);
+            }
+        }
+        Ok(phase)
     }
 }
 
@@ -425,6 +602,7 @@ impl<'a> AcAnalysis<'a> {
                 reason: "1/(sL) is not polynomial in s; use solve or transfer",
             });
         }
+        bmf_obs::counters::MNA_TRANSFER_FUNCTIONS.incr();
         Ok(RationalTransfer {
             num: pencil_det(&p.g, &p.c, Some((out, &p.b))),
             den: pencil_det(&p.g, &p.c, None),
@@ -673,6 +851,90 @@ mod tests {
         // DC gain (gm1·R1)·(gm2·R2), non-inverting overall.
         let dc = h.eval(0.0).unwrap();
         assert!((dc.re - 2e-4 * 5e5 * 1e-3 * 1e5).abs() < 1e-9 * dc.re);
+        // The phase from the roots of the trimmed polynomials is the
+        // dense solve's angle, up to whole turns.
+        for k in 0..=48 {
+            let w = TWO_PI * 10f64.powf(k as f64 / 4.0);
+            let dense = ac.transfer(3, w).unwrap() / dc;
+            let turn = Complex64::from_polar(1.0, h.phase(w).unwrap());
+            assert!((turn - dense / dense.abs()).abs() <= 1e-12, "ω = {w:e}");
+        }
+    }
+
+    #[test]
+    fn phase_matches_analytic_angle_sums() {
+        let real = Complex64::from_re;
+        let (p1, p2, p3, z) = (1e3, 3e6, 2e7, 5e7);
+        let (w0, zeta) = (3e6, 0.4);
+        let pair = Complex64::new(-zeta * w0, w0 * (1.0 - zeta * zeta).sqrt());
+        let cases = [
+            RationalTransfer::from_roots(5.0, &[], &[real(-p1)]),
+            RationalTransfer::from_roots(5.0, &[], &[real(-p1), real(-p2), real(-p3)]),
+            RationalTransfer::from_roots(5.0, &[], &[real(-p1), pair, pair.conj()]),
+            // A right-half-plane zero, as the Miller path makes.
+            RationalTransfer::from_roots(5.0, &[real(z)], &[real(-p1), real(-p2)]),
+        ];
+        for w in [1e2, 1e4, 1e6, 3e6, 1e8, 1e10] {
+            let lag = |p: f64| -(w / p).atan();
+            let expected = [
+                lag(p1),
+                lag(p1) + lag(p2) + lag(p3),
+                lag(p1) - (2.0 * zeta * w0 * w).atan2(w0 * w0 - w * w),
+                lag(z) + lag(p1) + lag(p2),
+            ];
+            for (h, phase) in cases.iter().zip(expected) {
+                let got = h.phase(w).unwrap();
+                assert!(
+                    (got - phase).abs() <= 1e-12 * phase.abs(),
+                    "ω = {w:e}: {got} vs {phase}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_fails_where_it_is_undefined() {
+        let undefined = |h: &RationalTransfer, w: f64| {
+            matches!(
+                h.phase(w),
+                Err(CircuitError::MeasurementFailure {
+                    metric: "phase",
+                    ..
+                })
+            )
+        };
+        // A zero at s = 0, and D ≡ 0: no phase relative to H(0).
+        let zero_at_dc = RationalTransfer {
+            num: vec![0.0, 1.0],
+            den: vec![1.0, 1.0],
+        };
+        assert!(undefined(&zero_at_dc, 1.0));
+        let singular = RationalTransfer {
+            num: vec![1.0],
+            den: vec![0.0; 3],
+        };
+        assert!(undefined(&singular, 1.0));
+        // A lossless resonance at ω₀ = 1e3: defined below it, not at or
+        // above it, where the root ±jω₀ sits on the segment [0, jω].
+        let w0 = 1e3;
+        let resonance = RationalTransfer::from_roots(
+            1.0,
+            &[],
+            &[Complex64::new(0.0, w0), Complex64::new(0.0, -w0)],
+        );
+        assert!(resonance.phase(0.5 * w0).unwrap().abs() <= 1e-12);
+        assert!(undefined(&resonance, w0));
+        assert!(undefined(&resonance, 2.0 * w0));
+        // A root solve that does not converge.
+        assert!(roots(&[6.0, 11.0, 6.0, 1.0], 1).is_none());
+        assert!(roots(&[6.0, 11.0, 6.0, 1.0], MAX_ROOT_SWEEPS).is_some());
+        // s² + 1e-600 scales its top coefficient to zero: no start.
+        assert!(roots(&[1e-300, 0.0, 1e300], MAX_ROOT_SWEEPS).is_none());
+        let poisoned = RationalTransfer {
+            num: vec![1.0],
+            den: vec![1.0, f64::NAN],
+        };
+        assert!(undefined(&poisoned, 1.0));
     }
 
     #[test]

@@ -18,11 +18,15 @@
 //! 3. extracts each device's small-signal parameters,
 //! 4. builds the small-signal [`Netlist`], extracts its transfer function
 //!    `H(s) = N(s)/D(s)` once from the MNA pencil `G + sC`
-//!    ([`crate::mna::AcAnalysis::transfer_function`]) and measures
-//!    gain/bandwidth/phase margin on it — a log scan plus bisection for
-//!    each crossing and an unwrapped phase sweep, each probe one Horner
-//!    evaluation (the dense per-`ω` solve, [`crate::mna::AcAnalysis::transfer`],
-//!    is the reference it is tested against),
+//!    ([`crate::mna::AcAnalysis::transfer_function`]) and measures it:
+//!    DC gain, then a log scan plus bisection for the −3 dB and the
+//!    unity-gain crossing, each probe one Horner evaluation, and the
+//!    phase margin `180° + ∠H(jω_u)` in closed form, as the sum of the
+//!    angles under which the roots of `N` and `D` see `[0, jω_u]`
+//!    ([`RationalTransfer::phase`]). The reference it is tested against
+//!    runs the same crossings on the dense per-`ω` solve
+//!    ([`crate::mna::AcAnalysis::transfer`]) and unwraps the phase along a
+//!    240-point sweep,
 //! 5. computes power from the actual branch currents and the input offset
 //!    from the mismatch terms.
 //!
@@ -32,7 +36,7 @@
 //! resistance, a systematic offset and an IR-drop term that costs headroom.
 //! The parasitic interconnect also carries its own global process spread.
 
-use crate::mna::AcAnalysis;
+use crate::mna::{AcAnalysis, RationalTransfer};
 use crate::mosfet::{DeviceVariation, Geometry, Mosfet, Polarity, TechnologyParams};
 use crate::netlist::Netlist;
 use crate::variation::VariationModel;
@@ -371,7 +375,7 @@ impl OpAmpTestbench {
     fn simulate(&self, stage: Stage, vars: &DieVariations) -> Result<OpAmpPerformance> {
         let die = self.bias_die(stage, vars)?;
         let h = AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)?;
-        let ac = measure_ac(|omega| h.eval(omega))?;
+        let ac = measure_ac(&h)?;
         Ok(OpAmpPerformance {
             gain_db: ac.gain_db,
             bandwidth_hz: ac.bandwidth_hz,
@@ -496,14 +500,68 @@ impl OpAmpTestbench {
     }
 }
 
-/// Measures DC gain, −3 dB bandwidth and phase margin from `h`, an
+const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+
+/// Internal: what the magnitude of `H(jω)` gives — the DC gain and the
+/// two crossings the phase margin hangs on.
+struct Crossings {
+    gain0: f64,
+    bandwidth_hz: f64,
+    unity_hz: f64,
+}
+
+/// Measures DC gain, −3 dB bandwidth and phase margin on the die's
+/// transfer function: the crossings from probes of `|H(jω)|`, the phase
+/// margin `180° + ∠H(jω_u)` from the roots of `N` and `D`
+/// ([`RationalTransfer::phase`]).
+///
+/// # Errors
+///
+/// [`CircuitError::MeasurementFailure`] naming the metric that could not
+/// be measured; evaluation errors propagate where a value is required.
+fn measure_ac(h: &RationalTransfer) -> Result<AcMetrics> {
+    let c = crossings(|omega| h.eval(omega))?;
+    Ok(AcMetrics {
+        gain_db: 20.0 * c.gain0.log10(),
+        bandwidth_hz: c.bandwidth_hz,
+        phase_margin_deg: phase_margin(h, c.unity_hz)?,
+    })
+}
+
+/// `180° + ∠H(jω_u)` in degrees, with the phase taken relative to `H(0)`
+/// (0 for the op-amp's non-inverting path).
+fn phase_margin(h: &RationalTransfer, unity_hz: f64) -> Result<f64> {
+    let phase = h.phase(TWO_PI * unity_hz).map_err(|e| match e {
+        CircuitError::MeasurementFailure { reason, .. } => CircuitError::MeasurementFailure {
+            metric: "phase margin",
+            reason,
+        },
+        other => other,
+    })?;
+    Ok(180.0 + phase.to_degrees())
+}
+
+/// DC gain, −3 dB bandwidth and unity-gain frequency from `h`, an
 /// evaluator of `H(jω)` at the output node for angular frequency `ω`.
+/// Its probes count into `opamp.crossing_evals` once, whatever the
+/// outcome.
 ///
 /// # Errors
 ///
 /// [`CircuitError::MeasurementFailure`] naming the metric that could not
 /// be measured; evaluator errors propagate where a value is required.
-fn measure_ac(h: impl Fn(f64) -> Result<Complex64>) -> Result<AcMetrics> {
+fn crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
+    let probes = std::cell::Cell::new(0u64);
+    let result = search_crossings(|omega| {
+        probes.set(probes.get() + 1);
+        h(omega)
+    });
+    bmf_obs::counters::OPAMP_CROSSING_EVALS.add(probes.get());
+    result
+}
+
+/// [`crossings`] without the count.
+fn search_crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
     let gain0 = h(0.0)?.abs();
     if !(gain0 > 1.0) {
         return Err(CircuitError::MeasurementFailure {
@@ -523,10 +581,10 @@ fn measure_ac(h: impl Fn(f64) -> Result<Complex64>) -> Result<AcMetrics> {
             reason: "no crossing above the -3dB point".to_string(),
         }
     })?;
-    Ok(AcMetrics {
-        gain_db: 20.0 * gain0.log10(),
+    Ok(Crossings {
+        gain0,
         bandwidth_hz,
-        phase_margin_deg: phase_margin(&h, unity_hz, bandwidth_hz)?,
+        unity_hz,
     })
 }
 
@@ -540,7 +598,6 @@ fn find_crossing_freq(
     f_lo: f64,
     f_hi: f64,
 ) -> Option<f64> {
-    const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
     let mag = |f: f64| -> f64 { h(TWO_PI * f).map(|v| v.abs()).unwrap_or(f64::NAN) };
     // Coarse log scan to bracket the crossing.
     let points = 60;
@@ -579,36 +636,6 @@ fn find_crossing_freq(
         }
     }
     Some((lo * hi).sqrt())
-}
-
-/// Phase margin at the unity-gain frequency, with the phase unwrapped along
-/// a sweep from a decade below the −3 dB corner.
-fn phase_margin(h: impl Fn(f64) -> Result<Complex64>, unity_hz: f64, bw_hz: f64) -> Result<f64> {
-    const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
-    let f_start = (bw_hz / 10.0).max(1e-2);
-    let points = 240;
-    let l0 = f_start.log10();
-    let l1 = unity_hz.log10();
-    let mut phase = 0.0;
-    let mut prev = h(TWO_PI * f_start)?.arg();
-    // Phase relative to the DC phase (0 for the double-inverting path).
-    let dc_phase = h(0.0)?.arg();
-    let mut unwrapped = prev - dc_phase;
-    for k in 1..=points {
-        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
-        let cur = h(TWO_PI * f)?.arg();
-        let mut delta = cur - prev;
-        while delta > std::f64::consts::PI {
-            delta -= 2.0 * std::f64::consts::PI;
-        }
-        while delta < -std::f64::consts::PI {
-            delta += 2.0 * std::f64::consts::PI;
-        }
-        unwrapped += delta;
-        prev = cur;
-        phase = unwrapped;
-    }
-    Ok(180.0 + phase.to_degrees())
 }
 
 #[cfg(test)]
@@ -801,7 +828,7 @@ mod tests {
         // So a die whose bandwidth probe fails is a measurement failure.
         let die = |w: f64| nan(w).map(|h| h * 1e3);
         assert!(matches!(
-            measure_ac(die),
+            crossings(die),
             Err(CircuitError::MeasurementFailure {
                 metric: "-3dB bandwidth",
                 ..
@@ -809,10 +836,43 @@ mod tests {
         ));
     }
 
-    /// Measures `dies` seeded dies per stage with the dense per-ω solve
-    /// and with the extracted transfer function; the metrics must agree to
-    /// 1e-9 relative and the same dies must fail with the same metric.
-    /// Returns the number of measurement failures.
+    /// The reference measurement: the same crossings on `h`, and the phase
+    /// margin unwrapped along a 240-point log sweep from a decade below the
+    /// −3 dB corner up to the unity-gain frequency.
+    fn measure_ac_swept(h: impl Fn(f64) -> Result<Complex64>) -> Result<AcMetrics> {
+        let c = crossings(&h)?;
+        let f_start = (c.bandwidth_hz / 10.0).max(1e-2);
+        let points = 240;
+        let l0 = f_start.log10();
+        let l1 = c.unity_hz.log10();
+        let mut prev = h(TWO_PI * f_start)?.arg();
+        // Phase relative to the DC phase (0 for the double-inverting path).
+        let mut unwrapped = prev - h(0.0)?.arg();
+        for k in 1..=points {
+            let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
+            let cur = h(TWO_PI * f)?.arg();
+            let mut delta = cur - prev;
+            while delta > std::f64::consts::PI {
+                delta -= std::f64::consts::TAU;
+            }
+            while delta < -std::f64::consts::PI {
+                delta += std::f64::consts::TAU;
+            }
+            unwrapped += delta;
+            prev = cur;
+        }
+        Ok(AcMetrics {
+            gain_db: 20.0 * c.gain0.log10(),
+            bandwidth_hz: c.bandwidth_hz,
+            phase_margin_deg: 180.0 + unwrapped.to_degrees(),
+        })
+    }
+
+    /// Measures `dies` seeded dies per stage twice: the testbench's way, on
+    /// the extracted transfer function with the phase from its roots, and
+    /// the reference way, on the dense per-ω solve with the swept phase.
+    /// The metrics must agree to 1e-9 relative and the same dies must fail
+    /// with the same metric. Returns the number of measurement failures.
     fn check_pencil_against_dense(tb: &OpAmpTestbench, dies: usize, seed: u64) -> usize {
         let mut failures = 0;
         for stage in [Stage::Schematic, Stage::PostLayout] {
@@ -825,8 +885,8 @@ mod tests {
                 };
                 let ac = AcAnalysis::new(&biased.netlist);
                 let tf = ac.transfer_function(OUT_NODE).unwrap();
-                let dense = measure_ac(|w| ac.transfer(OUT_NODE, w));
-                let pencil = measure_ac(|w| tf.eval(w));
+                let dense = measure_ac_swept(|w| ac.transfer(OUT_NODE, w));
+                let pencil = measure_ac(&tf);
                 match (dense, pencil) {
                     (Ok(a), Ok(b)) => {
                         for (name, x, y) in [
@@ -852,6 +912,84 @@ mod tests {
             }
         }
         failures
+    }
+
+    #[test]
+    fn phase_margin_matches_analytic_transfers() {
+        let real = Complex64::from_re;
+        let f_u = 1e6;
+        let w = TWO_PI * f_u;
+        let (p1, w0, zeta) = (TWO_PI * 1e3, TWO_PI * 3e6, 0.4);
+        let lag = |p: f64| -(w / p).atan();
+        let pair = Complex64::new(-zeta * w0, w0 * (1.0 - zeta * zeta).sqrt());
+        // (zeros, poles, ∠H(jω_u) in radians).
+        let cases = [
+            (vec![], vec![real(-p1)], lag(p1)),
+            (
+                vec![],
+                vec![real(-p1), real(-TWO_PI * 3e6), real(-TWO_PI * 2e7)],
+                lag(p1) + lag(TWO_PI * 3e6) + lag(TWO_PI * 2e7),
+            ),
+            (
+                vec![],
+                vec![real(-p1), pair, pair.conj()],
+                lag(p1) - (2.0 * zeta * w0 * w).atan2(w0 * w0 - w * w),
+            ),
+            // The Miller zero in the right half-plane lags like a pole.
+            (
+                vec![real(TWO_PI * 2e7)],
+                vec![real(-p1), real(-TWO_PI * 4e6)],
+                lag(TWO_PI * 2e7) + lag(p1) + lag(TWO_PI * 4e6),
+            ),
+        ];
+        for (zeros, poles, phase) in cases {
+            // The gain that puts the unity crossing at f_u.
+            let unit = RationalTransfer::from_roots(1.0, &zeros, &poles);
+            let gain = 1.0 / unit.eval(w).unwrap().abs();
+            let h = RationalTransfer::from_roots(gain, &zeros, &poles);
+            let pm = measure_ac(&h).unwrap().phase_margin_deg;
+            let expected = 180.0 + phase.to_degrees();
+            assert!(
+                (pm - expected).abs() <= 1e-12 * expected.abs(),
+                "{} poles, {} zeros: {pm} vs {expected}",
+                poles.len(),
+                zeros.len()
+            );
+        }
+    }
+
+    #[test]
+    fn root_on_the_axis_below_unity_is_a_phase_margin_failure() {
+        // A lossless resonance at 10 kHz under a unity crossing near 21 kHz.
+        let w0 = TWO_PI * 1e4;
+        let h = RationalTransfer::from_roots(
+            1e3,
+            &[],
+            &[
+                Complex64::from_re(-TWO_PI * 100.0),
+                Complex64::new(0.0, w0),
+                Complex64::new(0.0, -w0),
+            ],
+        );
+        assert!(matches!(
+            measure_ac(&h),
+            Err(CircuitError::MeasurementFailure {
+                metric: "phase margin",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn unconverged_root_solve_is_a_phase_margin_failure() {
+        let h = RationalTransfer::from_roots(1e3, &[], &[Complex64::from_re(f64::NAN)]);
+        assert!(matches!(
+            phase_margin(&h, 1e5),
+            Err(CircuitError::MeasurementFailure {
+                metric: "phase margin",
+                ..
+            })
+        ));
     }
 
     #[test]

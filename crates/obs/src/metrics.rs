@@ -342,6 +342,13 @@ pub mod counters {
     pub static FFT_CALLS: Counter = Counter::new("fft.calls");
     /// Spectrum analyses (`spectrum::analyze`).
     pub static SPECTRUM_ANALYSES: Counter = Counter::new("spectrum.analyses");
+    /// Transfer functions `N(s)/D(s)` extracted from an MNA pencil, one
+    /// per successful `AcAnalysis::transfer_function` call (one per
+    /// simulated op-amp die).
+    pub static MNA_TRANSFER_FUNCTIONS: Counter = Counter::new("mna.transfer_functions");
+    /// `H(jω)` probes of the op-amp's DC gain and its two crossing
+    /// searches (−3 dB and unity gain), added once per die.
+    pub static OPAMP_CROSSING_EVALS: Counter = Counter::new("opamp.crossing_evals");
     /// Drift-monitor windows closed.
     pub static DRIFT_WINDOWS: Counter = Counter::new("drift.windows");
     /// Drift windows classified `Warn` or worse.
@@ -355,7 +362,7 @@ pub mod counters {
     /// Packets rejected by a merge (corrupt, incompatible, invalid).
     pub static SHARD_REJECTS: Counter = Counter::new("shard.rejects");
 
-    static ALL: [&Counter; 21] = [
+    static ALL: [&Counter; 23] = [
         &MONTE_CARLO_SIMS,
         &MONTE_CARLO_RETRIES,
         &CHOLESKY_CALLS,
@@ -371,6 +378,8 @@ pub mod counters {
         &LADDER_RUNG_TRANSITIONS,
         &FFT_CALLS,
         &SPECTRUM_ANALYSES,
+        &MNA_TRANSFER_FUNCTIONS,
+        &OPAMP_CROSSING_EVALS,
         &DRIFT_WINDOWS,
         &DRIFT_ALERTS,
         &SHARD_PACKETS_WRITTEN,

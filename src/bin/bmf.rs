@@ -515,21 +515,20 @@ fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
     // Fault injection keeps the emitted CSV finite: failed sims are
     // retried away and outliers survive as (finite) corrupted rows, but
     // NaN corruption is off — the CSV reader rejects non-finite tokens by
-    // design, so a generated file must always be readable back.
-    let tb: Box<dyn Testbench> = if fault_rate > 0.0 {
-        Box::new(
-            FaultInjector::new(
-                tb,
-                FaultConfig {
-                    sim_failure_rate: fault_rate,
-                    outlier_rate: fault_rate / 5.0,
-                    ..FaultConfig::default()
-                },
-            )
-            .map_err(cfg)?,
-        )
-    } else {
+    // design, so a generated file must always be readable back. The rate
+    // is checked even where it injects nothing.
+    let faults = FaultConfig {
+        sim_failure_rate: fault_rate,
+        outlier_rate: fault_rate / 5.0,
+        ..FaultConfig::default()
+    };
+    faults
+        .validate()
+        .map_err(|e| CliError::Config(format!("--fault-rate {fault_rate}: {e}")))?;
+    let tb: Box<dyn Testbench> = if faults.is_quiet() {
         tb
+    } else {
+        Box::new(FaultInjector::new(tb, faults).map_err(cfg)?)
     };
 
     let threads = threads_flag(&flags)?;
@@ -717,6 +716,31 @@ fn normalized_study(
     Ok((early_norm, late_stats, late_t))
 }
 
+/// Parses the optional `--kappa0`/`--nu0` pair: both or neither, `κ₀`
+/// finite and positive, `ν₀` finite. `ν₀ > d` needs the study's `d` and
+/// is checked once the merge gives it.
+fn fixed_hypers(flags: &HashMap<String, Vec<String>>) -> Result<Option<(f64, f64)>, CliError> {
+    if flags.contains_key("kappa0") != flags.contains_key("nu0") {
+        return Err(CliError::Config(
+            "--kappa0 and --nu0 must be given together".to_string(),
+        ));
+    }
+    if !flags.contains_key("kappa0") {
+        return Ok(None);
+    }
+    let kappa0: f64 = parse_required(flags, "kappa0")?;
+    let nu0: f64 = parse_required(flags, "nu0")?;
+    if !(kappa0 > 0.0 && kappa0.is_finite()) {
+        return Err(CliError::Config(format!(
+            "--kappa0 must be finite and > 0, got {kappa0}"
+        )));
+    }
+    if !nu0.is_finite() {
+        return Err(CliError::Config(format!("--nu0 must be finite, got {nu0}")));
+    }
+    Ok(Some((kappa0, nu0)))
+}
+
 fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     let flags = parse_flags(args).map_err(cfg)?;
     let packet_paths = flags
@@ -740,25 +764,7 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
         None => None,
     };
     let (strict, _degrade) = failure_mode(&flags)?;
-    let kappa0: Option<f64> = match optional(&flags, "kappa0") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| CliError::Config(format!("--kappa0 has unusable value '{raw}'")))?,
-        ),
-        None => None,
-    };
-    let nu0: Option<f64> = match optional(&flags, "nu0") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| CliError::Config(format!("--nu0 has unusable value '{raw}'")))?,
-        ),
-        None => None,
-    };
-    if kappa0.is_some() != nu0.is_some() {
-        return Err(CliError::Config(
-            "--kappa0 and --nu0 must be given together".to_string(),
-        ));
-    }
+    let hypers = fixed_hypers(&flags)?;
     let threads = threads_flag(&flags)?;
     obs.set_threads(threads);
 
@@ -796,8 +802,14 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
         FailureMode::Degrade
     };
     let mut pipeline = RobustPipeline::new().with_mode(mode).with_threads(threads);
-    if let (Some(k), Some(v)) = (kappa0, nu0) {
-        pipeline = pipeline.with_fixed_hypers(k, v);
+    if let Some((kappa0, nu0)) = hypers {
+        let d = early_norm.dim();
+        if nu0 <= d as f64 {
+            return Err(CliError::Config(format!(
+                "--nu0 must exceed the metric count d = {d} of the merged study, got {nu0}"
+            )));
+        }
+        pipeline = pipeline.with_fixed_hypers(kappa0, nu0);
     }
     let (est, report) = pipeline
         .estimate_from_stats(&early_norm, &late_stats, Some(outcome.coverage.clone()))

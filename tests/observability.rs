@@ -12,6 +12,7 @@
 
 use bmf_ams::circuits::adc::AdcTestbench;
 use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
+use bmf_ams::circuits::opamp::OpAmpTestbench;
 use bmf_ams::core::cv::CrossValidation;
 use bmf_ams::core::pipeline::{FailureMode, RobustPipeline};
 use bmf_ams::core::MomentEstimate;
@@ -183,6 +184,33 @@ fn fold_eval_counts_are_thread_count_invariant() {
         counts.iter().all(|&c| c == counts[0]),
         "fold evaluations differ across thread counts: {counts:?}"
     );
+    bmf_ams::obs::reset();
+}
+
+/// The op-amp's measurement counters: one transfer-function extraction
+/// per simulated die, and for one seeded die the exact number of `H(jω)`
+/// probes its DC gain and two crossing searches take.
+#[test]
+fn opamp_dies_extract_once_and_probe_a_pinned_count() {
+    let _g = obs_lock();
+    let tb = OpAmpTestbench::default_45nm();
+    bmf_ams::obs::enable();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2015);
+    tb.sample_performance(Stage::PostLayout, &mut rng)
+        .expect("die");
+    let one = bmf_ams::obs::metrics::snapshot();
+    assert_eq!(one.counter("mna.transfer_functions"), 1);
+    // 1 DC probe, then per crossing 1 + its log-scan steps + 60 bisections.
+    assert_eq!(one.counter("opamp.crossing_evals"), 175);
+
+    // A Monte Carlo stage: its nominal run plus one extraction per die.
+    bmf_ams::obs::reset();
+    bmf_ams::obs::enable();
+    run_monte_carlo_seeded(&tb, Stage::Schematic, 16, 5, 2).expect("mc");
+    let mc = bmf_ams::obs::metrics::snapshot();
+    assert_eq!(mc.counter("monte_carlo.sims"), 16);
+    assert_eq!(mc.counter("monte_carlo.retries"), 0);
+    assert_eq!(mc.counter("mna.transfer_functions"), 17);
     bmf_ams::obs::reset();
 }
 

@@ -481,6 +481,67 @@ fn cli_quorum_and_degraded_exit_codes() {
         .output()
         .unwrap();
     assert_eq!(exit_code(&out), 2);
+    // A fault rate that is not finite and in [0, 1] is refused before any
+    // die is simulated, whether or not it would inject anything.
+    for rate in ["nan", "-0.5"] {
+        let out = bmf()
+            .args(["generate", "--circuit", "opamp", "--stage", "schematic"])
+            .args(["--samples", "3", "--fault-rate", rate, "--out"])
+            .arg(dir.path("g.csv"))
+            .output()
+            .unwrap();
+        assert_eq!(exit_code(&out), 2, "--fault-rate {rate}");
+        assert!(!std::path::Path::new(&dir.path("g.csv")).exists());
+    }
+}
+
+#[test]
+fn cli_unusable_fixed_hyper_parameters_are_usage_errors() {
+    let dir = TempDir::new("fixed-hypers");
+    let out = shard_cmd(&dir, 0, 1, "p0.json").output().unwrap();
+    assert_eq!(exit_code(&out), 0);
+    let merge = |kappa0: &str, nu0: &str, strict: bool| {
+        let mut cmd = bmf();
+        cmd.args(["merge", "--threads", "1", "--kappa0", kappa0, "--nu0", nu0]);
+        if strict {
+            cmd.arg("--strict");
+        }
+        cmd.arg("--packet")
+            .arg(dir.path("p0.json"))
+            .arg("--out")
+            .arg(dir.path("m.csv"))
+            .output()
+            .unwrap()
+    };
+    // κ₀ must be finite and positive, ν₀ finite and above d = 5: each
+    // violation names its flag, exits 2 and writes nothing, in degrade
+    // and strict mode alike.
+    for (kappa0, nu0, flag) in [
+        ("nan", "10", "--kappa0"),
+        ("-1", "10", "--kappa0"),
+        ("5", "inf", "--nu0"),
+        ("1", "3", "--nu0"),
+    ] {
+        for strict in [false, true] {
+            let out = merge(kappa0, nu0, strict);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                exit_code(&out),
+                2,
+                "{kappa0}/{nu0} strict={strict}: {stderr}"
+            );
+            assert!(stderr.contains(flag), "{kappa0}/{nu0}: {stderr}");
+            assert!(!std::path::Path::new(&dir.path("m.csv")).exists());
+        }
+    }
+    let out = merge("1", "10", true);
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(std::path::Path::new(&dir.path("m.csv")).exists());
 }
 
 #[test]
@@ -539,15 +600,15 @@ fn cli_report_write_is_atomic_and_complete() {
 /// A mismatch means a command now writes different bits; re-baseline
 /// only on purpose.
 const GOLDEN_DIGESTS: &[(&str, u64)] = &[
-    ("early.csv", 0xC0FA_0313_8736_E52C),
-    ("late.csv", 0x0331_05F6_FCF6_729C),
-    ("estimate.csv", 0x309F_B9DF_4DD3_4995),
-    ("estimate.json", 0x4657_8DB1_8414_20BE),
-    ("p0.json", 0x72BC_D75C_7661_E94B),
-    ("p1.json", 0x7346_72B8_1F46_E9CB),
-    ("p2.json", 0x30D5_68C6_DEEC_3DA0),
-    ("merge.csv", 0xBA28_D18F_410A_FB14),
-    ("merge.json", 0xC37F_26C4_286B_DAFF),
+    ("early.csv", 0x3D63_B9AF_A764_FF22),
+    ("late.csv", 0xAFFC_758A_7981_2C90),
+    ("estimate.csv", 0x9834_CB13_0F9F_E2D8),
+    ("estimate.json", 0x6EBE_9A02_747D_789F),
+    ("p0.json", 0x7C33_1F14_AF3A_EDF6),
+    ("p1.json", 0xA54F_622C_6543_21B7),
+    ("p2.json", 0xD3C6_C1D1_9ED6_C6D8),
+    ("merge.csv", 0xC478_B441_18E1_93EB),
+    ("merge.json", 0x2065_2477_1039_67BD),
 ];
 
 /// `json` without the member `"key":value` and the comma after it. The
