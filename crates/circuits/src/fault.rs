@@ -94,6 +94,28 @@ impl FaultConfig {
     }
 }
 
+/// Checks the simulation-failure rate a study runs at, as `bmf generate`
+/// and a sharded study ([`crate::shard::StudyConfig::validate`]) both
+/// take it: finite and in `[0, 1)`. At a rate of 1 every draw fails, so
+/// the study could only burn its retry budget; it is refused up front.
+/// ([`FaultConfig::validate`] keeps `[0, 1]` for the injector itself,
+/// where a certain fault is a useful test.)
+///
+/// # Errors
+///
+/// Returns [`CircuitError::InvalidValue`] naming `what`.
+pub fn check_study_fault_rate(what: &'static str, rate: f64) -> Result<()> {
+    if (0.0..1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(CircuitError::InvalidValue {
+            what,
+            value: rate,
+            constraint: "0 <= rate < 1",
+        })
+    }
+}
+
 /// A [`Testbench`] wrapper that deterministically injects faults into the
 /// wrapped bench's draws. Nominal simulations are never faulted — the
 /// nominal corner is a deterministic design property, and the estimation

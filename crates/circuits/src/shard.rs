@@ -25,7 +25,7 @@
 //! one that died because its slice owns its seeds.
 
 use crate::adc::AdcTestbench;
-use crate::fault::{FaultConfig, FaultInjector};
+use crate::fault::{check_study_fault_rate, FaultConfig, FaultInjector};
 use crate::monte_carlo::{
     run_monte_carlo_slice_seeded_with_policy, RetryPolicy, Stage, Testbench, TwoStageStudy,
 };
@@ -40,13 +40,20 @@ use bmf_obs::{RunContext, ShardCoverage};
 pub const PACKET_FORMAT: &str = "bmf-shard-packet";
 /// The packet schema version, the only one this build writes or reads:
 /// packets are intermediate files that the same build shards and
-/// merges. A packet carries sufficient statistics and nothing else, so
-/// recording in the shard's process never changes its bytes; a shard's
-/// telemetry travels in its own `--trace-out`/`--metrics-out`/
+/// merges, so an older packet is refused with a version error rather
+/// than read. A packet carries sufficient statistics and nothing else,
+/// so recording in the shard's process never changes its bytes; a
+/// shard's telemetry travels in its own `--trace-out`/`--metrics-out`/
 /// `--events-out` files under the study's run id. The parser reads only
-/// the members it needs, so an extra payload member (the `telemetry`
-/// envelope earlier builds of this version wrote) is ignored.
-pub const PACKET_VERSION: u64 = 3;
+/// the members it needs, so an extra payload member is ignored.
+///
+/// Version 4 writes each exact sum in the compact text form of
+/// [`ExactSum::to_hex`]: its significant hex digits and the count of
+/// zero digits dropped below them (`a6f69250c045p253`), instead of the
+/// whole 2⁻¹⁰⁷⁴-based fixed-point hex. An op-amp packet (d = 5, 21 sums
+/// per stage) falls from about 11.5 KB to 1.5 KB, and the sums, and so
+/// every merged moment, keep their bits.
+pub const PACKET_VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Study configuration
@@ -103,13 +110,7 @@ impl StudyConfig {
                 constraint: "<= min(n_early, n_late) so every shard owns samples",
             });
         }
-        if !(0.0..1.0).contains(&self.fault_rate) {
-            return Err(CircuitError::InvalidValue {
-                what: "shard fault_rate",
-                value: self.fault_rate,
-                constraint: "0 <= rate < 1",
-            });
-        }
+        check_study_fault_rate("shard fault_rate", self.fault_rate)?;
         if self.circuit != "opamp" && self.circuit != "adc" {
             return Err(CircuitError::PacketIncompatible {
                 reason: format!("unknown circuit {:?} (expected opamp or adc)", self.circuit),
@@ -1074,12 +1075,71 @@ mod tests {
         // Truncation: not valid JSON.
         let err = parse_packet(&good[..good.len() / 2], "truncated").unwrap_err();
         assert!(matches!(err, CircuitError::PacketCorrupt { .. }));
-        // Any version but this build's own, older or newer.
-        for version in ["2", "99"] {
-            let wrong = good.replacen("\"version\":3", &format!("\"version\":{version}"), 1);
+        // Any version but this build's own, older or newer: a version-3
+        // packet (fixed-point sums) is refused before its sums are read.
+        for version in ["2", "3", "99"] {
+            let wrong = good.replacen(
+                &format!("\"version\":{PACKET_VERSION}"),
+                &format!("\"version\":{version}"),
+                1,
+            );
+            assert_ne!(wrong, good);
             let err = parse_packet(&wrong, "other-version").unwrap_err();
             assert!(err.to_string().contains("version"), "{err}");
         }
+    }
+
+    /// A packet document around `payload`, with its checksum recomputed
+    /// as a forger can (FNV is not a MAC).
+    fn sealed(payload: &str) -> String {
+        format!(
+            "{{\"format\":\"{PACKET_FORMAT}\",\"version\":{PACKET_VERSION},\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
+            fnv1a(payload.as_bytes()),
+        )
+    }
+
+    /// `p`'s packet with the late stage's `delta[0]` replaced by `sum`.
+    fn with_late_delta0(p: &ShardPacket, sum: &str) -> String {
+        let payload = p.payload_json();
+        let key = "\"delta\":[\"";
+        let late = payload.find("\"late\":").expect("late stage");
+        let start = late + payload[late..].find(key).expect("late delta") + key.len();
+        let end = start + payload[start..].find('"').expect("closing quote");
+        sealed(&format!("{}{sum}{}", &payload[..start], &payload[end..]))
+    }
+
+    #[test]
+    fn forged_exact_sums_are_typed_errors_not_wrapped_merges() {
+        let packets: Vec<ShardPacket> = (0..4)
+            .map(|i| run_shard(&config(), i, 1).unwrap())
+            .collect();
+        let first = packets[0].late.delta[0].to_hex();
+        assert_eq!(with_late_delta0(&packets[0], &first), packets[0].to_json());
+        let forge = |sum: &str| -> Vec<(String, String)> {
+            packets
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (format!("forged-{i}.json"), with_late_delta0(p, sum)))
+                .collect()
+        };
+        // 2³⁰ · 16⁵⁴⁴ units each, in the fixed-point form of version 3 and
+        // in the compact form: four of them once wrapped the merged top
+        // limb (4 · 2⁶²) to exactly 0, so the late mean read the nominal.
+        for forged in [
+            format!("40000000{}", "0".repeat(8 * 68)),
+            "4p551".to_string(),
+        ] {
+            let err = merge_packet_texts(&forge(&forged), &MergePolicy::default()).unwrap_err();
+            assert!(
+                matches!(&err, CircuitError::PacketCorrupt { reason, .. } if reason.contains("delta[0]")),
+                "{err}"
+            );
+        }
+        // The widest accepted magnitude merges exactly: the late mean
+        // overflows to +∞ instead of wrapping back to a finite value.
+        let widest = format!("{}p0", "f".repeat(544));
+        let merged = merge_packet_texts(&forge(&widest), &MergePolicy::default()).unwrap();
+        assert_eq!(merged.late.moments().unwrap().mean[0], f64::INFINITY);
     }
 
     #[test]
@@ -1103,11 +1163,7 @@ mod tests {
                     "\"retries\":1e300",
                     1,
                 );
-                let text = format!(
-                    "{{\"format\":\"{PACKET_FORMAT}\",\"version\":{PACKET_VERSION},\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
-                    fnv1a(payload.as_bytes()),
-                );
-                (format!("forged-{i}.json"), text)
+                (format!("forged-{i}.json"), sealed(&payload))
             })
             .collect();
         let err = parse_packet(&texts[0].1, &texts[0].0).unwrap_err();
@@ -1147,20 +1203,17 @@ mod tests {
 
     #[test]
     fn an_extra_payload_member_is_ignored() {
-        // Earlier builds of this packet version appended a `telemetry`
-        // member when the shard recorded; such a packet still parses to
-        // the statistics it carries and dedupes against a quiet one.
+        // The parser reads only the members it needs: a packet with an
+        // extra member (here a `telemetry` envelope like the one older
+        // packets carried) still parses to the statistics it carries and
+        // dedupes against a plain one.
         let p = run_shard(&config(), 0, 1).unwrap();
         let payload = p
             .payload_json()
             .strip_suffix('}')
             .map(|body| format!("{body},\"telemetry\":{{\"wall_ns\":7,\"spans\":[]}}}}"))
             .unwrap();
-        let text = format!(
-            "{{\"format\":\"{PACKET_FORMAT}\",\"version\":{PACKET_VERSION},\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
-            fnv1a(payload.as_bytes()),
-        );
-        let back = parse_packet(&text, "with-telemetry").unwrap();
+        let back = parse_packet(&sealed(&payload), "with-telemetry").unwrap();
         assert_eq!(back, p);
         let merged = merge_packets(
             &[p, back],
@@ -1303,6 +1356,14 @@ mod tests {
             },
             StudyConfig {
                 fault_rate: 1.5,
+                ..config()
+            },
+            StudyConfig {
+                fault_rate: 1.0, // every draw would fail
+                ..config()
+            },
+            StudyConfig {
+                fault_rate: f64::NAN,
                 ..config()
             },
             StudyConfig {

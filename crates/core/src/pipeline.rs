@@ -378,7 +378,10 @@ impl RobustPipeline {
     /// entirely. Required for stats-only estimation (CV needs raw
     /// samples) when the defaults `κ₀ = 1, ν₀ = d + 2` are not wanted,
     /// and useful to make a sharded merge and a single-process run use
-    /// identical hyper-parameters.
+    /// identical hyper-parameters. The pair is checked when an estimate
+    /// runs, once `d` is known: unless `κ₀` is finite and > 0 and `ν₀`
+    /// is finite and > d, both entry points refuse it with
+    /// [`BmfError::InvalidConfig`] in either mode, before any stage.
     pub fn with_fixed_hypers(mut self, kappa0: f64, nu0: f64) -> Self {
         self.fixed_hypers = Some((kappa0, nu0));
         self
@@ -423,8 +426,8 @@ impl RobustPipeline {
     ///
     /// # Errors
     ///
-    /// * [`BmfError::InvalidConfig`] for an invalid guard policy or
-    ///   thread count.
+    /// * [`BmfError::InvalidConfig`] for an invalid guard policy, thread
+    ///   count or pinned `(κ₀, ν₀)` pair.
     /// * [`BmfError::InvalidMoments`] when the early moments are
     ///   structurally unusable (nothing to degrade to).
     /// * [`BmfError::InvalidSamples`] in strict mode on any anomaly, or
@@ -512,11 +515,27 @@ impl RobustPipeline {
         result
     }
 
-    fn check_threads(&self) -> Result<()> {
+    /// The configuration checks both entry points run first: a worker
+    /// thread, and a usable pinned `(κ₀, ν₀)` for `d` metrics — an
+    /// unusable pair would otherwise only surface as a MAP failure that
+    /// Degrade mode hides behind the MLE rung.
+    fn check_config(&self, d: usize) -> Result<()> {
         if self.threads == 0 {
             return Err(BmfError::InvalidConfig {
                 reason: "robust pipeline needs at least one worker thread".to_string(),
             });
+        }
+        if let Some((kappa0, nu0)) = self.fixed_hypers {
+            if !(kappa0.is_finite() && kappa0 > 0.0) {
+                return Err(BmfError::InvalidConfig {
+                    reason: format!("pinned kappa0 must be finite and > 0, got {kappa0}"),
+                });
+            }
+            if !(nu0.is_finite() && nu0 > d as f64) {
+                return Err(BmfError::InvalidConfig {
+                    reason: format!("pinned nu0 must be finite and > d = {d}, got {nu0}"),
+                });
+            }
         }
         Ok(())
     }
@@ -531,7 +550,7 @@ impl RobustPipeline {
         shard: Option<bmf_obs::ShardCoverage>,
         timings: &mut StageTimings,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        self.check_threads()?;
+        self.check_config(early.dim())?;
         early.validate()?;
         late.validate()?;
         if late.dim() != early.dim() {
@@ -611,7 +630,7 @@ impl RobustPipeline {
         late_samples: &Matrix,
         timings: &mut StageTimings,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        self.check_threads()?;
+        self.check_config(early.dim())?;
         self.guard.validate()?;
         // The early moments are the last rung of the ladder; if they are
         // structurally broken there is nothing to return at any rung.
@@ -1067,12 +1086,12 @@ mod tests {
             mean: Vector::zeros(2),
             cov: Matrix::outer(&Vector::from_slice(&[1.0, 1.0])), // rank 1
         };
-        let d = early().dim() as f64;
         let cases = [
             (early(), (2.0, 8.0), FallbackLevel::Map),
             (not_spd, (2.0, 8.0), FallbackLevel::MapRepairedPrior),
-            // ν₀ = d leaves no valid prior, so MAP fails over to MLE.
-            (early(), (1.0, d), FallbackLevel::Mle),
+            // κ₀n/(κ₀+n) overflows, so the MAP covariance is not finite
+            // and MAP fails over to MLE.
+            (early(), (f64::MAX, 8.0), FallbackLevel::Mle),
         ];
         for (early, (kappa0, nu0), rung) in cases {
             for mode in [FailureMode::Degrade, FailureMode::Strict] {
@@ -1108,6 +1127,41 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("cross-validation unavailable")));
+    }
+
+    #[test]
+    fn unusable_pinned_hypers_are_config_errors_on_both_paths() {
+        let late = clean_late(16, 16);
+        let stats = SufficientStats::from_samples(&late).unwrap();
+        let d = early().dim() as f64;
+        let cases = [
+            ((f64::NAN, 8.0), "kappa0"),
+            ((-1.0, 8.0), "kappa0"),
+            ((0.0, 8.0), "kappa0"),
+            ((f64::INFINITY, 8.0), "kappa0"),
+            ((2.0, f64::NAN), "nu0"),
+            ((2.0, -1.0), "nu0"),
+            ((2.0, f64::INFINITY), "nu0"),
+            ((2.0, d), "nu0"),
+        ];
+        for ((kappa0, nu0), name) in cases {
+            for mode in [FailureMode::Degrade, FailureMode::Strict] {
+                let p = RobustPipeline::new()
+                    .with_mode(mode)
+                    .with_fixed_hypers(kappa0, nu0);
+                for result in [
+                    p.estimate(&early(), &late),
+                    p.estimate_from_stats(&early(), &stats, None),
+                ] {
+                    match result {
+                        Err(BmfError::InvalidConfig { reason }) => {
+                            assert!(reason.contains(name), "({kappa0}, {nu0}): {reason}");
+                        }
+                        other => panic!("({kappa0}, {nu0}) {mode:?}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,23 @@
 //! Non-finite inputs (NaN, ±∞) poison the accumulator — a poisoned sum
 //! rounds to NaN and stays poisoned through merges, so a shard that
 //! produced garbage cannot silently launder it into a finite total.
+//!
+//! # Text form
+//!
+//! A poisoned sum is written `nan` and a zero sum `0`. Any other sum is
+//! `[-]<m>p<k>`: the magnitude in units of 2⁻¹⁰⁷⁴ is the lowercase hex
+//! digit string `m`, which has no leading and no trailing `0`, followed
+//! by `k` zero digits, and `k` is written in decimal without leading
+//! zeros. So `a6f69250c045p253` is 0xa6f69250c045 · 16²⁵³ · 2⁻¹⁰⁷⁴. A
+//! sum of doubles has only as many significant digits as its inputs
+//! span, a few dozen for a shard's statistics, where the whole
+//! fixed-point range is 544 digits. Each value has exactly one string.
+//! [`from_hex`](ExactSum::from_hex) accepts only that form and refuses
+//! `len(m) + k > 544`, a magnitude of 2¹¹⁰² or more: every accepted sum
+//! then fits the 68 limbs with a top limb below 2³², so a merge of fewer
+//! than 2³¹ accepted sums cannot overflow the signed top limb.
+
+use std::fmt::Write as _;
 
 /// Number of 2³²-weighted limbs. Limb `k` carries weight
 /// `2^(32k − 1074)`; 68 limbs span bit positions 0..2175, i.e. values
@@ -33,8 +50,14 @@ const LIMBS: usize = 68;
 const BIAS: i64 = 1074;
 
 /// How many unpropagated adds are allowed before a carry pass. Each
-/// add deposits < 2³² per limb, so 2²⁴ adds stay below 2⁵⁶ ≪ i64::MAX.
+/// add deposits < 2³² per limb, so 2²⁴ adds stay below 2⁵⁶ ≪ i64::MAX;
+/// a [`ExactSum::merge`] of two sums just under the limit stays below
+/// 2⁵⁷.
 const PENDING_MAX: u32 = 1 << 24;
+
+/// Most hex digits a [`ExactSum::from_hex`] magnitude may have: the 68
+/// limbs of 32 bits, so every accepted magnitude is below 2¹¹⁰².
+const HEX_DIGITS: usize = 8 * LIMBS;
 
 /// Exact fixed-point accumulator for `f64` sums (see module docs).
 #[derive(Debug, Clone)]
@@ -44,7 +67,8 @@ pub struct ExactSum {
     /// [`Self::propagate`] limbs `0..LIMBS-1` are in `[0, 2³²)` and the
     /// top limb carries the sign.
     limbs: [i64; LIMBS],
-    /// Adds since the last carry propagation.
+    /// Adds since the last carry propagation: every limb below the top
+    /// stays within `(pending + 1) · 2³²` in magnitude.
     pending: u32,
     /// Set when a non-finite value was added; sticky across merges.
     poisoned: bool,
@@ -123,15 +147,19 @@ impl ExactSum {
 
     /// Adds another accumulator into this one — the exact integer sum,
     /// so merging is associative and commutative. Poison is sticky.
+    ///
+    /// The limbs add as they are: `other`'s partials count as its
+    /// pending adds plus one, and a carry pass runs only once the total
+    /// reaches the limit.
     pub fn merge(&mut self, other: &ExactSum) {
-        self.propagate();
-        let mut rhs = other.clone();
-        rhs.propagate();
-        for k in 0..LIMBS {
-            self.limbs[k] += rhs.limbs[k];
+        for (mine, theirs) in self.limbs.iter_mut().zip(&other.limbs) {
+            *mine += theirs;
         }
-        self.poisoned |= rhs.poisoned;
-        self.propagate();
+        self.pending += other.pending + 1;
+        self.poisoned |= other.poisoned;
+        if self.pending >= PENDING_MAX {
+            self.propagate();
+        }
     }
 
     /// Carry pass: canonicalizes limbs `0..LIMBS-1` into `[0, 2³²)`,
@@ -240,11 +268,13 @@ impl ExactSum {
         signed(mant as f64 * pow2(exp_top - 52))
     }
 
-    /// Canonical lossless serialization: `"nan"` when poisoned, else an
-    /// optional `-` and the big-endian hex magnitude with no leading
-    /// zeros (`"0"` for an empty sum). Two accumulators holding the
-    /// same exact value serialize identically regardless of the order
-    /// or partition their inputs arrived in.
+    /// Canonical lossless serialization: `"nan"` when poisoned, `"0"`
+    /// for a zero sum, else `[-]<m>p<k>` — the significant lowercase hex
+    /// digits `m` of the magnitude in units of 2⁻¹⁰⁷⁴ and the decimal
+    /// count `k` of the zero digits dropped below them (see the module
+    /// docs). Two accumulators holding the same exact value serialize
+    /// identically regardless of the order or partition their inputs
+    /// arrived in.
     #[must_use]
     pub fn to_hex(&self) -> String {
         if self.poisoned {
@@ -253,68 +283,84 @@ impl ExactSum {
         let mut norm = self.clone();
         norm.propagate();
         let (negative, mag) = norm.sign_magnitude();
-        let top = match (0..=LIMBS).rev().find(|&k| mag[k] != 0) {
-            Some(k) => k,
-            None => return "0".to_string(),
+        let Some(top) = (0..=LIMBS).rev().find(|&k| mag[k] != 0) else {
+            return "0".to_string();
         };
-        let mut out = String::with_capacity(2 + 8 * (top + 1));
+        let low = (0..=top)
+            .find(|&k| mag[k] != 0)
+            .expect("chunk `top` is nonzero");
+        // Whole zero digits at the bottom of the lowest nonzero chunk.
+        let zeros = (mag[low].trailing_zeros() / 4) as usize;
+        let mut out = String::with_capacity(16 + 8 * (top - low + 1));
         if negative {
             out.push('-');
         }
-        out.push_str(&format!("{:x}", mag[top]));
-        for k in (0..top).rev() {
-            out.push_str(&format!("{:08x}", mag[k]));
+        if top == low {
+            let _ = write!(out, "{:x}", mag[low] >> (4 * zeros));
+        } else {
+            let _ = write!(out, "{:x}", mag[top]);
+            for &chunk in mag[low + 1..top].iter().rev() {
+                let _ = write!(out, "{chunk:08x}");
+            }
+            let _ = write!(out, "{:0w$x}", mag[low] >> (4 * zeros), w = 8 - zeros);
         }
+        let _ = write!(out, "p{}", 8 * low + zeros);
         out
     }
 
     /// Parses a [`to_hex`](Self::to_hex) string back into an exact
-    /// accumulator. Returns `None` for malformed input or a magnitude
-    /// wider than the accumulator can hold.
+    /// accumulator. Accepts exactly the canonical form — `nan`, `0`, or
+    /// `[-]<m>p<k>` with `m` lowercase hex without leading or trailing
+    /// `0` and `k` decimal without leading zeros — and returns `None`
+    /// for anything else, including `len(m) + k > 544` (a magnitude of
+    /// 2¹¹⁰² or more, which merged sums could overflow).
     #[must_use]
     pub fn from_hex(s: &str) -> Option<ExactSum> {
-        if s == "nan" {
-            let mut sum = ExactSum::new();
-            sum.poisoned = true;
-            return Some(sum);
+        let mut sum = ExactSum::new();
+        match s {
+            "nan" => {
+                sum.poisoned = true;
+                return Some(sum);
+            }
+            "0" => return Some(sum),
+            _ => {}
         }
-        let (negative, digits) = match s.strip_prefix('-') {
+        let (negative, body) = match s.strip_prefix('-') {
             Some(rest) => (true, rest),
             None => (false, s),
         };
-        if digits.is_empty()
-            || digits.len() > 8 * (LIMBS + 1)
-            || !digits.bytes().all(|b| b.is_ascii_hexdigit())
+        let (digits, dropped) = body.split_once('p')?;
+        let digits = digits.as_bytes();
+        if digits.is_empty() || digits[0] == b'0' || digits[digits.len() - 1] == b'0' {
+            return None;
+        }
+        if dropped.is_empty()
+            || !dropped.bytes().all(|b| b.is_ascii_digit())
+            || (dropped.len() > 1 && dropped.starts_with('0'))
         {
             return None;
         }
-        let mut chunks = [0u64; LIMBS + 1];
-        let bytes = digits.as_bytes();
-        for (k, chunk) in chunks.iter_mut().enumerate() {
-            let end = bytes.len().saturating_sub(8 * k);
-            if end == 0 {
-                break;
-            }
-            let start = bytes.len().saturating_sub(8 * (k + 1));
-            let part = std::str::from_utf8(&bytes[start..end]).ok()?;
-            *chunk = u64::from_str_radix(part, 16).ok()?;
-        }
-        // Top limb re-absorbs its high half; reject magnitudes that
-        // would overflow the signed top limb.
-        if chunks[LIMBS] >= 1 << 31 {
+        let dropped: usize = dropped.parse().ok()?;
+        if dropped > HEX_DIGITS || digits.len() > HEX_DIGITS - dropped {
             return None;
         }
-        let mut sum = ExactSum::new();
-        for (limb, &chunk) in sum.limbs.iter_mut().zip(&chunks[..LIMBS]) {
-            *limb = chunk as i64;
+        for (i, &b) in digits.iter().rev().enumerate() {
+            let nibble = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => return None,
+            };
+            let pos = dropped + i;
+            sum.limbs[pos / 8] |= i64::from(nibble) << (4 * (pos % 8));
         }
-        sum.limbs[LIMBS - 1] |= (chunks[LIMBS] as i64) << 32;
         if negative {
+            // Negated chunks are partials like one pending add's; the
+            // next carry pass (or normalising reader) settles them.
             for limb in &mut sum.limbs {
                 *limb = -*limb;
             }
+            sum.pending = 1;
         }
-        sum.propagate();
         Some(sum)
     }
 }
@@ -428,6 +474,17 @@ mod tests {
             assert_eq!(merged, reference, "parts={parts}");
             assert_eq!(merged.round().to_bits(), reference.round().to_bits());
             assert_eq!(merged.to_hex(), reference.to_hex());
+            // The same partials as a merge reads them off packets:
+            // decoded (negative ones with unpropagated limbs) and merged
+            // without a carry pass in between.
+            let mut decoded = ExactSum::new();
+            for shard in &shards {
+                decoded.merge(&ExactSum::from_hex(&shard.to_hex()).expect("canonical"));
+            }
+            assert!(decoded.pending > 0, "parts={parts}: no carry pass ran");
+            assert_eq!(decoded, reference, "parts={parts}, decoded");
+            assert_eq!(decoded.round().to_bits(), reference.round().to_bits());
+            assert_eq!(decoded.to_hex(), reference.to_hex());
         }
         // Full reversal of the input order.
         let mut reversed = ExactSum::new();
@@ -454,21 +511,139 @@ mod tests {
         assert_eq!(ExactSum::from_hex(&neg.to_hex()).unwrap(), neg);
         // Zero and nan forms.
         assert_eq!(ExactSum::new().to_hex(), "0");
+        assert_eq!(ExactSum::from_values(&[2.5, -2.5]).to_hex(), "0");
         assert_eq!(ExactSum::from_hex("0").unwrap(), ExactSum::new());
         assert!(ExactSum::from_hex("nan").unwrap().is_poisoned());
     }
 
     #[test]
+    fn hex_keeps_only_the_significant_digits() {
+        // 1 = 2^1074 units = 4 · 16^268; 0.75 = 3 · 2^1072 = 3 · 16^268;
+        // MAX = (2^53 − 1) · 2^2045 units = (2^54 − 2) · 16^511.
+        for (values, text) in [
+            (&[1.0][..], "4p268"),
+            (&[-0.5], "-2p268"),
+            (&[0.75], "3p268"),
+            (&[5e-324], "1p0"),
+            (&[-5e-324, -5e-324, -5e-324], "-3p0"),
+            (&[1.0, 5e-324], &*format!("4{}1p0", "0".repeat(267))),
+            (&[f64::MAX], &*format!("3{}ep511", "f".repeat(12))),
+        ] {
+            let sum = ExactSum::from_values(values);
+            assert_eq!(sum.to_hex(), text, "{values:?}");
+            assert_eq!(ExactSum::from_hex(text).unwrap(), sum, "{text}");
+        }
+    }
+
+    #[test]
     fn malformed_hex_is_rejected() {
+        let too_wide = format!("1{}p0", "f".repeat(HEX_DIGITS));
+        let too_shifted = format!("1p{HEX_DIGITS}");
+        let old_fixed_point = format!("4{}", "0".repeat(268));
         for bad in [
             "",
             "-",
             "0x12",
             "12g4",
             "--3",
-            &"f".repeat(8 * (LIMBS + 1) + 1),
+            "p3",
+            "1p",
+            "-p3",
+            "1p-3",
+            "1p+3",
+            "01p0",
+            "10p0",
+            "0p4",
+            "-0",
+            "-0p0",
+            "A1p0",
+            "1P0",
+            "1p03",
+            "1p00",
+            " 1p0",
+            "1p0 ",
+            "1 p0",
+            "1p 0",
+            "1p2p3",
+            "-nan",
+            "NaN",
+            "1p99999999999999999999",
+            &too_wide,
+            &too_shifted,
+            "3ff",
+            &old_fixed_point,
+            &format!("-{old_fixed_point}"),
         ] {
             assert!(ExactSum::from_hex(bad).is_none(), "accepted {bad:?}");
+        }
+        // The widest accepted magnitudes, either way round.
+        for good in [
+            format!("{}p0", "f".repeat(HEX_DIGITS)),
+            format!("-1p{}", HEX_DIGITS - 1),
+        ] {
+            let sum = ExactSum::from_hex(&good).expect("widest magnitude parses");
+            assert_eq!(sum.to_hex(), good);
+        }
+    }
+
+    #[test]
+    fn widest_accepted_sums_merge_exactly() {
+        // 2 · (16^544 − 1) = 0x1fff…fe with 545 digits: the merge holds
+        // it exactly although no single accepted string can.
+        let max = ExactSum::from_hex(&format!("{}p0", "f".repeat(HEX_DIGITS))).unwrap();
+        let twice = format!("1{}e", "f".repeat(HEX_DIGITS - 1));
+        let mut sum = max.clone();
+        sum.merge(&max);
+        assert_eq!(sum.to_hex(), format!("{twice}p0"));
+        assert_eq!(sum.round(), f64::INFINITY);
+        let min = ExactSum::from_hex(&format!("-{}p0", "f".repeat(HEX_DIGITS))).unwrap();
+        let mut neg = min.clone();
+        neg.merge(&min);
+        assert_eq!(neg.to_hex(), format!("-{twice}p0"));
+        assert_eq!(neg.round(), f64::NEG_INFINITY);
+        neg.merge(&max);
+        neg.merge(&max);
+        assert_eq!(neg.to_hex(), "0");
+        // Many of them still add up exactly: 1000 · (16^544 − 1).
+        let mut many = ExactSum::new();
+        for _ in 0..1000 {
+            many.merge(&max);
+        }
+        let mut expect = ExactSum::new();
+        expect.limbs[LIMBS - 1] = 1000 << 32;
+        expect.limbs[0] = -1000;
+        assert_eq!(many, expect);
+    }
+
+    #[test]
+    fn merge_at_the_pending_limit_is_exact() {
+        // Two sums, each at PENDING_MAX − 1 adds with every limb at the
+        // edge of its bound: the same values as `a` and `b`, held as
+        // partials that carry (PENDING_MAX − 1) · 2³² into each limb and
+        // take it back out of the next one.
+        let a = ExactSum::from_values(&[1.5e300, -2.25e-300, 7.0, -0.1]);
+        let b = ExactSum::from_values(&[-3.5e200, 4.0e-310, 1e10]);
+        let stretched = |sum: &ExactSum, sign: i64| {
+            let mut s = sum.clone();
+            s.propagate();
+            let c = sign * i64::from(PENDING_MAX - 1);
+            for k in 0..LIMBS - 1 {
+                s.limbs[k] += c << 32;
+                s.limbs[k + 1] -= c;
+            }
+            s.pending = PENDING_MAX - 1;
+            assert_eq!(&s, sum, "stretching keeps the value");
+            s
+        };
+        let mut expect = a.clone();
+        expect.merge(&b);
+        for (sa, sb) in [(1, 1), (1, -1), (-1, 1), (-1, -1)] {
+            let mut merged = stretched(&a, sa);
+            merged.merge(&stretched(&b, sb));
+            assert_eq!(merged.pending, 0, "the limit forces a carry pass");
+            assert_eq!(merged, expect);
+            assert_eq!(merged.to_hex(), expect.to_hex());
+            assert_eq!(merged.round().to_bits(), (1.5e300f64 - 3.5e200).to_bits());
         }
     }
 

@@ -10,9 +10,9 @@
 //!
 //! * [`derive_seed`] — mixes `(root, stream, index)` into a task seed;
 //! * [`scoped_map`] / [`scoped_map_range`] — run an indexed map over
-//!   `std::thread::scope` workers, returning results in task order and
-//!   converting worker panics into a [`WorkerPanic`] error instead of
-//!   aborting the caller;
+//!   `std::thread::scope` workers (or, with one worker, on the calling
+//!   thread), returning results in task order and converting worker
+//!   panics into a [`WorkerPanic`] error instead of aborting the caller;
 //! * [`available_threads`] / [`resolve_threads`] — the `--threads`
 //!   default policy shared by every binary.
 //!
@@ -93,10 +93,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// worker threads and returns the results in index order.
 ///
 /// Task `i` runs on worker `i % threads`; `threads` is clamped to
-/// `[1, len]` so requesting more workers than tasks (or 0) is safe. Even
-/// with one effective worker the tasks run on a scoped thread, so the
-/// panic-containment contract below holds uniformly at every thread
-/// count.
+/// `[1, len]` so requesting more workers than tasks (or 0) is safe. With
+/// one effective worker the tasks run in order on the calling thread
+/// under `catch_unwind`, which saves a thread spawn and join (tens of
+/// microseconds) per map and contains a panic the same way, so the
+/// contract below holds at every thread count.
 ///
 /// # Errors
 ///
@@ -109,6 +110,16 @@ where
     F: Fn(usize) -> U + Sync,
 {
     let threads = threads.clamp(1, len.max(1));
+    if threads == 1 {
+        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = bmf_obs::span("parallel.worker");
+            (0..len).map(&f).collect()
+        }))
+        .map_err(|payload| WorkerPanic {
+            worker: 0,
+            message: panic_message(payload.as_ref()),
+        });
+    }
     let mut slots: Vec<Option<U>> = Vec::with_capacity(len);
     slots.resize_with(len, || None);
     let mut first_panic: Option<WorkerPanic> = None;
@@ -229,6 +240,20 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.worker, 0);
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (len, threads) in [(5, 1), (1, 4), (3, 0)] {
+            let ids = scoped_map_range(len, threads, |_| std::thread::current().id()).unwrap();
+            assert!(
+                ids.iter().all(|&id| id == caller),
+                "len = {len}, threads = {threads}"
+            );
+        }
+        let ids = scoped_map_range(4, 2, |_| std::thread::current().id()).unwrap();
+        assert!(ids.iter().all(|&id| id != caller));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for distributions and special functions.
 
 use bmf_linalg::{Matrix, Vector};
+use bmf_stats::exact::ExactSum;
 use bmf_stats::special::{chi_squared_cdf, erf, ln_gamma, ln_gamma_d, reg_lower_gamma};
 use bmf_stats::{descriptive, MultivariateNormal, NormalWishart, Wishart};
 use proptest::prelude::*;
@@ -15,7 +16,71 @@ fn spd_from_seed(d: usize, vals: &[f64]) -> Matrix {
     a
 }
 
+/// A finite double from raw bits: any sign, any exponent from the
+/// subnormal 2⁻¹⁰⁷⁴ up to 2¹⁰²³ (an all-ones exponent field is folded
+/// onto the largest finite one).
+fn finite_from_bits(bits: u64) -> f64 {
+    let x = f64::from_bits(bits);
+    if x.is_finite() {
+        x
+    } else {
+        f64::from_bits(bits & !(1 << 52))
+    }
+}
+
 proptest! {
+    #[test]
+    fn exact_sum_text_round_trips(
+        bits in proptest::collection::vec(0u64..u64::MAX, 1..24),
+        subnormal in 1u64..(1 << 52),
+    ) {
+        let values: Vec<f64> = bits.iter().map(|&b| finite_from_bits(b)).collect();
+        // The values and their negations cancel to exactly zero.
+        let mut cancelled = values.clone();
+        cancelled.extend(values.iter().map(|v| -v));
+        let single = f64::from_bits(subnormal | (bits[0] & (1 << 63)));
+        let sums = [
+            ("sum", ExactSum::from_values(&values)),
+            ("cancelled", ExactSum::from_values(&cancelled)),
+            ("subnormal", ExactSum::from_values(&[single])),
+        ];
+        for (what, sum) in sums {
+            let text = sum.to_hex();
+            let back = ExactSum::from_hex(&text)
+                .unwrap_or_else(|| panic!("{what}: refused its own text {text}"));
+            prop_assert_eq!(&back, &sum, "{}", what);
+            prop_assert_eq!(back.to_hex(), text, "{}", what);
+            prop_assert_eq!(back.round().to_bits(), sum.round().to_bits(), "{}", what);
+        }
+        prop_assert_eq!(ExactSum::from_values(&cancelled).to_hex(), "0");
+    }
+
+    #[test]
+    fn accepted_exact_sum_strings_reserialise_to_themselves(
+        words in proptest::collection::vec(0u64..u64::MAX, 1..40),
+        shift in 0u32..64,
+        dropped in 0usize..600,
+        negative in 0u8..2,
+    ) {
+        // Strings of the text form's shape, canonical or not: up to 640
+        // digits, some with a leading or a trailing zero.
+        let mut digits = format!("{:x}", words[0] >> shift);
+        for w in &words[1..] {
+            digits.push_str(&format!("{w:016x}"));
+        }
+        let sign = if negative == 1 { "-" } else { "" };
+        let text = format!("{sign}{digits}p{dropped}");
+        let canonical =
+            !digits.starts_with('0') && !digits.ends_with('0') && digits.len() + dropped <= 544;
+        match ExactSum::from_hex(&text) {
+            Some(sum) => {
+                prop_assert!(canonical, "accepted {text}");
+                prop_assert_eq!(sum.to_hex(), text);
+            }
+            None => prop_assert!(!canonical, "refused {text}"),
+        }
+    }
+
     #[test]
     fn ln_gamma_satisfies_recurrence(x in 0.05..50.0f64) {
         let lhs = ln_gamma(x + 1.0);

@@ -41,7 +41,7 @@
 //! | 4    | degraded success (merge completed below full coverage)      |
 
 use bmf_ams::circuits::adc::AdcTestbench;
-use bmf_ams::circuits::fault::{FaultConfig, FaultInjector};
+use bmf_ams::circuits::fault::{check_study_fault_rate, FaultConfig, FaultInjector};
 use bmf_ams::circuits::monte_carlo::{
     run_monte_carlo_seeded_with_policy, RetryPolicy, Stage, Testbench,
 };
@@ -226,8 +226,9 @@ fn print_usage() {
     println!("(data-quality guard, SPD prior repair, MAP -> MLE -> early-only fallback");
     println!("ladder); --strict runs the same pipeline but turns any anomaly into an");
     println!("error. --report writes the FusionReport as JSON ('-' prints a summary).");
-    println!("generate --fault-rate r injects failed sims at rate r and gross outliers");
-    println!("at r/5 (deterministic, seed-derived) to exercise the robustness path.");
+    println!("generate --fault-rate r (0 <= r < 1) injects failed sims at rate r and");
+    println!("gross outliers at r/5 (deterministic, seed-derived) to exercise the");
+    println!("robustness path.");
     println!("--cv-naive scores the hyper-parameter grid with the naive per-candidate");
     println!("refit instead of the fast rank-structured path (equivalence oracle; slow).");
     println!();
@@ -516,15 +517,14 @@ fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
     // retried away and outliers survive as (finite) corrupted rows, but
     // NaN corruption is off — the CSV reader rejects non-finite tokens by
     // design, so a generated file must always be readable back. The rate
-    // is checked even where it injects nothing.
+    // is checked even where it injects nothing, by the same rule
+    // `bmf shard` applies.
+    check_study_fault_rate("--fault-rate", fault_rate).map_err(cfg)?;
     let faults = FaultConfig {
         sim_failure_rate: fault_rate,
         outlier_rate: fault_rate / 5.0,
         ..FaultConfig::default()
     };
-    faults
-        .validate()
-        .map_err(|e| CliError::Config(format!("--fault-rate {fault_rate}: {e}")))?;
     let tb: Box<dyn Testbench> = if faults.is_quiet() {
         tb
     } else {

@@ -481,9 +481,10 @@ fn cli_quorum_and_degraded_exit_codes() {
         .output()
         .unwrap();
     assert_eq!(exit_code(&out), 2);
-    // A fault rate that is not finite and in [0, 1] is refused before any
-    // die is simulated, whether or not it would inject anything.
-    for rate in ["nan", "-0.5"] {
+    // A fault rate that is not finite and in [0, 1) is refused before any
+    // die is simulated, whether or not it would inject anything; at 1
+    // every draw would fail, as `bmf shard` already refused.
+    for rate in ["nan", "-0.5", "1"] {
         let out = bmf()
             .args(["generate", "--circuit", "opamp", "--stage", "schematic"])
             .args(["--samples", "3", "--fault-rate", rate, "--out"])
@@ -604,9 +605,9 @@ const GOLDEN_DIGESTS: &[(&str, u64)] = &[
     ("late.csv", 0xAFFC_758A_7981_2C90),
     ("estimate.csv", 0x9834_CB13_0F9F_E2D8),
     ("estimate.json", 0x6EBE_9A02_747D_789F),
-    ("p0.json", 0x7C33_1F14_AF3A_EDF6),
-    ("p1.json", 0xA54F_622C_6543_21B7),
-    ("p2.json", 0xD3C6_C1D1_9ED6_C6D8),
+    ("p0.json", 0xDFDD_B8AA_F652_C6E1),
+    ("p1.json", 0x510F_98A1_3E4E_243C),
+    ("p2.json", 0x07CC_A21B_1C1C_D7CD),
     ("merge.csv", 0xC478_B441_18E1_93EB),
     ("merge.json", 0x2065_2477_1039_67BD),
 ];
