@@ -22,16 +22,18 @@
 //!
 //! Only the thresholds change from die to die. So the testbench builds,
 //! once and on its first simulation, what every die shares: each stage's
-//! settled sine record sorted ascending, the DAC's reconstruction levels
-//! and the real-input FFT plan. A die then sorts its own thresholds and
-//! quantises the whole record in one merge walk (the ones-counter code is a
-//! rank, so comparator order does not matter), and the spectrum comes from
-//! a half-length FFT on the shared plan.
+//! settled sine record sorted ascending, each sample tagged with its slot
+//! in the FFT's split-format input buffer, the DAC's reconstruction levels
+//! and the [`crate::spectrum`] plan (the real-input FFT plan and the tone
+//! and harmonic bins). A die then sorts its own thresholds and quantises
+//! the whole record in one merge walk (the ones-counter code is a rank, so
+//! comparator order does not matter) that writes each code's level
+//! straight into its slot of the buffer; the FFT transforms that buffer in
+//! place and its real-input split feeds the metric sums.
 
-use crate::fft::RealFftPlan;
 use crate::monte_carlo::Stage;
 use crate::mosfet::Geometry;
-use crate::spectrum::{analyze_with, coherent_sine, SpectralMetrics};
+use crate::spectrum::{coherent_sine, SpectralMetrics, SpectrumPlan};
 use crate::variation::VariationModel;
 use crate::{CircuitError, Result};
 use bmf_stats::sample_standard_normal;
@@ -158,8 +160,8 @@ struct AdcTables {
     inputs: [SortedRecord; 2],
     /// Reconstruction level of each output code (mid-tread DAC).
     levels: Vec<f64>,
-    /// The FFT plan of the record length.
-    plan: RealFftPlan,
+    /// The spectral analysis of the record length and tone bin.
+    spectrum: SpectrumPlan,
 }
 
 impl std::fmt::Debug for AdcTables {
@@ -178,42 +180,41 @@ fn stage_index(stage: Stage) -> usize {
     }
 }
 
-/// A record sorted ascending: each sample with its position in the record.
+/// A record sorted ascending: each sample with its slot in the output.
 #[derive(Clone)]
 struct SortedRecord(Vec<(f64, usize)>);
 
 impl SortedRecord {
-    /// Sorts `record`. A NaN sample trips no comparator (`x > t` is false),
-    /// so it is kept as −∞, which trips none either.
-    fn new(record: impl Iterator<Item = f64>) -> Self {
+    /// Sorts `record`, tagging sample `i` with `slot(i)`. A NaN sample
+    /// trips no comparator (`x > t` is false), so it is kept as −∞, which
+    /// trips none either.
+    fn new(record: impl Iterator<Item = f64>, slot: impl Fn(usize) -> usize) -> Self {
         let mut order: Vec<(f64, usize)> = record
-            .map(|x| if x.is_nan() { f64::NEG_INFINITY } else { x })
-            .zip(0..)
+            .enumerate()
+            .map(|(i, x)| (if x.is_nan() { f64::NEG_INFINITY } else { x }, slot(i)))
             .collect();
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         SortedRecord(order)
     }
 
-    /// Quantises the record through a comparator bank, in record order:
-    /// sample `x` becomes `levels[#{t : x > t}]`, the code of a
-    /// bubble-tolerant (ones-counter) encoder. That count is a rank, so it
-    /// does not depend on the comparators' order (which mismatch may
-    /// scramble): sort the thresholds and walk them once along the sorted
-    /// samples, in O(N + T log T) instead of O(N·T). `levels` needs one
-    /// entry more than there are thresholds.
-    fn convert(&self, mut thresholds: Vec<f64>, levels: &[f64]) -> Vec<f64> {
+    /// Quantises the record through a comparator bank into `out`, each
+    /// sample at its slot: sample `x` becomes `levels[#{t : x > t}]`, the
+    /// code of a bubble-tolerant (ones-counter) encoder. That count is a
+    /// rank, so it does not depend on the comparators' order (which
+    /// mismatch may scramble): sort the thresholds and walk them once along
+    /// the sorted samples, in O(N + T log T) instead of O(N·T). `levels`
+    /// needs one entry more than there are thresholds.
+    fn convert(&self, mut thresholds: Vec<f64>, levels: &[f64], out: &mut [f64]) {
         // A NaN threshold never trips (`x > NaN` is false).
         thresholds.retain(|t| !t.is_nan());
         thresholds.sort_unstable_by(f64::total_cmp);
-        let mut out = vec![0.0; self.0.len()];
         let mut code = 0;
-        for &(x, i) in &self.0 {
+        for &(x, slot) in &self.0 {
             while code < thresholds.len() && thresholds[code] < x {
                 code += 1;
             }
-            out[i] = levels[code];
+            out[slot] = levels[code];
         }
-        out
     }
 }
 
@@ -381,15 +382,20 @@ impl AdcTestbench {
             let sine = self
                 .stimulus()
                 .expect("record_len and signal_bin are validated by new");
-            let input = |stage| SortedRecord::new(sine.iter().map(|&x| self.settled(stage, x)));
+            let spectrum = SpectrumPlan::new(self.design.record_len, self.design.signal_bin)
+                .expect("record_len and signal_bin are validated by new");
+            let input = |stage| {
+                SortedRecord::new(sine.iter().map(|&x| self.settled(stage, x)), |i| {
+                    spectrum.fft().slot(i)
+                })
+            };
             let levels = (0..1usize << self.design.bits)
                 .map(|code| self.level(code))
                 .collect();
             AdcTables {
                 inputs: [input(Stage::Schematic), input(Stage::PostLayout)],
                 levels,
-                plan: RealFftPlan::new(self.design.record_len)
-                    .expect("record_len is validated by new"),
+                spectrum,
             }
         })
     }
@@ -428,8 +434,9 @@ impl AdcTestbench {
     fn simulate(&self, stage: Stage, die: &Die) -> Result<AdcPerformance> {
         let tables = self.tables();
         let thresholds = self.thresholds(stage, &die.offsets, &die.ladder_rel);
-        let output = tables.inputs[stage_index(stage)].convert(thresholds, &tables.levels);
-        let metrics = analyze_with(&tables.plan, &output, self.design.signal_bin)?;
+        let mut buf = vec![0.0; self.design.record_len];
+        tables.inputs[stage_index(stage)].convert(thresholds, &tables.levels, &mut buf);
+        let metrics = tables.spectrum.analyze(&mut buf)?;
         Ok(self.performance(stage, metrics, die.power_corner))
     }
 
@@ -652,10 +659,24 @@ mod tests {
             .collect()
     }
 
+    /// The walk of `input` through `thresholds` into the FFT buffer, read
+    /// back in record order: each slot mapped to its record index.
+    fn walked_record(tables: &AdcTables, input: &SortedRecord, thresholds: Vec<f64>) -> Vec<f64> {
+        let fft = tables.spectrum.fft();
+        let mut buf = vec![0.0; fft.len()];
+        input.convert(thresholds, &tables.levels, &mut buf);
+        let mut record = vec![0.0; buf.len()];
+        for (slot, &y) in buf.iter().enumerate() {
+            record[fft.record_index(slot)] = y;
+        }
+        record
+    }
+
     /// Simulates 2,000 seeded dies of `stage` both ways. The reference is
-    /// the path before the tables and the real-input plan: the per-sample
-    /// ones-counter, then the complex FFT of the full record. Records must
-    /// match bit for bit, metrics to 1e-9 relative.
+    /// the path before the tables and the split-format FFT: the per-sample
+    /// ones-counter, then the radix-2 array-of-structs FFT of the full
+    /// complex record. Records must match bit for bit, metrics to 1e-9
+    /// relative.
     fn check_against_reference(stage: Stage) {
         let tb = AdcTestbench::default_180nm();
         let tables = tb.tables();
@@ -666,7 +687,7 @@ mod tests {
             let d = tb.draw(stage, &mut r);
             let thresholds = tb.thresholds(stage, &d.offsets, &d.ladder_rel);
             let record = reference_record(&tb, &stimulus, stage, &thresholds);
-            let walked = tables.inputs[stage_index(stage)].convert(thresholds, &tables.levels);
+            let walked = walked_record(tables, &tables.inputs[stage_index(stage)], thresholds);
             assert_eq!(walked, record, "{stage} die {die}");
             let reference = tb.performance(
                 stage,
@@ -717,8 +738,15 @@ mod tests {
                 on.iter().map(|&i| thresholds[i % thresholds.len()]).collect();
             inputs.extend(free);
             inputs.extend([-1.0, 2.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN]);
-            let walked = SortedRecord::new(inputs.iter().copied())
-                .convert(thresholds.clone(), &tb.tables().levels);
+            // Slots in reverse record order; each is mapped back.
+            let last = inputs.len() - 1;
+            let mut walked = vec![0.0; inputs.len()];
+            SortedRecord::new(inputs.iter().copied(), |i| last - i).convert(
+                thresholds.clone(),
+                &tb.tables().levels,
+                &mut walked,
+            );
+            walked.reverse();
             let counted: Vec<f64> =
                 inputs.iter().map(|&x| tb.convert(&thresholds, x)).collect();
             proptest::prop_assert_eq!(walked, counted);
@@ -748,7 +776,7 @@ mod tests {
             let thresholds = tb.thresholds(Stage::PostLayout, &die.offsets, &die.ladder_rel);
             let stimulus = tb.stimulus().unwrap();
             let record = reference_record(&tb, &stimulus, Stage::PostLayout, &thresholds);
-            let walked = tables.inputs[1].convert(thresholds, &tables.levels);
+            let walked = walked_record(tables, &tables.inputs[1], thresholds);
             proptest::prop_assert_eq!(walked, record);
         }
     }

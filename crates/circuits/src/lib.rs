@@ -15,8 +15,8 @@
 //! * [`opamp`] — a two-stage Miller-compensated op-amp testbench measuring
 //!   **gain, −3 dB bandwidth, power, input offset, phase margin**; the
 //!   post-layout stage adds extracted-style parasitics.
-//! * [`fft`]/[`spectrum`] — radix-2 FFT and coherent-sampling spectral
-//!   analysis (SNR, SINAD, SFDR, THD).
+//! * [`fft`]/[`spectrum`] — a split-format radix-2² FFT and
+//!   coherent-sampling spectral analysis (SNR, SINAD, SFDR, THD).
 //! * [`adc`] — a behavioural flash-ADC testbench measuring **SNR, SINAD,
 //!   SFDR, THD, power**.
 //! * [`monte_carlo`] — reproducible generation of early/late-stage

@@ -14,8 +14,10 @@
 //!
 //! The robustness half: [`merge_packets`] validates packet format,
 //! version and checksum, run-id/config-hash compatibility and
-//! shard-index coverage; dedupes duplicate packets; reports missing and
-//! corrupt shards with typed `bmf_obs` events; and applies a
+//! shard-index coverage; dedupes duplicate packets; reports missing
+//! shards (as index ranges) and corrupt ones with typed `bmf_obs` events,
+//! in memory and time bounded by the packets held whatever `shard_count`
+//! a packet claims; and applies a
 //! [`MergePolicy`] quorum — below quorum the merge refuses with a typed
 //! error, at-or-above quorum with incomplete coverage it degrades,
 //! recording the shortfall and a variance-widening factor in a
@@ -834,15 +836,18 @@ fn merge_validated(
         }
     }
 
-    // Dedupe: identical packets collapse, conflicting ones reject. A
-    // re-run shard is bit-identical, so a resumed packet dedupes against
-    // the one it replaces.
-    let mut by_index: Vec<Option<&ShardPacket>> = vec![None; shard_count];
+    // Index the packets held, never the claimed `shard_count`: sort by
+    // index (stably, so the first of equal indices leads), then dedupe.
+    // Identical packets collapse, conflicting ones reject. A re-run shard
+    // is bit-identical, so a resumed packet dedupes against the one it
+    // replaces.
+    let mut sorted: Vec<&ShardPacket> = packets.iter().collect();
+    sorted.sort_by_key(|p| p.shard_index);
+    let mut held: Vec<&ShardPacket> = Vec::with_capacity(sorted.len());
     let mut duplicates = 0usize;
-    for p in packets {
-        match by_index[p.shard_index] {
-            None => by_index[p.shard_index] = Some(p),
-            Some(kept) => {
+    for p in sorted {
+        match held.last() {
+            Some(&kept) if kept.shard_index == p.shard_index => {
                 if kept == p {
                     duplicates += 1;
                     bmf_obs::counters::SHARD_DUPLICATES.incr();
@@ -858,8 +863,10 @@ fn merge_validated(
                     });
                 }
             }
+            _ => held.push(p),
         }
     }
+    let is_held = |i: usize| held.binary_search_by_key(&i, |p| p.shard_index).is_ok();
 
     // Corrupt indices we know about (a parse that failed early enough
     // leaves the index unknown; those shards simply show as missing).
@@ -867,7 +874,7 @@ fn merge_validated(
         .iter()
         .filter_map(|e| match e {
             CircuitError::PacketCorrupt { source, .. } => {
-                last_digit_run(source).filter(|&i| i < shard_count && by_index[i].is_none())
+                last_digit_run(source).filter(|&i| i < shard_count && !is_held(i))
             }
             _ => None,
         })
@@ -875,17 +882,15 @@ fn merge_validated(
     corrupt.sort_unstable();
     corrupt.dedup();
 
-    let merged_indices: Vec<usize> = (0..shard_count)
-        .filter(|&i| by_index[i].is_some())
-        .collect();
-    let missing: Vec<usize> = (0..shard_count)
-        .filter(|&i| by_index[i].is_none() && !corrupt.contains(&i))
-        .collect();
-    let covered_late: usize = merged_indices
+    let mut accounted: Vec<usize> = held.iter().map(|p| p.shard_index).collect();
+    accounted.extend(&corrupt);
+    accounted.sort_unstable();
+    let missing = gaps(&accounted, shard_count);
+    let covered_late: usize = held
         .iter()
-        .map(|&i| StudyConfig::slice(config.n_late, i, shard_count).1)
+        .map(|p| StudyConfig::slice(config.n_late, p.shard_index, shard_count).1)
         .sum();
-    let merged = merged_indices.len();
+    let merged = held.len();
     let required = policy
         .min_shards
         .unwrap_or(shard_count)
@@ -906,8 +911,8 @@ fn merge_validated(
             f64::INFINITY
         },
     };
-    for &i in &missing {
-        bmf_obs::event!(Error, "shard.missing", "index": i);
+    for &(first, last) in &missing {
+        bmf_obs::event!(Error, "shard.missing", "first": first, "last": last);
     }
     if merged < required {
         return Err(CircuitError::ShardQuorum {
@@ -921,8 +926,8 @@ fn merge_validated(
     let mut early: Option<StageSuffStats> = None;
     let mut late: Option<StageSuffStats> = None;
     let mut retries = 0u64;
-    for &i in &merged_indices {
-        let p = by_index[i].expect("merged index has a packet");
+    for p in held {
+        let i = p.shard_index;
         bmf_obs::counters::SHARD_PACKETS_MERGED.incr();
         bmf_obs::event!(Info, "shard.merged", "index": i, "n_late": p.late.n);
         retries = retries
@@ -958,6 +963,24 @@ fn merge_validated(
         coverage,
         retries,
     })
+}
+
+/// The runs of `0..count` that `taken` (ascending, distinct, each below
+/// `count`) leaves out, as inclusive `(first, last)` ranges: at most one
+/// more range than `taken` has entries, whatever `count` is.
+fn gaps(taken: &[usize], count: usize) -> Vec<(usize, usize)> {
+    let mut gaps = Vec::new();
+    let mut next = 0;
+    for &t in taken {
+        if t > next {
+            gaps.push((next, t - 1));
+        }
+        next = t + 1;
+    }
+    if next < count {
+        gaps.push((next, count - 1));
+    }
+    gaps
 }
 
 /// Builds the single-process reference statistics from an in-memory
@@ -1268,6 +1291,53 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_shard_count_costs_only_the_packets_held() {
+        // Run id, config hash and checksum can all be recomputed, so one
+        // packet may claim any partition. The merge must answer from the
+        // packets it holds: 2⁴⁰ claimed shards and dies cost no more to
+        // index, account and report than one.
+        let huge = 1usize << 40;
+        let p = run_shard(&config(), 0, 1).unwrap();
+        let forged = ShardPacket {
+            config: StudyConfig {
+                n_early: huge,
+                n_late: huge,
+                shard_count: huge,
+                ..config()
+            },
+            ..p
+        };
+        let texts = vec![("forged-0.json".to_string(), forged.to_json())];
+        let err = merge_packet_texts(&texts, &MergePolicy::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CircuitError::ShardQuorum { merged: 1, required, shard_count }
+                    if required == huge && shard_count == huge
+            ),
+            "got {err:?}"
+        );
+        // A quorum of one accepts it, and the gap is one range.
+        let merged = merge_packet_texts(
+            &texts,
+            &MergePolicy {
+                min_shards: Some(1),
+            },
+        )
+        .unwrap();
+        assert_eq!(merged.coverage.missing, vec![(1, huge - 1)]);
+        assert_eq!(merged.coverage.observed_late, 1);
+    }
+
+    #[test]
+    fn gaps_are_the_ranges_left_out() {
+        assert_eq!(gaps(&[], 3), vec![(0, 2)]);
+        assert_eq!(gaps(&[0, 1, 2], 3), vec![]);
+        assert_eq!(gaps(&[1, 4, 5], 8), vec![(0, 0), (2, 3), (6, 7)]);
+        assert_eq!(gaps(&[0, 7], 8), vec![(1, 6)]);
+    }
+
+    #[test]
     fn quorum_policy_degrades_or_refuses() {
         let cfg = config(); // 4 shards
         let packets: Vec<ShardPacket> = (0..4).map(|i| run_shard(&cfg, i, 1).unwrap()).collect();
@@ -1294,7 +1364,7 @@ mod tests {
         .unwrap();
         assert!(!merged.coverage.is_complete());
         assert_eq!(merged.coverage.merged, 3);
-        assert_eq!(merged.coverage.missing, vec![3]);
+        assert_eq!(merged.coverage.missing, vec![(3, 3)]);
         assert!(merged.coverage.inflation > 1.0);
         assert_eq!(merged.coverage.severity(), bmf_obs::Severity::Warn);
         // Empty set: always a quorum error.

@@ -5,14 +5,18 @@
 //! every signal and harmonic component lands exactly on an FFT bin and no
 //! window is needed — the standard ADC characterisation setup.
 //!
-//! A real record's spectrum is conjugate-symmetric, so [`analyze`] reads
-//! only the one-sided spectrum `X[0..=N/2]`, which it takes from the
-//! half-length real-input transform of [`crate::fft`]. The ADC testbench
-//! builds that transform's plan once and reuses it for every die.
+//! A real record's spectrum is conjugate-symmetric, so the metrics read
+//! only the one-sided bins `1..N/2`. [`analyze`] packs its record into the
+//! split-format buffer of [`crate::fft`], transforms it, and the
+//! real-input split hands the power `|X_k|²` of each bin pair straight to
+//! the signal, harmonic, noise and largest-spur sums: no spectrum is
+//! stored. Which bins hold the tone and its folded harmonics depends only
+//! on `N` and `M`, so a crate-private `SpectrumPlan` keeps them with the
+//! FFT plan; the ADC testbench builds one for all its dies and writes each
+//! die's record straight into the buffer.
 
 use crate::fft::RealFftPlan;
 use crate::{CircuitError, Result};
-use bmf_linalg::Complex64;
 
 /// Number of harmonics (2nd..) included in THD, per the common "first five
 /// harmonics" convention.
@@ -53,8 +57,9 @@ fn check_record(n: usize, bin: usize) -> Result<()> {
 /// * `signal_bin` — the input-tone bin `M` (`f_in = M/N · f_s`), in
 ///   `1..N/2`.
 ///
-/// Harmonic bins are folded (aliased) into the first Nyquist zone. DC and
-/// the signal bin are excluded from the noise estimate.
+/// Harmonic bins are folded (aliased) into the first Nyquist zone, and
+/// harmonics that fold onto one bin count it once. DC and the signal bin
+/// are excluded from the noise estimate.
 ///
 /// # Errors
 ///
@@ -79,101 +84,168 @@ fn check_record(n: usize, bin: usize) -> Result<()> {
 /// # }
 /// ```
 pub fn analyze(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
-    check_record(signal.len(), signal_bin)?;
-    analyze_with(&RealFftPlan::new(signal.len())?, signal, signal_bin)
-}
-
-/// [`analyze`] on a plan for `signal.len()`, for a record whose length and
-/// bin are already checked.
-pub(crate) fn analyze_with(
-    plan: &RealFftPlan,
-    signal: &[f64],
-    signal_bin: usize,
-) -> Result<SpectralMetrics> {
-    bmf_obs::counters::SPECTRUM_ANALYSES.incr();
-    let _timer = bmf_obs::histograms::SPECTRUM_NS.timer();
-    let _span = bmf_obs::span("spectrum.analyze");
+    let plan = SpectrumPlan::new(signal.len(), signal_bin)?;
     if let Some(i) = signal.iter().position(|x| !x.is_finite()) {
         return Err(CircuitError::InvalidSignal {
             reason: format!("sample {i} is {}", signal[i]),
         });
     }
-    metrics(&plan.half_spectrum(signal), signal.len(), signal_bin)
+    plan.analyze(&mut plan.fft.pack(signal))
 }
 
-/// The metrics of an `n`-point record from its spectrum `spec`, of which
-/// only bins `1..n/2` are read.
-fn metrics(spec: &[Complex64], n: usize, signal_bin: usize) -> Result<SpectralMetrics> {
-    // One-sided power spectrum over bins 1..N/2 (DC and Nyquist excluded
-    // from the analysis set).
-    let power = |bin: usize| -> f64 { spec[bin].abs_sq() };
-    let p_signal = power(signal_bin);
+/// The analysis of coherent records of one length and tone bin: the
+/// real-input FFT plan and the bins the metrics single out.
+#[derive(Debug, Clone)]
+pub(crate) struct SpectrumPlan {
+    fft: RealFftPlan,
+    /// The tone bin `M`.
+    signal: usize,
+    /// The harmonics `2M..=(THD_HARMONICS + 1)·M` folded into `1..N/2`, as
+    /// a sorted set without the signal bin.
+    harmonics: Vec<usize>,
+    /// The split's pairs `(k, N/2 − k)`, `k < N/4`, that hold the signal
+    /// or a harmonic bin: `k` ascending.
+    pairs: Vec<usize>,
+}
 
-    // Fold harmonic k·M into the first Nyquist zone.
-    let fold = |k: usize| -> usize {
-        let b = (k * signal_bin) % n;
-        if b > n / 2 {
-            n - b
+/// What the bins of one record add up to.
+#[derive(Default)]
+struct Sums {
+    signal: f64,
+    harmonics: f64,
+    noise: f64,
+    spur: f64,
+}
+
+impl SpectrumPlan {
+    /// Plans the analysis of `n`-point records with tone bin `signal_bin`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidSignal`] unless `n` is a power of two of at
+    /// least 8 and `signal_bin` lies in `1..n/2`.
+    pub(crate) fn new(n: usize, signal_bin: usize) -> Result<Self> {
+        check_record(n, signal_bin)?;
+        let m = n / 2;
+        let mut harmonics: Vec<usize> = (2..=THD_HARMONICS + 1)
+            .map(|k| {
+                let b = (k * signal_bin) % n;
+                b.min(n - b)
+            })
+            .filter(|&b| b >= 1 && b < m && b != signal_bin)
+            .collect();
+        harmonics.sort_unstable();
+        harmonics.dedup();
+        let mut pairs: Vec<usize> = harmonics
+            .iter()
+            .chain([&signal_bin])
+            .map(|&b| b.min(m - b))
+            .filter(|&k| k < m / 2)
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(SpectrumPlan {
+            fft: RealFftPlan::new(n)?,
+            signal: signal_bin,
+            harmonics,
+            pairs,
+        })
+    }
+
+    /// The FFT plan, whose [`RealFftPlan::slot`]s the record fills.
+    pub(crate) fn fft(&self) -> &RealFftPlan {
+        &self.fft
+    }
+
+    /// [`analyze`] of the record filled into `buf`, which it transforms in
+    /// place. The samples are not checked: a non-finite one is refused
+    /// only through the non-finite spectrum it causes.
+    pub(crate) fn analyze(&self, buf: &mut [f64]) -> Result<SpectralMetrics> {
+        bmf_obs::counters::SPECTRUM_ANALYSES.incr();
+        let _timer = bmf_obs::histograms::SPECTRUM_NS.timer();
+        let _span = bmf_obs::span("spectrum.analyze");
+        self.fft.transform(buf);
+        let m = self.fft.len() / 2;
+        let centre = m / 2;
+        // Noise and spur over the plain pairs, four bins to a step: one
+        // lane for each of k, k + 1, m − k and m − k − 1.
+        let (mut noise, mut spur) = ([0.0; 4], [0.0; 4]);
+        let mut sums = Sums::default();
+        let mut from = 1;
+        for &k in self.pairs.iter().chain([&centre]) {
+            self.fft.pair_powers(buf, from..k, |lo, hi| {
+                for (i, p) in lo.into_iter().chain(hi).enumerate() {
+                    noise[i] += p;
+                    spur[i] = if p > spur[i] { p } else { spur[i] };
+                }
+            });
+            if k < centre {
+                self.fft.pair_powers(buf, k..k + 1, |lo, hi| {
+                    self.add(k, lo[0], &mut sums);
+                    self.add(m - k, hi[0], &mut sums);
+                });
+            }
+            from = k + 1;
+        }
+        self.add(centre, self.fft.centre(buf).abs_sq(), &mut sums);
+        sums.noise += (noise[0] + noise[1]) + (noise[2] + noise[3]);
+        sums.spur = spur.into_iter().fold(sums.spur, f64::max);
+        sums.metrics()
+    }
+
+    /// Adds the power `p` of `bin` (in `1..N/2`) to its sum.
+    fn add(&self, bin: usize, p: f64, sums: &mut Sums) {
+        if bin == self.signal {
+            sums.signal = p;
+            return;
+        }
+        if self.harmonics.contains(&bin) {
+            sums.harmonics += p;
         } else {
-            b
+            sums.noise += p;
         }
-    };
-    let harmonic_bins: Vec<usize> = (2..=THD_HARMONICS + 1)
-        .map(fold)
-        .filter(|&b| b >= 1 && b < n / 2 && b != signal_bin)
-        .collect();
-    let mut is_harmonic = vec![false; n / 2];
-    for &b in &harmonic_bins {
-        is_harmonic[b] = true;
+        sums.spur = sums.spur.max(p);
     }
-
-    let p_harmonics: f64 = harmonic_bins.iter().map(|&b| power(b)).sum();
-
-    let mut p_noise = 0.0;
-    let mut p_max_spur = 0.0;
-    for (b, &harmonic) in is_harmonic.iter().enumerate().skip(1) {
-        if b == signal_bin {
-            continue;
-        }
-        let p = power(b);
-        if !harmonic {
-            p_noise += p;
-        }
-        if p > p_max_spur {
-            p_max_spur = p;
-        }
-    }
-
-    // Every bin other than the signal's is noise or harmonic, so these
-    // three sums are finite only if the whole analysed spectrum is.
-    if !(p_signal.is_finite() && p_noise.is_finite() && p_harmonics.is_finite()) {
-        return Err(CircuitError::InvalidSignal {
-            reason: "non-finite spectrum".to_string(),
-        });
-    }
-    if p_signal <= 0.0 {
-        return Err(CircuitError::InvalidSignal {
-            reason: "no energy in the signal bin".to_string(),
-        });
-    }
-
-    let db = |ratio: f64| 10.0 * ratio.max(1e-30).log10();
-    Ok(SpectralMetrics {
-        snr_db: db(p_signal / p_noise.max(1e-30)),
-        sinad_db: db(p_signal / (p_noise + p_harmonics).max(1e-30)),
-        sfdr_db: db(p_signal / p_max_spur.max(1e-30)),
-        thd_db: db(p_harmonics.max(1e-30) / p_signal),
-    })
 }
 
-/// [`analyze`] by the complex FFT of the full record: the path the
-/// half-length real transform replaced, kept as its reference.
+impl Sums {
+    fn metrics(&self) -> Result<SpectralMetrics> {
+        // Every bin other than the signal's is noise or harmonic, so these
+        // three sums are finite only if the whole analysed spectrum is.
+        if !(self.signal.is_finite() && self.noise.is_finite() && self.harmonics.is_finite()) {
+            return Err(CircuitError::InvalidSignal {
+                reason: "non-finite spectrum".to_string(),
+            });
+        }
+        if self.signal <= 0.0 {
+            return Err(CircuitError::InvalidSignal {
+                reason: "no energy in the signal bin".to_string(),
+            });
+        }
+        let db = |ratio: f64| 10.0 * ratio.max(1e-30).log10();
+        Ok(SpectralMetrics {
+            snr_db: db(self.signal / self.noise.max(1e-30)),
+            sinad_db: db(self.signal / (self.noise + self.harmonics).max(1e-30)),
+            sfdr_db: db(self.signal / self.spur.max(1e-30)),
+            thd_db: db(self.harmonics.max(1e-30) / self.signal),
+        })
+    }
+}
+
+/// [`analyze`] by the radix-2 array-of-structs FFT of the full complex
+/// record, its bins summed in order: the path the split-format kernel
+/// replaced, kept as its reference.
 #[cfg(test)]
 pub(crate) fn analyze_reference(signal: &[f64], signal_bin: usize) -> Result<SpectralMetrics> {
-    check_record(signal.len(), signal_bin)?;
+    use bmf_linalg::Complex64;
+    let plan = SpectrumPlan::new(signal.len(), signal_bin)?;
     let mut spec: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_re(x)).collect();
-    crate::fft::fft_in_place(&mut spec)?;
-    metrics(&spec, signal.len(), signal_bin)
+    crate::fft::fft_reference(&mut spec);
+    let mut sums = Sums::default();
+    for (bin, x) in spec.iter().enumerate().take(signal.len() / 2).skip(1) {
+        plan.add(bin, x.abs_sq(), &mut sums);
+    }
+    sums.metrics()
 }
 
 /// Generates a coherently sampled sine record:
@@ -311,6 +383,65 @@ mod tests {
             metrics.thd_db
         );
         assert!(metrics.snr_db > 60.0, "snr = {}", metrics.snr_db);
+    }
+
+    #[test]
+    fn harmonics_folding_onto_one_bin_count_it_once() {
+        // N = 16, M = 2: harmonics 2 and 6 fold to bin 4 (3 and 5 to 6).
+        // N = 8, M = 3: harmonics 2 and 6 fold to bin 2, 3 and 5 to bin 1.
+        for (n, m, h) in [(16, 2, 4), (8, 3, 2), (8, 3, 1)] {
+            let mut signal = coherent_sine(n, m, 1.0, 0.0, 0.0).unwrap();
+            let spur = coherent_sine(n, h, 0.1, 0.0, 0.0).unwrap();
+            for (s, x) in signal.iter_mut().zip(&spur) {
+                *s += x;
+            }
+            for metrics in [
+                analyze(&signal, m).unwrap(),
+                analyze_reference(&signal, m).unwrap(),
+            ] {
+                assert!(
+                    (metrics.thd_db + 20.0).abs() < 1e-9,
+                    "N = {n}, M = {m}, bin {h}: thd = {}",
+                    metrics.thd_db
+                );
+                assert!(
+                    (metrics.sinad_db - 20.0).abs() < 1e-9,
+                    "N = {n}, M = {m}, bin {h}: sinad = {}",
+                    metrics.sinad_db
+                );
+                assert!((metrics.sfdr_db - 20.0).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn split_metrics_match_the_reference_at_every_length() {
+        let mut state = 7u64;
+        for bits in 3..=12 {
+            let n = 1usize << bits;
+            for m in [1, n / 4 - 1, n / 4, n / 4 + 1, n / 2 - 1] {
+                let mut signal = coherent_sine(n, m, 1.0, 0.1, 0.4).unwrap();
+                for s in signal.iter_mut() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    *s += ((state as f64 / u64::MAX as f64) - 0.5) * 1e-2;
+                }
+                let fast = analyze(&signal, m).unwrap();
+                let slow = analyze_reference(&signal, m).unwrap();
+                for (x, y) in [
+                    (fast.snr_db, slow.snr_db),
+                    (fast.sinad_db, slow.sinad_db),
+                    (fast.sfdr_db, slow.sfdr_db),
+                    (fast.thd_db, slow.thd_db),
+                ] {
+                    assert!(
+                        (x - y).abs() <= 1e-9 * y.abs(),
+                        "N = {n}, M = {m}: {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

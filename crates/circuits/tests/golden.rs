@@ -16,13 +16,17 @@
 //! the dense per-frequency solve with the swept phase agrees to 1e-9
 //! relative, and the same dies fail with the same metric.
 //!
-//! The two ADC digests date from the switch of its spectrum to the
-//! half-length real-input FFT with directly computed twiddles. The
-//! die-independent tables and the sorted comparator walk that came with it
-//! left every bit as it was; the FFT moved the last bits of the metrics. The
-//! oracle bounding them is `adc.rs`'s `*_dies_match_reference_path`: over
-//! 2,000 seeded dies per stage, the per-sample ones-counter plus the complex
-//! FFT of the full record agree with the testbench to 1e-9 relative.
+//! The two ADC digests date from the switch of its spectral path to the
+//! split-format radix-2² FFT: the comparator walk fills the FFT's input
+//! buffer, two-lane butterflies transform it, and the real-input split
+//! hands each bin's power straight to the metric sums. The walk's codes
+//! kept every bit; the kernel's exact `±j` twiddles and the new order of
+//! the noise sum moved the last bits of the four spectral metrics, and
+//! power kept its bits. The oracle bounding them is `adc.rs`'s
+//! `*_dies_match_reference_path`: over 2,000 seeded dies per stage, the
+//! per-sample ones-counter plus the radix-2 array-of-structs FFT of the
+//! full complex record (kept under `#[cfg(test)]`) agree with the testbench
+//! to 1e-9 relative; the worst die sits 3.8e-15 off.
 
 use bmf_circuits::adc::AdcTestbench;
 use bmf_circuits::monte_carlo::{run_monte_carlo_seeded, Stage, Testbench};
@@ -71,7 +75,7 @@ fn adc_schematic_digest() {
     check(
         &AdcTestbench::default_180nm(),
         Stage::Schematic,
-        0x623c_a0f2_1505_54b9,
+        0xdd0f_6f22_af29_22fc,
     );
 }
 
@@ -80,6 +84,6 @@ fn adc_post_layout_digest() {
     check(
         &AdcTestbench::default_180nm(),
         Stage::PostLayout,
-        0x2b0f_b63f_57c4_aac8,
+        0x13c4_66ff_4292_807b,
     );
 }

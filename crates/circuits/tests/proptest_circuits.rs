@@ -114,32 +114,35 @@ proptest! {
         }
     }
 
-    /// Parseval and conjugate symmetry hold for arbitrary real signals.
+    /// Parseval and conjugate symmetry hold for arbitrary real signals
+    /// (zero-padded to 4,096 samples), at every power-of-two length from 2
+    /// to 4,096.
     #[test]
     fn fft_parseval(raw in proptest::collection::vec(-10.0..10.0f64, 1..4097)) {
-        let n = raw.len().next_power_of_two();
-        let mut signal = raw.clone();
-        signal.resize(n, 0.0);
-        let spec = fft_real(&signal).unwrap();
-        prop_assert_eq!(spec.len(), n);
-        for k in 1..n {
-            prop_assert_eq!(spec[n - k], spec[k].conj());
+        let mut padded = raw.clone();
+        padded.resize(4096, 0.0);
+        for bits in 1..=12 {
+            let n = 1usize << bits;
+            let signal = &padded[..n];
+            let spec = fft_real(signal).unwrap();
+            prop_assert_eq!(spec.len(), n);
+            for k in 1..n {
+                prop_assert_eq!(spec[n - k], spec[k].conj());
+            }
+            prop_assert!(spec[0].im == 0.0 && spec[n / 2].im == 0.0);
+            let time_energy: f64 = signal.iter().map(|x| x * x).sum();
+            let freq_energy: f64 = spec.iter().map(|z| z.abs_sq()).sum::<f64>() / n as f64;
+            prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
         }
-        prop_assert!(spec[0].im == 0.0 && spec[n / 2].im == 0.0);
-        let time_energy: f64 = signal.iter().map(|x| x * x).sum();
-        let freq_energy: f64 = spec.iter().map(|z| z.abs_sq()).sum::<f64>() / n as f64;
-        prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
     }
 
     /// The packed half-length real transform is the complex transform of
-    /// the same record, bin for bin: at the ADC's 4,096 samples and at a
-    /// shorter power of two.
+    /// the same record, bin for bin, at every power-of-two length from 2 to
+    /// 4,096 (the ADC's record length).
     #[test]
-    fn real_fft_matches_complex_fft(
-        bits in 1u32..12,
-        raw in proptest::collection::vec(-100.0..100.0f64, 4096),
-    ) {
-        for signal in [&raw[..], &raw[..1usize << bits]] {
+    fn real_fft_matches_complex_fft(raw in proptest::collection::vec(-100.0..100.0f64, 4096)) {
+        for bits in 1..=12 {
+            let signal = &raw[..1usize << bits];
             let packed = fft_real(signal).unwrap();
             let mut full: Vec<Complex64> =
                 signal.iter().map(|&x| Complex64::from_re(x)).collect();
@@ -147,6 +150,25 @@ proptest! {
             let scale = full.iter().map(|z| z.abs()).fold(0.0, f64::max);
             for (k, (a, b)) in packed.iter().zip(&full).enumerate() {
                 prop_assert!((*a - *b).abs() <= 1e-12 * scale, "bin {k}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// The inverse transform undoes the forward one on complex records of
+    /// every power-of-two length from 1 to 4,096.
+    #[test]
+    fn ifft_inverts_fft(raw in proptest::collection::vec(-100.0..100.0f64, 8192)) {
+        for bits in 0..=12 {
+            let n = 1usize << bits;
+            let x: Vec<Complex64> = raw[..2 * n]
+                .chunks_exact(2)
+                .map(|c| Complex64::new(c[0], c[1]))
+                .collect();
+            let mut y = x.clone();
+            fft_in_place(&mut y).unwrap();
+            ifft_in_place(&mut y).unwrap();
+            for (i, (a, b)) in y.iter().zip(&x).enumerate() {
+                prop_assert!((*a - *b).abs() < 1e-9, "n = {n}, sample {i}: {a} vs {b}");
             }
         }
     }

@@ -393,12 +393,6 @@ impl RobustPipeline {
         self
     }
 
-    /// Replaces the guard policy.
-    pub fn with_guard(mut self, guard: GuardPolicy) -> Self {
-        self.guard = guard;
-        self
-    }
-
     /// Sets the failure mode.
     pub fn with_mode(mut self, mode: FailureMode) -> Self {
         self.mode = mode;
@@ -1171,7 +1165,7 @@ mod tests {
         let degraded = bmf_obs::ShardCoverage {
             shard_count: 4,
             merged: 3,
-            missing: vec![2],
+            missing: vec![(2, 2)],
             corrupt: vec![],
             duplicates: 0,
             min_shards: 3,

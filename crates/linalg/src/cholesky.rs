@@ -86,11 +86,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorisation and returns `L`.
-    pub fn into_factor(self) -> Matrix {
-        self.l
-    }
-
     /// Natural log of the determinant of `A` (`2 Σ ln Lᵢᵢ`).
     ///
     /// Computed in the log domain, so it stays finite even when `det(A)`

@@ -84,11 +84,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over elements.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()

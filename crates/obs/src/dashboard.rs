@@ -472,7 +472,7 @@ fn shard_section(data: &DashboardData) -> String {
                 if s.missing.is_empty() {
                     "none".to_string()
                 } else {
-                    format!("{:?}", s.missing)
+                    s.missing_text()
                 },
             );
             row(
@@ -1075,7 +1075,7 @@ mod tests {
         let shard = ShardCoverage {
             shard_count: 4,
             merged: 3,
-            missing: vec![2],
+            missing: vec![(2, 2)],
             corrupt: vec![],
             duplicates: 1,
             min_shards: 2,

@@ -22,8 +22,10 @@ pub struct ShardCoverage {
     pub shard_count: usize,
     /// Distinct shard indices successfully merged.
     pub merged: usize,
-    /// Shard indices that never arrived (sorted).
-    pub missing: Vec<usize>,
+    /// Shard indices that never arrived, as inclusive `(first, last)`
+    /// ranges (ascending): their number is bounded by the packets held,
+    /// not by the claimed `shard_count`.
+    pub missing: Vec<(usize, usize)>,
     /// Shard indices whose packets failed validation (sorted).
     pub corrupt: Vec<usize>,
     /// Redundant packets dropped as exact duplicates.
@@ -76,21 +78,45 @@ impl ShardCoverage {
         }
     }
 
-    /// Serializes the record as a JSON object.
+    /// The missing ranges for people: `[2]`, `[0-2, 5]`.
+    #[must_use]
+    pub fn missing_text(&self) -> String {
+        let items: Vec<String> = self
+            .missing
+            .iter()
+            .map(|&(first, last)| {
+                if first == last {
+                    first.to_string()
+                } else {
+                    format!("{first}-{last}")
+                }
+            })
+            .collect();
+        format!("[{}]", items.join(", "))
+    }
+
+    /// Serializes the record as a JSON object; `missing` is an array of
+    /// `[first, last]` pairs.
     #[must_use]
     pub fn to_json(&self) -> String {
         let list = |v: &[usize]| {
             let items: Vec<String> = v.iter().map(|i| i.to_string()).collect();
             format!("[{}]", items.join(","))
         };
+        let ranges: Vec<String> = self
+            .missing
+            .iter()
+            .map(|(first, last)| format!("[{first},{last}]"))
+            .collect();
+        let missing = ranges.join(",");
         let mut out = String::with_capacity(256);
         out.push_str("{\"severity\":");
         out.push_str(&string(self.severity().label()));
         out.push_str(&format!(
-            ",\"shard_count\":{},\"merged\":{},\"missing\":{},\"corrupt\":{},\"duplicates\":{},\"min_shards\":{},\"planned_late\":{},\"observed_late\":{},\"inflation\":{}",
+            ",\"shard_count\":{},\"merged\":{},\"missing\":[{}],\"corrupt\":{},\"duplicates\":{},\"min_shards\":{},\"planned_late\":{},\"observed_late\":{},\"inflation\":{}",
             self.shard_count,
             self.merged,
-            list(&self.missing),
+            missing,
             list(&self.corrupt),
             self.duplicates,
             self.min_shards,
@@ -110,7 +136,7 @@ impl ShardCoverage {
             self.merged, self.shard_count, self.observed_late, self.planned_late
         );
         if !self.missing.is_empty() {
-            line.push_str(&format!(" missing={:?}", self.missing));
+            line.push_str(&format!(" missing={}", self.missing_text()));
         }
         if !self.corrupt.is_empty() {
             line.push_str(&format!(" corrupt={:?}", self.corrupt));
@@ -154,7 +180,7 @@ mod tests {
 
         let degraded = ShardCoverage {
             merged: 3,
-            missing: vec![2],
+            missing: vec![(2, 2)],
             planned_late: 200,
             observed_late: 150,
             inflation: 200.0 / 150.0,
@@ -166,7 +192,7 @@ mod tests {
 
         let starved = ShardCoverage {
             merged: 2,
-            missing: vec![1],
+            missing: vec![(1, 1)],
             corrupt: vec![3],
             observed_late: 100,
             inflation: 2.0,
@@ -180,7 +206,7 @@ mod tests {
     fn json_is_parseable_and_carries_every_field() {
         let cov = ShardCoverage {
             merged: 3,
-            missing: vec![0],
+            missing: vec![(0, 1)],
             duplicates: 2,
             observed_late: 150,
             inflation: 4.0 / 3.0,
@@ -200,6 +226,9 @@ mod tests {
             .and_then(crate::json::Value::as_array)
             .unwrap();
         assert_eq!(missing.len(), 1);
+        let range = missing[0].as_array().unwrap();
+        assert_eq!(range[0].as_f64(), Some(0.0));
+        assert_eq!(range[1].as_f64(), Some(1.0));
         assert_eq!(
             v.get("duplicates").and_then(crate::json::Value::as_f64),
             Some(2.0)
@@ -216,7 +245,7 @@ mod tests {
     fn summary_mentions_gaps_and_severity() {
         let cov = ShardCoverage {
             merged: 3,
-            missing: vec![2],
+            missing: vec![(2, 2), (5, 7)],
             duplicates: 1,
             observed_late: 150,
             inflation: 4.0 / 3.0,
@@ -224,7 +253,7 @@ mod tests {
         };
         let line = cov.summary();
         assert!(line.contains("3/4"), "{line}");
-        assert!(line.contains("missing=[2]"), "{line}");
+        assert!(line.contains("missing=[2, 5-7]"), "{line}");
         assert!(line.contains("duplicates=1"), "{line}");
         assert!(line.contains("inflation=1.3333"), "{line}");
         assert!(line.contains("[warn]"), "{line}");

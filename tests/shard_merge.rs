@@ -180,7 +180,7 @@ fn quorum_policy_gates_partial_merges() {
     .unwrap();
     assert!(!outcome.coverage.is_complete());
     assert!(outcome.coverage.quorum_met());
-    assert_eq!(outcome.coverage.missing, vec![1]);
+    assert_eq!(outcome.coverage.missing, vec![(1, 1)]);
     let expected = cfg.n_late as f64 / outcome.coverage.observed_late as f64;
     assert!((outcome.coverage.inflation - expected).abs() < 1e-15);
 }
