@@ -27,15 +27,6 @@ pub enum CircuitError {
         /// Angular frequency at which the solve failed.
         omega: f64,
     },
-    /// An analysis cannot represent an element of the netlist (e.g. an
-    /// inductor in the `G + sC` pencil of
-    /// [`crate::mna::AcAnalysis::transfer_function`]).
-    Unsupported {
-        /// What was asked for.
-        what: &'static str,
-        /// Why the analysis cannot do it.
-        reason: &'static str,
-    },
     /// A bias/operating-point computation failed (device not in saturation,
     /// negative current, …).
     BiasFailure {
@@ -111,9 +102,6 @@ impl fmt::Display for CircuitError {
             } => write!(f, "invalid {what} = {value:.6e}: must satisfy {constraint}"),
             CircuitError::SingularSystem { omega } => {
                 write!(f, "singular MNA system at omega = {omega:.6e} rad/s")
-            }
-            CircuitError::Unsupported { what, reason } => {
-                write!(f, "unsupported {what}: {reason}")
             }
             CircuitError::BiasFailure { reason } => write!(f, "bias failure: {reason}"),
             CircuitError::MeasurementFailure { metric, reason } => {

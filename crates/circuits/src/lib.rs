@@ -6,9 +6,9 @@
 //! data source from scratch:
 //!
 //! * [`netlist`]/[`mna`] — a small-signal **modified nodal analysis** engine
-//!   over complex admittances (R, C, L, VCCS, sources), solved per frequency
-//!   with the complex LU from [`bmf_linalg`] or reduced once to a rational
-//!   transfer function `N(s)/D(s)`.
+//!   over the admittance pencil `G + sC` (R, C, VCCS, voltage sources),
+//!   reduced once per die to a rational transfer function `N(s)/D(s)`, with
+//!   a dense per-frequency solve kept as its reference.
 //! * [`mosfet`] — square-law MOSFET operating point and small-signal
 //!   parameters (gm, gds, capacitances) as functions of process parameters.
 //! * [`variation`] — global + local (Pelgrom area-scaled) process variation.

@@ -9,28 +9,28 @@
 //! ```
 //!
 //! where `Y` holds element admittance stamps (`1/R`, VCCS gm entries,
-//! `sC`, `1/(sL)`), `B` is the voltage-source incidence, `i` holds
-//! current-source injections and `e` the source voltages. Without
-//! inductors the system matrix is the real pencil `G + sC` — `C` the
-//! capacitances, `G` everything else — and the right-hand side a real
-//! vector `b`; the netlist is stamped into them once.
+//! `sC`), `B` is the voltage-source incidence, `i` is zero (no element
+//! injects a current) and `e` holds the source voltages. The system
+//! matrix is the real pencil `G + sC` — `C` the capacitances, `G`
+//! everything else — and the right-hand side a real vector `b`; the
+//! netlist is stamped into them once.
 //!
 //! Two ways to read a response off the pencil:
 //!
-//! * [`AcAnalysis::solve`] forms `G + jωC` (plus inductor admittances
-//!   `1/(jωL)`) at one frequency and solves it with the complex LU from
-//!   [`bmf_linalg`] — the dense reference, one factorisation per `ω`.
 //! * [`AcAnalysis::transfer_function`] extracts `H(s) = N(s)/D(s)` once, by
 //!   Cramer's rule on the pencil: `D(s) = det(G + sC)` and `N(s)` the same
 //!   determinant with the output column replaced by `b`, both as real
 //!   polynomial coefficients. [`RationalTransfer::eval`] then costs two
 //!   Horner evaluations per `ω`, and [`RationalTransfer::phase`] reads the
-//!   unwrapped phase at any `ω` off the roots of `N` and `D`.
+//!   unwrapped phase at any `ω` off the roots of `N` and `D`. Every die
+//!   takes this path.
+//! * [`AcAnalysis::transfer`] forms `G + jωC` at one frequency and solves
+//!   it by pivoted elimination — the dense reference the pencil is tested
+//!   against, one factorisation per `ω`.
 
 use crate::netlist::{Element, Netlist, GROUND};
 use crate::{CircuitError, Result};
-use bmf_linalg::{CLu, CMatrix, CVector, Complex64, Matrix};
-use std::ops::{AddAssign, IndexMut, SubAssign};
+use bmf_linalg::{Complex64, Matrix};
 
 /// Most unknowns [`AcAnalysis::transfer_function`] expands: the subset
 /// expansion holds `2^n` partial determinants of degree ≤ `n`.
@@ -44,49 +44,12 @@ const MAX_ROOT_SWEEPS: usize = 100;
 /// `+π` or `−π` by the sign of rounding noise.
 const AXIS_TOL: f64 = 1e-12;
 
-/// Solution of one AC operating point: node-voltage phasors (plus branch
-/// currents of voltage sources, kept internal).
-#[derive(Debug, Clone)]
-pub struct AcSolution {
-    /// Phasor per node; index 0 (ground) is fixed to zero.
-    node_voltages: Vec<Complex64>,
-    /// Branch current phasor per voltage source, in insertion order.
-    branch_currents: Vec<Complex64>,
-}
-
-impl AcSolution {
-    /// Voltage phasor of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range node index.
-    pub fn voltage(&self, node: usize) -> Complex64 {
-        self.node_voltages[node]
-    }
-
-    /// Branch current of the `k`-th voltage source (insertion order).
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range source index.
-    pub fn source_current(&self, k: usize) -> Complex64 {
-        self.branch_currents[k]
-    }
-
-    /// Number of nodes in the solution.
-    pub fn node_count(&self) -> usize {
-        self.node_voltages.len()
-    }
-}
-
 /// The netlist stamped over the reduced unknowns (see the module docs).
 #[derive(Debug, Clone)]
 struct Pencil {
     g: Matrix,
     c: Matrix,
     b: Vec<f64>,
-    /// `(a, b, henries)` per inductor, in insertion order.
-    inductors: Vec<(usize, usize, f64)>,
 }
 
 /// Index of node `n` in the reduced unknown vector, or `None` for ground.
@@ -100,11 +63,7 @@ fn node_index(n: usize) -> Option<usize> {
 
 /// Stamps admittance `y` between nodes `n1` and `n2`: `+y` on both
 /// diagonal entries, `−y` on the two off-diagonal ones, ground dropped.
-fn stamp_admittance<M, T>(m: &mut M, n1: usize, n2: usize, y: T)
-where
-    M: IndexMut<(usize, usize), Output = T>,
-    T: Copy + AddAssign + SubAssign,
-{
+fn stamp_admittance(m: &mut Matrix, n1: usize, n2: usize, y: f64) {
     match (node_index(n1), node_index(n2)) {
         (Some(i), Some(j)) => {
             m[(i, i)] += y;
@@ -118,18 +77,15 @@ where
 }
 
 /// Stamps `netlist` over its `dim` reduced unknowns: the real pencil
-/// `G + sC`, the source vector `b`, and the inductors, whose admittance
-/// `1/(sL)` has no place in the pencil.
+/// `G + sC` and the source vector `b`.
 ///
 /// `G` holds conductances, VCCS gm entries and the voltage-source
-/// incidence, `C` the capacitances; `b` holds current-source
-/// injections and source voltages.
+/// incidence, `C` the capacitances; `b` holds the source voltages.
 fn stamp(netlist: &Netlist, dim: usize) -> Pencil {
     let mut p = Pencil {
         g: Matrix::zeros(dim, dim),
         c: Matrix::zeros(dim, dim),
         b: vec![0.0; dim],
-        inductors: Vec::new(),
     };
     let mut vsrc_row = netlist.node_count() - 1;
     for e in netlist.elements() {
@@ -142,11 +98,6 @@ fn stamp(netlist: &Netlist, dim: usize) -> Pencil {
                 b: n2,
                 farads,
             } => stamp_admittance(&mut p.c, n1, n2, farads),
-            Element::Inductor {
-                a: n1,
-                b: n2,
-                henries,
-            } => p.inductors.push((n1, n2, henries)),
             Element::Vccs {
                 a: n1,
                 b: n2,
@@ -165,14 +116,6 @@ fn stamp(netlist: &Netlist, dim: usize) -> Pencil {
                             p.g[(i, jn)] -= gm * sign;
                         }
                     }
-                }
-            }
-            Element::CurrentSource { from, into, amps } => {
-                if let Some(k) = node_index(into) {
-                    p.b[k] += amps;
-                }
-                if let Some(k) = node_index(from) {
-                    p.b[k] -= amps;
                 }
             }
             Element::VoltageSource { p: np, n, volts } => {
@@ -464,10 +407,9 @@ impl RationalTransfer {
 /// nl.voltage_source(1, 0, 1.0)?;
 /// nl.resistor(1, 2, 1_000.0)?;
 /// nl.capacitor(2, 0, 1e-9)?;
-/// let ac = AcAnalysis::new(&nl);
-/// let sol = ac.solve(2.0 * std::f64::consts::PI * 159_155.0)?;
+/// let h = AcAnalysis::new(&nl).transfer_function(2)?;
 /// // At the corner frequency the output is 3 dB down.
-/// let mag = sol.voltage(2).abs();
+/// let mag = h.eval(2.0 * std::f64::consts::PI * 159_155.0)?.abs();
 /// assert!((mag - 1.0 / 2.0_f64.sqrt()).abs() < 1e-3);
 /// # Ok(())
 /// # }
@@ -491,74 +433,94 @@ impl<'a> AcAnalysis<'a> {
         }
     }
 
-    /// Size of the assembled MNA system.
-    pub fn system_dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Assembles the MNA matrix `G + jωC` (plus inductor admittances) and
-    /// right-hand side at angular frequency `omega`.
-    fn assemble(&self, omega: f64) -> (CMatrix, CVector) {
-        let p = &self.pencil;
-        let mut a = CMatrix::zeros(self.dim, self.dim);
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                a[(i, j)] = Complex64::new(p.g[(i, j)], omega * p.c[(i, j)]);
-            }
+    /// `out_node`, or [`CircuitError::UnknownNode`] when the netlist has
+    /// no such node.
+    fn check_node(&self, out_node: usize) -> Result<usize> {
+        let node_count = self.netlist.node_count();
+        if out_node >= node_count {
+            return Err(CircuitError::UnknownNode {
+                node: out_node,
+                node_count,
+            });
         }
-        for &(n1, n2, henries) in &p.inductors {
-            // Y = 1/(jωL); at DC (ω = 0) an inductor is a short —
-            // approximate with a very large conductance to keep the system
-            // non-singular.
-            let y = if omega > 0.0 {
-                Complex64::new(0.0, -1.0 / (omega * henries))
-            } else {
-                Complex64::from_re(1e12)
-            };
-            stamp_admittance(&mut a, n1, n2, y);
-        }
-        let mut rhs = CVector::zeros(self.dim);
-        for (k, &v) in p.b.iter().enumerate() {
-            rhs[k] = Complex64::from_re(v);
-        }
-        (a, rhs)
-    }
-
-    /// Solves the circuit at angular frequency `omega` (rad/s).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::SingularSystem`] when the MNA matrix cannot
-    /// be factorised (floating nodes, short-circuit loops of ideal sources).
-    pub fn solve(&self, omega: f64) -> Result<AcSolution> {
-        let (a, rhs) = self.assemble(omega);
-        let lu = CLu::new(&a).map_err(|_| CircuitError::SingularSystem { omega })?;
-        let x = lu
-            .solve_vec(&rhs)
-            .map_err(|_| CircuitError::SingularSystem { omega })?;
-
-        let nv = self.netlist.node_count() - 1;
-        let mut node_voltages = vec![Complex64::ZERO; self.netlist.node_count()];
-        for n in 1..self.netlist.node_count() {
-            node_voltages[n] = x[n - 1];
-        }
-        let branch_currents = (0..self.netlist.voltage_source_count())
-            .map(|k| x[nv + k])
-            .collect();
-        Ok(AcSolution {
-            node_voltages,
-            branch_currents,
-        })
+        Ok(out_node)
     }
 
     /// Voltage transfer function from the (single) source to `out_node` at
-    /// `omega` — i.e. `v(out_node)` with unit drive.
+    /// `omega` — i.e. `v(out_node)` with unit drive — by one dense solve of
+    /// `(G + jωC)x = b`. Ground reads `0`.
+    ///
+    /// This is the reference [`Self::transfer_function`] is tested
+    /// against; a die never calls it.
     ///
     /// # Errors
     ///
-    /// Propagates [`CircuitError::SingularSystem`] from the solve.
+    /// * [`CircuitError::UnknownNode`] for an out-of-range `out_node`.
+    /// * [`CircuitError::SingularSystem`] when `G + jωC` cannot be
+    ///   factorised (floating nodes, short-circuit loops of ideal sources).
     pub fn transfer(&self, out_node: usize, omega: f64) -> Result<Complex64> {
-        Ok(self.solve(omega)?.voltage(out_node))
+        let out = self.check_node(out_node)?;
+        let x = self.solve(omega)?;
+        Ok(node_index(out).map_or(Complex64::ZERO, |k| x[k]))
+    }
+
+    /// Solves `(G + jωC)x = b` by Gaussian elimination with partial
+    /// pivoting on the magnitude, over one row-major `dim × (dim + 1)`
+    /// buffer whose last column is `b`: the row swaps and eliminations
+    /// carry the right-hand side along, then back substitution runs on
+    /// the upper triangle.
+    fn solve(&self, omega: f64) -> Result<Vec<Complex64>> {
+        let singular = CircuitError::SingularSystem { omega };
+        let n = self.dim;
+        if n == 0 {
+            return Err(singular);
+        }
+        let w = n + 1;
+        let p = &self.pencil;
+        let mut a = vec![Complex64::ZERO; n * w];
+        for (i, row) in a.chunks_exact_mut(w).enumerate() {
+            for (j, v) in row[..n].iter_mut().enumerate() {
+                *v = Complex64::new(p.g[(i, j)], omega * p.c[(i, j)]);
+            }
+            row[n] = Complex64::from_re(p.b[i]);
+        }
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_val = a[k * w + k].abs();
+            for i in (k + 1)..n {
+                let v = a[i * w + k].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = i;
+                }
+            }
+            if pivot_val == 0.0 || !pivot_val.is_finite() {
+                return Err(singular);
+            }
+            if pivot_row != k {
+                for j in 0..w {
+                    a.swap(k * w + j, pivot_row * w + j);
+                }
+            }
+            let (upper, lower) = a.split_at_mut((k + 1) * w);
+            let pivot = &upper[k * w..];
+            for row in lower.chunks_exact_mut(w) {
+                let factor = row[k] / pivot[k];
+                for (v, &u) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                    *v -= factor * u;
+                }
+            }
+        }
+        let mut x = vec![Complex64::ZERO; n];
+        for i in (0..n).rev() {
+            let row = &a[i * w..(i + 1) * w];
+            let mut s = row[n];
+            for k in (i + 1)..n {
+                s -= row[k] * x[k];
+            }
+            x[i] = s / row[i];
+        }
+        Ok(x)
     }
 
     /// Extracts the transfer function from the (single) source to
@@ -571,17 +533,8 @@ impl<'a> AcAnalysis<'a> {
     /// * [`CircuitError::UnknownNode`] for an out-of-range `out_node`.
     /// * [`CircuitError::InvalidValue`] for `out_node` = ground, or more
     ///   than 16 unknowns (the expansion holds `2^n` partial determinants).
-    /// * [`CircuitError::Unsupported`] for a netlist with an inductor,
-    ///   whose `1/(sL)` is not polynomial in `s`.
     pub fn transfer_function(&self, out_node: usize) -> Result<RationalTransfer> {
-        let node_count = self.netlist.node_count();
-        if out_node >= node_count {
-            return Err(CircuitError::UnknownNode {
-                node: out_node,
-                node_count,
-            });
-        }
-        let Some(out) = node_index(out_node) else {
+        let Some(out) = node_index(self.check_node(out_node)?) else {
             return Err(CircuitError::InvalidValue {
                 what: "output node",
                 value: out_node as f64,
@@ -596,56 +549,11 @@ impl<'a> AcAnalysis<'a> {
             });
         }
         let p = &self.pencil;
-        if !p.inductors.is_empty() {
-            return Err(CircuitError::Unsupported {
-                what: "inductor in a transfer-function extraction",
-                reason: "1/(sL) is not polynomial in s; use solve or transfer",
-            });
-        }
         bmf_obs::counters::MNA_TRANSFER_FUNCTIONS.incr();
         Ok(RationalTransfer {
             num: pencil_det(&p.g, &p.c, Some((out, &p.b))),
             den: pencil_det(&p.g, &p.c, None),
         })
-    }
-
-    /// Sweeps a log-spaced frequency grid, returning `(f_hz, v_out)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::InvalidValue`] on a bad frequency range or
-    ///   `points < 2`.
-    /// * [`CircuitError::SingularSystem`] from any solve.
-    pub fn sweep(
-        &self,
-        out_node: usize,
-        f_start_hz: f64,
-        f_stop_hz: f64,
-        points: usize,
-    ) -> Result<Vec<(f64, Complex64)>> {
-        if !(f_start_hz > 0.0 && f_stop_hz > f_start_hz) {
-            return Err(CircuitError::InvalidValue {
-                what: "frequency range",
-                value: f_start_hz,
-                constraint: "0 < f_start < f_stop",
-            });
-        }
-        if points < 2 {
-            return Err(CircuitError::InvalidValue {
-                what: "sweep points",
-                value: points as f64,
-                constraint: "points >= 2",
-            });
-        }
-        let lstart = f_start_hz.log10();
-        let lstop = f_stop_hz.log10();
-        let mut out = Vec::with_capacity(points);
-        for k in 0..points {
-            let f = 10f64.powf(lstart + (lstop - lstart) * k as f64 / (points - 1) as f64);
-            let v = self.transfer(out_node, 2.0 * std::f64::consts::PI * f)?;
-            out.push((f, v));
-        }
-        Ok(out)
     }
 }
 
@@ -663,12 +571,18 @@ mod tests {
         nl.resistor(1, 2, 1e3).unwrap();
         nl.resistor(2, 0, 1e3).unwrap();
         let ac = AcAnalysis::new(&nl);
-        let sol = ac.solve(0.0).unwrap();
-        assert!((sol.voltage(2).re - 0.5).abs() < 1e-12);
-        assert!(sol.voltage(2).im.abs() < 1e-12);
-        // Source current = −1 V / 2 kΩ (flows out of + terminal).
-        assert!((sol.source_current(0).re + 0.5e-3).abs() < 1e-12);
-        assert_eq!(sol.node_count(), 3);
+        let v = ac.transfer(2, 0.0).unwrap();
+        assert!((v.re - 0.5).abs() < 1e-12);
+        assert!(v.im.abs() < 1e-12);
+        // Ground reads 0; a node the netlist lacks is a typed error.
+        assert_eq!(ac.transfer(0, 0.0).unwrap(), Complex64::ZERO);
+        assert!(matches!(
+            ac.transfer(3, 0.0),
+            Err(CircuitError::UnknownNode {
+                node: 3,
+                node_count: 3
+            })
+        ));
     }
 
     #[test]
@@ -695,29 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn rlc_series_resonance() {
-        // Series RLC from source to ground, measure across the capacitor.
-        let r = 10.0_f64;
-        let l = 1e-6_f64;
-        let c = 1e-9_f64;
-        let f0 = 1.0 / (TWO_PI * (l * c).sqrt());
-        let mut nl = Netlist::new(4);
-        nl.voltage_source(1, 0, 1.0).unwrap();
-        nl.resistor(1, 2, r).unwrap();
-        nl.inductor(2, 3, l).unwrap();
-        nl.capacitor(3, 0, c).unwrap();
-        let ac = AcAnalysis::new(&nl);
-        // At resonance, |V_C| = Q = (1/R)·sqrt(L/C).
-        let q = (l / c).sqrt() / r;
-        let vc = ac.transfer(3, TWO_PI * f0).unwrap();
-        assert!(
-            (vc.abs() - q).abs() / q < 1e-6,
-            "Q = {q}, |vc| = {}",
-            vc.abs()
-        );
-    }
-
-    #[test]
     fn vccs_amplifier_gain() {
         // gm cell driving a load resistor: gain = −gm·R.
         let gm = 2e-3;
@@ -733,16 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn current_source_into_resistor() {
-        let mut nl = Netlist::new(2);
-        nl.current_source(0, 1, 1e-3).unwrap();
-        nl.resistor(1, 0, 2e3).unwrap();
-        let ac = AcAnalysis::new(&nl);
-        let sol = ac.solve(0.0).unwrap();
-        assert!((sol.voltage(1).re - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn floating_node_is_singular() {
         let mut nl = Netlist::new(3);
         nl.voltage_source(1, 0, 1.0).unwrap();
@@ -751,27 +632,9 @@ mod tests {
         nl.capacitor(2, 0, 0.0).unwrap();
         let ac = AcAnalysis::new(&nl);
         assert!(matches!(
-            ac.solve(0.0),
+            ac.transfer(2, 0.0),
             Err(CircuitError::SingularSystem { .. })
         ));
-    }
-
-    #[test]
-    fn sweep_is_monotone_for_lowpass() {
-        let mut nl = Netlist::new(3);
-        nl.voltage_source(1, 0, 1.0).unwrap();
-        nl.resistor(1, 2, 1e3).unwrap();
-        nl.capacitor(2, 0, 1e-9).unwrap();
-        let ac = AcAnalysis::new(&nl);
-        let sweep = ac.sweep(2, 1e3, 1e8, 41).unwrap();
-        assert_eq!(sweep.len(), 41);
-        for w in sweep.windows(2) {
-            assert!(w[1].1.abs() <= w[0].1.abs() + 1e-12);
-            assert!(w[1].0 > w[0].0);
-        }
-        assert!(ac.sweep(2, 0.0, 1e6, 10).is_err());
-        assert!(ac.sweep(2, 1e3, 1e2, 10).is_err());
-        assert!(ac.sweep(2, 1e3, 1e6, 1).is_err());
     }
 
     #[test]
@@ -784,10 +647,8 @@ mod tests {
         nl.resistor(3, 2, 1e3).unwrap();
         nl.resistor(2, 0, 1e3).unwrap();
         let ac = AcAnalysis::new(&nl);
-        let sol = ac.solve(0.0).unwrap();
         // Node 2: by symmetry v = 2/3 V.
-        assert!((sol.voltage(2).re - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ac.system_dim(), 3 + 2);
+        assert!((ac.transfer(2, 0.0).unwrap().re - 2.0 / 3.0).abs() < 1e-12);
     }
 
     /// The op-amp's small-signal topology: source, two gm stages, Miller
@@ -956,15 +817,6 @@ mod tests {
             })
         ));
 
-        let mut rlc = Netlist::new(3);
-        rlc.voltage_source(1, 0, 1.0).unwrap();
-        rlc.inductor(1, 2, 1e-6).unwrap();
-        rlc.capacitor(2, 0, 1e-9).unwrap();
-        assert!(matches!(
-            AcAnalysis::new(&rlc).transfer_function(2),
-            Err(CircuitError::Unsupported { .. })
-        ));
-
         let mut ladder = Netlist::new(MAX_TRANSFER_UNKNOWNS + 1);
         ladder.voltage_source(1, 0, 1.0).unwrap();
         for k in 1..MAX_TRANSFER_UNKNOWNS {
@@ -993,16 +845,5 @@ mod tests {
                 Err(CircuitError::SingularSystem { omega }) if omega == w
             ));
         }
-    }
-
-    #[test]
-    fn inductor_is_short_at_dc() {
-        let mut nl = Netlist::new(3);
-        nl.voltage_source(1, 0, 1.0).unwrap();
-        nl.inductor(1, 2, 1e-3).unwrap();
-        nl.resistor(2, 0, 1e3).unwrap();
-        let ac = AcAnalysis::new(&nl);
-        let sol = ac.solve(0.0).unwrap();
-        assert!((sol.voltage(2).re - 1.0).abs() < 1e-6);
     }
 }

@@ -10,7 +10,6 @@ use crate::adc::AdcTestbench;
 use crate::opamp::OpAmpTestbench;
 use crate::{CircuitError, Result};
 use bmf_linalg::{Matrix, Vector};
-use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -197,57 +196,8 @@ impl RetryPolicy {
     }
 }
 
-/// Runs `n` Monte Carlo simulations of `tb` at `stage` under the default
-/// [`RetryPolicy`].
-///
-/// # Errors
-///
-/// * Propagates the nominal-simulation failure unchanged (a design that
-///   fails at its nominal corner is a bug, not a statistical event).
-/// * Returns the *last* draw error after the retry budget is exhausted.
-pub fn run_monte_carlo<T: Testbench + ?Sized, R: Rng>(
-    tb: &T,
-    stage: Stage,
-    n: usize,
-    rng: &mut R,
-) -> Result<StageData> {
-    run_monte_carlo_with_policy(tb, stage, n, rng, &RetryPolicy::default())
-}
-
-/// [`run_monte_carlo`] with an explicit [`RetryPolicy`].
-///
-/// # Errors
-///
-/// As [`run_monte_carlo`], plus [`CircuitError::InvalidValue`] for an
-/// invalid policy.
-pub fn run_monte_carlo_with_policy<T: Testbench + ?Sized, R: Rng>(
-    tb: &T,
-    stage: Stage,
-    n: usize,
-    rng: &mut R,
-    policy: &RetryPolicy,
-) -> Result<StageData> {
-    policy.validate()?;
-    let _span = bmf_obs::span(stage_span_name(stage));
-    let nominal = tb.nominal(stage)?;
-    let d = tb.dim();
-    let mut samples = Matrix::zeros(n, d);
-    let heartbeat = bmf_obs::Heartbeat::new(stage_span_name(stage), n);
-    for i in 0..n {
-        let (v, _) = sample_with_retries(tb, stage, rng, policy)?;
-        samples.row_mut(i).copy_from_slice(v.as_slice());
-        heartbeat.tick();
-    }
-    Ok(StageData {
-        stage,
-        nominal,
-        samples,
-    })
-}
-
 /// Draws one sample, redrawing up to `policy.max_attempts` times on
-/// simulation failure (the retry loop shared by the serial and seeded
-/// runners). On success also returns the number of failed draws that
+/// simulation failure. On success also returns the number of failed draws that
 /// preceded it — deterministic per sample stream, so shard packets can
 /// report retry telemetry that merges exactly. On exhaustion the
 /// returned error is the **last** simulator error — the freshest
@@ -447,50 +397,27 @@ pub struct TwoStageStudy {
     pub late: StageData,
 }
 
-/// Runs the full early+late Monte Carlo study.
-///
-/// # Errors
-///
-/// Propagates simulation failures from either stage.
-///
-/// # Example
-///
-/// ```no_run
-/// use bmf_circuits::monte_carlo::two_stage_study;
-/// use bmf_circuits::opamp::OpAmpTestbench;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), bmf_circuits::CircuitError> {
-/// let tb = OpAmpTestbench::default_45nm();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let study = two_stage_study(&tb, 5000, 5000, &mut rng)?;
-/// assert_eq!(study.early.sample_count(), 5000);
-/// # Ok(())
-/// # }
-/// ```
-pub fn two_stage_study<T: Testbench + ?Sized, R: Rng>(
-    tb: &T,
-    n_early: usize,
-    n_late: usize,
-    rng: &mut R,
-) -> Result<TwoStageStudy> {
-    let early = run_monte_carlo(tb, Stage::Schematic, n_early, rng)?;
-    let late = run_monte_carlo(tb, Stage::PostLayout, n_late, rng)?;
-    Ok(TwoStageStudy {
-        metric_names: tb.metric_names(),
-        early,
-        late,
-    })
-}
-
-/// Deterministic multi-threaded variant of [`two_stage_study`]: both
-/// stages run through [`run_monte_carlo_seeded`] under one root seed
-/// (their per-stage streams are disjoint), so the study is bit-identical
-/// for every thread count.
+/// Runs the full early+late Monte Carlo study: both stages run through
+/// [`run_monte_carlo_seeded`] under one root seed (their per-stage streams
+/// are disjoint), so the study is bit-identical for every thread count.
 ///
 /// # Errors
 ///
 /// As [`run_monte_carlo_seeded`], from either stage.
+///
+/// # Example
+///
+/// ```no_run
+/// use bmf_circuits::monte_carlo::two_stage_study_seeded;
+/// use bmf_circuits::opamp::OpAmpTestbench;
+///
+/// # fn main() -> Result<(), bmf_circuits::CircuitError> {
+/// let tb = OpAmpTestbench::default_45nm();
+/// let study = two_stage_study_seeded(&tb, 5000, 5000, 1, 4)?;
+/// assert_eq!(study.early.sample_count(), 5000);
+/// # Ok(())
+/// # }
+/// ```
 pub fn two_stage_study_seeded<T: Testbench + ?Sized>(
     tb: &T,
     n_early: usize,
@@ -511,11 +438,9 @@ pub fn two_stage_study_seeded<T: Testbench + ?Sized>(
 mod tests {
     use super::*;
     use bmf_stats::descriptive;
-    use rand::SeedableRng;
 
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(404)
-    }
+    /// Root seed of the runs below.
+    const SEED: u64 = 404;
 
     #[test]
     fn stage_display() {
@@ -527,8 +452,7 @@ mod tests {
     #[test]
     fn opamp_monte_carlo_produces_full_matrix() {
         let tb = OpAmpTestbench::default_45nm();
-        let mut r = rng();
-        let data = run_monte_carlo(&tb, Stage::Schematic, 40, &mut r).unwrap();
+        let data = run_monte_carlo_seeded(&tb, Stage::Schematic, 40, SEED, 2).unwrap();
         assert_eq!(data.sample_count(), 40);
         assert_eq!(data.dim(), 5);
         assert!(data.samples.is_finite());
@@ -544,8 +468,7 @@ mod tests {
     #[test]
     fn adc_monte_carlo_produces_full_matrix() {
         let tb = AdcTestbench::default_180nm();
-        let mut r = rng();
-        let data = run_monte_carlo(&tb, Stage::PostLayout, 15, &mut r).unwrap();
+        let data = run_monte_carlo_seeded(&tb, Stage::PostLayout, 15, SEED, 2).unwrap();
         assert_eq!(data.sample_count(), 15);
         assert_eq!(data.dim(), 5);
         assert!(data.samples.is_finite());
@@ -554,8 +477,7 @@ mod tests {
     #[test]
     fn two_stage_study_shapes() {
         let tb = AdcTestbench::default_180nm();
-        let mut r = rng();
-        let study = two_stage_study(&tb, 12, 8, &mut r).unwrap();
+        let study = two_stage_study_seeded(&tb, 12, 8, SEED, 2).unwrap();
         assert_eq!(study.early.sample_count(), 12);
         assert_eq!(study.late.sample_count(), 8);
         assert_eq!(study.metric_names.len(), 5);
@@ -569,11 +491,10 @@ mod tests {
             Box::new(OpAmpTestbench::default_45nm()),
             Box::new(AdcTestbench::default_180nm()),
         ];
-        let mut r = rng();
         for tb in &tbs {
             assert_eq!(tb.dim(), 5);
             assert_eq!(tb.metric_names().len(), 5);
-            let data = run_monte_carlo(tb.as_ref(), Stage::Schematic, 3, &mut r).unwrap();
+            let data = run_monte_carlo_seeded(tb.as_ref(), Stage::Schematic, 3, SEED, 2).unwrap();
             assert_eq!(data.sample_count(), 3);
         }
     }
@@ -677,9 +598,8 @@ mod tests {
             attempts: std::sync::atomic::AtomicUsize::new(0),
         };
         let policy = RetryPolicy { max_attempts: 7 };
-        let mut r = rng();
-        let err =
-            run_monte_carlo_with_policy(&tb, Stage::Schematic, 1, &mut r, &policy).unwrap_err();
+        let err = run_monte_carlo_seeded_with_policy(&tb, Stage::Schematic, 1, SEED, 1, &policy)
+            .unwrap_err();
         // The surfaced error is the LAST attempt's, not the first's.
         assert_eq!(
             err.to_string(),
@@ -695,17 +615,8 @@ mod tests {
         assert_eq!(RetryPolicy::default().max_attempts, 100);
         let err = RetryPolicy { max_attempts: 0 }.validate().unwrap_err();
         assert!(err.to_string().contains("max_attempts"));
-        // Invalid policies are rejected by both runners before any work.
+        // Invalid policies are rejected before any work.
         let tb = OpAmpTestbench::default_45nm();
-        let mut r = rng();
-        assert!(run_monte_carlo_with_policy(
-            &tb,
-            Stage::Schematic,
-            1,
-            &mut r,
-            &RetryPolicy { max_attempts: 0 }
-        )
-        .is_err());
         assert!(run_monte_carlo_seeded_with_policy(
             &tb,
             Stage::Schematic,
@@ -748,8 +659,7 @@ mod tests {
         // The whole premise of the paper: circuit metrics share process
         // drivers, so off-diagonal correlations are substantial.
         let tb = OpAmpTestbench::default_45nm();
-        let mut r = rng();
-        let data = run_monte_carlo(&tb, Stage::Schematic, 300, &mut r).unwrap();
+        let data = run_monte_carlo_seeded(&tb, Stage::Schematic, 300, SEED, 2).unwrap();
         let cov = descriptive::covariance_unbiased(&data.samples).unwrap();
         let corr = descriptive::correlation_from_cov(&cov).unwrap();
         let mut max_off = 0.0_f64;

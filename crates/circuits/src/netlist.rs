@@ -2,7 +2,7 @@
 //!
 //! A [`Netlist`] is a list of linear(ised) elements connected between node
 //! indices. Node `0` is always ground; the MNA engine in [`crate::mna`]
-//! assembles the complex admittance system from this description.
+//! stamps the admittance pencil `G + sC` from this description.
 
 use crate::{CircuitError, Result};
 
@@ -35,15 +35,6 @@ pub enum Element {
         /// Capacitance in farads (must be non-negative).
         farads: f64,
     },
-    /// Inductor with inductance in henries.
-    Inductor {
-        /// First terminal.
-        a: usize,
-        /// Second terminal.
-        b: usize,
-        /// Inductance in henries (must be positive).
-        henries: f64,
-    },
     /// Voltage-controlled current source: `i(a→b) = gm (v_cp − v_cn)`.
     Vccs {
         /// Current exits this terminal (conventional current flows a→b
@@ -58,16 +49,6 @@ pub enum Element {
         /// Transconductance in siemens (may be negative for inverting
         /// stages).
         gm: f64,
-    },
-    /// Independent small-signal current source injecting `amps` into node
-    /// `into` (and drawing it from node `from`).
-    CurrentSource {
-        /// Node the current is drawn from.
-        from: usize,
-        /// Node the current is injected into.
-        into: usize,
-        /// AC magnitude in amperes.
-        amps: f64,
     },
     /// Independent small-signal voltage source `v(p) − v(n) = volts`
     /// (handled with an extra MNA branch-current unknown).
@@ -85,11 +66,8 @@ impl Element {
     /// All node indices this element touches.
     pub fn nodes(&self) -> Vec<usize> {
         match *self {
-            Element::Resistor { a, b, .. }
-            | Element::Capacitor { a, b, .. }
-            | Element::Inductor { a, b, .. } => vec![a, b],
+            Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => vec![a, b],
             Element::Vccs { a, b, cp, cn, .. } => vec![a, b, cp, cn],
-            Element::CurrentSource { from, into, .. } => vec![from, into],
             Element::VoltageSource { p, n, .. } => vec![p, n],
         }
     }
@@ -150,12 +128,6 @@ impl Netlist {
         &self.elements
     }
 
-    /// Allocates a fresh node and returns its index.
-    pub fn add_node(&mut self) -> usize {
-        self.node_count += 1;
-        self.node_count - 1
-    }
-
     fn check_node(&self, node: usize) -> Result<()> {
         if node >= self.node_count {
             return Err(CircuitError::UnknownNode {
@@ -208,23 +180,6 @@ impl Netlist {
         self.push_checked(Element::Capacitor { a, b, farads })
     }
 
-    /// Adds an inductor.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::InvalidValue`] when `henries <= 0` or non-finite.
-    /// * [`CircuitError::UnknownNode`] for out-of-range nodes.
-    pub fn inductor(&mut self, a: usize, b: usize, henries: f64) -> Result<()> {
-        if !(henries > 0.0) || !henries.is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "inductance",
-                value: henries,
-                constraint: "henries > 0",
-            });
-        }
-        self.push_checked(Element::Inductor { a, b, henries })
-    }
-
     /// Adds a voltage-controlled current source
     /// `i(a→b) = gm (v_cp − v_cn)`.
     ///
@@ -241,23 +196,6 @@ impl Netlist {
             });
         }
         self.push_checked(Element::Vccs { a, b, cp, cn, gm })
-    }
-
-    /// Adds an independent AC current source.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::InvalidValue`] for a non-finite magnitude.
-    /// * [`CircuitError::UnknownNode`] for out-of-range nodes.
-    pub fn current_source(&mut self, from: usize, into: usize, amps: f64) -> Result<()> {
-        if !amps.is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "current",
-                value: amps,
-                constraint: "finite",
-            });
-        }
-        self.push_checked(Element::CurrentSource { from, into, amps })
     }
 
     /// Adds an independent AC voltage source `v(p) − v(n) = volts`.
@@ -288,21 +226,10 @@ mod tests {
         nl.resistor(1, 0, 1e3).unwrap();
         nl.capacitor(1, 2, 1e-12).unwrap();
         nl.vccs(2, 0, 1, 0, 1e-3).unwrap();
-        nl.current_source(0, 1, 1.0).unwrap();
         nl.voltage_source(2, 0, 1.0).unwrap();
         assert_eq!(nl.node_count(), 3);
-        assert_eq!(nl.elements().len(), 5);
+        assert_eq!(nl.elements().len(), 4);
         assert_eq!(nl.voltage_source_count(), 1);
-    }
-
-    #[test]
-    fn add_node_grows() {
-        let mut nl = Netlist::new(1);
-        let n1 = nl.add_node();
-        let n2 = nl.add_node();
-        assert_eq!((n1, n2), (1, 2));
-        assert_eq!(nl.node_count(), 3);
-        nl.resistor(n1, n2, 50.0).unwrap();
     }
 
     #[test]
@@ -323,9 +250,7 @@ mod tests {
         assert!(nl.resistor(0, 1, f64::INFINITY).is_err());
         assert!(nl.capacitor(0, 1, -1e-12).is_err());
         assert!(nl.capacitor(0, 1, 0.0).is_ok()); // zero cap allowed
-        assert!(nl.inductor(0, 1, 0.0).is_err());
         assert!(nl.vccs(0, 1, 0, 1, f64::NAN).is_err());
-        assert!(nl.current_source(0, 1, f64::NAN).is_err());
         assert!(nl.voltage_source(0, 1, f64::NAN).is_err());
     }
 

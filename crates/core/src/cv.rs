@@ -42,21 +42,18 @@
 //! plus `|κ|·|ν|·Q·repeats` O(1) scores, and beyond the O(n·d²) pass that
 //! forms the fold statistics it no longer grows with `n`.
 //!
-//! The naive per-candidate refit survives behind
-//! [`CrossValidation::with_naive_scoring`] as the equivalence oracle; the two
-//! paths agree to ≤ 1e-10 per grid score (`tests/cv_equivalence.rs` — exact
-//! bit-identity is impossible because the two reach the same numbers by
-//! different arithmetic). The parallel work item is the repeat: each task
+//! The naive per-candidate refit lives in `tests/cv_equivalence.rs` as the
+//! equivalence oracle, written on the public estimator API; the two agree
+//! to ≤ 1e-10 per grid score (exact bit-identity is impossible because the
+//! two reach the same numbers by different arithmetic). The parallel work
+//! item is the repeat: each task
 //! draws its fold permutation, reduces its folds and scores every
 //! candidate, and the caller combines each candidate's repeats in repeat
 //! order — bit-identical at every thread count.
 
-use crate::map::BmfEstimator;
 use crate::parallel;
-use crate::prior::NormalWishartPrior;
 use crate::{BmfError, MomentEstimate, Result};
 use bmf_linalg::{Cholesky, Matrix};
-use bmf_stats::{descriptive, MultivariateNormal};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -162,10 +159,6 @@ pub struct CrossValidation {
     nu_grid: Vec<f64>,
     q: usize,
     repeats: usize,
-    /// Score with the naive per-candidate refit instead of the fast
-    /// rank-structured path (equivalence oracle; see the module docs).
-    #[serde(default)]
-    naive: bool,
 }
 
 /// Builds a log-spaced grid over `[lo, hi]` with `points` entries.
@@ -189,7 +182,6 @@ impl Default for CrossValidation {
             nu_grid: log_grid(1.0, 1000.0, 12),
             q: 4,
             repeats: 8,
-            naive: false,
         }
     }
 }
@@ -221,8 +213,6 @@ enum ScoreFailure {
     Factorisation,
     /// Held-out likelihood evaluation.
     Likelihood,
-    /// Fold assembly left every fold empty.
-    EmptyFolds,
 }
 
 impl ScoreFailure {
@@ -232,7 +222,6 @@ impl ScoreFailure {
             ScoreFailure::Statistics => "sufficient statistics of the training folds",
             ScoreFailure::Factorisation => "posterior covariance factorisation",
             ScoreFailure::Likelihood => "held-out likelihood evaluation",
-            ScoreFailure::EmptyFolds => "fold assembly (every fold empty)",
         }
     }
 }
@@ -319,25 +308,7 @@ impl CrossValidation {
             nu_grid,
             q,
             repeats,
-            naive: false,
         })
-    }
-
-    /// Switches between the fast rank-structured scorer (default,
-    /// `naive = false`) and the naive per-candidate refit. The naive path
-    /// re-runs a full [`BmfEstimator::estimate`] per candidate × repeat ×
-    /// fold exactly as the paper's procedure reads; it is kept as the
-    /// equivalence oracle the fast path is tested against
-    /// (`tests/cv_equivalence.rs`) and costs O(|grid|·d³) more work.
-    #[must_use]
-    pub fn with_naive_scoring(mut self, naive: bool) -> Self {
-        self.naive = naive;
-        self
-    }
-
-    /// Whether this search scores with the naive refit oracle.
-    pub fn naive_scoring(&self) -> bool {
-        self.naive
     }
 
     /// Number of grid candidates that survive the `ν₀ > d` feasibility
@@ -460,43 +431,13 @@ impl CrossValidation {
 
         // Score the grid; this is the hot loop. Each repeat's row shuffle
         // is drawn from its own derived seed, so it is independent of both
-        // thread count and the caller's RNG state. The fast path makes the
-        // repeat the work item; the naive path refits per candidate exactly
-        // as the paper reads. Both accumulate each candidate's score in
-        // repeat order, so the reduction is scheduling-invariant.
+        // thread count and the caller's RNG state. The repeat is the work
+        // item, and each candidate's score accumulates in repeat order, so
+        // the reduction is scheduling-invariant.
         bmf_obs::counters::CV_CANDIDATES.add(candidates.len() as u64);
         let q = self.q.min(n);
         let repeats_f = self.repeats as f64;
-        let scored: Vec<(f64, Option<ScoreFailure>)> = if self.naive {
-            let mut fold_sets: Vec<(Vec<Matrix>, Vec<Matrix>)> = Vec::with_capacity(self.repeats);
-            for rep in 0..self.repeats {
-                let order = fold_order(seed, rep, n);
-                let shuffled = Matrix::from_fn(n, d, |i, j| late_samples[(order[i], j)]);
-                let folds = descriptive::split_folds(&shuffled, q)?;
-                let mut training: Vec<Matrix> = Vec::with_capacity(q);
-                for k in 0..q {
-                    let parts: Vec<&Matrix> = folds
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != k)
-                        .map(|(_, f)| f)
-                        .collect();
-                    training.push(descriptive::vstack(&parts)?);
-                }
-                fold_sets.push((training, folds));
-            }
-            parallel::map_slice(&candidates, threads, |_, &(kappa0, nu0)| {
-                let _span = bmf_obs::span("cv.candidate");
-                let mut score = 0.0_f64;
-                let mut failure = None;
-                for (training, folds) in &fold_sets {
-                    let (s, f) = self.score_combination(early, kappa0, nu0, training, folds);
-                    score += s / repeats_f;
-                    failure = failure.or(f);
-                }
-                (score, failure)
-            })?
-        } else if let Some(stage) = global_failure(early, late_samples) {
+        let scored = if let Some(stage) = global_failure(early, late_samples) {
             vec![(f64::NEG_INFINITY, Some(stage)); candidates.len()]
         } else {
             let scorer = FoldScorer {
@@ -572,175 +513,6 @@ impl CrossValidation {
             grid,
         })
     }
-
-    /// Two-stage search: the coarse grid of [`CrossValidation::select`]
-    /// followed by a zoomed re-search on a fine local grid around the
-    /// coarse argmax (one coarse-grid step each way, `zoom_points` per
-    /// axis). This is how optima like the paper's κ₀ = 4.67 — between
-    /// integer grid lines — are resolved.
-    ///
-    /// Draws a single root seed from `rng` and delegates to
-    /// [`CrossValidation::select_refined_seeded`] on one thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`CrossValidation::select`].
-    pub fn select_refined<R: Rng + ?Sized>(
-        &self,
-        early: &MomentEstimate,
-        late_samples: &Matrix,
-        zoom_points: usize,
-        rng: &mut R,
-    ) -> Result<HyperParameterSelection> {
-        self.select_refined_seeded(early, late_samples, zoom_points, rng.next_u64(), 1)
-    }
-
-    /// [`CrossValidation::select_refined`] with an explicit root seed and
-    /// thread count. The coarse and zoomed stages run on seeds derived
-    /// from `seed` (streams [`parallel::streams::CV_COARSE`] and
-    /// [`parallel::streams::CV_ZOOM`]), each scoring its grid across
-    /// `threads` workers — bit-identical for every thread count.
-    ///
-    /// The zoomed ν₀ window is clamped above the feasibility floor
-    /// `ν₀ > d`, so no zoom point is wasted on candidates the prior must
-    /// reject; if the zoomed stage still fails (e.g. a degenerate window
-    /// around an extreme coarse optimum), the coarse selection is
-    /// returned instead of an error.
-    ///
-    /// # Errors
-    ///
-    /// As [`CrossValidation::select_seeded`] (from the coarse stage —
-    /// zoomed-stage failures fall back to the coarse result).
-    pub fn select_refined_seeded(
-        &self,
-        early: &MomentEstimate,
-        late_samples: &Matrix,
-        zoom_points: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<HyperParameterSelection> {
-        if zoom_points < 2 {
-            return Err(BmfError::InvalidConfig {
-                reason: format!("zoom grid needs at least 2 points per axis, got {zoom_points}"),
-            });
-        }
-        let coarse_seed = parallel::derive_seed(seed, parallel::streams::CV_COARSE, 0);
-        let zoom_seed = parallel::derive_seed(seed, parallel::streams::CV_ZOOM, 0);
-        let coarse = self.select_seeded(early, late_samples, coarse_seed, threads)?;
-
-        // Local window: one coarse step each way in log space (with the
-        // coarse step ratio estimated from the grids themselves).
-        let step_ratio = |grid: &[f64]| -> f64 {
-            if grid.len() < 2 {
-                2.0
-            } else {
-                (grid[grid.len() - 1] / grid[0]).powf(1.0 / (grid.len() as f64 - 1.0))
-            }
-        };
-        let rk = step_ratio(&self.kappa_grid);
-        let rn = step_ratio(&self.nu_grid);
-        let zoom = |centre: f64, ratio: f64, floor: Option<f64>| -> Vec<f64> {
-            let (mut lo, mut hi) = (centre / ratio, centre * ratio);
-            if lo > hi {
-                // A descending grid yields ratio < 1; normalise.
-                std::mem::swap(&mut lo, &mut hi);
-            }
-            if let Some(floor) = floor {
-                // Clamp the window into the feasible region ν₀ > d. The
-                // coarse optimum is feasible, so centre (≤ hi) is a valid
-                // upper bound whenever the floor crosses hi.
-                lo = lo.max(floor);
-                hi = hi.max(lo);
-            }
-            log_grid(lo, hi, zoom_points)
-        };
-        let d = early.dim();
-        let nu_floor = (d as f64 + 1e-9) * (1.0 + 1e-9);
-        let refined = CrossValidation::with_repeats(
-            zoom(coarse.kappa0, rk, None),
-            zoom(coarse.nu0, rn, Some(nu_floor)),
-            self.q,
-            self.repeats,
-        )
-        .map(|fine| fine.with_naive_scoring(self.naive))
-        .and_then(|fine| fine.select_seeded(early, late_samples, zoom_seed, threads));
-        let refined = match refined {
-            Ok(r) => r,
-            // The zoom is an opportunistic improvement; a degenerate fine
-            // grid (e.g. non-finite window endpoints around an extreme
-            // coarse optimum) must not discard the valid coarse result.
-            Err(_) => return Ok(coarse),
-        };
-
-        // Keep whichever stage scored better (the zoom can only help when
-        // its folds agree), and report the union of both scored grids.
-        let mut grid = coarse.grid;
-        grid.extend(refined.grid);
-        if refined.score >= coarse.score {
-            Ok(HyperParameterSelection {
-                kappa0: refined.kappa0,
-                nu0: refined.nu0,
-                score: refined.score,
-                grid,
-            })
-        } else {
-            Ok(HyperParameterSelection {
-                kappa0: coarse.kappa0,
-                nu0: coarse.nu0,
-                score: coarse.score,
-                grid,
-            })
-        }
-    }
-
-    /// Scores one combination with the naive per-candidate refit: mean
-    /// held-out per-sample log-likelihood, plus the failing stage when the
-    /// score is −∞. This is the equivalence oracle for the fast path.
-    fn score_combination(
-        &self,
-        early: &MomentEstimate,
-        kappa0: f64,
-        nu0: f64,
-        training: &[Matrix],
-        folds: &[Matrix],
-    ) -> (f64, Option<ScoreFailure>) {
-        let prior = match NormalWishartPrior::from_early_moments(early, kappa0, nu0) {
-            Ok(p) => p,
-            Err(_) => return (f64::NEG_INFINITY, Some(ScoreFailure::Prior)),
-        };
-        let estimator = match BmfEstimator::new(prior) {
-            Ok(e) => e,
-            Err(_) => return (f64::NEG_INFINITY, Some(ScoreFailure::Prior)),
-        };
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for (train, test) in training.iter().zip(folds.iter()) {
-            if test.nrows() == 0 || train.nrows() == 0 {
-                continue;
-            }
-            bmf_obs::counters::CV_FOLD_EVALS.incr();
-            let est = match estimator.estimate(train) {
-                Ok(e) => e,
-                Err(_) => return (f64::NEG_INFINITY, Some(ScoreFailure::Statistics)),
-            };
-            let model = match MultivariateNormal::new(est.map.mean.clone(), est.map.cov.clone()) {
-                Ok(m) => m,
-                Err(_) => return (f64::NEG_INFINITY, Some(ScoreFailure::Factorisation)),
-            };
-            match model.ln_likelihood(test) {
-                Ok(ll) => {
-                    total += ll;
-                    count += test.nrows();
-                }
-                Err(_) => return (f64::NEG_INFINITY, Some(ScoreFailure::Likelihood)),
-            }
-        }
-        if count == 0 {
-            (f64::NEG_INFINITY, Some(ScoreFailure::EmptyFolds))
-        } else {
-            (total / count as f64, None)
-        }
-    }
 }
 
 /// The fold permutation of repeat `rep`: position `i` of the returned
@@ -758,7 +530,7 @@ fn fold_order(seed: u64, rep: usize, n: usize) -> Vec<usize> {
 
 /// A condition that fails every candidate identically (non-SPD early
 /// covariance, non-finite samples), detected once up front instead of
-/// once per candidate as the naive path does.
+/// once per candidate.
 fn global_failure(early: &MomentEstimate, samples: &Matrix) -> Option<ScoreFailure> {
     if Cholesky::new(&early.cov).is_err() {
         Some(ScoreFailure::Prior)
@@ -1285,76 +1057,6 @@ mod tests {
     }
 
     #[test]
-    fn refined_search_zooms_between_grid_lines() {
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: truth().mean().clone(),
-            cov: truth().cov().clone(),
-        };
-        let late = truth().sample_matrix(&mut r, 24);
-        let cv = CrossValidation::default();
-        let refined = cv.select_refined(&early, &late, 5, &mut r).unwrap();
-        // The refined optimum never scores below the coarse grid's best.
-        let coarse_best = refined
-            .grid
-            .iter()
-            .take(cv.kappa_grid().len() * cv.nu_grid().len())
-            .map(|p| p.score)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!(refined.score >= coarse_best - 1e-12);
-        assert!(refined.nu0 > 2.0);
-        assert!(cv.select_refined(&early, &late, 1, &mut r).is_err());
-    }
-
-    #[test]
-    fn refined_zoom_clamps_nu_window_above_d() {
-        // Coarse optimum ν₀ = 2.1 sits just above d = 2; the naive zoom
-        // window [2.1/476, 2.1·476] would waste half its ν₀ points on the
-        // infeasible region ν₀ ≤ d. With the clamp every zoomed candidate
-        // is feasible, so the reported grid holds the full fine grid.
-        let cv = CrossValidation::with_repeats(vec![5.0], vec![2.1, 1000.0], 2, 2).unwrap();
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: truth().mean().clone(),
-            cov: truth().cov() * 25.0, // inflated prior → small ν₀ wins
-        };
-        let late = truth().sample_matrix(&mut r, 32);
-        let zoom_points = 4;
-        let sel = cv
-            .select_refined(&early, &late, zoom_points, &mut r)
-            .unwrap();
-        let coarse_candidates = 2; // 1 κ₀ × 2 feasible ν₀
-        assert_eq!(
-            sel.grid.len(),
-            coarse_candidates + zoom_points * zoom_points,
-            "zoomed nu window must be clamped into the feasible region"
-        );
-        assert!(sel.grid.iter().all(|p| p.nu0 > 2.0));
-        assert!(sel.nu0 > 2.0);
-    }
-
-    #[test]
-    fn refined_falls_back_to_coarse_when_zoom_fails() {
-        // A coarse optimum at the very bottom of the float range makes the
-        // zoom window's lower edge underflow to 0 (5e-324 / 2 rounds to
-        // zero), which the fine-grid constructor rejects as non-positive;
-        // select_refined must return the valid coarse result, not error.
-        let kappa_min = f64::MIN_POSITIVE * f64::EPSILON; // 5e-324
-        assert_eq!(kappa_min / 2.0, 0.0);
-        let cv = CrossValidation::with_repeats(vec![kappa_min], vec![5.0], 2, 1).unwrap();
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: Vector::zeros(2),
-            cov: Matrix::identity(2),
-        };
-        let late = truth().sample_matrix(&mut r, 8);
-        let sel = cv.select_refined(&early, &late, 3, &mut r).unwrap();
-        assert_eq!(sel.kappa0, kappa_min);
-        assert_eq!(sel.nu0, 5.0);
-        assert!(sel.score.is_finite());
-    }
-
-    #[test]
     fn select_seeded_is_bit_identical_across_thread_counts() {
         let cv =
             CrossValidation::with_repeats(vec![1.0, 10.0, 100.0], vec![5.0, 50.0, 500.0], 3, 3)
@@ -1369,13 +1071,6 @@ mod tests {
         for threads in [2, 3, 7, 16] {
             let par = cv.select_seeded(&early, &late, 42, threads).unwrap();
             assert_eq!(par, reference, "threads = {threads}");
-        }
-        let refined_ref = cv.select_refined_seeded(&early, &late, 3, 42, 1).unwrap();
-        for threads in [2, 7] {
-            let par = cv
-                .select_refined_seeded(&early, &late, 3, 42, threads)
-                .unwrap();
-            assert_eq!(par, refined_ref, "threads = {threads}");
         }
     }
 
@@ -1430,57 +1125,22 @@ mod tests {
         };
         let mut late = truth().sample_matrix(&mut r, 8);
         late[(3, 1)] = f64::NAN;
-        for naive in [false, true] {
-            let err = cv
-                .clone()
-                .with_naive_scoring(naive)
-                .select_seeded(&early, &late, 11, 1)
-                .unwrap_err();
-            let msg = err.to_string();
-            assert!(
-                msg.contains("failed to score"),
-                "naive = {naive}: all-failed diagnosis must name scoring, got: {msg}"
-            );
-            assert!(
-                msg.contains("sufficient statistics"),
-                "naive = {naive}: failing stage must be named, got: {msg}"
-            );
-            assert!(
-                !msg.contains("no feasible"),
-                "naive = {naive}: must not blame a feasible grid, got: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_scoring_matches_naive_oracle() {
-        let cv = CrossValidation::with_repeats(vec![1.0, 4.67, 120.0], vec![2.5, 7.0, 310.0], 3, 2)
-            .unwrap();
-        assert!(!cv.naive_scoring());
-        let naive_cv = cv.clone().with_naive_scoring(true);
-        assert!(naive_cv.naive_scoring());
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: Vector::from_slice(&[0.4, -0.2]),
-            cov: truth().cov() * 1.7,
-        };
-        let late = truth().sample_matrix(&mut r, 12);
-        let fast = cv.select_seeded(&early, &late, 7, 1).unwrap();
-        let naive = naive_cv.select_seeded(&early, &late, 7, 1).unwrap();
-        assert_eq!(fast.grid.len(), naive.grid.len());
-        for (f, n) in fast.grid.iter().zip(naive.grid.iter()) {
-            assert_eq!((f.kappa0, f.nu0), (n.kappa0, n.nu0));
-            let tol = 1e-10 * n.score.abs().max(1.0);
-            assert!(
-                (f.score - n.score).abs() <= tol,
-                "({}, {}): fast {} vs naive {}",
-                f.kappa0,
-                f.nu0,
-                f.score,
-                n.score
-            );
-        }
-        assert_eq!((fast.kappa0, fast.nu0), (naive.kappa0, naive.nu0));
+        let msg = cv
+            .select_seeded(&early, &late, 11, 1)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("failed to score"),
+            "all-failed diagnosis must name scoring, got: {msg}"
+        );
+        assert!(
+            msg.contains("sufficient statistics"),
+            "failing stage must be named, got: {msg}"
+        );
+        assert!(
+            !msg.contains("no feasible"),
+            "must not blame a feasible grid, got: {msg}"
+        );
     }
 
     #[test]

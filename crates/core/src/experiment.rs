@@ -341,33 +341,13 @@ fn aggregate(n: usize, outcomes: &[RepetitionOutcome]) -> SweepRow {
     }
 }
 
-/// Runs the paper's error-vs-n sweep on a prepared study.
+/// Runs the paper's error-vs-n sweep on a prepared study, its repetitions
+/// distributed over `threads` scoped workers via [`parallel::map_range`].
 ///
 /// Each repetition draws its RNG from a deterministic per-`(n, rep)` seed,
-/// so results are reproducible and identical to
-/// [`run_error_sweep_parallel`].
-///
-/// # Errors
-///
-/// Propagates configuration validation and estimation failures.
-pub fn run_error_sweep(study: &PreparedStudy, config: &SweepConfig) -> Result<SweepResult> {
-    config.validate(study.late_pool.nrows())?;
-    let mut rows = Vec::with_capacity(config.sample_sizes.len());
-    for &n in &config.sample_sizes {
-        let outcomes: Result<Vec<RepetitionOutcome>> = (0..config.repetitions)
-            .map(|rep| run_repetition(study, config, n, rep))
-            .collect();
-        rows.push(aggregate(n, &outcomes?));
-    }
-    Ok(SweepResult { rows })
-}
-
-/// Multi-threaded version of [`run_error_sweep`]: repetitions are
-/// distributed over `threads` scoped workers via
-/// [`parallel::map_range`]. Because every repetition owns a deterministic
-/// seed, the result is **bit-identical** to the sequential run regardless
-/// of scheduling; `threads` may exceed the repetition count (the surplus
-/// workers are simply not spawned).
+/// so the result is reproducible and **bit-identical** for every thread
+/// count, including 1; `threads` may exceed the repetition count (the
+/// surplus workers are simply not spawned).
 ///
 /// # Errors
 ///
@@ -566,7 +546,7 @@ mod tests {
                 // Should be unreachable; if prepare ever stops catching
                 // it, the sweep must still fail loudly rather than fuse a
                 // degenerate metric.
-                run_error_sweep(
+                run_error_sweep_parallel(
                     &study,
                     &SweepConfig {
                         sample_sizes: vec![8],
@@ -574,6 +554,7 @@ mod tests {
                         cv: CrossValidation::default(),
                         seed: 1,
                     },
+                    1,
                 )
                 .unwrap_err()
             }
@@ -613,7 +594,7 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 7,
         };
-        let result = run_error_sweep(&study, &config).unwrap();
+        let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
         let r8 = &result.rows[0];
         assert!(
             r8.bmf_cov_err < r8.mle_cov_err * 0.6,
@@ -639,8 +620,8 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 11,
         };
-        let ka = run_error_sweep(&aligned, &config).unwrap().rows[0].mean_kappa0;
-        let ks = run_error_sweep(&shifted, &config).unwrap().rows[0].mean_kappa0;
+        let ka = run_error_sweep_parallel(&aligned, &config, 1).unwrap().rows[0].mean_kappa0;
+        let ks = run_error_sweep_parallel(&shifted, &config, 1).unwrap().rows[0].mean_kappa0;
         assert!(
             ks < ka,
             "kappa with shifted mean ({ks}) should be below aligned ({ka})"
@@ -657,7 +638,7 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 13,
         };
-        let result = run_error_sweep(&study, &config).unwrap();
+        let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
         let cr = cost_reduction(&result, ErrorKind::Covariance);
         // At the smallest n the reduction should be substantial (>2×
         // conservatively; the paper reports 16× on its circuit).
@@ -748,7 +729,7 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 1,
         };
-        let result = run_error_sweep(&study, &config).unwrap();
+        let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
         let table = result.to_table();
         assert!(table.contains("mean_err MLE"));
         assert_eq!(table.lines().count(), 4); // header + separator + 2 rows
@@ -764,8 +745,8 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 21,
         };
-        let a = run_error_sweep(&study, &config).unwrap();
-        let b = run_error_sweep(&study, &config).unwrap();
+        let a = run_error_sweep_parallel(&study, &config, 1).unwrap();
+        let b = run_error_sweep_parallel(&study, &config, 1).unwrap();
         assert_eq!(a, b);
     }
 
@@ -779,8 +760,8 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 33,
         };
-        let seq = run_error_sweep(&study, &config).unwrap();
-        for threads in [1, 2, 4] {
+        let seq = run_error_sweep_parallel(&study, &config, 1).unwrap();
+        for threads in [2, 4] {
             let par = run_error_sweep_parallel(&study, &config, threads).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
         }
@@ -797,7 +778,7 @@ mod tests {
             cv: CrossValidation::default(),
             seed: 5,
         };
-        let seq = run_error_sweep(&study, &config).unwrap();
+        let seq = run_error_sweep_parallel(&study, &config, 1).unwrap();
         let par = run_error_sweep_parallel(&study, &config, 16).unwrap();
         assert_eq!(seq, par);
     }

@@ -19,13 +19,13 @@
 //!
 //! A task's random stream therefore depends only on *which task it is*,
 //! never on thread count or scheduling order, which is what makes every
-//! parallel entry point in this workspace **bit-identical** to its serial
-//! counterpart. Floating-point reductions preserve this by keeping each
+//! parallel entry point in this workspace **bit-identical** at every
+//! thread count, including 1. Floating-point reductions preserve this by keeping each
 //! task's accumulation inside one task and combining task results in
 //! index order.
 
 pub use bmf_stats::parallel::{
-    available_threads, derive_seed, resolve_threads, scoped_map, scoped_map_range, WorkerPanic,
+    available_threads, derive_seed, resolve_threads, scoped_map_range, WorkerPanic,
 };
 
 use crate::{BmfError, Result};
@@ -39,10 +39,6 @@ pub mod streams {
     /// Per-repeat fold shuffles of one CV search
     /// ([`crate::cv::CrossValidation::select_seeded`]).
     pub const CV_FOLD_SHUFFLE: u64 = 0x0CF5;
-    /// The coarse stage of [`crate::cv::CrossValidation::select_refined_seeded`].
-    pub const CV_COARSE: u64 = 0x0CC0;
-    /// The zoomed stage of [`crate::cv::CrossValidation::select_refined_seeded`].
-    pub const CV_ZOOM: u64 = 0x0CF1;
 }
 
 /// [`scoped_map_range`] with worker panics converted to
@@ -57,20 +53,6 @@ where
     F: Fn(usize) -> U + Sync,
 {
     scoped_map_range(len, threads, f).map_err(BmfError::from)
-}
-
-/// [`scoped_map`] with worker panics converted to [`BmfError::Worker`].
-///
-/// # Errors
-///
-/// Returns [`BmfError::Worker`] when a worker thread panics.
-pub fn map_slice<T, U, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    scoped_map(items, threads, f).map_err(BmfError::from)
 }
 
 impl From<WorkerPanic> for BmfError {
@@ -105,16 +87,5 @@ mod tests {
             BmfError::Worker { reason } => assert!(reason.contains("bad repetition")),
             other => panic!("expected Worker error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn stream_constants_are_distinct() {
-        let all = [
-            streams::CV_FOLD_SHUFFLE,
-            streams::CV_COARSE,
-            streams::CV_ZOOM,
-        ];
-        let set: std::collections::HashSet<_> = all.iter().collect();
-        assert_eq!(set.len(), all.len());
     }
 }

@@ -1,13 +1,12 @@
-//! Complex scalars, vectors, matrices and a complex LU solver.
+//! Complex scalars.
 //!
-//! AC small-signal circuit analysis assembles a complex admittance matrix
-//! `Y(jω)` and solves `Y v = i` at each frequency point; these types provide
-//! exactly that, with no external dependency.
+//! AC small-signal circuit analysis evaluates transfer functions at `jω`,
+//! FFTs rotate by complex twiddles and root finders iterate in the complex
+//! plane; [`Complex64`] serves all three with no external dependency.
 
-use crate::{LinalgError, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Complex number with `f64` components.
 ///
@@ -193,291 +192,6 @@ impl MulAssign for Complex64 {
     }
 }
 
-/// Owned dense complex vector.
-///
-/// # Example
-///
-/// ```
-/// use bmf_linalg::{Complex64, CVector};
-///
-/// let mut v = CVector::zeros(2);
-/// v[0] = Complex64::new(1.0, 1.0);
-/// assert_eq!(v[0].abs_sq(), 2.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CVector {
-    data: Vec<Complex64>,
-}
-
-impl CVector {
-    /// Creates a zero complex vector of length `n`.
-    pub fn zeros(n: usize) -> Self {
-        CVector {
-            data: vec![Complex64::ZERO; n],
-        }
-    }
-
-    /// Creates a complex vector by copying a slice.
-    pub fn from_slice(s: &[Complex64]) -> Self {
-        CVector { data: s.to_vec() }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Borrows the underlying storage.
-    pub fn as_slice(&self) -> &[Complex64] {
-        &self.data
-    }
-
-    /// Euclidean norm `sqrt(Σ |zᵢ|²)`.
-    pub fn norm2(&self) -> f64 {
-        self.data.iter().map(|z| z.abs_sq()).sum::<f64>().sqrt()
-    }
-}
-
-impl Index<usize> for CVector {
-    type Output = Complex64;
-    fn index(&self, i: usize) -> &Complex64 {
-        &self.data[i]
-    }
-}
-
-impl IndexMut<usize> for CVector {
-    fn index_mut(&mut self, i: usize) -> &mut Complex64 {
-        &mut self.data[i]
-    }
-}
-
-/// Owned dense row-major complex matrix.
-///
-/// # Example
-///
-/// ```
-/// use bmf_linalg::{CMatrix, Complex64};
-///
-/// let mut y = CMatrix::zeros(2, 2);
-/// y[(0, 0)] += Complex64::from_re(1.0);
-/// assert_eq!(y[(0, 0)].re, 1.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Complex64>,
-}
-
-impl CMatrix {
-    /// Creates a zero complex matrix of shape `rows × cols`.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CMatrix {
-            rows,
-            cols,
-            data: vec![Complex64::ZERO; rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` complex identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = CMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Complex64::ONE;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.cols
-    }
-
-    /// Shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Matrix-vector product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != ncols()`.
-    pub fn mat_vec(&self, v: &CVector) -> Result<CVector> {
-        if self.cols != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cmat_vec",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = CVector::zeros(self.rows);
-        for i in 0..self.rows {
-            let mut s = Complex64::ZERO;
-            for j in 0..self.cols {
-                s += self[(i, j)] * v[j];
-            }
-            out[i] = s;
-        }
-        Ok(out)
-    }
-}
-
-impl Index<(usize, usize)> for CMatrix {
-    type Output = Complex64;
-    fn index(&self, (i, j): (usize, usize)) -> &Complex64 {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i}, {j}) out of bounds for {}x{}",
-            self.rows,
-            self.cols
-        );
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for CMatrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut Complex64 {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i}, {j}) out of bounds for {}x{}",
-            self.rows,
-            self.cols
-        );
-        &mut self.data[i * self.cols + j]
-    }
-}
-
-/// Complex LU factorisation with partial pivoting (pivot on magnitude).
-///
-/// This is the AC-analysis solver: the MNA engine factorises `Y(jω)` once
-/// per frequency point and solves for the node-voltage phasors.
-///
-/// # Example
-///
-/// ```
-/// use bmf_linalg::{CLu, CMatrix, CVector, Complex64};
-///
-/// # fn main() -> Result<(), bmf_linalg::LinalgError> {
-/// let mut a = CMatrix::identity(2);
-/// a[(0, 1)] = Complex64::I;
-/// let mut b = CVector::zeros(2);
-/// b[0] = Complex64::ONE;
-/// b[1] = Complex64::ONE;
-/// let x = CLu::new(&a)?.solve_vec(&b)?;
-/// assert!((x[1] - Complex64::ONE).abs() < 1e-14);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CLu {
-    lu: CMatrix,
-    perm: Vec<usize>,
-}
-
-impl CLu {
-    /// Factorises a square complex matrix.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::NotSquare`] for rectangular input.
-    /// * [`LinalgError::Singular`] when a pivot column is (numerically) zero.
-    pub fn new(a: &CMatrix) -> Result<Self> {
-        if a.nrows() != a.ncols() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.nrows();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_val = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val == 0.0 || !pivot_val.is_finite() {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
-                }
-                perm.swap(k, pivot_row);
-            }
-            let ukk = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / ukk;
-                lu[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let delta = factor * lu[(k, j)];
-                    lu[(i, j)] -= delta;
-                }
-            }
-        }
-        Ok(CLu { lu, perm })
-    }
-
-    /// Dimension of the factorised matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.nrows()
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `b.len() != dim()`.
-    pub fn solve_vec(&self, b: &CVector) -> Result<CVector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "clu_solve",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut x = CVector::zeros(n);
-        for i in 0..n {
-            x[i] = b[self.perm[i]];
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for k in 0..i {
-                s -= self.lu[(i, k)] * x[k];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for k in (i + 1)..n {
-                s -= self.lu[(i, k)] * x[k];
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,72 +250,5 @@ mod tests {
             "1.000000-2.000000j"
         );
         assert!(format!("{}", Complex64::I).contains('+'));
-    }
-
-    #[test]
-    fn cvector_basics() {
-        let mut v = CVector::zeros(3);
-        assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
-        v[1] = Complex64::new(3.0, 4.0);
-        assert_eq!(v.norm2(), 5.0);
-        let w = CVector::from_slice(v.as_slice());
-        assert_eq!(v, w);
-    }
-
-    #[test]
-    fn cmatrix_mat_vec() {
-        let mut m = CMatrix::zeros(2, 2);
-        m[(0, 0)] = Complex64::ONE;
-        m[(0, 1)] = Complex64::I;
-        m[(1, 1)] = Complex64::from_re(2.0);
-        let mut v = CVector::zeros(2);
-        v[0] = Complex64::ONE;
-        v[1] = Complex64::ONE;
-        let r = m.mat_vec(&v).unwrap();
-        assert_eq!(r[0], Complex64::new(1.0, 1.0));
-        assert_eq!(r[1], Complex64::from_re(2.0));
-        assert!(m.mat_vec(&CVector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn clu_solves_complex_system() {
-        // Y = [[1+j, -1], [-1, 1-j]], b = [1, 0]
-        let mut y = CMatrix::zeros(2, 2);
-        y[(0, 0)] = Complex64::new(1.0, 1.0);
-        y[(0, 1)] = Complex64::new(-1.0, 0.0);
-        y[(1, 0)] = Complex64::new(-1.0, 0.0);
-        y[(1, 1)] = Complex64::new(1.0, -1.0);
-        let mut b = CVector::zeros(2);
-        b[0] = Complex64::ONE;
-        let x = CLu::new(&y).unwrap().solve_vec(&b).unwrap();
-        let r = y.mat_vec(&x).unwrap();
-        assert!((r[0] - b[0]).abs() < 1e-13);
-        assert!((r[1] - b[1]).abs() < 1e-13);
-    }
-
-    #[test]
-    fn clu_pivots_when_needed() {
-        let mut a = CMatrix::zeros(2, 2);
-        a[(0, 1)] = Complex64::ONE;
-        a[(1, 0)] = Complex64::ONE;
-        let mut b = CVector::zeros(2);
-        b[0] = Complex64::from_re(2.0);
-        b[1] = Complex64::from_re(3.0);
-        let x = CLu::new(&a).unwrap().solve_vec(&b).unwrap();
-        assert!((x[0] - Complex64::from_re(3.0)).abs() < 1e-14);
-        assert!((x[1] - Complex64::from_re(2.0)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn clu_rejects_bad_input() {
-        assert!(CLu::new(&CMatrix::zeros(2, 3)).is_err());
-        assert!(matches!(
-            CLu::new(&CMatrix::zeros(2, 2)),
-            Err(LinalgError::Singular { .. })
-        ));
-        let lu = CLu::new(&CMatrix::identity(2)).unwrap();
-        assert!(lu.solve_vec(&CVector::zeros(3)).is_err());
-        assert_eq!(lu.dim(), 2);
     }
 }

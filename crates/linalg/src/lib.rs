@@ -1,10 +1,10 @@
-//! Dense real and complex linear algebra primitives for the `bmf-ams` workspace.
+//! Dense real linear algebra and complex scalars for the `bmf-ams` workspace.
 //!
 //! This crate is a small, self-contained linear-algebra kernel written from
 //! scratch (no `ndarray`/`nalgebra`), sized for the needs of multivariate
 //! statistics on a handful of correlated circuit performance metrics
-//! (`d` ≈ 2–20) and for complex-valued modified nodal analysis of small
-//! analog circuits (tens of nodes).
+//! (`d` ≈ 2–20) and for the real admittance pencils of small analog
+//! circuits (tens of nodes).
 //!
 //! # Contents
 //!
@@ -16,8 +16,8 @@
 //!   matrices (used for PSD diagnostics and nearest-SPD projection).
 //! * [`spd`]: condition-number estimation and the SPD repair ladder
 //!   ([`Cholesky::new_with_repair`]) for near-singular covariances.
-//! * [`Complex64`], [`CVector`], [`CMatrix`], [`CLu`]: complex arithmetic
-//!   and a complex LU solver for AC circuit analysis.
+//! * [`Complex64`]: complex arithmetic for AC circuit analysis and the
+//!   FFT.
 //!
 //! # Example
 //!
@@ -49,7 +49,7 @@ pub mod spd;
 mod vector;
 
 pub use cholesky::{nearest_spd, Cholesky};
-pub use complex::{CLu, CMatrix, CVector, Complex64};
+pub use complex::Complex64;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use matrix::Matrix;

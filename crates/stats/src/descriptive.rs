@@ -229,66 +229,6 @@ pub fn column_excess_kurtosis(samples: &Matrix) -> Result<Vector> {
     Ok(out)
 }
 
-/// Splits a sample matrix row-wise into `q` nearly-equal folds (for
-/// cross-validation). Fold `k` receives rows `k, k+q, k+2q, …` so that any
-/// ordering bias in the source is spread across folds.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] when `q == 0` or `q > n`.
-pub fn split_folds(samples: &Matrix, q: usize) -> Result<Vec<Matrix>> {
-    let (n, d) = samples.shape();
-    if q == 0 || q > n {
-        return Err(StatsError::InvalidParameter {
-            name: "q",
-            value: format!("{q}"),
-            constraint: "1 <= q <= n",
-        });
-    }
-    let mut folds: Vec<Vec<f64>> = vec![Vec::new(); q];
-    for i in 0..n {
-        folds[i % q].extend_from_slice(samples.row(i));
-    }
-    folds
-        .into_iter()
-        .map(|data| {
-            let rows = data.len() / d;
-            Matrix::from_vec(rows, d, data).map_err(StatsError::from)
-        })
-        .collect()
-}
-
-/// Vertically concatenates sample matrices (all must share the column
-/// count).
-///
-/// # Errors
-///
-/// * [`StatsError::InsufficientSamples`] when `parts` is empty.
-/// * [`StatsError::DimensionMismatch`] on differing column counts.
-pub fn vstack(parts: &[&Matrix]) -> Result<Matrix> {
-    if parts.is_empty() {
-        return Err(StatsError::InsufficientSamples {
-            required: 1,
-            available: 0,
-        });
-    }
-    let d = parts[0].ncols();
-    let mut data = Vec::new();
-    let mut rows = 0;
-    for p in parts {
-        if p.ncols() != d {
-            return Err(StatsError::DimensionMismatch {
-                op: "vstack",
-                expected: d,
-                actual: p.ncols(),
-            });
-        }
-        data.extend_from_slice(p.as_slice());
-        rows += p.nrows();
-    }
-    Matrix::from_vec(rows, d, data).map_err(StatsError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,38 +331,5 @@ mod tests {
         let m = Matrix::from_fn(10, 1, |_, _| 5.0);
         assert_eq!(column_skewness(&m).unwrap()[0], 0.0);
         assert_eq!(column_excess_kurtosis(&m).unwrap()[0], 0.0);
-    }
-
-    #[test]
-    fn folds_partition_the_data() {
-        let m = Matrix::from_fn(10, 2, |i, j| (i * 2 + j) as f64);
-        let folds = split_folds(&m, 4).unwrap();
-        assert_eq!(folds.len(), 4);
-        let total: usize = folds.iter().map(|f| f.nrows()).sum();
-        assert_eq!(total, 10);
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = folds.iter().map(|f| f.nrows()).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        // Re-stacking recovers all rows (as a multiset of row sums).
-        let refs: Vec<&Matrix> = folds.iter().collect();
-        let stacked = vstack(&refs).unwrap();
-        let mut orig: Vec<f64> = (0..10).map(|i| m.row(i).iter().sum()).collect();
-        let mut got: Vec<f64> = (0..10).map(|i| stacked.row(i).iter().sum()).collect();
-        orig.sort_by(f64::total_cmp);
-        got.sort_by(f64::total_cmp);
-        assert_eq!(orig, got);
-
-        assert!(split_folds(&m, 0).is_err());
-        assert!(split_folds(&m, 11).is_err());
-    }
-
-    #[test]
-    fn vstack_validates() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(1, 2);
-        assert!(vstack(&[&a, &b]).is_err());
-        assert!(vstack(&[]).is_err());
-        let ok = vstack(&[&a, &a]).unwrap();
-        assert_eq!(ok.shape(), (4, 3));
     }
 }

@@ -9,7 +9,7 @@
 //! module is the single implementation of that contract:
 //!
 //! * [`derive_seed`] — mixes `(root, stream, index)` into a task seed;
-//! * [`scoped_map`] / [`scoped_map_range`] — run an indexed map over
+//! * [`scoped_map_range`] — runs an indexed map over
 //!   `std::thread::scope` workers (or, with one worker, on the calling
 //!   thread), returning results in task order and converting worker
 //!   panics into a [`WorkerPanic`] error instead of aborting the caller;
@@ -58,8 +58,7 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     }
 }
 
-/// A worker thread panicked while executing [`scoped_map`] /
-/// [`scoped_map_range`].
+/// A worker thread panicked while executing [`scoped_map_range`].
 ///
 /// The panic is contained (joined, not propagated), its payload captured
 /// here so callers can degrade gracefully instead of aborting.
@@ -167,24 +166,6 @@ where
         .collect())
 }
 
-/// Runs `f(index, &items[index])` over `items` across at most `threads`
-/// workers and returns the results in item order.
-///
-/// Convenience wrapper over [`scoped_map_range`]; the same determinism
-/// and clamping rules apply.
-///
-/// # Errors
-///
-/// Returns [`WorkerPanic`] if any worker panics.
-pub fn scoped_map<T, U, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, WorkerPanic>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    scoped_map_range(items.len(), threads, |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn scoped_map_matches_serial_for_any_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * x).collect();
+    fn scoped_map_range_matches_serial_for_any_thread_count() {
+        let serial: Vec<u64> = (0..37u64).map(|x| x * x).collect();
         for threads in [0, 1, 2, 3, 7, 64] {
-            let par = scoped_map(&items, threads, |_, &x| x * x).unwrap();
+            let par = scoped_map_range(37, threads, |i| (i * i) as u64).unwrap();
             assert_eq!(par, serial, "threads = {threads}");
         }
     }

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example adc_validation`
 
 use bmf_ams::circuits::adc::AdcTestbench;
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
+use bmf_ams::core::parallel::available_threads;
 use bmf_ams::core::prelude::*;
 use bmf_ams::stats::descriptive;
 use rand::SeedableRng;
@@ -20,8 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("flash ADC, 0.18 um — metrics:");
     println!("  snr_db, sinad_db, sfdr_db, thd_db, power_w\n");
 
-    let early = run_monte_carlo(&tb, Stage::Schematic, 1000, &mut rng)?;
-    let late = run_monte_carlo(&tb, Stage::PostLayout, 1000, &mut rng)?;
+    let threads = available_threads();
+    let early = run_monte_carlo_seeded(&tb, Stage::Schematic, 1000, 18, threads)?;
+    let late = run_monte_carlo_seeded(&tb, Stage::PostLayout, 1000, 18, threads)?;
     let n_late = 8; // the paper stresses n as small as eight
 
     // §4.1 shift & scale.

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example opamp_validation`
 
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
+use bmf_ams::core::parallel::available_threads;
 use bmf_ams::core::prelude::*;
 use bmf_ams::stats::descriptive;
 use rand::SeedableRng;
@@ -22,10 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  gain_db, bandwidth_hz, power_w, offset_v, phase_margin_deg\n");
 
     // Early stage: abundant schematic-level Monte Carlo.
-    let early = run_monte_carlo(&tb, Stage::Schematic, 2000, &mut rng)?;
+    let threads = available_threads();
+    let early = run_monte_carlo_seeded(&tb, Stage::Schematic, 2000, 7, threads)?;
     // Late stage: a large reference pool (to measure errors against) from
     // which only a few samples are "affordable".
-    let late = run_monte_carlo(&tb, Stage::PostLayout, 2000, &mut rng)?;
+    let late = run_monte_carlo_seeded(&tb, Stage::PostLayout, 2000, 7, threads)?;
     let n_late = 16;
 
     println!("schematic nominal : {}", early.nominal);

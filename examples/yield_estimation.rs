@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example yield_estimation`
 
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
+use bmf_ams::core::parallel::available_threads;
 use bmf_ams::core::prelude::*;
 use bmf_ams::core::yield_estimation::estimate_yield;
 use bmf_ams::linalg::Matrix;
@@ -20,8 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tb = OpAmpTestbench::default_45nm();
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
 
-    let early = run_monte_carlo(&tb, Stage::Schematic, 1500, &mut rng)?;
-    let late = run_monte_carlo(&tb, Stage::PostLayout, 1500, &mut rng)?;
+    let threads = available_threads();
+    let early = run_monte_carlo_seeded(&tb, Stage::Schematic, 1500, 99, threads)?;
+    let late = run_monte_carlo_seeded(&tb, Stage::PostLayout, 1500, 99, threads)?;
     let n_late = 16;
 
     // Specification box in physical units:

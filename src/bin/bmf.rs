@@ -176,7 +176,7 @@ fn print_usage() {
     println!();
     println!("subcommands:");
     println!("  estimate --early <csv> --late <csv> [--out <csv>] [--seed <u64>] [--threads <n>]");
-    println!("           [--strict | --degrade] [--report <json-path|->] [--cv-naive]");
+    println!("           [--strict | --degrade] [--report <json-path|->]");
     println!("  generate --circuit opamp|adc --stage schematic|postlayout");
     println!("           --samples <n> [--seed <u64>] [--threads <n>] [--out <csv>]");
     println!("           [--fault-rate <r>] [--retry-attempts <n>]");
@@ -229,8 +229,6 @@ fn print_usage() {
     println!("generate --fault-rate r (0 <= r < 1) injects failed sims at rate r and");
     println!("gross outliers at r/5 (deterministic, seed-derived) to exercise the");
     println!("robustness path.");
-    println!("--cv-naive scores the hyper-parameter grid with the naive per-candidate");
-    println!("refit instead of the fast rank-structured path (equivalence oracle; slow).");
     println!();
     println!("exit codes: 0 success; 1 runtime error (I/O, simulation, estimation,");
     println!("corrupt packet); 2 configuration/usage error; 3 strict-mode refusal");
@@ -240,7 +238,7 @@ fn print_usage() {
 }
 
 /// Flags that take no value (presence is the whole message).
-const BOOL_FLAGS: &[&str] = &["strict", "degrade", "cv-naive"];
+const BOOL_FLAGS: &[&str] = &["strict", "degrade"];
 
 /// Parses `--key value` pairs; repeated keys accumulate. Flags listed in
 /// [`BOOL_FLAGS`] are valueless switches.
@@ -412,14 +410,11 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
     let cv_seed = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
 
     let (strict, degrade) = failure_mode(&flags)?;
-    let cv_naive = flags.contains_key("cv-naive");
     // Thread count deliberately left out of the run config: the same
     // estimate at any parallelism is the same run (bit-identical output).
     obs.set_run(
         seed,
-        &format!(
-            "estimate early={early_path} late={late_path} strict={strict} cv_naive={cv_naive}"
-        ),
+        &format!("estimate early={early_path} late={late_path} strict={strict}"),
     );
     let report_path = optional(&flags, "report");
 
@@ -433,7 +428,6 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
         };
         let pipeline = RobustPipeline::new()
             .with_mode(mode)
-            .with_cv(CrossValidation::default().with_naive_scoring(cv_naive))
             .with_seed(cv_seed)
             .with_threads(threads);
         let (est, report) = pipeline.estimate(&early_moments, &late_norm).map_err(|e| {
@@ -459,7 +453,6 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
         late_t.invert_moments(&est).map_err(rt)?
     } else {
         let sel = CrossValidation::default()
-            .with_naive_scoring(cv_naive)
             .select_seeded(&early_moments, &late_norm, cv_seed, threads)
             .map_err(rt)?;
         bmf_ams::obs::info!(

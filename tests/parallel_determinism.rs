@@ -75,27 +75,6 @@ proptest! {
         }
     }
 
-    /// Refined (zoomed) CV selection is bit-identical for threads ∈ {1, 2, 7}.
-    #[test]
-    fn refined_cv_selection_is_thread_count_invariant(
-        seed in 0u64..10_000,
-    ) {
-        let (early, late) = synthetic(2, 16, seed ^ 0x5A5A);
-        let cv = CrossValidation::with_repeats(
-            vec![1.0, 100.0],
-            vec![4.0, 400.0],
-            2,
-            2,
-        ).expect("cv");
-        let reference = cv
-            .select_refined_seeded(&early, &late, 3, seed, THREAD_COUNTS[0])
-            .expect("refined");
-        for &t in &THREAD_COUNTS[1..] {
-            let sel = cv.select_refined_seeded(&early, &late, 3, seed, t).expect("refined");
-            prop_assert_eq!(&sel, &reference);
-        }
-    }
-
     /// Seeded Monte Carlo generation is bit-identical for threads ∈ {1, 2, 7}.
     #[test]
     fn monte_carlo_is_thread_count_invariant(

@@ -1,23 +1,26 @@
 //! Cross-crate integration tests: circuit substrate → estimator pipeline.
 
 use bmf_ams::circuits::adc::AdcTestbench;
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo, two_stage_study, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, two_stage_study_seeded, Stage};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
 use bmf_ams::core::experiment::{
-    cost_reduction, prepare, run_error_sweep, ErrorKind, SweepConfig, TwoStageData,
+    cost_reduction, prepare, run_error_sweep_parallel, ErrorKind, SweepConfig, TwoStageData,
 };
 use bmf_ams::core::prelude::*;
 use bmf_ams::linalg::Matrix;
 use bmf_ams::stats::descriptive;
 use rand::SeedableRng;
 
+/// Worker threads of the Monte Carlo runs and sweeps below; every result
+/// is bit-identical at any count.
+const THREADS: usize = 2;
+
 fn study_data<T: bmf_ams::circuits::monte_carlo::Testbench>(
     tb: &T,
     n: usize,
     seed: u64,
 ) -> TwoStageData {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let study = two_stage_study(tb, n, n, &mut rng).expect("monte carlo");
+    let study = two_stage_study_seeded(tb, n, n, seed, THREADS).expect("monte carlo");
     TwoStageData {
         metric_names: study.metric_names.iter().map(|s| s.to_string()).collect(),
         early_nominal: study.early.nominal.clone(),
@@ -38,7 +41,7 @@ fn opamp_full_pipeline_beats_mle_at_small_n() {
         cv: CrossValidation::default(),
         seed: 2,
     };
-    let result = run_error_sweep(&prepared, &config).expect("sweep");
+    let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
     let row = &result.rows[0];
     assert!(
         row.bmf_cov_err < 0.7 * row.mle_cov_err,
@@ -59,7 +62,7 @@ fn adc_full_pipeline_beats_mle_in_both_moments() {
         cv: CrossValidation::default(),
         seed: 4,
     };
-    let result = run_error_sweep(&prepared, &config).expect("sweep");
+    let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
     let row = &result.rows[0];
     assert!(row.bmf_cov_err < row.mle_cov_err);
     assert!(row.bmf_mean_err < row.mle_mean_err);
@@ -76,7 +79,7 @@ fn cost_reduction_exceeds_one_at_small_n() {
         cv: CrossValidation::default(),
         seed: 6,
     };
-    let result = run_error_sweep(&prepared, &config).expect("sweep");
+    let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
     let cr = cost_reduction(&result, ErrorKind::Covariance);
     assert!(
         cr[0].1 > 2.0 || cr[0].1.is_infinite(),
@@ -100,8 +103,10 @@ fn pipeline_is_fully_reproducible_from_seeds() {
         cv: CrossValidation::default(),
         seed: 8,
     };
-    let ra = run_error_sweep(&prepare(&a).expect("prep"), &config).expect("sweep");
-    let rb = run_error_sweep(&prepare(&b).expect("prep"), &config).expect("sweep");
+    let ra =
+        run_error_sweep_parallel(&prepare(&a).expect("prep"), &config, THREADS).expect("sweep");
+    let rb =
+        run_error_sweep_parallel(&prepare(&b).expect("prep"), &config, THREADS).expect("sweep");
     assert_eq!(ra, rb);
 }
 
@@ -138,7 +143,7 @@ fn opamp_signature_mean_prior_weak_cov_prior_strong() {
         cv: CrossValidation::default(),
         seed: 11,
     };
-    let result = run_error_sweep(&prepared, &config).expect("sweep");
+    let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
     let row = &result.rows[0];
     assert!(
         row.mean_nu0 > 5.0 * row.mean_kappa0,
@@ -153,9 +158,9 @@ fn physical_unit_round_trip_through_the_pipeline() {
     // Estimate in normalised space, invert to physical units, verify the
     // result sits near the raw late-pool statistics.
     let tb = AdcTestbench::default_180nm();
+    let early = run_monte_carlo_seeded(&tb, Stage::Schematic, 300, 12, THREADS).expect("early");
+    let late = run_monte_carlo_seeded(&tb, Stage::PostLayout, 300, 12, THREADS).expect("late");
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-    let early = run_monte_carlo(&tb, Stage::Schematic, 300, &mut rng).expect("early");
-    let late = run_monte_carlo(&tb, Stage::PostLayout, 300, &mut rng).expect("late");
 
     let early_sd = descriptive::column_stddevs(&early.samples).expect("sd");
     let early_t = ShiftScale::from_nominal_and_early_sd(&early.nominal, &early_sd).expect("t");
@@ -199,9 +204,9 @@ fn yield_from_bmf_is_closer_than_mle_on_average() {
     // The downstream task: yield against a spec box. Averaged over several
     // few-sample draws, |BMF − reference| ≤ |MLE − reference|.
     let tb = OpAmpTestbench::default_45nm();
+    let early = run_monte_carlo_seeded(&tb, Stage::Schematic, 500, 13, THREADS).expect("early");
+    let late = run_monte_carlo_seeded(&tb, Stage::PostLayout, 500, 13, THREADS).expect("late");
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-    let early = run_monte_carlo(&tb, Stage::Schematic, 500, &mut rng).expect("early");
-    let late = run_monte_carlo(&tb, Stage::PostLayout, 500, &mut rng).expect("late");
 
     let specs = SpecLimits::new(
         vec![Some(82.0), Some(5.0e3), None, Some(-5e-3), Some(64.0)],
