@@ -347,15 +347,22 @@ impl RationalTransfer {
     /// `[0, jω]`, continuous in `ω` unless the root lies on that segment:
     /// the sum needs no sweep and no unwrapping. The roots come from
     /// Aberth–Ehrlich on each polynomial with its exactly-zero top
-    /// coefficients trimmed. A cluster of `m` nearly equal roots is only
-    /// resolved to about `ε^{1/m}` of its modulus, and so is its share of
-    /// the phase: an exact triple pole reads about 5e-7 rad off.
+    /// coefficients trimmed.
+    ///
+    /// The root sum only picks the whole turn: the value is
+    /// `v = arg(H(jω)/H(0))` from [`Self::eval`], moved by the multiple of
+    /// `2π` that brings it nearest the root sum. Aberth resolves a cluster
+    /// of `m` nearly equal roots only to about `ε^{1/m}` of its modulus,
+    /// which would cost an exact triple pole about 5e-7 rad in the sum;
+    /// the Horner value is accurate to rounding however the roots cluster,
+    /// and the sum stays far closer than `π` to it.
     ///
     /// # Errors
     ///
     /// [`CircuitError::MeasurementFailure`] (metric `"phase"`) where `N(0)`
     /// or `D(0)` is zero, where a root lies on the jω axis at or below
-    /// `ω`, or where a root iteration does not converge.
+    /// `ω`, where a root iteration does not converge, or where `D(jω)` is
+    /// exactly zero.
     pub fn phase(&self, omega: f64) -> Result<f64> {
         let fail = |reason: String| CircuitError::MeasurementFailure {
             metric: "phase",
@@ -389,7 +396,12 @@ impl RationalTransfer {
                 phase += sign * (-omega * z.re).atan2(z.abs_sq() - omega * z.im);
             }
         }
-        Ok(phase)
+        let h = self
+            .eval(omega)
+            .map_err(|_| fail(format!("D(jω) = 0 at ω = {omega:.6e} rad/s")))?;
+        let v = (h / (self.num[0] / self.den[0])).arg();
+        let turn = std::f64::consts::TAU;
+        Ok(v + turn * ((phase - v) / turn).round())
     }
 }
 

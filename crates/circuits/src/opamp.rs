@@ -941,6 +941,9 @@ mod tests {
                 vec![real(-p1), real(-TWO_PI * 4e6)],
                 lag(TWO_PI * 2e7) + lag(p1) + lag(TWO_PI * 4e6),
             ),
+            // A triple pole, which the root finder resolves only to about
+            // ε^{1/3}: the root sum must pick the turn, not the value.
+            (vec![], vec![real(-p1); 3], 3.0 * lag(p1)),
         ];
         for (zeros, poles, phase) in cases {
             // The gain that puts the unity crossing at f_u.

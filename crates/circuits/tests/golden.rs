@@ -5,13 +5,13 @@
 //! Any change to a single bit of either testbench's output fails here, so a
 //! re-baseline is always a deliberate, reviewed edit of these constants.
 //!
-//! The op-amp digests date from the switch of its phase margin to the sum
-//! of the root angles of `N(s)` and `D(s)` (`RationalTransfer::phase`),
-//! which moved the last bits of `phase_margin_deg` only: over 2,000 seeded
-//! dies per stage it sits within 2.2e-15 relative of the 240-point
-//! unwrapped sweep it replaced, and gain, bandwidth, power and offset kept
-//! every bit. Gain and bandwidth come from one `G + sC` transfer-function
-//! extraction per die. The oracle bounding all of them is `opamp.rs`'s
+//! The op-amp digests date from the switch of its phase margin to
+//! `arg(H(jω_u)/H(0))` by Horner, with the sum of the root angles of `N(s)`
+//! and `D(s)` picking only the whole turn (`RationalTransfer::phase`).
+//! That moved the last bits of `phase_margin_deg` only: over 120,000
+//! seeded dies, 41% of the margins moved, by at most 6.5e-16 relative, and
+//! gain, bandwidth, power and offset kept every bit. Gain and bandwidth
+//! come from one `G + sC` transfer-function extraction per die. The oracle bounding all of them is `opamp.rs`'s
 //! `pencil_measurement_matches_dense_oracle` (and its 12σ-corner twin):
 //! the dense per-frequency solve with the swept phase agrees to 1e-9
 //! relative, and the same dies fail with the same metric.
@@ -57,7 +57,7 @@ fn opamp_schematic_digest() {
     check(
         &OpAmpTestbench::default_45nm(),
         Stage::Schematic,
-        0x9e8c_12ee_dd7b_1adb,
+        0xb8ca_21ec_8155_ae03,
     );
 }
 
@@ -66,7 +66,7 @@ fn opamp_post_layout_digest() {
     check(
         &OpAmpTestbench::default_45nm(),
         Stage::PostLayout,
-        0xcb37_4a04_827a_1a25,
+        0x9fd0_1322_8089_2180,
     );
 }
 

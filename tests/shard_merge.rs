@@ -601,15 +601,15 @@ fn cli_report_write_is_atomic_and_complete() {
 /// A mismatch means a command now writes different bits; re-baseline
 /// only on purpose.
 const GOLDEN_DIGESTS: &[(&str, u64)] = &[
-    ("early.csv", 0x3D63_B9AF_A764_FF22),
-    ("late.csv", 0xAFFC_758A_7981_2C90),
-    ("estimate.csv", 0x9834_CB13_0F9F_E2D8),
-    ("estimate.json", 0x6EBE_9A02_747D_789F),
-    ("p0.json", 0xDFDD_B8AA_F652_C6E1),
-    ("p1.json", 0x510F_98A1_3E4E_243C),
-    ("p2.json", 0x07CC_A21B_1C1C_D7CD),
-    ("merge.csv", 0xC478_B441_18E1_93EB),
-    ("merge.json", 0x2065_2477_1039_67BD),
+    ("early.csv", 0x2B66_1B52_73F8_0029),
+    ("late.csv", 0x17AC_906C_3310_D914),
+    ("estimate.csv", 0x4913_AF41_CE9B_ED04),
+    ("estimate.json", 0x35AC_03DC_6D54_41B1),
+    ("p0.json", 0xD726_940B_5975_F632),
+    ("p1.json", 0xB263_D98B_195D_2791),
+    ("p2.json", 0xC472_6A13_D16F_F1F0),
+    ("merge.csv", 0x70B9_9A01_4C95_326B),
+    ("merge.json", 0x1DBA_F85B_CBAE_C3AE),
 ];
 
 /// `json` without the member `"key":value` and the comma after it. The
