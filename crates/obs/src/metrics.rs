@@ -324,10 +324,9 @@ pub mod counters {
     pub static EIGEN_SWEEPS: Counter = Counter::new("eigen.sweeps");
     /// Hyper-parameter candidates scored by the CV grid search.
     pub static CV_CANDIDATES: Counter = Counter::new("cv.candidates");
-    /// CV fold evaluations. The fast scorer counts one per (repeat,
-    /// held-out fold, ν₀) reduction to per-fold scalars (288 for the
-    /// default 12×12 grid at d = 5: 8 repeats × 4 folds × 9 feasible ν₀),
-    /// never per candidate; the naive oracle counts one per refit.
+    /// CV fold evaluations: one per (repeat, held-out fold, ν₀) reduction
+    /// to per-fold scalars (288 for the default 12×12 grid at d = 5:
+    /// 8 repeats × 4 folds × 9 feasible ν₀), never per candidate.
     pub static CV_FOLD_EVALS: Counter = Counter::new("cv.fold_evals");
     /// Duplicate grid values dropped by the CV constructor (a non-zero
     /// value means a caller supplied a grid with repeated candidates).

@@ -96,7 +96,7 @@ fn naive_grid(
                 .collect()
         })
         .collect();
-    let fold_score = |kappa0: f64, nu0: f64, folds: &[(Matrix, Matrix)]| -> Option<f64> {
+    let repeat_score = |kappa0: f64, nu0: f64, folds: &[(Matrix, Matrix)]| -> Option<f64> {
         let prior = NormalWishartPrior::from_early_moments(early, kappa0, nu0).ok()?;
         let estimator = BmfEstimator::new(prior).ok()?;
         let (mut total, mut count) = (0.0, 0);
@@ -116,7 +116,7 @@ fn naive_grid(
         .map(|(kappa0, nu0)| {
             let mut score = 0.0;
             for folds in &repeats {
-                score += fold_score(kappa0, nu0, folds).unwrap_or(f64::NEG_INFINITY)
+                score += repeat_score(kappa0, nu0, folds).unwrap_or(f64::NEG_INFINITY)
                     / repeats.len() as f64;
             }
             CvGridPoint { kappa0, nu0, score }
