@@ -197,9 +197,9 @@ impl RetryPolicy {
 }
 
 /// Draws one sample, redrawing up to `policy.max_attempts` times on
-/// simulation failure. On success also returns the number of failed draws that
-/// preceded it — deterministic per sample stream, so shard packets can
-/// report retry telemetry that merges exactly. On exhaustion the
+/// simulation failure. On success also returns the number of failed draws
+/// that preceded it — deterministic per sample stream, so shard packets
+/// can report retry telemetry that merges exactly. On exhaustion the
 /// returned error is the **last** simulator error — the freshest
 /// diagnosis of why the bench keeps failing.
 fn sample_with_retries<T: Testbench + ?Sized>(

@@ -21,9 +21,10 @@
 //!    ([`crate::mna::AcAnalysis::transfer_function`]) and measures it:
 //!    DC gain, then a log scan plus bisection for the −3 dB and the
 //!    unity-gain crossing, each probe one Horner evaluation, and the
-//!    phase margin `180° + ∠H(jω_u)` in closed form, as the sum of the
-//!    angles under which the roots of `N` and `D` see `[0, jω_u]`
-//!    ([`RationalTransfer::phase`]). The reference it is tested against
+//!    phase margin `180° + ∠H(jω_u)` in closed form: the Horner value of
+//!    the angle, turned by the sum of the angles under which the roots of
+//!    `N` and `D` see `[0, jω_u]` ([`RationalTransfer::phase`]). The
+//!    reference it is tested against
 //!    runs the same crossings on the dense per-`ω` solve
 //!    ([`crate::mna::AcAnalysis::transfer`]) and unwraps the phase along a
 //!    240-point sweep,
@@ -512,7 +513,7 @@ struct Crossings {
 
 /// Measures DC gain, −3 dB bandwidth and phase margin on the die's
 /// transfer function: the crossings from probes of `|H(jω)|`, the phase
-/// margin `180° + ∠H(jω_u)` from the roots of `N` and `D`
+/// margin `180° + ∠H(jω_u)` unwrapped by the roots of `N` and `D`
 /// ([`RationalTransfer::phase`]).
 ///
 /// # Errors

@@ -46,10 +46,10 @@
 //! equivalence oracle, written on the public estimator API; the two agree
 //! to ≤ 1e-10 per grid score (exact bit-identity is impossible because the
 //! two reach the same numbers by different arithmetic). The parallel work
-//! item is the repeat: each task
-//! draws its fold permutation, reduces its folds and scores every
-//! candidate, and the caller combines each candidate's repeats in repeat
-//! order — bit-identical at every thread count.
+//! item is the repeat: each task draws its fold permutation, reduces its
+//! folds and scores every candidate, and the caller combines each
+//! candidate's repeats in repeat order — bit-identical at every thread
+//! count.
 
 use crate::parallel;
 use crate::{BmfError, MomentEstimate, Result};
