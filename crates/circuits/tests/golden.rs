@@ -11,7 +11,8 @@
 //! That moved the last bits of `phase_margin_deg` only: over 120,000
 //! seeded dies, 41% of the margins moved, by at most 6.5e-16 relative, and
 //! gain, bandwidth, power and offset kept every bit. Gain and bandwidth
-//! come from one `G + sC` transfer-function extraction per die. The oracle bounding all of them is `opamp.rs`'s
+//! come from one `G + sC` transfer-function extraction per die. The
+//! oracle bounding all of them is `opamp.rs`'s
 //! `pencil_measurement_matches_dense_oracle` (and its 12σ-corner twin):
 //! the dense per-frequency solve with the swept phase agrees to 1e-9
 //! relative, and the same dies fail with the same metric.

@@ -20,9 +20,9 @@
 //! A task's random stream therefore depends only on *which task it is*,
 //! never on thread count or scheduling order, which is what makes every
 //! parallel entry point in this workspace **bit-identical** at every
-//! thread count, including 1. Floating-point reductions preserve this by keeping each
-//! task's accumulation inside one task and combining task results in
-//! index order.
+//! thread count, including 1. Floating-point reductions preserve this by
+//! keeping each task's accumulation inside one task and combining task
+//! results in index order.
 
 pub use bmf_stats::parallel::{
     available_threads, derive_seed, resolve_threads, scoped_map_range, WorkerPanic,
