@@ -15,10 +15,10 @@
 //! `--fault-rate r` the op-amp study data is generated through the fault
 //! injector and screened by the data-quality guard before the ablations
 //! run (the guard summary is printed), demonstrating that the analyses
-//! survive dirty data.
+//! survive dirty data. `--fault-rate` must be finite and in `[0, 1)`;
+//! an unknown or malformed flag exits 2.
 
-use bmf_bench::{dashboard_snapshot, faulted_study_data, study_to_data};
-use bmf_circuits::monte_carlo::two_stage_study_seeded;
+use bmf_bench::{finish, publish_dashboard_snapshot, study_data, StudyFlags};
 use bmf_circuits::opamp::OpAmpTestbench;
 use bmf_core::cv::CrossValidation;
 use bmf_core::error_metrics::{error_cov, error_mean};
@@ -28,11 +28,13 @@ use bmf_core::mle::MleEstimator;
 use bmf_core::prior::NormalWishartPrior;
 use bmf_core::MomentEstimate;
 use bmf_linalg::Matrix;
+use bmf_obs::Grammar;
 use bmf_stats::descriptive;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 fn subsample<R: Rng>(pool: &Matrix, n: usize, rng: &mut R) -> Matrix {
     let mut idx: Vec<usize> = (0..pool.nrows()).collect();
@@ -287,30 +289,10 @@ fn ablation_dimensionality(n: usize, reps: usize, seed: u64, threads: usize) {
     bmf_obs::outln!("");
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let mut obs = match bmf_obs::ObsOptions::extract(&mut args) {
-        Ok(obs) => obs,
-        Err(e) => {
-            bmf_obs::error!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = bmf_core::parallel::resolve_threads(
-        args.iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok()),
-    );
-    let fault_rate: f64 = args
-        .iter()
-        .position(|a| a == "--fault-rate")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    obs.set_threads(threads);
-    obs.set_run(
+fn main() -> ExitCode {
+    let flags = StudyFlags::from_env(&Grammar::new("--threads --fault-rate", "--quick", ""));
+    let (quick, threads, fault_rate) = (flags.quick, flags.threads, flags.fault_rate);
+    flags.obs.set_run(
         7,
         &format!("ablations quick={quick} fault_rate={fault_rate}"),
     );
@@ -321,15 +303,7 @@ fn main() {
         "ablations: op-amp, {pool} MC samples/stage, {reps} repetitions, {threads} thread(s), fault rate {fault_rate}"
     );
     let tb = OpAmpTestbench::default_45nm();
-    let data = if fault_rate > 0.0 {
-        let (data, guard_summary) =
-            faulted_study_data(tb, pool, pool, 7, threads, fault_rate).expect("faulted study");
-        bmf_obs::info!("{guard_summary}");
-        data
-    } else {
-        let study_raw = two_stage_study_seeded(&tb, pool, pool, 7, threads).expect("monte carlo");
-        study_to_data(&study_raw)
-    };
+    let data = study_data(tb, pool, 7, threads, fault_rate).expect("study");
     let prepared = prepare(&data).expect("prepare");
 
     let raw_early_moments = MomentEstimate {
@@ -350,20 +324,6 @@ fn main() {
     ablation_fixed_vs_cv(&prepared, n, reps, 102, threads);
     ablation_prior_corruption(&prepared, n, reps, 103, threads);
     ablation_dimensionality(16, reps, 104, threads);
-    if obs.dashboard_out.is_some() {
-        // Separate explicitly-seeded snapshot study: attaching health +
-        // drift to the dashboard must not perturb the ablations' RNG
-        // streams (bit-identity with the dashboard off).
-        match dashboard_snapshot(&OpAmpTestbench::default_45nm(), 7, threads) {
-            Ok((health, drift)) => {
-                obs.attach_health(health);
-                obs.attach_drift(drift);
-            }
-            Err(e) => bmf_obs::warn!("dashboard snapshot failed: {e}"),
-        }
-    }
-    if let Err(e) = obs.finish() {
-        bmf_obs::error!("failed to write observability output: {e}");
-        std::process::exit(1);
-    }
+    publish_dashboard_snapshot(&flags, OpAmpTestbench::default_45nm(), 7);
+    finish(&flags.obs)
 }

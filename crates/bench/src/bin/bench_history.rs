@@ -41,9 +41,14 @@
 //!   without timing or appending anything.
 //! * `--no-check` — append a timing entry but skip the gate (baseline
 //!   seeding).
+//!
+//! A usage error (unknown, repeated or valueless flag, `--threads` not
+//! an integer >= 1) exits 2; a regression or an unreadable history
+//! exits 1.
 
 use bmf_bench::stages::{higher_is_better, Workloads, STAGE_NAMES};
 use bmf_core::parallel::available_threads;
+use bmf_obs::cli::{self, Grammar, ObsOptions};
 use bmf_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -182,29 +187,27 @@ fn regression_check(entries: &[Value]) -> Result<bool, String> {
     }
 }
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut obs = match bmf_obs::ObsOptions::extract(&mut args) {
-        Ok(obs) => obs,
-        Err(e) => {
-            bmf_obs::error!("bench_history: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let check_only = args.iter().any(|a| a == "--check-only");
-    let no_check = args.iter().any(|a| a == "--no-check");
-    let grab = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let path = grab("--file").unwrap_or_else(|| bmf_obs::BENCH_HISTORY_FILE.to_string());
-    let threads = grab("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(available_threads);
+/// The flags of `bench_history`.
+const GRAMMAR: Grammar = Grammar::new("--file --threads", "--quick --check-only --no-check", "");
 
-    obs.set_threads(threads);
+fn main() -> ExitCode {
+    let parsed = cli::parse(std::env::args(), &GRAMMAR, &[]).and_then(|args| {
+        let obs = ObsOptions::from_args(&args)?;
+        let threads = args
+            .positive("--threads")?
+            .unwrap_or_else(available_threads);
+        obs.start(threads)?;
+        Ok((args, obs, threads))
+    });
+    let (args, obs, threads) = parsed.unwrap_or_else(|e| e.exit("bench_history"));
+    let quick = args.switch("--quick");
+    let check_only = args.switch("--check-only");
+    let no_check = args.switch("--no-check");
+    let path = args
+        .value("--file")
+        .unwrap_or(bmf_obs::BENCH_HISTORY_FILE)
+        .to_string();
+
     // The history run id keys this process's telemetry (events, trace,
     // dashboard) to the entry it appends; the timestamp seed makes each
     // timing run a distinct run.

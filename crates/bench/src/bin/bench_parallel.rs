@@ -35,6 +35,7 @@
 use bmf_bench::stages::Workloads;
 use bmf_circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
 use bmf_core::parallel::available_threads;
+use bmf_obs::cli::{self, Grammar, ObsOptions};
 
 /// One timed (stage, thread-count) cell.
 struct Cell {
@@ -74,20 +75,15 @@ fn json_stage(name: &str, cells: &[Cell]) -> String {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let obs = match bmf_obs::ObsOptions::extract(&mut args) {
-        Ok(obs) => obs,
-        Err(e) => {
-            bmf_obs::error!("bench_parallel: {e}");
-            std::process::exit(2);
-        }
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
+    let grammar = Grammar::new("--out", "--quick", "");
+    let parsed = cli::parse(std::env::args(), &grammar, &[]).and_then(|args| {
+        let obs = ObsOptions::from_args(&args)?;
+        obs.start(1)?;
+        Ok((args, obs))
+    });
+    let (args, obs) = parsed.unwrap_or_else(|e| e.exit("bench_parallel"));
+    let quick = args.switch("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_parallel.json");
 
     let avail = available_threads();
     let mut thread_counts = vec![1usize, 2, 4];
@@ -200,7 +196,7 @@ fn main() {
         json_stage("monte_carlo_opamp", &mc_cells),
         json_stage("error_sweep_adc", &sweep_cells),
     );
-    if let Err(e) = bmf_obs::atomic_write(&out_path, &json) {
+    if let Err(e) = bmf_obs::atomic_write(out_path, &json) {
         bmf_obs::error!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }

@@ -5,125 +5,9 @@
 //!
 //! Usage: `cargo run --release -p bmf-bench --bin fig5_adc [--quick] [--svg <prefix>] [--threads <n>] [--fault-rate <r>] [--trace-out <json>] [--profile] [--metrics-out <json>] [--dashboard-out <html>]`
 //!
-//! The default matches the paper: 1000 MC samples per stage, 100
-//! repetitions, n ∈ {8..256}. `--threads` defaults to the machine's
-//! available parallelism; results are bit-identical for every value.
-//! `--fault-rate r` injects simulator faults (failed sims at `r`,
-//! NaN/outlier corruption at `r/5` each) and screens the pools through
-//! the data-quality guard before estimation.
+//! The flags and the driver are those of `fig4_opamp`; the study sizes,
+//! the seed and the captions are [`bmf_bench::FIG5`].
 
-use bmf_bench::plot::figure_svgs;
-use bmf_bench::{
-    dashboard_snapshot, format_cost_reduction, run_circuit_experiment,
-    run_circuit_experiment_with_faults,
-};
-use bmf_circuits::adc::AdcTestbench;
-use bmf_core::experiment::SweepConfig;
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let mut obs = match bmf_obs::ObsOptions::extract(&mut args) {
-        Ok(obs) => obs,
-        Err(e) => {
-            bmf_obs::error!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let svg_prefix = args
-        .iter()
-        .position(|a| a == "--svg")
-        .and_then(|i| args.get(i + 1).cloned());
-    let threads = bmf_core::parallel::resolve_threads(
-        args.iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok()),
-    );
-    let fault_rate: f64 = args
-        .iter()
-        .position(|a| a == "--fault-rate")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    obs.set_threads(threads);
-    obs.set_run(
-        180,
-        &format!("fig5_adc quick={quick} fault_rate={fault_rate}"),
-    );
-    let (pool, reps) = if quick { (400, 15) } else { (1000, 100) };
-
-    let tb = AdcTestbench::default_180nm();
-    let mut config = SweepConfig::paper_default();
-    config.repetitions = reps;
-    // The ADC pool is 1000 samples (paper), so the sweep stops at 256.
-    config.sample_sizes = vec![8, 16, 32, 64, 128, 256];
-
-    bmf_obs::info!(
-        "fig5_adc: {pool} MC samples/stage, {reps} repetitions, n = {:?}, {threads} thread(s), fault rate {fault_rate}",
-        config.sample_sizes
-    );
-    let t0 = std::time::Instant::now();
-    let run = if fault_rate > 0.0 {
-        run_circuit_experiment_with_faults(tb, pool, pool, 180, &config, threads, fault_rate).map(
-            |(result, guard_summary)| {
-                bmf_obs::info!("{guard_summary}");
-                result
-            },
-        )
-    } else {
-        run_circuit_experiment(&tb, pool, pool, 180, &config, threads)
-    };
-    let result = match run {
-        Ok(r) => r,
-        Err(e) => {
-            bmf_obs::error!("experiment failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    bmf_obs::outln!("=== Figure 5: flash ADC (0.18 um), MLE vs BMF ===");
-    bmf_obs::outln!("metrics: snr_db, sinad_db, sfdr_db, thd_db, power_w");
-    bmf_obs::outln!(
-        "errors per Eq. 37 (mean, 2-norm) / Eq. 38 (cov, Frobenius), shifted+scaled space"
-    );
-    bmf_obs::outln!("");
-    bmf_obs::outln!("{}", result.to_table());
-    bmf_obs::outln!("{}", format_cost_reduction(&result));
-    if let Some(r32) = result.rows.iter().find(|r| r.n == 32) {
-        bmf_obs::outln!(
-            "CV-selected hyper-parameters at n = 32: kappa0 = {:.2}, nu0 = {:.1}",
-            r32.mean_kappa0,
-            r32.mean_nu0
-        );
-        bmf_obs::outln!("(paper: kappa0 = 521.9, nu0 = 558.8 — both priors strong)");
-    }
-    if let Some(prefix) = svg_prefix {
-        let (mean_svg, cov_svg) = figure_svgs("flash ADC (0.18 um)", &result);
-        for (suffix, doc) in [("mean", mean_svg), ("cov", cov_svg)] {
-            let path = format!("{prefix}_{suffix}.svg");
-            if let Err(e) = bmf_obs::atomic_write(&path, doc) {
-                bmf_obs::error!("failed to write {path}: {e}");
-            } else {
-                bmf_obs::info!("wrote {path}");
-            }
-        }
-    }
-    bmf_obs::info!("elapsed: {:.1?}", t0.elapsed());
-    if obs.dashboard_out.is_some() {
-        // Separate explicitly-seeded snapshot study: attaching health +
-        // drift to the dashboard must not perturb the figure's RNG
-        // streams (bit-identity with the dashboard off).
-        match dashboard_snapshot(&AdcTestbench::default_180nm(), 180, threads) {
-            Ok((health, drift)) => {
-                obs.attach_health(health);
-                obs.attach_drift(drift);
-            }
-            Err(e) => bmf_obs::warn!("dashboard snapshot failed: {e}"),
-        }
-    }
-    if let Err(e) = obs.finish() {
-        bmf_obs::error!("failed to write observability output: {e}");
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bmf_bench::figure_main(&bmf_bench::FIG5)
 }

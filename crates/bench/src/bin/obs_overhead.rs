@@ -33,11 +33,13 @@
 //!    perturb the study.
 //!
 //! Usage: `cargo run --release -p bmf-bench --bin obs_overhead
-//!         [--budget-percent <f>]` (default budget: 2%).
+//!         [--budget-percent <f>]` (default budget: 2%; finite and > 0,
+//! anything else is a usage error, exit 2).
 
 use bmf_core::cv::CrossValidation;
 use bmf_core::MomentEstimate;
 use bmf_linalg::{Matrix, Vector};
+use bmf_obs::cli::{self, Grammar, UsageError};
 use bmf_stats::MultivariateNormal;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -60,14 +62,24 @@ fn synthetic(d: usize, n: usize) -> (MomentEstimate, Matrix) {
     (early, truth.sample_matrix(&mut rng, n))
 }
 
+/// The flags of `obs_overhead`; it drives the recorder itself, so the
+/// observability flags are not among them.
+const GRAMMAR: Grammar = Grammar {
+    obs: false,
+    ..Grammar::new("--budget-percent", "", "")
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let budget_percent: f64 = args
-        .iter()
-        .position(|a| a == "--budget-percent")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let budget = cli::parse(std::env::args(), &GRAMMAR, &[])
+        .and_then(|args| args.get_or("--budget-percent", 2.0_f64))
+        .and_then(|budget| match budget.is_finite() && budget > 0.0 {
+            true => Ok(budget),
+            false => Err(UsageError::new(
+                "--budget-percent",
+                format!("--budget-percent must be finite and > 0, got {budget}"),
+            )),
+        });
+    let budget_percent = budget.unwrap_or_else(|e| e.exit("obs_overhead"));
 
     // 1. Per-call cost of the disabled fast path (span + counter pair).
     bmf_obs::reset();

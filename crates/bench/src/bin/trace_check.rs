@@ -23,8 +23,11 @@
 //!   `--expect-health <ok|warn|critical>` the embedded health report must
 //!   be present and graded exactly that.
 //!
-//! Exits 0 when every requested check passes, 1 otherwise.
+//! Exits 0 when every requested check passes and 1 when one fails. An
+//! unknown, repeated or valueless flag, or no input flag at all, is a
+//! usage error: exit 2 before any check runs.
 
+use bmf_obs::cli::{self, Args, Grammar, UsageError};
 use bmf_obs::Severity;
 use std::process::ExitCode;
 
@@ -68,94 +71,86 @@ fn fetch_source(source: &str) -> Result<String, String> {
 /// Runs one requested check: reads `source` (when the flag was given)
 /// and prints the validator's one-line description of what passed.
 fn check(
-    source: Option<String>,
+    source: Option<&str>,
     validate: impl Fn(&str) -> Result<String, String>,
 ) -> Result<(), String> {
     let Some(source) = source else {
         return Ok(());
     };
-    let text = fetch_source(&source)?;
+    let text = fetch_source(source)?;
     let desc = validate(&text).map_err(|e| format!("{source}: {e}"))?;
     bmf_obs::outln!("trace_check: {source}: {desc}");
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let grab = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let grab_all = |flag: &str| -> Vec<&str> {
-        args.iter()
-            .enumerate()
-            .filter(|(_, a)| *a == flag)
-            .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
-            .collect()
-    };
-    let expect_health = match grab("--expect-health") {
-        None => None,
-        Some(label) => Some(
-            [Severity::Ok, Severity::Warn, Severity::Critical]
-                .into_iter()
-                .find(|s| s.label() == label)
-                .ok_or_else(|| {
-                    format!("--expect-health must be ok, warn or critical (got {label:?})")
-                })?,
-        ),
-    };
-    let inputs = [
-        "--trace",
-        "--metrics",
-        "--events",
-        "--flight",
-        "--prom",
-        "--dashboard",
-    ];
-    if inputs.iter().all(|flag| grab(flag).is_none()) {
-        return Err(
-            "usage: trace_check [--trace <json>] [--metrics <json>] [--expect-counter <name>]... \
-             [--events <jsonl>] [--expect-event <kind>]... [--flight <json>] \
-             [--prom <url-or-file>] [--dashboard <html>] [--expect-health <ok|warn|critical>]"
-                .to_string(),
-        );
-    }
+/// The flags of `trace_check`; it validates artifacts and records none,
+/// so the observability flags are not among them.
+const GRAMMAR: Grammar = Grammar {
+    obs: false,
+    ..Grammar::new(
+        "--trace --metrics --events --flight --prom --dashboard --expect-health",
+        "",
+        "--expect-counter --expect-event",
+    )
+};
 
-    check(grab("--trace"), |text| {
+/// Reads the command line: the parse and `--expect-health`'s level.
+fn parse_args() -> Result<(Args, Option<Severity>), UsageError> {
+    let args = cli::parse(std::env::args(), &GRAMMAR, &[])?;
+    let inputs = "--trace --metrics --events --flight --prom --dashboard";
+    if inputs.split_whitespace().all(|f| args.value(f).is_none()) {
+        let usage = "usage: trace_check [--trace <json>] [--metrics <json>] \
+            [--expect-counter <name>]... [--events <jsonl>] [--expect-event <kind>]... \
+            [--flight <json>] [--prom <url-or-file>] [--dashboard <html>] \
+            [--expect-health <ok|warn|critical>]";
+        return Err(UsageError::new("trace_check", usage));
+    }
+    let severities = [Severity::Ok, Severity::Warn, Severity::Critical];
+    let expect_health = args.value("--expect-health").map(|label| {
+        let found = severities.into_iter().find(|s| s.label() == label);
+        found.ok_or_else(|| {
+            let message = format!("--expect-health must be ok, warn or critical (got {label:?})");
+            UsageError::new("--expect-health", message)
+        })
+    });
+    Ok((args, expect_health.transpose()?))
+}
+
+fn run(args: &Args, expect_health: Option<Severity>) -> Result<(), String> {
+    check(args.value("--trace"), |text| {
         let (total, complete) = bmf_obs::export::validate_chrome_trace(text)?;
         Ok(format!(
             "{total} events ({complete} complete spans), hardware context present"
         ))
     })?;
-    let counters = grab_all("--expect-counter");
-    check(grab("--metrics"), |text| {
+    let counters = args.all("--expect-counter");
+    check(args.value("--metrics"), |text| {
         bmf_obs::export::validate_metrics(text, &counters)?;
         Ok(format!(
             "{} expected counter(s) present and nonzero",
             counters.len()
         ))
     })?;
-    check(grab("--events"), |text| {
-        let (count, run_id) = bmf_obs::event::validate_jsonl(text, &grab_all("--expect-event"))?;
+    check(args.value("--events"), |text| {
+        let (count, run_id) = bmf_obs::event::validate_jsonl(text, &args.all("--expect-event"))?;
         Ok(format!(
             "{count} well-formed event(s), run {}",
             run_id.as_deref().unwrap_or("(unstamped)")
         ))
     })?;
-    check(grab("--flight"), |text| {
+    check(args.value("--flight"), |text| {
         let (reason, n) = bmf_obs::flight::validate_dump(text)?;
         Ok(format!(
             "flight dump ({reason}), {n} event(s) within capacity"
         ))
     })?;
-    check(grab("--prom"), |text| {
+    check(args.value("--prom"), |text| {
         let samples = bmf_obs::prom::validate_exposition(text)?;
         Ok(format!(
             "conformant Prometheus exposition, {samples} sample(s)"
         ))
     })?;
-    check(grab("--dashboard"), |text| {
+    check(args.value("--dashboard"), |text| {
         let desc = bmf_obs::dashboard::validate(text, expect_health)?;
         Ok(format!(
             "well-formed dashboard, all ids/links resolve ({desc})"
@@ -164,7 +159,8 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let (args, expect_health) = parse_args().unwrap_or_else(|e| e.exit("trace_check"));
+    match run(&args, expect_health) {
         Ok(()) => {
             bmf_obs::outln!("trace_check: OK");
             ExitCode::SUCCESS

@@ -2,10 +2,9 @@
 //!
 //! `paper_claims.rs` pins the full figures at their one seed each. This
 //! test asks how far those headline ratios move with the Monte Carlo
-//! seed alone: it runs the `--quick` configurations of `fig4_opamp`
-//! (800/800 dies, 15 repetitions, n ∈ {8..256}) and `fig5_adc` (400/400
-//! dies, 15 repetitions, n ∈ {8..256}) over eight fixed seeds and
-//! requires every seed's n = 8 op-amp covariance, ADC covariance and ADC
+//! seed alone: it runs the `--quick` studies of `fig4_opamp` and
+//! `fig5_adc` (the `quick` sizes of [`bmf_bench::FIG4`] and
+//! [`bmf_bench::FIG5`]) over eight fixed seeds and requires every seed's n = 8 op-amp covariance, ADC covariance and ADC
 //! mean cost reductions to lie inside the committed band (EXPERIMENTS.md,
 //! "Seed-noise band"). A deliberate re-baseline that pushes a seed out
 //! of the band has lost a paper result; one that stays inside it is
@@ -15,15 +14,12 @@
 //! `cargo test --release -p bmf-bench --test seed_band -- --nocapture`
 //! also prints the per-seed table.
 
-use bmf_bench::run_circuit_experiment;
-use bmf_circuits::adc::AdcTestbench;
-use bmf_circuits::monte_carlo::Testbench;
-use bmf_circuits::opamp::OpAmpTestbench;
-use bmf_core::experiment::{cost_reduction, ErrorKind, SweepConfig};
+use bmf_bench::{FigureSpec, FIG4, FIG5};
+use bmf_core::experiment::{cost_reduction, ErrorKind};
 
 /// The Monte Carlo seeds of the band: the figure bins' own two (45 for
 /// the op-amp, 180 for the ADC) and six more.
-const SEEDS: [u64; 8] = [45, 180, 1, 2, 3, 4, 5, 6];
+const SEEDS: [u64; 8] = [FIG4.mc_seed, FIG5.mc_seed, 1, 2, 3, 4, 5, 6];
 
 /// Committed bands `[lo, hi]`: the envelope of the eight seeds as
 /// measured before the per-fold CV scorer landed, rounded outward to the
@@ -32,13 +28,11 @@ const OPAMP_COV_BAND: (f64, f64) = (7.80, 24.11);
 const ADC_COV_BAND: (f64, f64) = (4.26, 18.37);
 const ADC_MEAN_BAND: (f64, f64) = (1.52, 5.62);
 
-/// Cost reduction of `kind` at n = 8 for the `--quick` study of `tb`.
-fn quick_cr_n8(tb: &dyn Testbench, pool: usize, seed: u64, kinds: &[ErrorKind]) -> Vec<f64> {
-    let mut config = SweepConfig::paper_default();
-    config.repetitions = 15;
-    config.sample_sizes = vec![8, 16, 32, 64, 128, 256];
+/// Cost reduction of `kind` at n = 8 for the `--quick` study of `spec`
+/// at Monte Carlo seed `seed`.
+fn quick_cr_n8(spec: &FigureSpec, seed: u64, kinds: &[ErrorKind]) -> Vec<f64> {
     let threads = bmf_core::parallel::resolve_threads(None);
-    let result = run_circuit_experiment(tb, pool, pool, seed, &config, threads).unwrap();
+    let result = spec.sweep(true, seed, threads, 0.0).unwrap();
     kinds
         .iter()
         .map(|&kind| {
@@ -60,13 +54,11 @@ fn check(name: &str, seed: u64, x: f64, (lo, hi): (f64, f64)) -> bool {
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn n8_cost_reductions_stay_inside_the_seed_band() {
-    let opamp = OpAmpTestbench::default_45nm();
-    let adc = AdcTestbench::default_180nm();
     eprintln!("seed | opamp cov | adc cov | adc mean");
     let mut all_inside = true;
     for seed in SEEDS {
-        let opamp_cov = quick_cr_n8(&opamp, 800, seed, &[ErrorKind::Covariance])[0];
-        let adc_crs = quick_cr_n8(&adc, 400, seed, &[ErrorKind::Covariance, ErrorKind::Mean]);
+        let opamp_cov = quick_cr_n8(&FIG4, seed, &[ErrorKind::Covariance])[0];
+        let adc_crs = quick_cr_n8(&FIG5, seed, &[ErrorKind::Covariance, ErrorKind::Mean]);
         let (adc_cov, adc_mean) = (adc_crs[0], adc_crs[1]);
         eprintln!("{seed:>4} | {opamp_cov:>9.2} | {adc_cov:>7.2} | {adc_mean:>8.2}");
         all_inside &= check("op-amp covariance", seed, opamp_cov, OPAMP_COV_BAND);

@@ -24,8 +24,8 @@
 //! criteria of Eq. 37–38 in [`error_metrics`], and a complete
 //! figure-regeneration harness in [`experiment`]. Parametric-yield
 //! estimation from the fitted moments — the application motivating the
-//! paper — is provided in [`yield_estimation`] (plain Monte Carlo plus
-//! mean-shift importance sampling for high-sigma failures).
+//! paper — is provided in [`yield_estimation`] (plain Monte Carlo over
+//! the fitted Gaussian).
 //!
 //! The single-metric BMF the paper generalises (§2, ref. \[7\]) is
 //! [`map::BmfEstimator`] at `d = 1`. Companion modules extend the

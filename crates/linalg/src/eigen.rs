@@ -178,11 +178,6 @@ impl SymmetricEigen {
         }
     }
 
-    /// Whether all eigenvalues exceed `tol` (strict positive definiteness).
-    pub fn is_positive_definite(&self, tol: f64) -> bool {
-        self.min_eigenvalue() > tol
-    }
-
     /// Rebuilds `V diag(λ') Vᵀ` using replacement eigenvalues `λ'`.
     ///
     /// This is the core of [`crate::nearest_spd`]: clip the spectrum, then
@@ -237,7 +232,7 @@ mod tests {
         let eig = SymmetricEigen::new(&a).unwrap();
         assert!((eig.eigenvalues()[0] - 3.0).abs() < 1e-12);
         assert!((eig.eigenvalues()[1] - 1.0).abs() < 1e-12);
-        assert!(eig.is_positive_definite(0.0));
+        assert!(eig.min_eigenvalue() > 0.0);
     }
 
     #[test]
@@ -275,7 +270,6 @@ mod tests {
         let eig = SymmetricEigen::new(&a).unwrap();
         assert!((eig.eigenvalues()[0] - 1.0).abs() < 1e-12);
         assert!((eig.eigenvalues()[1] + 1.0).abs() < 1e-12);
-        assert!(!eig.is_positive_definite(0.0));
         assert!(eig.min_eigenvalue() < 0.0);
     }
 

@@ -132,11 +132,6 @@ impl Matrix {
         Matrix::from_fn(n, n, |i, j| v[i] * v[j])
     }
 
-    /// General outer product `u vᵀ`.
-    pub fn outer_uv(u: &Vector, v: &Vector) -> Self {
-        Matrix::from_fn(u.len(), v.len(), |i, j| u[i] * v[j])
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.rows
@@ -276,30 +271,6 @@ impl Matrix {
         Ok(Vector::from_fn(self.rows, |i| {
             self.row(i).iter().zip(v.iter()).map(|(a, b)| a * b).sum()
         }))
-    }
-
-    /// Transposed matrix-vector product `selfᵀ * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != nrows()`.
-    pub fn mat_t_vec(&self, v: &Vector) -> Result<Vector> {
-        if self.rows != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "mat_t_vec",
-                lhs: (self.cols, self.rows),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = Vector::zeros(self.cols);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            let vi = v[i];
-            for (o, a) in out.iter_mut().zip(r.iter()) {
-                *o += a * vi;
-            }
-        }
-        Ok(out)
     }
 
     /// Quadratic form `vᵀ · self · v`.
@@ -641,12 +612,10 @@ mod tests {
 
         let v = Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(m.mat_vec(&v).unwrap().as_slice(), &[3.0, 7.0]);
-        assert_eq!(m.mat_t_vec(&v).unwrap().as_slice(), &[4.0, 6.0]);
         assert_eq!(m.quadratic_form(&v).unwrap(), 10.0);
 
         assert!(m.mat_mul(&Matrix::zeros(3, 3)).is_err());
         assert!(m.mat_vec(&Vector::zeros(3)).is_err());
-        assert!(m.mat_t_vec(&Vector::zeros(3)).is_err());
     }
 
     #[test]
@@ -654,10 +623,6 @@ mod tests {
         let v = Vector::from_slice(&[1.0, 2.0]);
         let o = Matrix::outer(&v);
         assert_eq!(o, Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap());
-        let u = Vector::from_slice(&[3.0]);
-        let ouv = Matrix::outer_uv(&u, &v);
-        assert_eq!(ouv.shape(), (1, 2));
-        assert_eq!(ouv[(0, 1)], 6.0);
     }
 
     #[test]

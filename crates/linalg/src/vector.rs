@@ -127,11 +127,6 @@ impl Vector {
         maxabs * sum.sqrt()
     }
 
-    /// ℓ₁ norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// ℓ∞ norm (maximum absolute value); zero for the empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -157,29 +152,6 @@ impl Vector {
         Vector {
             data: self.data.iter().copied().map(f).collect(),
         }
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hadamard",
-                lhs: (self.len(), 1),
-                rhs: (other.len(), 1),
-            });
-        }
-        Ok(Vector {
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
     }
 
     /// In-place `self += alpha * other` (axpy).
@@ -450,7 +422,6 @@ mod tests {
     fn norms() {
         let v = Vector::from_slice(&[3.0, -4.0]);
         assert!((v.norm2() - 5.0).abs() < 1e-15);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
         assert_eq!(Vector::zeros(3).norm2(), 0.0);
         // overflow-safe norm
@@ -493,14 +464,12 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_axpy() {
+    fn axpy_scales_and_adds() {
         let a = Vector::from_slice(&[1.0, 2.0]);
         let b = Vector::from_slice(&[3.0, 4.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, 8.0]);
         let mut c = a.clone();
         c.axpy(2.0, &b).unwrap();
         assert_eq!(c.as_slice(), &[7.0, 10.0]);
-        assert!(a.hadamard(&Vector::zeros(3)).is_err());
         assert!(c.axpy(1.0, &Vector::zeros(3)).is_err());
     }
 

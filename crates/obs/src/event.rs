@@ -24,7 +24,7 @@
 //!
 //! Both are settable from the `BMF_LOG` environment variable (stream and
 //! console) or `--log-level` (console only) via
-//! [`ObsOptions::extract`](crate::cli::ObsOptions::extract).
+//! [`ObsOptions::start`](crate::cli::ObsOptions::start).
 //!
 //! Like spans, events obey the two crate invariants: no emission touches
 //! an RNG stream or reorders a floating-point reduction (results are
@@ -500,6 +500,20 @@ pub fn peek_records() -> Vec<EventRecord> {
     RECORDS.with(|r| records.extend(r.borrow().0.iter().cloned()));
     records.sort_by_key(|r| r.seq);
     records
+}
+
+/// Renders `records` as JSONL, one object per line, each stamped with
+/// `run_id`: the body of `--events-out` and of `GET /events`.
+pub fn to_jsonl<'a>(
+    records: impl IntoIterator<Item = &'a EventRecord>,
+    run_id: Option<&str>,
+) -> String {
+    let mut body = String::new();
+    for record in records {
+        body.push_str(&record.to_json(run_id));
+        body.push('\n');
+    }
+    body
 }
 
 /// Discards buffered records and rewinds the sequence counter.

@@ -53,9 +53,10 @@
 //! * **[`serve`]** — the `--obs-listen` HTTP server: the live scrape of
 //!   the same state (`/metrics` as Prometheus text, `/health`,
 //!   `/events`, `/progress`, `/flight` and the dashboard at `/`).
-//! * **[`cli`]** — `--trace-out/--profile/--metrics-out/--dashboard-out/
-//!   --events-out/--obs-listen` flag handling shared by `bmf` and the
-//!   figure binaries.
+//! * **[`cli`]** — the one command-line grammar every binary parses
+//!   through (unknown, repeated or valueless flags are usage errors),
+//!   and the `--trace-out/--profile/--metrics-out/--dashboard-out/
+//!   --events-out/--obs-listen/--log-level` flags it carries.
 //!
 //! Observability leaves a process two ways only: the exit-time
 //! artifacts [`ObsOptions::finish`] writes, and the live `--obs-listen`
@@ -116,7 +117,7 @@ pub mod serve;
 pub mod shard;
 pub mod span;
 
-pub use cli::{ObsOptions, BENCH_HISTORY_FILE};
+pub use cli::{Args, Grammar, ObsOptions, UsageError, BENCH_HISTORY_FILE};
 pub use event::{EventRecord, Heartbeat, Level, ProgressEntry};
 pub use export::{chrome_trace_json, metrics_json, profile_json, profile_table, HardwareContext};
 pub use fsio::atomic_write;

@@ -66,8 +66,11 @@ pub const DEFAULT_EVENT_TAIL: usize = 50;
 /// port; this is how CI discovers it.
 pub const ADDR_FILE_ENV: &str = "BMF_OBS_ADDR_FILE";
 
-/// Live snapshots published by the binaries as they compute, so `GET /`
-/// and `GET /health` reflect mid-run state instead of exit artifacts.
+/// The one holder of a run's observability state: the title and worker
+/// thread count [`crate::cli::ObsOptions::start`] records, and the
+/// latest health report, drift timeline and shard coverage the run
+/// published. The exit-time dashboard and the live endpoints both read
+/// it, so `GET /` and `--dashboard-out` show the same run.
 #[derive(Default)]
 struct LiveState {
     title: String,
@@ -86,9 +89,9 @@ fn with_live<R>(f: impl FnOnce(&mut LiveState) -> R) -> R {
     f(guard.get_or_insert_with(LiveState::default))
 }
 
-/// Publishes the latest health report for live scrapers. A no-op (one
-/// relaxed load) while recording is disabled, like every instrumentation
-/// point in this crate.
+/// Publishes the run's latest health report to the dashboard and the
+/// live `/health` endpoint. A no-op (one relaxed load) while recording
+/// is disabled, like every instrumentation point in this crate.
 pub fn publish_health(health: &HealthReport) {
     if !crate::is_enabled() {
         return;
@@ -96,8 +99,8 @@ pub fn publish_health(health: &HealthReport) {
     with_live(|l| l.health = Some(health.clone()));
 }
 
-/// Publishes the latest drift timeline for live scrapers. No-op while
-/// recording is disabled.
+/// Publishes the run's latest drift timeline. No-op while recording is
+/// disabled.
 pub fn publish_drift(drift: &DriftTimeline) {
     if !crate::is_enabled() {
         return;
@@ -105,8 +108,8 @@ pub fn publish_drift(drift: &DriftTimeline) {
     with_live(|l| l.drift = Some(drift.clone()));
 }
 
-/// Publishes the latest shard coverage for live scrapers. No-op while
-/// recording is disabled.
+/// Publishes a merge's shard coverage. No-op while recording is
+/// disabled.
 pub fn publish_shard(shard: &ShardCoverage) {
     if !crate::is_enabled() {
         return;
@@ -114,20 +117,62 @@ pub fn publish_shard(shard: &ShardCoverage) {
     with_live(|l| l.shard = Some(shard.clone()));
 }
 
-/// Records the dashboard title / worker thread count used by live
-/// renders (mirrors `ObsOptions` state into the live plane).
-pub fn set_live_context(title: &str, threads_used: usize) {
+/// Records the dashboard title and the worker thread count the exports
+/// report.
+pub(crate) fn set_live_context(title: &str, threads_used: usize) {
     with_live(|l| {
         l.title = title.to_string();
         l.threads_used = threads_used.max(1);
     });
 }
 
-/// Forgets all published live state (part of [`crate::reset`]).
+/// Forgets all published state (part of [`crate::reset`]).
 pub(crate) fn clear_live() {
     if let Ok(mut guard) = LIVE.lock() {
         *guard = None;
     }
+}
+
+/// Hardware context at the recorded worker thread count.
+pub(crate) fn live_hardware() -> HardwareContext {
+    HardwareContext::detect(with_live(|l| l.threads_used.max(1)))
+}
+
+/// Renders the dashboard from the recorded `events` and `records` plus
+/// the published state: at exit with `refresh_s: None`, live with a
+/// reload interval so the page's tables move while the run is in
+/// flight.
+pub(crate) fn dashboard_page(
+    events: &[crate::span::SpanEvent],
+    records: &[crate::event::EventRecord],
+    refresh_s: Option<u32>,
+) -> String {
+    let snapshot = crate::metrics::snapshot();
+    let run = crate::run::current();
+    let hardware = live_hardware();
+    let bench_history = std::fs::read_to_string(crate::cli::BENCH_HISTORY_FILE).ok();
+    let flight_dump = crate::flight::last_dump();
+    with_live(|l| {
+        crate::dashboard::render(&crate::dashboard::DashboardData {
+            title: if l.title.is_empty() {
+                "bmf dashboard"
+            } else {
+                &l.title
+            },
+            hardware: &hardware,
+            run: run.as_ref(),
+            events,
+            event_log: records,
+            flight_occupancy: crate::flight::occupancy(),
+            flight_dump: flight_dump.as_ref(),
+            snapshot: &snapshot,
+            health: l.health.as_ref(),
+            drift: l.drift.as_ref(),
+            shard: l.shard.as_ref(),
+            bench_history_json: bench_history.as_deref(),
+            refresh_s,
+        })
+    })
 }
 
 /// One rendered HTTP response.
@@ -185,10 +230,6 @@ fn respond(target: &str) -> Response {
         ),
         _ => Response::text(404, format!("no such endpoint: {path}\n")),
     }
-}
-
-fn live_hardware() -> HardwareContext {
-    HardwareContext::detect(with_live(|l| l.threads_used.max(1)))
 }
 
 fn render_metrics() -> Response {
@@ -251,15 +292,13 @@ fn render_events(query: &str) -> Response {
     }
     let records = crate::event::peek_records();
     let run = crate::run::current();
-    let run_id = run.as_ref().map(|r| r.run_id.as_str());
     let tail: Vec<&crate::event::EventRecord> =
         records.iter().filter(|r| r.level <= max_level).collect();
     let skip = tail.len().saturating_sub(n);
-    let mut body = String::with_capacity(128 * tail.len().min(n));
-    for record in &tail[skip..] {
-        body.push_str(&record.to_json(run_id));
-        body.push('\n');
-    }
+    let body = crate::event::to_jsonl(
+        tail[skip..].iter().copied(),
+        run.as_ref().map(|r| r.run_id.as_str()),
+    );
     Response::new(200, "application/x-ndjson", body)
 }
 
@@ -277,36 +316,11 @@ fn render_progress() -> Response {
 }
 
 fn render_dashboard() -> Response {
-    let events = crate::span::peek_events();
-    let records = crate::event::peek_records();
-    let snapshot = crate::metrics::snapshot();
-    let run = crate::run::current();
-    let hardware = live_hardware();
-    let bench_history = std::fs::read_to_string(crate::cli::BENCH_HISTORY_FILE).ok();
-    let flight_dump = crate::flight::last_dump();
-    let body = with_live(|l| {
-        crate::dashboard::render(&crate::dashboard::DashboardData {
-            title: if l.title.is_empty() {
-                "bmf live"
-            } else {
-                &l.title
-            },
-            hardware: &hardware,
-            run: run.as_ref(),
-            events: &events,
-            event_log: &records,
-            flight_occupancy: crate::flight::occupancy(),
-            flight_dump: flight_dump.as_ref(),
-            snapshot: &snapshot,
-            health: l.health.as_ref(),
-            drift: l.drift.as_ref(),
-            shard: l.shard.as_ref(),
-            bench_history_json: bench_history.as_deref(),
-            // The live page re-fetches itself so its tables move while
-            // the run is in flight; static exports never set this.
-            refresh_s: Some(2),
-        })
-    });
+    let body = dashboard_page(
+        &crate::span::peek_events(),
+        &crate::event::peek_records(),
+        Some(2),
+    );
     Response::new(200, "text/html; charset=utf-8", body)
 }
 

@@ -49,15 +49,6 @@ impl ShardCoverage {
         self.merged == self.shard_count && self.missing.is_empty() && self.corrupt.is_empty()
     }
 
-    /// Fraction of planned shards that merged, in `[0, 1]`.
-    #[must_use]
-    pub fn coverage_fraction(&self) -> f64 {
-        if self.shard_count == 0 {
-            return 0.0;
-        }
-        self.merged as f64 / self.shard_count as f64
-    }
-
     /// True when the merged shard count satisfies the quorum policy.
     #[must_use]
     pub fn quorum_met(&self) -> bool {
@@ -176,7 +167,6 @@ mod tests {
         assert!(full.is_complete());
         assert!(full.quorum_met());
         assert_eq!(full.severity(), Severity::Ok);
-        assert_eq!(full.coverage_fraction(), 1.0);
 
         let degraded = ShardCoverage {
             merged: 3,
@@ -258,18 +248,5 @@ mod tests {
         assert!(line.contains("inflation=1.3333"), "{line}");
         assert!(line.contains("[warn]"), "{line}");
         assert!(complete().summary().contains("[ok]"));
-    }
-
-    #[test]
-    fn zero_shard_plan_has_zero_coverage() {
-        let cov = ShardCoverage {
-            shard_count: 0,
-            merged: 0,
-            min_shards: 0,
-            planned_late: 0,
-            observed_late: 0,
-            ..complete()
-        };
-        assert_eq!(cov.coverage_fraction(), 0.0);
     }
 }

@@ -52,7 +52,7 @@ pub use error::StatsError;
 pub use mvn::MultivariateNormal;
 pub use normal_wishart::NormalWishart;
 pub use student_t::MultivariateStudentT;
-pub use univariate::{sample_chi_squared, sample_gamma, sample_standard_normal, Normal};
+pub use univariate::{sample_chi_squared, sample_gamma, sample_standard_normal};
 pub use wishart::Wishart;
 
 /// Convenience result alias for fallible statistics operations.

@@ -74,11 +74,6 @@ impl Pca {
         &self.components
     }
 
-    /// Variances along the components (eigenvalues, descending).
-    pub fn variances(&self) -> &Vector {
-        &self.variances
-    }
-
     /// Fraction of total variance explained by each component.
     pub fn explained_variance_ratio(&self) -> Vector {
         let total: f64 = self.variances.sum();
@@ -146,37 +141,6 @@ impl Pca {
         }
         Ok(out)
     }
-
-    /// Reconstructs samples from `k`-component scores (inverse of
-    /// [`Self::transform`], lossy for `k < d`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for a score width above
-    /// `d`.
-    pub fn inverse_transform(&self, scores: &Matrix) -> Result<Matrix> {
-        let d = self.dim();
-        let k = scores.ncols();
-        if k == 0 || k > d {
-            return Err(StatsError::DimensionMismatch {
-                op: "pca inverse transform",
-                expected: d,
-                actual: k,
-            });
-        }
-        let n = scores.nrows();
-        let mut out = Matrix::zeros(n, d);
-        for i in 0..n {
-            for j in 0..d {
-                let mut s = self.mean[j];
-                for c in 0..k {
-                    s += scores[(i, c)] * self.components[(j, c)];
-                }
-                out[(i, j)] = s;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +151,15 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(123)
+    }
+
+    /// Reconstructs samples from scores on the leading components: the
+    /// mean plus `scores · componentsᵀ` (lossy below `d` components).
+    fn reconstruct(pca: &Pca, scores: &Matrix) -> Matrix {
+        let c = pca.components();
+        Matrix::from_fn(scores.nrows(), pca.dim(), |i, j| {
+            (0..scores.ncols()).fold(pca.mean()[j], |s, k| s + scores[(i, k)] * c[(j, k)])
+        })
     }
 
     #[test]
@@ -201,9 +174,11 @@ mod tests {
         let pc1 = pca.components().col_vec(0);
         let alignment = (pc1[0] * pc1[1]).signum() * pc1[0].abs().min(pc1[1].abs());
         assert!(alignment > 0.6, "pc1 = {pc1}");
-        // Eigenvalues near 1.95 and 0.05.
-        assert!((pca.variances()[0] - 1.95).abs() < 0.15);
-        assert!((pca.variances()[1] - 0.05).abs() < 0.05);
+        // Eigenvalues (the score variances) near 1.95 and 0.05.
+        let scores = pca.transform(&samples, 2).unwrap();
+        let score_cov = descriptive::covariance_unbiased(&scores).unwrap();
+        assert!((score_cov[(0, 0)] - 1.95).abs() < 0.15);
+        assert!((score_cov[(1, 1)] - 0.05).abs() < 0.05);
         assert!(pca.explained_variance_ratio()[0] > 0.9);
         assert_eq!(pca.components_for_variance(0.9), 1);
         assert_eq!(pca.components_for_variance(0.999), 2);
@@ -218,17 +193,23 @@ mod tests {
         let samples = mvn.sample_matrix(&mut r, 100);
         let pca = Pca::fit(&samples).unwrap();
         let scores = pca.transform(&samples, 3).unwrap();
-        let back = pca.inverse_transform(&scores).unwrap();
+        let back = reconstruct(&pca, &scores);
         assert!(back.max_abs_diff(&samples).unwrap() < 1e-9);
-        // Scores are uncorrelated with variances = eigenvalues.
+        // Scores are uncorrelated, and their variances are the
+        // eigenvalues, which share out the total variance by the ratios.
         let score_cov = descriptive::covariance_unbiased(&scores).unwrap();
+        let total = descriptive::covariance_unbiased(&samples)
+            .unwrap()
+            .trace()
+            .unwrap();
+        let ratios = pca.explained_variance_ratio();
         for a in 0..3 {
             for b in 0..3 {
                 if a != b {
                     assert!(score_cov[(a, b)].abs() < 1e-9);
                 }
             }
-            assert!((score_cov[(a, a)] - pca.variances()[a]).abs() < 1e-9);
+            assert!((score_cov[(a, a)] - ratios[a] * total).abs() < 1e-9);
         }
     }
 
@@ -243,7 +224,7 @@ mod tests {
         let mut prev_err = f64::INFINITY;
         for k in 1..=3 {
             let scores = pca.transform(&samples, k).unwrap();
-            let back = pca.inverse_transform(&scores).unwrap();
+            let back = reconstruct(&pca, &scores);
             let err = (&back - &samples).norm_frobenius();
             assert!(err < prev_err + 1e-9, "k = {k}");
             prev_err = err;
@@ -260,7 +241,6 @@ mod tests {
         assert!(pca.transform(&Matrix::zeros(5, 3), 1).is_err());
         assert!(pca.transform(&samples, 0).is_err());
         assert!(pca.transform(&samples, 3).is_err());
-        assert!(pca.inverse_transform(&Matrix::zeros(5, 3)).is_err());
         assert_eq!(pca.dim(), 2);
         assert_eq!(pca.mean().len(), 2);
     }

@@ -1,9 +1,8 @@
-//! Univariate samplers and the scalar normal distribution.
+//! Univariate samplers.
 //!
 //! `rand` only supplies uniform variates in this workspace; every
 //! non-uniform sampler is implemented here from first principles.
 
-use crate::{Result, StatsError};
 use rand::Rng;
 
 /// Draws one standard normal variate using the Marsaglia polar method.
@@ -101,97 +100,6 @@ pub fn sample_chi_squared<R: Rng + ?Sized>(rng: &mut R, dof: f64) -> f64 {
     sample_gamma(rng, dof / 2.0, 2.0)
 }
 
-/// Scalar normal distribution `N(mean, sd²)`.
-///
-/// # Example
-///
-/// ```
-/// use bmf_stats::Normal;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), bmf_stats::StatsError> {
-/// let n = Normal::new(10.0, 2.0)?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let x = n.sample(&mut rng);
-/// assert!(x.is_finite());
-/// assert!((n.pdf(10.0) - 1.0 / (2.0 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    sd: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution with the given mean and standard
-    /// deviation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] when `sd <= 0` or either
-    /// parameter is non-finite.
-    pub fn new(mean: f64, sd: f64) -> Result<Self> {
-        if !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "mean",
-                value: format!("{mean}"),
-                constraint: "finite",
-            });
-        }
-        if !(sd > 0.0) || !sd.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "sd",
-                value: format!("{sd}"),
-                constraint: "sd > 0 and finite",
-            });
-        }
-        Ok(Normal { mean, sd })
-    }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal { mean: 0.0, sd: 1.0 }
-    }
-
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
-
-    /// Variance of the distribution.
-    pub fn variance(&self) -> f64 {
-        self.sd * self.sd
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.ln_pdf(x).exp()
-    }
-
-    /// Log-density at `x`.
-    pub fn ln_pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        -0.5 * z * z - self.sd.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        crate::special::standard_normal_cdf((x - self.mean) / self.sd)
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.sd * sample_standard_normal(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,33 +191,6 @@ mod tests {
             .count();
         let frac = below as f64 / n as f64;
         assert!((frac - 0.95).abs() < 0.01, "frac = {frac}");
-    }
-
-    #[test]
-    fn normal_distribution_api() {
-        let n = Normal::new(5.0, 2.0).unwrap();
-        assert_eq!(n.mean(), 5.0);
-        assert_eq!(n.sd(), 2.0);
-        assert_eq!(n.variance(), 4.0);
-        assert!((n.cdf(5.0) - 0.5).abs() < 1e-7);
-        assert!(n.pdf(5.0) > n.pdf(9.0));
-        assert!((n.ln_pdf(5.0).exp() - n.pdf(5.0)).abs() < 1e-15);
-
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, f64::INFINITY).is_err());
-        assert_eq!(Normal::standard().mean(), 0.0);
-    }
-
-    #[test]
-    fn normal_sampling_moments() {
-        let n = Normal::new(-3.0, 0.5).unwrap();
-        let mut r = rng();
-        let xs: Vec<f64> = (0..40_000).map(|_| n.sample(&mut r)).collect();
-        let (m, v) = sample_moments(&xs);
-        assert!((m + 3.0).abs() < 0.01);
-        assert!((v - 0.25).abs() < 0.01);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Wishart {
         out.symmetrize().expect("square");
         out
     }
-
-    /// Draws `n` matrices.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Matrix> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +185,8 @@ mod tests {
     fn samples_are_spd() {
         let w = Wishart::new(scale2(), 6.0).unwrap();
         let mut r = rng();
-        for lambda in w.sample_n(&mut r, 50) {
+        for _ in 0..50 {
+            let lambda = w.sample(&mut r);
             assert!(Cholesky::new(&lambda).is_ok());
             assert!(lambda.is_symmetric(1e-10));
         }

@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! bmf estimate --early early.csv --late late.csv [--out moments.csv]
-//!     Fuse early-stage samples with few late-stage samples: shift/scale,
-//!     cross-validate (kappa0, nu0), MAP-estimate, print/export moments.
+//!     Fuse early-stage samples with few late-stage samples: shift/scale
+//!     (§4.1), then the robust pipeline (guard, cross-validated
+//!     (kappa0, nu0), MAP with its fallback ladder); print/export moments.
 //!     Both CSVs: header of metric names + one sample per row. The first
 //!     row of each file is treated as that stage's nominal run.
 //!
@@ -21,7 +22,7 @@
 //!     version/checksum/config compatibility and shard coverage.
 //!
 //! bmf yield --moments moments.csv --spec "gain_db>=80" --spec "power_w<=1.2e-4" \
-//!           [--draws N]
+//!           [--draws N] [--seed S]
 //!     Estimate parametric yield of the fitted Gaussian against spec
 //!     bounds.
 //!
@@ -36,7 +37,7 @@
 //! |------|-------------------------------------------------------------|
 //! | 0    | success                                                     |
 //! | 1    | runtime error (I/O, simulation, estimation, corrupt packet) |
-//! | 2    | configuration/usage error (bad flags or values)             |
+//! | 2    | usage error: unknown, repeated or valueless flag, bad value |
 //! | 3    | strict-mode refusal (`--strict` anomaly, shard quorum)      |
 //! | 4    | degraded success (merge completed below full coverage)      |
 
@@ -50,6 +51,7 @@ use bmf_ams::circuits::shard::{
     merge_packet_texts, run_shard, MergeOutcome, MergePolicy, StageMoments, StudyConfig,
 };
 use bmf_ams::circuits::CircuitError;
+use bmf_ams::core::experiment::prepare;
 use bmf_ams::core::io::{
     read_moments_csv, read_samples_csv, write_moments_csv, write_samples_csv, LabelledSamples,
 };
@@ -58,55 +60,91 @@ use bmf_ams::core::prelude::*;
 use bmf_ams::core::yield_estimation::estimate_yield;
 use bmf_ams::linalg::{Matrix, Vector};
 use bmf_ams::obs::atomic_write;
+use bmf_ams::obs::cli::{self, Args, Grammar, ObsOptions, UsageError};
 use bmf_ams::stats::descriptive;
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 use std::fs::File;
 use std::process::ExitCode;
 
+/// Before the subcommand: the observability flags and `--help`.
+const TOP: Grammar = Grammar::new("", "--help -h", "");
+
+/// The subcommands and the flags each accepts besides the observability
+/// flags; `bmf --help` lists every one of them.
+const SUBCOMMANDS: &[(&str, Grammar)] = &[
+    (
+        "estimate",
+        Grammar::new("--early --late --out --seed --threads --report", "--strict", ""),
+    ),
+    (
+        "generate",
+        Grammar::new(
+            "--circuit --stage --samples --seed --threads --out --fault-rate --retry-attempts",
+            "",
+            "",
+        ),
+    ),
+    (
+        "shard",
+        Grammar::new(
+            "--circuit --n-early --n-late --index --out --seed --threads --fault-rate --retry-attempts",
+            "",
+            "",
+        ),
+    ),
+    (
+        "merge",
+        Grammar::new(
+            "--out --min-shards --report --kappa0 --nu0 --threads",
+            "--strict",
+            "--packet",
+        ),
+    ),
+    ("yield", Grammar::new("--moments --draws --seed", "", "--spec")),
+    ("diagnose", Grammar::new("--samples", "", "")),
+];
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut obs = match bmf_ams::obs::ObsOptions::extract(&mut args) {
-        Ok(obs) => obs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run 'bmf --help' for usage");
-            return CliError::Config(e.to_string()).exit_code();
-        }
+    let parsed = cli::parse(std::env::args(), &TOP, SUBCOMMANDS)
+        .and_then(|args| ObsOptions::from_args(&args).map(|obs| (args, obs)));
+    let (args, obs) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return report_error(&CliError::from(e)),
     };
-    let result = match args.first().map(String::as_str) {
-        Some("estimate") => cmd_estimate(&args[1..], &mut obs),
-        Some("generate") => cmd_generate(&args[1..], &mut obs),
-        Some("shard") => cmd_shard(&args[1..], &mut obs),
-        Some("merge") => cmd_merge(&args[1..], &mut obs),
-        Some("yield") => cmd_yield(&args[1..]),
-        Some("diagnose") => cmd_diagnose(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
+    let result = match args.subcommand {
+        Some("estimate") => cmd_estimate(&args, &obs),
+        Some("generate") => cmd_generate(&args, &obs),
+        Some("shard") => cmd_shard(&args, &obs),
+        Some("merge") => cmd_merge(&args, &obs),
+        Some("yield") => cmd_yield(&args, &obs),
+        Some("diagnose") => cmd_diagnose(&args, &obs),
+        _ => {
+            print!("{USAGE}");
             Ok(CliOk::Clean)
         }
-        Some(other) => Err(CliError::Config(format!("unknown subcommand '{other}'"))),
     };
-    // Telemetry is flushed even when the subcommand failed — a strict
-    // failure is exactly when the event log matters; the subcommand's
-    // error still wins the exit code.
-    let finish = obs.finish();
     match result {
-        Ok(ok) => match finish {
-            Ok(()) => ok.exit_code(),
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(1)
-            }
+        // A usage error leaves no artifact behind.
+        Err(e @ CliError::Config(_)) => report_error(&e),
+        // Telemetry is flushed even when the subcommand failed — a strict
+        // failure is exactly when the event log matters; the subcommand's
+        // error still wins the exit code.
+        result => match (obs.finish(), result) {
+            (_, Err(e)) => report_error(&e),
+            (Ok(()), Ok(ok)) => ok.exit_code(),
+            (Err(e), Ok(_)) => report_error(&rt(e)),
         },
-        Err(e) => {
-            eprintln!("error: {}", e.message());
-            if matches!(e, CliError::Config(_)) {
-                eprintln!("run 'bmf --help' for usage");
-            }
-            e.exit_code()
-        }
     }
+}
+
+/// Prints `e` (and, for a usage error, a pointer to the usage text) and
+/// returns its exit code.
+fn report_error(e: &CliError) -> ExitCode {
+    eprintln!("error: {}", e.message());
+    if matches!(e, CliError::Config(_)) {
+        eprintln!("run 'bmf --help' for usage");
+    }
+    e.exit_code()
 }
 
 // ---------------------------------------------------------------------------
@@ -159,6 +197,12 @@ impl CliError {
     }
 }
 
+impl From<UsageError> for CliError {
+    fn from(e: UsageError) -> CliError {
+        CliError::Config(e.message)
+    }
+}
+
 /// Maps an error into [`CliError::Config`] (bad flags/values — exit 2).
 fn cfg(e: impl std::fmt::Display) -> CliError {
     CliError::Config(e.to_string())
@@ -171,162 +215,77 @@ fn rt(e: impl std::fmt::Display) -> CliError {
 
 type CliResult = Result<CliOk, CliError>;
 
-fn print_usage() {
-    println!("bmf — multivariate Bayesian model fusion for AMS circuits (DAC 2015)");
-    println!();
-    println!("subcommands:");
-    println!("  estimate --early <csv> --late <csv> [--out <csv>] [--seed <u64>] [--threads <n>]");
-    println!("           [--strict | --degrade] [--report <json-path|->]");
-    println!("  generate --circuit opamp|adc --stage schematic|postlayout");
-    println!("           --samples <n> [--seed <u64>] [--threads <n>] [--out <csv>]");
-    println!("           [--fault-rate <r>] [--retry-attempts <n>]");
-    println!("  shard    --circuit opamp|adc --n-early <n> --n-late <n> --index <i/K>");
-    println!("           --out <packet.json> [--seed <u64>] [--threads <n>]");
-    println!("           [--fault-rate <r>] [--retry-attempts <n>]");
-    println!("  merge    --packet <json> [--packet <json> ...] [--out <csv>]");
-    println!("           [--min-shards <q>] [--strict | --degrade] [--report <json-path|->]");
-    println!("           [--kappa0 <x> --nu0 <y>] [--threads <n>]");
-    println!("  yield    --moments <csv> --spec \"<metric><=|>=<value>\" ... [--draws <n>]");
-    println!("  diagnose --samples <csv>");
-    println!();
-    println!("observability (any subcommand): --trace-out <json> writes a Chrome");
-    println!("trace-event file (load in Perfetto / chrome://tracing), --profile prints");
-    println!("an aggregated per-span profile, --metrics-out <json> writes a counter/");
-    println!("histogram snapshot, --dashboard-out <html> writes a self-contained");
-    println!("HTML dashboard (profile, metrics, estimator health, shard coverage,");
-    println!("drift timeline, and bench history when BENCH_history.json is present),");
-    println!("--events-out <jsonl> writes the structured event log (one JSON object");
-    println!("per line: retries, repairs, ladder transitions, guard flags, shard");
-    println!("merges/rejects), each stamped with the run id that also appears in the");
-    println!("FusionReport and flight-recorder dumps. --obs-listen <addr> serves the");
-    println!("run live over HTTP while it executes: GET /metrics (Prometheus text),");
-    println!("/health (200/503 keyed on severity), /events?level=&n= (JSONL tail),");
-    println!("/progress (heartbeat fractions + ETA), /flight (flight-recorder ring)");
-    println!("and / (the live dashboard); port 0 picks a free port, printed at start");
-    println!("and written to $BMF_OBS_ADDR_FILE when set. History and alert rules");
-    println!("belong to whatever scrapes /metrics. --log-level error|warn|info|debug");
-    println!("(or the BMF_LOG env var) sets console verbosity. Recording never alters");
-    println!("numeric results, and a shard packet's bytes are the same with or without");
-    println!("it: a shard's telemetry stays in its own output files. All file outputs");
-    println!("are written atomically (temp + rename): a crash mid-write never leaves a");
-    println!("truncated artifact behind.");
-    println!();
-    println!("--threads defaults to the machine's available parallelism; results are");
-    println!("bit-identical for every thread count (per-task seed derivation).");
-    println!();
-    println!("sharding: `bmf shard --index i/K` runs slice i of a K-way partition of");
-    println!("the study and writes a checksummed sufficient-statistic packet;");
-    println!("`bmf merge` reduces any complete packet set to the bit-exact result of");
-    println!("the single-process run. --min-shards <q> allows a degraded merge from");
-    println!("any q packets (exit code 4, inflation recorded in the FusionReport);");
-    println!("without it a missing shard is a quorum failure (exit code 3). A crashed");
-    println!("shard is re-run alone and merged — identical bits either way.");
-    println!();
-    println!("robustness: --degrade routes estimation through the self-healing pipeline");
-    println!("(data-quality guard, SPD prior repair, MAP -> MLE -> early-only fallback");
-    println!("ladder); --strict runs the same pipeline but turns any anomaly into an");
-    println!("error. --report writes the FusionReport as JSON ('-' prints a summary).");
-    println!("generate --fault-rate r (0 <= r < 1) injects failed sims at rate r and");
-    println!("gross outliers at r/5 (deterministic, seed-derived) to exercise the");
-    println!("robustness path.");
-    println!();
-    println!("exit codes: 0 success; 1 runtime error (I/O, simulation, estimation,");
-    println!("corrupt packet); 2 configuration/usage error; 3 strict-mode refusal");
-    println!("(--strict anomaly or shard quorum failure, with a flight-recorder dump");
-    println!("when --events-out is armed); 4 degraded success (merge below full");
-    println!("coverage under --min-shards).");
-}
+const USAGE: &str = "\
+bmf — multivariate Bayesian model fusion for AMS circuits (DAC 2015)
 
-/// Flags that take no value (presence is the whole message).
-const BOOL_FLAGS: &[&str] = &["strict", "degrade"];
+subcommands:
+  estimate --early <csv> --late <csv> [--out <csv>] [--seed <u64>] [--threads <n>]
+           [--strict] [--report <json-path|->]
+  generate --circuit opamp|adc --stage schematic|postlayout
+           --samples <n> [--seed <u64>] [--threads <n>] [--out <csv>]
+           [--fault-rate <r>] [--retry-attempts <n>]
+  shard    --circuit opamp|adc --n-early <n> --n-late <n> --index <i/K>
+           --out <packet.json> [--seed <u64>] [--threads <n>]
+           [--fault-rate <r>] [--retry-attempts <n>]
+  merge    --packet <json> [--packet <json> ...] [--out <csv>]
+           [--min-shards <q>] [--strict] [--report <json-path|->]
+           [--kappa0 <x> --nu0 <y>] [--threads <n>]
+  yield    --moments <csv> --spec \"<metric><=|>=<value>\" ... [--draws <n>]
+           [--seed <u64>]
+  diagnose --samples <csv>
 
-/// Parses `--key value` pairs; repeated keys accumulate. Flags listed in
-/// [`BOOL_FLAGS`] are valueless switches.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, Vec<String>>, String> {
-    let mut map: HashMap<String, Vec<String>> = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = &args[i];
-        if !key.starts_with("--") {
-            return Err(format!("expected a --flag, got '{key}'"));
-        }
-        let name = key[2..].to_string();
-        if BOOL_FLAGS.contains(&name.as_str()) {
-            map.entry(name).or_default().push("true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag {key} needs a value"))?;
-        map.entry(name).or_default().push(value.clone());
-        i += 2;
-    }
-    Ok(map)
-}
+flags: each flag is `--name value` or a bare switch, given once (only
+--packet and --spec repeat). An unknown, repeated or valueless flag, a
+stray argument or a malformed value is a usage error: exit 2 before any
+work, with no output file written.
 
-fn single<'a>(flags: &'a HashMap<String, Vec<String>>, key: &str) -> Result<&'a str, CliError> {
-    match flags.get(key).map(Vec::as_slice) {
-        Some([v]) => Ok(v),
-        Some(_) => Err(CliError::Config(format!("--{key} given more than once"))),
-        None => Err(CliError::Config(format!("missing required flag --{key}"))),
-    }
-}
+observability (any subcommand, before or after it): --trace-out <json>
+writes a Chrome trace-event file (load in Perfetto / chrome://tracing),
+--profile prints an aggregated per-span profile, --metrics-out <json>
+writes a counter/histogram snapshot, --dashboard-out <html> writes a
+self-contained HTML dashboard (profile, metrics, estimator health, shard
+coverage, drift timeline, and bench history when BENCH_history.json is
+present), --events-out <jsonl> writes the structured event log (one JSON
+object per line: retries, repairs, ladder transitions, guard flags, shard
+merges/rejects), each stamped with the run id that also appears in the
+FusionReport and flight-recorder dumps. --obs-listen <addr> serves the
+run live over HTTP while it executes: GET /metrics (Prometheus text),
+/health (200/503 keyed on severity), /events?level=&n= (JSONL tail),
+/progress (heartbeat fractions + ETA), /flight (flight-recorder ring)
+and / (the live dashboard); port 0 picks a free port, printed at start
+and written to $BMF_OBS_ADDR_FILE when set. History and alert rules
+belong to whatever scrapes /metrics. --log-level error|warn|info|debug
+(or the BMF_LOG env var) sets console verbosity. Recording never alters
+numeric results, and a shard packet's bytes are the same with or without
+it: a shard's telemetry stays in its own output files. All file outputs
+are written atomically (temp + rename): a crash mid-write never leaves a
+truncated artifact behind.
 
-fn optional<'a>(flags: &'a HashMap<String, Vec<String>>, key: &str) -> Option<&'a str> {
-    flags.get(key).and_then(|v| v.first()).map(String::as_str)
-}
+--threads defaults to the machine's available parallelism; results are
+bit-identical for every thread count (per-task seed derivation).
 
-/// Parses an optional flag's value, mapping a parse failure to a
-/// config error naming the flag.
-fn parse_optional<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
-    key: &str,
-    default: &str,
-) -> Result<T, CliError> {
-    let raw = optional(flags, key).unwrap_or(default);
-    raw.parse()
-        .map_err(|_| CliError::Config(format!("--{key} has unusable value '{raw}'")))
-}
+sharding: `bmf shard --index i/K` runs slice i of a K-way partition of
+the study and writes a checksummed sufficient-statistic packet;
+`bmf merge` reduces any complete packet set to the bit-exact result of
+the single-process run. --min-shards <q> allows a degraded merge from
+any q packets (exit code 4, inflation recorded in the FusionReport);
+without it a missing shard is a quorum failure (exit code 3). A crashed
+shard is re-run alone and merged — identical bits either way.
 
-/// Parses a required flag's value, mapping a parse failure to a config
-/// error naming the flag.
-fn parse_required<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
-    key: &str,
-) -> Result<T, CliError> {
-    let raw = single(flags, key)?;
-    raw.parse()
-        .map_err(|_| CliError::Config(format!("--{key} has unusable value '{raw}'")))
-}
+robustness: estimate and merge always fuse through the self-healing
+pipeline (data-quality guard, SPD prior repair, MAP -> MLE -> early-only
+fallback ladder), which degrades with a logged reason when a rung fails;
+--strict turns any anomaly into an error instead. --report writes the
+FusionReport as JSON ('-' prints a summary). generate --fault-rate r
+(0 <= r < 1) injects failed sims at rate r and gross outliers at r/5
+(deterministic, seed-derived) to exercise the robustness path.
 
-/// Parses `--threads`, defaulting to the machine's available parallelism.
-fn threads_flag(flags: &HashMap<String, Vec<String>>) -> Result<usize, CliError> {
-    match optional(flags, "threads") {
-        Some(raw) => {
-            let t: usize = raw.parse().map_err(|_| {
-                CliError::Config(format!("--threads must be a positive integer, got '{raw}'"))
-            })?;
-            if t == 0 {
-                return Err(CliError::Config("--threads must be at least 1".to_string()));
-            }
-            Ok(t)
-        }
-        None => Ok(resolve_threads(None)),
-    }
-}
-
-/// Resolves the `--strict`/`--degrade` pair (mutually exclusive).
-fn failure_mode(flags: &HashMap<String, Vec<String>>) -> Result<(bool, bool), CliError> {
-    let strict = flags.contains_key("strict");
-    let degrade = flags.contains_key("degrade");
-    if strict && degrade {
-        return Err(CliError::Config(
-            "--strict and --degrade are mutually exclusive".to_string(),
-        ));
-    }
-    Ok((strict, degrade))
-}
+exit codes: 0 success; 1 runtime error (I/O, simulation, estimation,
+corrupt packet); 2 configuration/usage error; 3 strict-mode refusal
+(--strict anomaly or shard quorum failure, with a flight-recorder dump
+when --events-out is armed); 4 degraded success (merge below full
+coverage under --min-shards).
+";
 
 /// Serializes moments to CSV and writes them atomically (or to stdout).
 fn emit_moments(
@@ -348,6 +307,36 @@ fn emit_moments(
     Ok(())
 }
 
+/// The fusion of `estimate` and `merge`: guard, prior repair and the
+/// MAP → MLE → early-only ladder, auditing every intervention in a
+/// `FusionReport`. Degrade mode, or Strict with `--strict`.
+fn pipeline(strict: bool, threads: usize) -> RobustPipeline {
+    let mode = if strict {
+        FailureMode::Strict
+    } else {
+        FailureMode::Degrade
+    };
+    RobustPipeline::new().with_mode(mode).with_threads(threads)
+}
+
+/// A fusion failure: a strict-mode refusal (exit 3) under `--strict`, a
+/// runtime error (exit 1) otherwise.
+fn fusion_error(strict: bool, e: BmfError) -> CliError {
+    if strict {
+        CliError::Strict(e.to_string())
+    } else {
+        rt(e)
+    }
+}
+
+/// Logs the fusion level the pipeline reached, and why it fell back.
+fn log_fusion(report: &FusionReport) {
+    bmf_ams::obs::info!("robust pipeline: fusion level = {}", report.fallback);
+    if let Some(reason) = &report.fallback_reason {
+        bmf_ams::obs::warn!("robust pipeline: {reason}");
+    }
+}
+
 /// Handles `--report <path|->`: a path gets the FusionReport JSON
 /// (atomically), `-` prints the human summary to stderr.
 fn emit_report(report_path: Option<&str>, report: &FusionReport) -> Result<(), CliError> {
@@ -362,11 +351,21 @@ fn emit_report(report_path: Option<&str>, report: &FusionReport) -> Result<(), C
     Ok(())
 }
 
-fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
-    let early_path = single(&flags, "early")?;
-    let late_path = single(&flags, "late")?;
-    let seed: u64 = parse_optional(&flags, "seed", "2015")?;
+/// Splits a CSV's rows into the nominal run (row 0) and the Monte Carlo
+/// samples after it.
+fn split_nominal(samples: &Matrix) -> (Vector, Matrix) {
+    let rows: Vec<usize> = (1..samples.nrows()).collect();
+    let cols: Vec<usize> = (0..samples.ncols()).collect();
+    (samples.row_vec(0), samples.submatrix(&rows, &cols))
+}
+
+fn cmd_estimate(args: &Args, obs: &ObsOptions) -> CliResult {
+    let early_path = args.required("--early")?;
+    let late_path = args.required("--late")?;
+    let seed: u64 = args.get_or("--seed", 2015)?;
+    let threads = resolve_threads(args.positive("--threads")?);
+    let strict = args.switch("--strict");
+    obs.start(threads)?;
 
     let early = read_samples_csv(&mut File::open(early_path).map_err(rt)?).map_err(rt)?;
     let late = read_samples_csv(&mut File::open(late_path).map_err(rt)?).map_err(rt)?;
@@ -381,121 +380,63 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
             "each stage needs the nominal row plus at least 2 samples",
         ));
     }
+    let (early_nominal, early_samples) = split_nominal(&early.samples);
+    let (late_nominal, late_samples) = split_nominal(&late.samples);
+    // §4.1: shift each stage by its nominal, scale by the early σ.
+    let study = prepare(&TwoStageData {
+        metric_names: early.names.clone(),
+        early_nominal,
+        early_samples,
+        late_nominal,
+        late_samples,
+    })
+    .map_err(rt)?;
 
-    // Row 0 of each file is the nominal run (the shift anchor).
-    let early_nominal = early.samples.row_vec(0);
-    let late_nominal = late.samples.row_vec(0);
-    let early_mc = early.samples.submatrix(
-        &(1..early.samples.nrows()).collect::<Vec<_>>(),
-        &(0..early.samples.ncols()).collect::<Vec<_>>(),
-    );
-    let late_mc = late.samples.submatrix(
-        &(1..late.samples.nrows()).collect::<Vec<_>>(),
-        &(0..late.samples.ncols()).collect::<Vec<_>>(),
-    );
-
-    let early_sd = descriptive::column_stddevs(&early_mc).map_err(rt)?;
-    let early_t = ShiftScale::from_nominal_and_early_sd(&early_nominal, &early_sd).map_err(rt)?;
-    let late_t = ShiftScale::from_nominal_and_early_sd(&late_nominal, &early_sd).map_err(rt)?;
-    let early_norm = early_t.apply_samples(&early_mc).map_err(rt)?;
-    let late_norm = late_t.apply_samples(&late_mc).map_err(rt)?;
-
-    let early_moments = MomentEstimate {
-        mean: descriptive::mean_vector(&early_norm).map_err(rt)?,
-        cov: descriptive::covariance_mle(&early_norm).map_err(rt)?,
-    };
-
-    let threads = threads_flag(&flags)?;
-    obs.set_threads(threads);
-    let cv_seed = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
-
-    let (strict, degrade) = failure_mode(&flags)?;
     // Thread count deliberately left out of the run config: the same
     // estimate at any parallelism is the same run (bit-identical output).
     obs.set_run(
         seed,
         &format!("estimate early={early_path} late={late_path} strict={strict}"),
     );
-    let report_path = optional(&flags, "report");
-
-    let physical = if strict || degrade || report_path.is_some() {
-        // Robust path: guard -> prior repair -> MAP→MLE→early ladder,
-        // with the audit trail in a FusionReport.
-        let mode = if strict {
-            FailureMode::Strict
-        } else {
-            FailureMode::Degrade
-        };
-        let pipeline = RobustPipeline::new()
-            .with_mode(mode)
-            .with_seed(cv_seed)
-            .with_threads(threads);
-        let (est, report) = pipeline.estimate(&early_moments, &late_norm).map_err(|e| {
-            if strict {
-                CliError::Strict(e.to_string())
-            } else {
-                rt(e)
-            }
-        })?;
-        bmf_ams::obs::info!("robust pipeline: fusion level = {}", report.fallback);
-        if let Some(reason) = &report.fallback_reason {
-            bmf_ams::obs::warn!("robust pipeline: {reason}");
-        }
-        if let Some((kappa0, nu0)) = report.selection {
-            bmf_ams::obs::info!(
-                "cross-validation selected kappa0 = {kappa0:.3}, nu0 = {nu0:.2} ({threads} thread(s))"
-            );
-        }
-        emit_report(report_path, &report)?;
-        if let Some(health) = report.health.clone() {
-            obs.attach_health(health);
-        }
-        late_t.invert_moments(&est).map_err(rt)?
-    } else {
-        let sel = CrossValidation::default()
-            .select_seeded(&early_moments, &late_norm, cv_seed, threads)
-            .map_err(rt)?;
+    let (est, report) = pipeline(strict, threads)
+        .with_seed(rand::rngs::StdRng::seed_from_u64(seed).next_u64())
+        .estimate(&study.early_moments, &study.late_pool)
+        .map_err(|e| fusion_error(strict, e))?;
+    log_fusion(&report);
+    if let Some((kappa0, nu0)) = report.selection {
         bmf_ams::obs::info!(
-            "cross-validation selected kappa0 = {:.3}, nu0 = {:.2} (score {:.4}, {threads} thread(s))",
-            sel.kappa0, sel.nu0, sel.score
+            "cross-validation selected kappa0 = {kappa0:.3}, nu0 = {nu0:.2} ({threads} thread(s))"
         );
-
-        let prior = NormalWishartPrior::from_early_moments(&early_moments, sel.kappa0, sel.nu0)
-            .map_err(rt)?;
-        let est = BmfEstimator::new(prior)
-            .map_err(rt)?
-            .estimate(&late_norm)
-            .map_err(rt)?;
-        late_t.invert_moments(&est.map).map_err(rt)?
-    };
+    }
+    emit_report(args.value("--report"), &report)?;
 
     if obs.dashboard_out.is_some() {
         // Read-only drift scan of the late-stage stream against the
         // early-stage model; an unfilled window simply yields no entries.
-        match DriftMonitor::new(&early_moments, DriftConfig::default())
-            .and_then(|mut m| m.push_batch(&late_norm).map(|()| m))
+        match DriftMonitor::new(&study.early_moments, DriftConfig::default())
+            .and_then(|mut m| m.push_batch(&study.late_pool).map(|()| m))
         {
-            Ok(monitor) => obs.attach_drift(monitor.into_timeline()),
+            Ok(monitor) => bmf_ams::obs::serve::publish_drift(&monitor.into_timeline()),
             Err(e) => bmf_ams::obs::warn!("drift monitor unavailable: {e}"),
         }
     }
 
-    emit_moments(optional(&flags, "out"), &early.names, &physical)?;
+    let physical = study.late_transform.invert_moments(&est).map_err(rt)?;
+    emit_moments(args.value("--out"), &early.names, &physical)?;
     Ok(CliOk::Clean)
 }
 
-fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
-    let circuit = single(&flags, "circuit")?;
-    let stage = match single(&flags, "stage")? {
+fn cmd_generate(args: &Args, obs: &ObsOptions) -> CliResult {
+    let circuit = args.required("--circuit")?;
+    let stage = match args.required("--stage")? {
         "schematic" => Stage::Schematic,
-        "postlayout" | "post-layout" => Stage::PostLayout,
+        "postlayout" => Stage::PostLayout,
         other => return Err(CliError::Config(format!("unknown stage '{other}'"))),
     };
-    let n: usize = parse_required(&flags, "samples")?;
-    let seed: u64 = parse_optional(&flags, "seed", "1")?;
-    let fault_rate: f64 = parse_optional(&flags, "fault-rate", "0")?;
-    let retry_attempts: usize = parse_optional(&flags, "retry-attempts", "100")?;
+    let n = args.required_count("--samples")?;
+    let seed: u64 = args.get_or("--seed", 1)?;
+    let fault_rate: f64 = args.get_or("--fault-rate", 0.0)?;
+    let retry_attempts = args.positive("--retry-attempts")?.unwrap_or(100);
 
     let tb: Box<dyn Testbench> = match circuit {
         "opamp" => Box::new(OpAmpTestbench::default_45nm()),
@@ -524,8 +465,8 @@ fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
         Box::new(FaultInjector::new(tb, faults).map_err(cfg)?)
     };
 
-    let threads = threads_flag(&flags)?;
-    obs.set_threads(threads);
+    let threads = resolve_threads(args.positive("--threads")?);
+    obs.start(threads)?;
     obs.set_run(
         seed,
         &format!("generate circuit={circuit} stage={stage:?} samples={n} fault_rate={fault_rate}"),
@@ -544,18 +485,14 @@ fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
     }
 
     // First row is the nominal run, as `bmf estimate` expects.
-    let d = data.samples.ncols();
-    let mut all = Matrix::zeros(n + 1, d);
-    all.row_mut(0).copy_from_slice(data.nominal.as_slice());
-    for i in 0..n {
-        let row: Vec<f64> = data.samples.row(i).to_vec();
-        all.row_mut(i + 1).copy_from_slice(&row);
-    }
     let labelled = LabelledSamples {
         names: tb.metric_names().iter().map(|s| s.to_string()).collect(),
-        samples: all,
+        samples: Matrix::from_fn(n + 1, data.samples.ncols(), |i, j| match i {
+            0 => data.nominal[j],
+            _ => data.samples[(i - 1, j)],
+        }),
     };
-    match optional(&flags, "out") {
+    match args.value("--out") {
         Some(path) => {
             let mut buf = Vec::new();
             write_samples_csv(&mut buf, &labelled).map_err(rt)?;
@@ -571,41 +508,28 @@ fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
 // Sharded studies
 // ---------------------------------------------------------------------------
 
-/// Parses the `shard` flag set into a [`StudyConfig`] plus the shard
-/// index to run.
-fn study_config_from_flags(
-    flags: &HashMap<String, Vec<String>>,
-) -> Result<(StudyConfig, usize), CliError> {
-    // `--index i/K` carries both the slice and the partition size, the
-    // spelling the usage line advertises; `--index i --shards K` is the
-    // two-flag equivalent.
-    let index_raw = single(flags, "index")?;
-    let (index, shard_count): (usize, usize) = match index_raw.split_once('/') {
-        Some((i, k)) => {
-            let parse = |s: &str, what: &str| {
-                s.trim().parse::<usize>().map_err(|_| {
-                    CliError::Config(format!("--index {index_raw}: {what} is not an integer"))
-                })
-            };
-            (parse(i, "shard index")?, parse(k, "shard count")?)
-        }
-        None => {
-            let index = index_raw.parse::<usize>().map_err(|_| {
-                CliError::Config(format!(
-                    "--index must be <i/K> or an integer, got '{index_raw}'"
-                ))
-            })?;
-            (index, parse_required(flags, "shards")?)
-        }
+/// Reads the `shard` flags into a [`StudyConfig`] plus the shard index
+/// to run.
+fn study_config_from_flags(args: &Args) -> Result<(StudyConfig, usize), CliError> {
+    // `--index i/K` carries both the slice and the partition size.
+    let index_raw = args.required("--index")?;
+    let parse = |s: &str| s.trim().parse::<usize>().ok();
+    let Some((index, shard_count)) = index_raw
+        .split_once('/')
+        .and_then(|(i, k)| Some((parse(i)?, parse(k)?)))
+    else {
+        return Err(CliError::Config(format!(
+            "--index must be <i/K> with integers i and K, got '{index_raw}'"
+        )));
     };
     let config = StudyConfig {
-        circuit: single(flags, "circuit")?.to_string(),
-        n_early: parse_required(flags, "n-early")?,
-        n_late: parse_required(flags, "n-late")?,
+        circuit: args.required("--circuit")?.to_string(),
+        n_early: args.required_count("--n-early")?,
+        n_late: args.required_count("--n-late")?,
         shard_count,
-        seed: parse_optional(flags, "seed", "2015")?,
-        max_attempts: parse_optional(flags, "retry-attempts", "100")?,
-        fault_rate: parse_optional(flags, "fault-rate", "0")?,
+        seed: args.get_or("--seed", 2015)?,
+        max_attempts: args.get_or("--retry-attempts", 100)?,
+        fault_rate: args.get_or("--fault-rate", 0.0)?,
     };
     config.validate().map_err(cfg)?;
     if index >= shard_count {
@@ -616,12 +540,11 @@ fn study_config_from_flags(
     Ok((config, index))
 }
 
-fn cmd_shard(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
-    let (config, index) = study_config_from_flags(&flags)?;
-    let out = single(&flags, "out")?;
-    let threads = threads_flag(&flags)?;
-    obs.set_threads(threads);
+fn cmd_shard(args: &Args, obs: &ObsOptions) -> CliResult {
+    let (config, index) = study_config_from_flags(args)?;
+    let out = args.required("--out")?;
+    let threads = resolve_threads(args.positive("--threads")?);
+    obs.start(threads)?;
     obs.set_run(config.seed, &config.canonical());
 
     let packet = run_shard(&config, index, threads).map_err(rt)?;
@@ -709,20 +632,19 @@ fn normalized_study(
     Ok((early_norm, late_stats, late_t))
 }
 
-/// Parses the optional `--kappa0`/`--nu0` pair: both or neither, `κ₀`
+/// Reads the optional `--kappa0`/`--nu0` pair: both or neither, `κ₀`
 /// finite and positive, `ν₀` finite. `ν₀ > d` needs the study's `d` and
 /// is checked once the merge gives it.
-fn fixed_hypers(flags: &HashMap<String, Vec<String>>) -> Result<Option<(f64, f64)>, CliError> {
-    if flags.contains_key("kappa0") != flags.contains_key("nu0") {
-        return Err(CliError::Config(
-            "--kappa0 and --nu0 must be given together".to_string(),
-        ));
-    }
-    if !flags.contains_key("kappa0") {
+fn fixed_hypers(args: &Args) -> Result<Option<(f64, f64)>, CliError> {
+    let (Some(kappa0), Some(nu0)) = (args.get::<f64>("--kappa0")?, args.get::<f64>("--nu0")?)
+    else {
+        if args.value("--kappa0").is_some() || args.value("--nu0").is_some() {
+            return Err(CliError::Config(
+                "--kappa0 and --nu0 must be given together".to_string(),
+            ));
+        }
         return Ok(None);
-    }
-    let kappa0: f64 = parse_required(flags, "kappa0")?;
-    let nu0: f64 = parse_required(flags, "nu0")?;
+    };
     if !(kappa0 > 0.0 && kappa0.is_finite()) {
         return Err(CliError::Config(format!(
             "--kappa0 must be finite and > 0, got {kappa0}"
@@ -734,41 +656,27 @@ fn fixed_hypers(flags: &HashMap<String, Vec<String>>) -> Result<Option<(f64, f64
     Ok(Some((kappa0, nu0)))
 }
 
-fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
-    let packet_paths = flags
-        .get("packet")
-        .cloned()
-        .ok_or_else(|| CliError::Config("need at least one --packet <json>".to_string()))?;
-    let min_shards: Option<usize> = match optional(&flags, "min-shards") {
-        Some(raw) => {
-            let q: usize = raw.parse().map_err(|_| {
-                CliError::Config(format!(
-                    "--min-shards must be a positive integer, got '{raw}'"
-                ))
-            })?;
-            if q == 0 {
-                return Err(CliError::Config(
-                    "--min-shards must be at least 1".to_string(),
-                ));
-            }
-            Some(q)
-        }
-        None => None,
-    };
-    let (strict, _degrade) = failure_mode(&flags)?;
-    let hypers = fixed_hypers(&flags)?;
-    let threads = threads_flag(&flags)?;
-    obs.set_threads(threads);
+fn cmd_merge(args: &Args, obs: &ObsOptions) -> CliResult {
+    let packet_paths = args.all("--packet");
+    if packet_paths.is_empty() {
+        return Err(CliError::Config(
+            "need at least one --packet <json>".to_string(),
+        ));
+    }
+    let min_shards = args.positive("--min-shards")?;
+    let strict = args.switch("--strict");
+    let hypers = fixed_hypers(args)?;
+    let threads = resolve_threads(args.positive("--threads")?);
+    obs.start(threads)?;
 
     // Read every packet; an unreadable file is a runtime error (the
     // caller named it explicitly), a *corrupt* one is handled by the
     // merge's own validation so a quorum can still absorb it.
     let mut texts = Vec::with_capacity(packet_paths.len());
-    for path in &packet_paths {
+    for path in packet_paths {
         let text = std::fs::read_to_string(path)
             .map_err(|e| rt(format!("cannot read packet {path}: {e}")))?;
-        texts.push((path.clone(), text));
+        texts.push((path.to_string(), text));
     }
 
     let policy = MergePolicy { min_shards };
@@ -785,16 +693,11 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
 
     // The merge's run identity is the study's, shared by every packet.
     obs.set_run(outcome.config.seed, &outcome.config.canonical());
-    obs.attach_shard(outcome.coverage.clone());
+    bmf_ams::obs::serve::publish_shard(&outcome.coverage);
     bmf_ams::obs::info!("{}", outcome.coverage.summary());
 
     let (early_norm, late_stats, late_t) = normalized_study(&outcome)?;
-    let mode = if strict {
-        FailureMode::Strict
-    } else {
-        FailureMode::Degrade
-    };
-    let mut pipeline = RobustPipeline::new().with_mode(mode).with_threads(threads);
+    let mut pipeline = pipeline(strict, threads);
     if let Some((kappa0, nu0)) = hypers {
         let d = early_norm.dim();
         if nu0 <= d as f64 {
@@ -806,21 +709,9 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     }
     let (est, report) = pipeline
         .estimate_from_stats(&early_norm, &late_stats, Some(outcome.coverage.clone()))
-        .map_err(|e| {
-            if strict {
-                CliError::Strict(e.to_string())
-            } else {
-                rt(e)
-            }
-        })?;
-    bmf_ams::obs::info!("robust pipeline: fusion level = {}", report.fallback);
-    if let Some(reason) = &report.fallback_reason {
-        bmf_ams::obs::warn!("robust pipeline: {reason}");
-    }
-    emit_report(optional(&flags, "report"), &report)?;
-    if let Some(health) = report.health.clone() {
-        obs.attach_health(health);
-    }
+        .map_err(|e| fusion_error(strict, e))?;
+    log_fusion(&report);
+    emit_report(args.value("--report"), &report)?;
     let physical = late_t.invert_moments(&est).map_err(rt)?;
 
     let names: Vec<String> = outcome
@@ -831,7 +722,7 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    emit_moments(optional(&flags, "out"), &names, &physical)?;
+    emit_moments(args.value("--out"), &names, &physical)?;
 
     if outcome.coverage.is_complete() {
         Ok(CliOk::Clean)
@@ -846,12 +737,12 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     }
 }
 
-fn cmd_diagnose(args: &[String]) -> CliResult {
+fn cmd_diagnose(args: &Args, obs: &ObsOptions) -> CliResult {
     use bmf_ams::core::diagnostics::mardia_test;
     use bmf_ams::stats::pca::Pca;
 
-    let flags = parse_flags(args).map_err(cfg)?;
-    let path = single(&flags, "samples")?;
+    let path = args.required("--samples")?;
+    obs.start(1)?;
     let data = read_samples_csv(&mut File::open(path).map_err(rt)?).map_err(rt)?;
     let (n, d) = data.samples.shape();
     println!("{path}: {n} samples x {d} metrics");
@@ -907,14 +798,17 @@ fn cmd_diagnose(args: &[String]) -> CliResult {
     Ok(CliOk::Clean)
 }
 
-fn cmd_yield(args: &[String]) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
-    let moments_path = single(&flags, "moments")?;
-    let draws: usize = parse_optional(&flags, "draws", "100000")?;
-    let seed: u64 = parse_optional(&flags, "seed", "7")?;
-    let specs_raw = flags.get("spec").ok_or_else(|| {
-        CliError::Config("need at least one --spec \"<metric><=|>=<value>\"".to_string())
-    })?;
+fn cmd_yield(args: &Args, obs: &ObsOptions) -> CliResult {
+    let moments_path = args.required("--moments")?;
+    let draws: usize = args.get_or("--draws", 100_000)?;
+    let seed: u64 = args.get_or("--seed", 7)?;
+    let specs_raw = args.all("--spec");
+    if specs_raw.is_empty() {
+        return Err(CliError::Config(
+            "need at least one --spec \"<metric><=|>=<value>\"".to_string(),
+        ));
+    }
+    obs.start(1)?;
 
     let (names, moments) =
         read_moments_csv(&mut File::open(moments_path).map_err(rt)?).map_err(rt)?;
@@ -922,28 +816,16 @@ fn cmd_yield(args: &[String]) -> CliResult {
     let mut lower = vec![None; d];
     let mut upper = vec![None; d];
     for raw in specs_raw {
-        let (idx, op_pos, op_len) = if let Some(p) = raw.find(">=") {
-            (p, p, 2)
-        } else if let Some(p) = raw.find("<=") {
-            (p, p, 2)
-        } else {
-            return Err(CliError::Config(format!(
-                "spec '{raw}' must contain >= or <="
-            )));
+        let (metric, bound, side) = match (raw.split_once(">="), raw.split_once("<=")) {
+            (Some((metric, bound)), _) => (metric, bound, &mut lower),
+            (None, Some((metric, bound))) => (metric, bound, &mut upper),
+            (None, None) => return Err(cfg(format!("spec '{raw}' must contain >= or <="))),
         };
-        let metric = raw[..idx].trim();
-        let value: f64 = raw[op_pos + op_len..]
-            .trim()
-            .parse()
-            .map_err(|_| CliError::Config(format!("spec '{raw}' has an unusable bound")))?;
-        let j = names.iter().position(|n| n == metric).ok_or_else(|| {
-            CliError::Config(format!("unknown metric '{metric}' (have {names:?})"))
-        })?;
-        if raw[op_pos..].starts_with(">=") {
-            lower[j] = Some(value);
-        } else {
-            upper[j] = Some(value);
-        }
+        let value: f64 = (bound.trim().parse())
+            .map_err(|_| cfg(format!("spec '{raw}' has an unusable bound")))?;
+        let j = names.iter().position(|n| n == metric.trim());
+        let j = j.ok_or_else(|| cfg(format!("unknown metric '{metric}' (have {names:?})")))?;
+        side[j] = Some(value);
     }
     let specs = SpecLimits::new(lower, upper).map_err(cfg)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -955,4 +837,24 @@ fn cmd_yield(args: &[String]) -> CliResult {
         y.draws
     );
     Ok(CliOk::Clean)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_flag_each_subcommand_declares() {
+        let words: Vec<&str> = USAGE
+            .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+            .collect();
+        for (name, grammar) in SUBCOMMANDS {
+            for flag in grammar.flags() {
+                assert!(
+                    words.contains(&flag),
+                    "bmf --help does not list {name} {flag}"
+                );
+            }
+        }
+    }
 }

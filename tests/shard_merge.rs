@@ -654,16 +654,24 @@ fn cli_outputs_match_golden_digests() {
             .arg("--out")
             .arg(dir.path(out)));
     }
-    run(bmf()
-        .args(["estimate", "--threads", "2"])
-        .arg("--early")
-        .arg(dir.path("early.csv"))
-        .arg("--late")
-        .arg(dir.path("late.csv"))
+    let estimate = |out: &str| {
+        let mut cmd = bmf();
+        cmd.args(["estimate", "--threads", "2", "--early"])
+            .arg(dir.path("early.csv"))
+            .arg("--late")
+            .arg(dir.path("late.csv"))
+            .arg("--out")
+            .arg(dir.path(out));
+        cmd
+    };
+    run(estimate("estimate.csv")
         .arg("--report")
-        .arg(dir.path("estimate.json"))
-        .arg("--out")
-        .arg(dir.path("estimate.csv")));
+        .arg(dir.path("estimate.json")));
+    // Without --report, estimate runs the same pipeline and writes the
+    // same moments.
+    run(&mut estimate("plain.csv"));
+    let read = |name: &str| std::fs::read(dir.path(name)).unwrap();
+    assert_eq!(read("plain.csv"), read("estimate.csv"), "plain estimate");
     let mut merge = bmf();
     merge.args(["merge", "--threads", "2"]);
     for i in 0..3 {
