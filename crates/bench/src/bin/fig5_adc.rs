@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release -p bmf-bench --bin fig5_adc [--quick] [--svg <prefix>] [--threads <n>] [--fault-rate <r>] [--trace-out <json>] [--profile] [--metrics-out <json>] [--dashboard-out <html>]`
 //!
-//! The flags and the driver are those of `fig4_opamp`; the study sizes,
+//! The flags and the code path are those of `fig4_opamp`; the study sizes,
 //! the seed and the captions are [`bmf_bench::FIG5`].
 
 fn main() -> std::process::ExitCode {

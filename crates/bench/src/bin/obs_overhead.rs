@@ -72,12 +72,12 @@ const GRAMMAR: Grammar = Grammar {
 fn main() {
     let budget = cli::parse(std::env::args(), &GRAMMAR, &[])
         .and_then(|args| args.get_or("--budget-percent", 2.0_f64))
-        .and_then(|budget| match budget.is_finite() && budget > 0.0 {
-            true => Ok(budget),
-            false => Err(UsageError::new(
-                "--budget-percent",
-                format!("--budget-percent must be finite and > 0, got {budget}"),
-            )),
+        .and_then(|budget| {
+            if budget.is_finite() && budget > 0.0 {
+                return Ok(budget);
+            }
+            let message = format!("--budget-percent must be finite and > 0, got {budget}");
+            Err(UsageError::new("--budget-percent", message))
         });
     let budget_percent = budget.unwrap_or_else(|e| e.exit("obs_overhead"));
 

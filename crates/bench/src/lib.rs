@@ -107,7 +107,7 @@ impl StudySize {
 
 impl FigureSpec {
     /// The full or the `--quick` study size.
-    pub fn size(&self, quick: bool) -> &StudySize {
+    fn size(&self, quick: bool) -> &StudySize {
         if quick {
             &self.quick
         } else {

@@ -1,7 +1,7 @@
 //! The paper-reproduction claims, pinned.
 //!
 //! Runs the full Figure 4 and Figure 5 studies through the figure bins'
-//! own driver ([`bmf_bench::run_figure`] over [`bmf_bench::FIG4`] and
+//! own code path ([`bmf_bench::run_figure`] over [`bmf_bench::FIG4`] and
 //! [`bmf_bench::FIG5`]) and checks:
 //!
 //! * the stdout the bin would print equals the committed

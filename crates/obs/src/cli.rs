@@ -165,7 +165,8 @@ impl Args {
 
     /// The value of `flag`, if given.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.all(flag).into_iter().next()
+        let given = self.values.iter().find(|(f, _)| *f == flag);
+        given.map(|(_, v)| v.as_str())
     }
 
     /// Every value of the repeatable `flag`, in command-line order.
@@ -291,7 +292,7 @@ pub struct ObsOptions {
     /// Console level from `--log-level`, if given.
     pub log_level: Option<Level>,
     /// Console and stream level from `BMF_LOG`, if set.
-    pub env_level: Option<Level>,
+    env_level: Option<Level>,
     /// Dashboard page title: the subcommand, else the program name.
     title: String,
 }

@@ -120,7 +120,7 @@ fn main() -> ExitCode {
         Some("diagnose") => cmd_diagnose(&args, &obs),
         _ => {
             print!("{USAGE}");
-            Ok(CliOk::Clean)
+            return ExitCode::SUCCESS;
         }
     };
     match result {
