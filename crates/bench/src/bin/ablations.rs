@@ -43,6 +43,29 @@ fn subsample<R: Rng>(pool: &Matrix, n: usize, rng: &mut R) -> Matrix {
     Matrix::from_fn(n, pool.ncols(), |i, j| pool[(idx[i], j)])
 }
 
+/// The MAP estimate (Eq. 31–32) of `samples` under the prior built from
+/// `early` with confidence `(κ₀, ν₀)`.
+fn map_estimate(
+    early: &MomentEstimate,
+    (kappa0, nu0): (f64, f64),
+    samples: &Matrix,
+) -> bmf_core::Result<MomentEstimate> {
+    let prior = NormalWishartPrior::from_early_moments(early, kappa0, nu0)?;
+    Ok(BmfEstimator::new(prior)?.estimate(samples)?.map)
+}
+
+/// [`map_estimate`] at the `(κ₀, ν₀)` the default two-dimensional CV
+/// selects, seeded by `seed`.
+fn cv_map_estimate(
+    early: &MomentEstimate,
+    samples: &Matrix,
+    seed: u64,
+    threads: usize,
+) -> bmf_core::Result<MomentEstimate> {
+    let sel = CrossValidation::default().select_seeded(early, samples, seed, threads)?;
+    map_estimate(early, (sel.kappa0, sel.nu0), samples)
+}
+
 /// Ablation 1: estimate in raw space (no shift/scale) and report errors in
 /// the same normalised space as the proper pipeline, for comparability.
 fn ablation_no_shift_scale(
@@ -55,7 +78,6 @@ fn ablation_no_shift_scale(
     threads: usize,
 ) {
     bmf_obs::outln!("--- ablation 1: BMF without shift & scale (n = {n}) ---");
-    let cv = CrossValidation::default();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut raw_cov_err = 0.0;
     let mut raw_mean_err = 0.0;
@@ -63,43 +85,26 @@ fn ablation_no_shift_scale(
     let mut norm_mean_err = 0.0;
     let mut failures = 0usize;
     for _ in 0..reps {
-        // Raw-space BMF: prior from raw early moments, samples raw.
+        // Raw-space BMF: prior from raw early moments, samples raw; the
+        // estimate is expressed in normalised space to compare against
+        // the exact normalised moments.
         let raw_samples = subsample(raw_late, n, &mut rng);
-        match cv
-            .select_seeded(raw_early_moments, &raw_samples, rng.next_u64(), threads)
-            .and_then(|sel| {
-                let prior =
-                    NormalWishartPrior::from_early_moments(raw_early_moments, sel.kappa0, sel.nu0)?;
-                BmfEstimator::new(prior)?.estimate(&raw_samples)
-            }) {
+        match cv_map_estimate(raw_early_moments, &raw_samples, rng.next_u64(), threads)
+            .and_then(|est| study.late_transform.apply_moments(&est))
+        {
             Ok(est) => {
-                // Express the raw-space estimate in normalised space to
-                // compare against the exact normalised moments.
-                match study.late_transform.apply_moments(&est.map) {
-                    Ok(norm_est) => {
-                        raw_cov_err += error_cov(&norm_est, &study.exact_late).unwrap();
-                        raw_mean_err += error_mean(&norm_est, &study.exact_late).unwrap();
-                    }
-                    Err(_) => failures += 1,
-                }
+                raw_cov_err += error_cov(&est, &study.exact_late).unwrap();
+                raw_mean_err += error_mean(&est, &study.exact_late).unwrap();
             }
             Err(_) => failures += 1,
         }
 
         // Proper pipeline for reference.
         let norm_samples = subsample(&study.late_pool, n, &mut rng);
-        let sel = cv
-            .select_seeded(&study.early_moments, &norm_samples, rng.next_u64(), threads)
-            .expect("normalised CV");
-        let prior =
-            NormalWishartPrior::from_early_moments(&study.early_moments, sel.kappa0, sel.nu0)
-                .expect("prior");
-        let est = BmfEstimator::new(prior)
-            .expect("estimator")
-            .estimate(&norm_samples)
-            .expect("estimate");
-        norm_cov_err += error_cov(&est.map, &study.exact_late).unwrap();
-        norm_mean_err += error_mean(&est.map, &study.exact_late).unwrap();
+        let est = cv_map_estimate(&study.early_moments, &norm_samples, rng.next_u64(), threads)
+            .expect("normalised CV estimate");
+        norm_cov_err += error_cov(&est, &study.exact_late).unwrap();
+        norm_mean_err += error_mean(&est, &study.exact_late).unwrap();
     }
     let ok = (reps - failures).max(1) as f64;
     bmf_obs::outln!(
@@ -119,7 +124,6 @@ fn ablation_no_shift_scale(
 /// Ablation 2: fixed hyper-parameters vs cross-validated ones.
 fn ablation_fixed_vs_cv(study: &PreparedStudy, n: usize, reps: usize, seed: u64, threads: usize) {
     bmf_obs::outln!("--- ablation 2: fixed hyper-parameters vs CV (n = {n}) ---");
-    let cv = CrossValidation::default();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let fixed_settings: Vec<(&str, f64, f64)> = vec![
         ("kappa0=nu0=1+d", 1.0, 1.0 + 5.0),
@@ -135,27 +139,14 @@ fn ablation_fixed_vs_cv(study: &PreparedStudy, n: usize, reps: usize, seed: u64,
     for _ in 0..reps {
         let samples = subsample(&study.late_pool, n, &mut rng);
         for (k, &(_, kappa, nu)) in fixed_settings.iter().enumerate() {
-            let prior = NormalWishartPrior::from_early_moments(&study.early_moments, kappa, nu)
-                .expect("prior");
-            let est = BmfEstimator::new(prior)
-                .expect("estimator")
-                .estimate(&samples)
-                .expect("estimate");
-            fixed_err[k] += error_cov(&est.map, &study.exact_late).unwrap();
-            fixed_mean_err[k] += error_mean(&est.map, &study.exact_late).unwrap();
+            let est = map_estimate(&study.early_moments, (kappa, nu), &samples).expect("estimate");
+            fixed_err[k] += error_cov(&est, &study.exact_late).unwrap();
+            fixed_mean_err[k] += error_mean(&est, &study.exact_late).unwrap();
         }
-        let sel = cv
-            .select_seeded(&study.early_moments, &samples, rng.next_u64(), threads)
-            .expect("CV");
-        let prior =
-            NormalWishartPrior::from_early_moments(&study.early_moments, sel.kappa0, sel.nu0)
-                .expect("prior");
-        let est = BmfEstimator::new(prior)
-            .expect("estimator")
-            .estimate(&samples)
-            .expect("estimate");
-        cv_err += error_cov(&est.map, &study.exact_late).unwrap();
-        cv_mean_err += error_mean(&est.map, &study.exact_late).unwrap();
+        let est = cv_map_estimate(&study.early_moments, &samples, rng.next_u64(), threads)
+            .expect("CV estimate");
+        cv_err += error_cov(&est, &study.exact_late).unwrap();
+        cv_mean_err += error_mean(&est, &study.exact_late).unwrap();
         let mle = MleEstimator::new().estimate(&samples).expect("mle");
         mle_err += error_cov(&mle, &study.exact_late).unwrap();
         mle_mean_err += error_mean(&mle, &study.exact_late).unwrap();
@@ -247,7 +238,6 @@ fn ablation_dimensionality(n: usize, reps: usize, seed: u64, threads: usize) {
     bmf_obs::outln!("--- ablation 4: dimensionality scaling (synthetic, n = {n}) ---");
     bmf_obs::outln!("    d | MLE cov err | BMF cov err | ratio");
     bmf_obs::outln!("------+-------------+-------------+------");
-    let cv = CrossValidation::default();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for d in [2usize, 4, 6, 8, 10] {
         // AR(1)-style correlation structure, identical for prior and truth.
@@ -267,16 +257,8 @@ fn ablation_dimensionality(n: usize, reps: usize, seed: u64, threads: usize) {
                 cov: truth.cov().clone(),
             };
             mle_err += error_cov(&mle, &exact).expect("err");
-            let sel = cv
-                .select_seeded(&early, &samples, rng.next_u64(), threads)
-                .expect("cv");
-            let prior =
-                NormalWishartPrior::from_early_moments(&early, sel.kappa0, sel.nu0).expect("prior");
-            let est = BmfEstimator::new(prior)
-                .expect("estimator")
-                .estimate(&samples)
-                .expect("map");
-            bmf_err += error_cov(&est.map, &exact).expect("err");
+            let est = cv_map_estimate(&early, &samples, rng.next_u64(), threads).expect("map");
+            bmf_err += error_cov(&est, &exact).expect("err");
         }
         let r = reps as f64;
         bmf_obs::outln!(
@@ -291,7 +273,8 @@ fn ablation_dimensionality(n: usize, reps: usize, seed: u64, threads: usize) {
 
 fn main() -> ExitCode {
     let flags = StudyFlags::from_env(&Grammar::new("--threads --fault-rate", "--quick", ""));
-    let (quick, threads, fault_rate) = (flags.quick, flags.threads, flags.fault_rate);
+    let quick = flags.args.switch("--quick");
+    let (threads, fault_rate) = (flags.threads, flags.fault_rate);
     flags.obs.set_run(
         7,
         &format!("ablations quick={quick} fault_rate={fault_rate}"),
@@ -303,7 +286,10 @@ fn main() -> ExitCode {
         "ablations: op-amp, {pool} MC samples/stage, {reps} repetitions, {threads} thread(s), fault rate {fault_rate}"
     );
     let tb = OpAmpTestbench::default_45nm();
-    let data = study_data(tb, pool, 7, threads, fault_rate).expect("study");
+    let (data, guard_summary) = study_data(tb, pool, 7, threads, fault_rate).expect("study");
+    if let Some(summary) = guard_summary {
+        bmf_obs::info!("{summary}");
+    }
     let prepared = prepare(&data).expect("prepare");
 
     let raw_early_moments = MomentEstimate {

@@ -7,10 +7,10 @@
 //! `fig4_opamp`, `fig5_adc` and `ablations` regenerate all of them.
 //!
 //! Each figure is one [`FigureSpec`] ([`FIG4`], [`FIG5`]): its circuit,
-//! seed, study sizes and captions. [`run_figure`] renders a figure from
-//! its spec and [`figure_main`] is the whole of both figure bins, so the
-//! bins, the claims test (`tests/paper_claims.rs`) and the seed-band test
-//! (`tests/seed_band.rs`) read one definition.
+//! seed, study sizes and captions. [`run_figure`] runs a figure's study
+//! and renders its stdout, and [`figure_main`] is the whole of both
+//! figure bins, so the bins, the claims test (`tests/paper_claims.rs`)
+//! and the seed-band test (`tests/seed_band.rs`) read one definition.
 
 pub mod plot;
 pub mod stages;
@@ -140,26 +140,16 @@ impl FigureSpec {
     }
 }
 
-/// A rendered figure.
+/// A figure's sweep and its rendered stdout. The `--svg` panels are
+/// [`plot::figure_svgs`] of the sweep, drawn only where asked for.
 #[derive(Debug, Clone)]
 pub struct Figure {
     /// The sweep behind the figure.
     pub result: SweepResult,
-    /// The figure's stdout, one entry per printed block (each printed
-    /// with a trailing newline).
+    /// The figure's stdout, one entry per printed block; each block is
+    /// printed with a trailing newline and, with `--events-out`,
+    /// recorded as one `log` event.
     pub stdout: Vec<String>,
-    /// The `--svg` panels as `(suffix, document)`: `mean` and `cov`.
-    pub svgs: [(&'static str, String); 2],
-}
-
-impl Figure {
-    /// The figure's stdout as one string.
-    pub fn text(&self) -> String {
-        self.stdout
-            .iter()
-            .map(|block| format!("{block}\n"))
-            .collect()
-    }
 }
 
 /// Runs the study of `spec` at its own seed (faults injected at
@@ -199,12 +189,7 @@ pub fn run_figure(
         ));
         stdout.push(spec.paper_note.to_string());
     }
-    let (mean_svg, cov_svg) = plot::figure_svgs(spec.plot_title, &result);
-    Ok(Figure {
-        result,
-        stdout,
-        svgs: [("mean", mean_svg), ("cov", cov_svg)],
-    })
+    Ok(Figure { result, stdout })
 }
 
 /// The whole of `fig4_opamp` and `fig5_adc`: reads the flags, runs and
@@ -214,7 +199,7 @@ pub fn run_figure(
 pub fn figure_main(spec: &FigureSpec) -> ExitCode {
     let grammar = Grammar::new("--svg --threads --fault-rate", "--quick", "");
     let flags = StudyFlags::from_env(&grammar);
-    let (quick, fault_rate) = (flags.quick, flags.fault_rate);
+    let (quick, fault_rate) = (flags.args.switch("--quick"), flags.fault_rate);
     let config = format!("{} quick={quick} fault_rate={fault_rate}", spec.name);
     flags.obs.set_run(spec.mc_seed, &config);
     let t0 = std::time::Instant::now();
@@ -229,7 +214,8 @@ pub fn figure_main(spec: &FigureSpec) -> ExitCode {
         bmf_obs::outln!("{block}");
     }
     if let Some(prefix) = flags.args.value("--svg") {
-        for (suffix, doc) in &figure.svgs {
+        let (mean, cov) = plot::figure_svgs(spec.plot_title, &figure.result);
+        for (suffix, doc) in [("mean", mean), ("cov", cov)] {
             let path = format!("{prefix}_{suffix}.svg");
             match bmf_obs::atomic_write(&path, doc) {
                 Ok(()) => bmf_obs::info!("wrote {path}"),
@@ -249,8 +235,6 @@ pub struct StudyFlags {
     pub args: Args,
     /// The observability flags, already started.
     pub obs: ObsOptions,
-    /// `--quick`: the smoke-sized study.
-    pub quick: bool,
     /// `--threads`, resolved to the machine's parallelism when absent.
     pub threads: usize,
     /// `--fault-rate`: finite and in `[0, 1)`, 0 when absent.
@@ -270,11 +254,9 @@ impl StudyFlags {
             check_study_fault_rate("--fault-rate", fault_rate)
                 .map_err(|e| UsageError::new("--fault-rate", e.to_string()))?;
             obs.start(threads)?;
-            let quick = args.switch("--quick");
             Ok(StudyFlags {
                 args,
                 obs,
-                quick,
                 threads,
                 fault_rate,
             })
@@ -324,7 +306,8 @@ pub fn fault_config_for_rate(rate: f64) -> FaultConfig {
 /// `mc_seed`. With `fault_rate > 0` the dies run through a
 /// [`FaultInjector`] (see [`fault_config_for_rate`]) and both pools are
 /// screened by the data-quality guard, outlier rows dropped; the guard's
-/// summary is logged.
+/// summary of each stage (`guard[early]`, `guard[late]`) comes back for
+/// the caller to log. A fault-free study has no summary.
 ///
 /// Every seed stream (faults included) is per die, so the data are
 /// bit-identical for every `threads` value.
@@ -339,10 +322,10 @@ pub fn study_data<T: Testbench>(
     mc_seed: u64,
     threads: usize,
     fault_rate: f64,
-) -> Result<TwoStageData, Box<dyn Error>> {
+) -> Result<(TwoStageData, Option<String>), Box<dyn Error>> {
     if fault_rate == 0.0 {
         let study = two_stage_study_seeded(&tb, pool, pool, mc_seed, threads)?;
-        return Ok(study_to_data(&study));
+        return Ok((study_to_data(&study), None));
     }
     let injector = FaultInjector::new(tb, fault_config_for_rate(fault_rate))?;
     let study = two_stage_study_seeded(&injector, pool, pool, mc_seed, threads)?;
@@ -355,16 +338,16 @@ pub fn study_data<T: Testbench>(
     let (late_clean, late_dq) = guard::screen(&data.late_samples, &policy)?;
     data.early_samples = early_clean;
     data.late_samples = late_clean;
-    bmf_obs::info!(
+    let summary = format!(
         "guard[early]: {}\nguard[late]:  {}",
         early_dq.summary(),
         late_dq.summary()
     );
-    Ok(data)
+    Ok((data, Some(summary)))
 }
 
-/// Runs the complete protocol for one circuit: [`study_data`], §4.1
-/// (`prepare`) and the error sweep.
+/// Runs the complete protocol for one circuit: [`study_data`] (its
+/// guard summary logged), §4.1 (`prepare`) and the error sweep.
 ///
 /// # Errors
 ///
@@ -377,7 +360,11 @@ pub fn run_circuit_experiment<T: Testbench>(
     threads: usize,
     fault_rate: f64,
 ) -> Result<SweepResult, Box<dyn Error>> {
-    let prepared = prepare(&study_data(tb, pool, mc_seed, threads, fault_rate)?)?;
+    let (data, guard_summary) = study_data(tb, pool, mc_seed, threads, fault_rate)?;
+    if let Some(summary) = guard_summary {
+        bmf_obs::info!("{summary}");
+    }
+    let prepared = prepare(&data)?;
     Ok(run_error_sweep_parallel(&prepared, config, threads)?)
 }
 
@@ -385,19 +372,23 @@ pub fn run_circuit_experiment<T: Testbench>(
 /// and `ablations` show on their dashboard: a robust fusion at n = 32 of
 /// a small study with its own `mc_seed` (so the results keep their
 /// bits), which publishes its health report, and a drift scan of that
-/// study's late pool, which publishes its timeline. A failure is logged.
+/// study's late pool, whose final timeline is published as `bmf estimate`
+/// publishes its own. A failure is logged.
 pub fn publish_dashboard_snapshot<T: Testbench>(flags: &StudyFlags, tb: T, mc_seed: u64) {
     if flags.obs.dashboard_out.is_none() {
         return;
     }
     let snapshot = || -> Result<(), Box<dyn Error>> {
-        let prepared = prepare(&study_data(tb, 200, mc_seed, flags.threads, 0.0)?)?;
+        let (data, _) = study_data(tb, 200, mc_seed, flags.threads, 0.0)?;
+        let prepared = prepare(&data)?;
         let pool = &prepared.late_pool;
         let late = Matrix::from_fn(32.min(pool.nrows()), pool.ncols(), |i, j| pool[(i, j)]);
         RobustPipeline::new()
             .with_threads(flags.threads)
             .estimate(&prepared.early_moments, &late)?;
-        DriftMonitor::new(&prepared.early_moments, DriftConfig::default())?.push_batch(pool)?;
+        let mut monitor = DriftMonitor::new(&prepared.early_moments, DriftConfig::default())?;
+        monitor.push_batch(pool)?;
+        bmf_obs::serve::publish_drift(&monitor.into_timeline());
         Ok(())
     };
     if let Err(e) = snapshot() {
@@ -444,7 +435,8 @@ mod tests {
     #[test]
     fn circuit_experiment_is_thread_count_invariant_with_and_without_faults() {
         // --fault-rate 0.1 == 10% failed sims + 2% NaN + 2% outliers; the
-        // guarded experiment must survive it and stay deterministic.
+        // guarded experiment must survive it, report what the guard found
+        // in both stages and stay deterministic.
         let config = SweepConfig {
             sample_sizes: vec![8],
             repetitions: 2,
@@ -452,6 +444,13 @@ mod tests {
             seed: 3,
         };
         for fault_rate in [0.0, 0.1] {
+            let tb = AdcTestbench::default_180nm();
+            let (_, summary) = study_data(tb, 60, 4, 2, fault_rate).unwrap();
+            assert_eq!(summary.is_some(), fault_rate > 0.0);
+            if let Some(summary) = summary {
+                assert!(summary.contains("guard[early]"), "{summary}");
+                assert!(summary.contains("guard[late]"), "{summary}");
+            }
             let run = |threads| {
                 let tb = AdcTestbench::default_180nm();
                 run_circuit_experiment(tb, 60, 4, &config, threads, fault_rate).unwrap()

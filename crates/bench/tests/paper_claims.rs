@@ -15,7 +15,7 @@
 //! Release-only (about 1 s optimised):
 //! `cargo test --release -p bmf-bench --test paper_claims`.
 
-use bmf_bench::{run_figure, FigureSpec, FIG4, FIG5};
+use bmf_bench::{plot, run_figure, FigureSpec, FIG4, FIG5};
 use bmf_core::experiment::{cost_reduction, ErrorKind};
 
 /// Asserts that `actual` equals the committed `results/<name>`.
@@ -39,10 +39,11 @@ fn assert_committed(name: &str, actual: &str) {
 fn check_figure(spec: &FigureSpec, table: &str, svg: &str) -> [String; 4] {
     let threads = bmf_core::parallel::resolve_threads(None);
     let figure = run_figure(spec, false, threads, 0.0).unwrap();
-    assert_committed(table, &figure.text());
-    for (suffix, doc) in &figure.svgs {
-        assert_committed(&format!("{svg}_{suffix}.svg"), doc);
-    }
+    let stdout: String = figure.stdout.iter().map(|b| format!("{b}\n")).collect();
+    assert_committed(table, &stdout);
+    let (mean, cov) = plot::figure_svgs(spec.plot_title, &figure.result);
+    assert_committed(&format!("{svg}_mean.svg"), &mean);
+    assert_committed(&format!("{svg}_cov.svg"), &cov);
     let result = &figure.result;
     let at_8 = |kind| {
         let crs = cost_reduction(result, kind);

@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn diagonal_matrix() {
-        let a = Matrix::from_diag(&Vector::from_slice(&[3.0, 1.0, 2.0]));
+        let a = Matrix::from_fn(3, 3, |i, j| if i == j { [3.0, 1.0, 2.0][i] } else { 0.0 });
         let eig = SymmetricEigen::new(&a).unwrap();
         assert_eq!(eig.eigenvalues().as_slice(), &[3.0, 2.0, 1.0]);
         assert!((eig.condition_number() - 3.0).abs() < 1e-12);

@@ -57,16 +57,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a square diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &Vector) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = diag[i];
-        }
-        m
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Errors
@@ -569,10 +559,6 @@ mod tests {
         let i = Matrix::identity(3);
         assert!(i.is_square());
         assert_eq!(i.trace().unwrap(), 3.0);
-
-        let d = Matrix::from_diag(&Vector::from_slice(&[1.0, 2.0]));
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
 
         assert!(Matrix::from_rows(&[]).is_err());
         assert!(Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]).is_err());

@@ -16,7 +16,8 @@
 //! [`UsageError`] to exit code 2 before it does any work. A binary with
 //! subcommands (`bmf`) passes one grammar per subcommand; the first
 //! positional names the subcommand, and the observability flags are
-//! accepted on either side of it.
+//! accepted on either side of it, but not without it: with no subcommand
+//! there is no run for them to observe.
 //!
 //! # Observability flags
 //!
@@ -38,10 +39,11 @@
 //!
 //! [`ObsOptions::from_args`] reads these flags from the parse;
 //! [`ObsOptions::start`] applies them once the binary has read its own
-//! flags, so a usage error leaves no trace. If any output flag is
-//! present, recording is enabled for the whole run, and
-//! [`ObsOptions::finish`] then drains the recorded data and writes the
-//! requested artifacts. The run's health report, drift timeline and
+//! flags. If any output flag is present, recording is enabled for the
+//! whole run, and [`ObsOptions::finish`] then drains the recorded data
+//! and writes the requested artifacts — also when the run failed, but
+//! never before `start`, so a usage error found while reading the flags
+//! leaves no trace. The run's health report, drift timeline and
 //! shard coverage reach the dashboard through the one store the live
 //! server reads too ([`crate::serve::publish_health`] and its siblings).
 
@@ -220,12 +222,14 @@ impl Args {
 /// Parses `argv` (program name first) against `grammar`, or, when
 /// `subcommands` is not empty, against the grammar of the subcommand its
 /// first positional names; before that positional only `grammar`'s
-/// flags are accepted.
+/// flags are accepted, and with no subcommand at all only the ones
+/// `grammar` declares itself (not the observability flags).
 ///
 /// # Errors
 ///
 /// A [`UsageError`] for an unknown flag or subcommand, a flag without
-/// its value, a repeated single-valued flag or a stray positional.
+/// its value, a repeated single-valued flag, a stray positional, or an
+/// observability flag with no subcommand to observe.
 pub fn parse(
     argv: impl IntoIterator<Item = String>,
     grammar: &Grammar,
@@ -269,6 +273,14 @@ pub fn parse(
         match argv.next_if(|next| !next.starts_with("--")) {
             Some(value) => args.values.push((flag, value)),
             None => return Err(UsageError::new(flag, format!("{flag} requires a value"))),
+        }
+    }
+    if !subcommands.is_empty() && args.subcommand.is_none() {
+        // With no subcommand there is no run to observe.
+        let obs = |flag: &&str| listed(OBS_VALUES, flag) || listed(OBS_SWITCHES, flag);
+        let values = args.values.iter().map(|(flag, _)| flag);
+        if let Some(flag) = values.chain(&args.switches).copied().find(obs) {
+            return Err(UsageError::new(flag, format!("{flag} needs a subcommand")));
         }
     }
     Ok(args)
@@ -400,10 +412,12 @@ impl ObsOptions {
     }
 
     /// Drains recorded spans/metrics and writes every requested
-    /// artifact. Call once, at the end of `main`. A no-op when no flag
-    /// was given.
+    /// artifact. Call once, at the end of `main`, whether or not the run
+    /// succeeded. A no-op when no flag was given, and before
+    /// [`ObsOptions::start`] switched recording on: a run that never
+    /// started leaves no artifact.
     pub fn finish(&self) -> io::Result<()> {
-        if !self.any() {
+        if !(self.any() && crate::is_enabled()) {
             return Ok(());
         }
         // Stop serving before draining: a scrape racing the drain would
@@ -493,6 +507,8 @@ mod tests {
             ("bmf walk", "walk"),
             ("bmf --quick run", "--quick"),
             ("bmf --log-level warn run --log-level info", "--log-level"),
+            ("bmf --log-level warn", "--log-level"),
+            ("bmf --help --profile", "--profile"),
         ] {
             let err = parsed(line).unwrap_err();
             assert_eq!(err.flag, flag, "{line}");
@@ -578,6 +594,8 @@ mod tests {
             "bmf --events-out {} --log-level error",
             out.display()
         ));
+        options.finish().unwrap();
+        assert!(!out.exists(), "a run that never started writes nothing");
         options.start(1).unwrap();
         options.set_run(2015, "cli finish test");
         crate::event!(Warn, "mc.retry", "attempt": 2u64);

@@ -105,15 +105,6 @@ impl MultivariateNormal {
         Ok(-0.5 * (d * (2.0 * std::f64::consts::PI).ln() + self.chol.ln_det() + m2))
     }
 
-    /// Density at `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for a wrong-length `x`.
-    pub fn pdf(&self, x: &Vector) -> Result<f64> {
-        Ok(self.ln_pdf(x)?.exp())
-    }
-
     /// Joint log-likelihood of an `n × d` sample matrix (paper Eq. 9 in log
     /// form).
     ///
@@ -211,7 +202,7 @@ mod tests {
             (-(x - 2.0) * (x - 2.0) / 8.0).exp() / (2.0 * (2.0 * std::f64::consts::PI).sqrt())
         };
         for &x in &[-3.0, 0.0, 2.0, 5.0] {
-            let a = mvn.pdf(&Vector::from_slice(&[x])).unwrap();
+            let a = mvn.ln_pdf(&Vector::from_slice(&[x])).unwrap().exp();
             let b = scalar(x);
             assert!((a - b).abs() < 1e-12, "x = {x}");
         }

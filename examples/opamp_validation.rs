@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example opamp_validation`
 
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage, Testbench};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
+use bmf_ams::core::experiment::{prepare, TwoStageData};
 use bmf_ams::core::parallel::available_threads;
 use bmf_ams::core::prelude::*;
-use bmf_ams::stats::descriptive;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,50 +33,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("schematic nominal : {}", early.nominal);
     println!("post-layout nominal: {}\n", late.nominal);
 
-    // §4.1 shift & scale.
-    let early_sd = descriptive::column_stddevs(&early.samples)?;
-    let early_t = ShiftScale::from_nominal_and_early_sd(&early.nominal, &early_sd)?;
-    let late_t = ShiftScale::from_nominal_and_early_sd(&late.nominal, &early_sd)?;
-    let early_norm = early_t.apply_samples(&early.samples)?;
-    let late_norm_pool = late_t.apply_samples(&late.samples)?;
-
-    let early_moments = MomentEstimate {
-        mean: descriptive::mean_vector(&early_norm)?,
-        cov: descriptive::covariance_mle(&early_norm)?,
-    };
-    let exact_late = MomentEstimate {
-        mean: descriptive::mean_vector(&late_norm_pool)?,
-        cov: descriptive::covariance_mle(&late_norm_pool)?,
-    };
+    // §4.1 shift & scale; prior and reference moments from the pools.
+    let study = prepare(&TwoStageData {
+        metric_names: tb.metric_names().iter().map(|s| s.to_string()).collect(),
+        early_nominal: early.nominal,
+        early_samples: early.samples,
+        late_nominal: late.nominal,
+        late_samples: late.samples,
+    })?;
+    let (early_moments, exact_late) = (&study.early_moments, &study.exact_late);
 
     // Take the few affordable late samples (first rows of the pool).
-    let few = bmf_ams::linalg::Matrix::from_fn(n_late, 5, |i, j| late_norm_pool[(i, j)]);
+    let few = bmf_ams::linalg::Matrix::from_fn(n_late, 5, |i, j| study.late_pool[(i, j)]);
 
     // BMF flow.
-    let selection = CrossValidation::default().select(&early_moments, &few, &mut rng)?;
+    let selection = CrossValidation::default().select(early_moments, &few, &mut rng)?;
     println!(
         "CV selected kappa0 = {:.2}, nu0 = {:.1}",
         selection.kappa0, selection.nu0
     );
     let prior =
-        NormalWishartPrior::from_early_moments(&early_moments, selection.kappa0, selection.nu0)?;
+        NormalWishartPrior::from_early_moments(early_moments, selection.kappa0, selection.nu0)?;
     let bmf = BmfEstimator::new(prior)?.estimate(&few)?;
     let mle = MleEstimator::new().estimate(&few)?;
 
     println!("\nerrors vs 2000-sample post-layout reference (n = {n_late} used):");
     println!(
         "  MLE : mean {:.4}, cov {:.4}",
-        error_mean(&mle, &exact_late)?,
-        error_cov(&mle, &exact_late)?
+        error_mean(&mle, exact_late)?,
+        error_cov(&mle, exact_late)?
     );
     println!(
         "  BMF : mean {:.4}, cov {:.4}",
-        error_mean(&bmf.map, &exact_late)?,
-        error_cov(&bmf.map, &exact_late)?
+        error_mean(&bmf.map, exact_late)?,
+        error_cov(&bmf.map, exact_late)?
     );
 
     // Physical-unit estimate for the designer.
-    let physical = late_t.invert_moments(&bmf.map)?;
+    let physical = study.late_transform.invert_moments(&bmf.map)?;
     println!("\nestimated post-layout moments (physical units):");
     for (j, name) in ["gain_db", "bandwidth_hz", "power_w", "offset_v", "pm_deg"]
         .iter()

@@ -8,13 +8,13 @@
 //!
 //! Run with: `cargo run --release --example yield_estimation`
 
-use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
+use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, Stage, Testbench};
 use bmf_ams::circuits::opamp::OpAmpTestbench;
+use bmf_ams::core::experiment::{prepare, TwoStageData};
 use bmf_ams::core::parallel::available_threads;
 use bmf_ams::core::prelude::*;
 use bmf_ams::core::yield_estimation::estimate_yield;
 use bmf_ams::linalg::Matrix;
-use bmf_ams::stats::descriptive;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,22 +47,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reference * 100.0
     );
 
-    // Normalise, estimate moments from n = 16 late samples.
-    let early_sd = descriptive::column_stddevs(&early.samples)?;
-    let early_t = ShiftScale::from_nominal_and_early_sd(&early.nominal, &early_sd)?;
-    let late_t = ShiftScale::from_nominal_and_early_sd(&late.nominal, &early_sd)?;
-    let early_norm = early_t.apply_samples(&early.samples)?;
-    let late_norm_pool = late_t.apply_samples(&late.samples)?;
-    let few = Matrix::from_fn(n_late, 5, |i, j| late_norm_pool[(i, j)]);
+    // Normalise (§4.1), estimate moments from n = 16 late samples.
+    let study = prepare(&TwoStageData {
+        metric_names: tb.metric_names().iter().map(|s| s.to_string()).collect(),
+        early_nominal: early.nominal,
+        early_samples: early.samples,
+        late_nominal: late.nominal,
+        late_samples: late.samples,
+    })?;
+    let (early_moments, late_t) = (&study.early_moments, &study.late_transform);
+    let few = Matrix::from_fn(n_late, 5, |i, j| study.late_pool[(i, j)]);
 
-    let early_moments = MomentEstimate {
-        mean: descriptive::mean_vector(&early_norm)?,
-        cov: descriptive::covariance_mle(&early_norm)?,
-    };
-
-    let selection = CrossValidation::default().select(&early_moments, &few, &mut rng)?;
+    let selection = CrossValidation::default().select(early_moments, &few, &mut rng)?;
     let prior =
-        NormalWishartPrior::from_early_moments(&early_moments, selection.kappa0, selection.nu0)?;
+        NormalWishartPrior::from_early_moments(early_moments, selection.kappa0, selection.nu0)?;
     let bmf_norm = BmfEstimator::new(prior)?.estimate(&few)?.map;
     let mle_norm = MleEstimator::new().estimate(&few)?;
 

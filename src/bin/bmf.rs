@@ -111,7 +111,9 @@ fn main() -> ExitCode {
         Ok(parsed) => parsed,
         Err(e) => return report_error(&CliError::from(e)),
     };
-    let result = match args.subcommand {
+    // `--help` wins wherever it stands before the subcommand.
+    let help = args.switch("--help") || args.switch("-h");
+    let result = match args.subcommand.filter(|_| !help) {
         Some("estimate") => cmd_estimate(&args, &obs),
         Some("generate") => cmd_generate(&args, &obs),
         Some("shard") => cmd_shard(&args, &obs),
@@ -123,17 +125,15 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     };
-    match result {
-        // A usage error leaves no artifact behind.
-        Err(e @ CliError::Config(_)) => report_error(&e),
-        // Telemetry is flushed even when the subcommand failed — a strict
-        // failure is exactly when the event log matters; the subcommand's
-        // error still wins the exit code.
-        result => match (obs.finish(), result) {
-            (_, Err(e)) => report_error(&e),
-            (Ok(()), Ok(ok)) => ok.exit_code(),
-            (Err(e), Ok(_)) => report_error(&rt(e)),
-        },
+    // Telemetry is flushed even when the subcommand failed — a strict
+    // failure is exactly when the event log matters. A usage error found
+    // before the subcommand started its run leaves nothing behind:
+    // `finish` is a no-op until `start`. The subcommand's error still
+    // wins the exit code.
+    match (obs.finish(), result) {
+        (_, Err(e)) => report_error(&e),
+        (Ok(()), Ok(ok)) => ok.exit_code(),
+        (Err(e), Ok(_)) => report_error(&rt(e)),
     }
 }
 
@@ -412,7 +412,9 @@ fn cmd_estimate(args: &Args, obs: &ObsOptions) -> CliResult {
 
     if obs.dashboard_out.is_some() {
         // Read-only drift scan of the late-stage stream against the
-        // early-stage model; an unfilled window simply yields no entries.
+        // early-stage model. The final timeline is published here, as the
+        // figure bins' snapshot publishes theirs, so a late pool shorter
+        // than one window shows an empty drift section.
         match DriftMonitor::new(&study.early_moments, DriftConfig::default())
             .and_then(|mut m| m.push_batch(&study.late_pool).map(|()| m))
         {

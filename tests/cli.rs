@@ -4,23 +4,31 @@
 //! flag without its value, a repeated single-valued flag and a
 //! malformed value each exit 2 before any work, name the flag on stderr
 //! and leave no output file. The observability flags are accepted on
-//! either side of the subcommand, and `BMF_LOG` follows the
-//! `--log-level` rule.
+//! either side of the subcommand but not without one, `--help` before
+//! the subcommand wins, `BMF_LOG` follows the `--log-level` rule, and a
+//! usage error found once the run has started still flushes its
+//! telemetry.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Runs `bmf` on `line`, split at spaces, with `DIR` standing for a
 /// fresh directory named by `tag`; returns the output and the directory.
-fn bmf(tag: &str, line: &str, bmf_log: Option<&str>) -> (Output, std::path::PathBuf) {
+fn bmf(tag: &str, line: &str, bmf_log: Option<&str>) -> (Output, PathBuf) {
     let dir = std::env::temp_dir().join(format!("bmf-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    (bmf_in(&dir, line, bmf_log), dir)
+}
+
+/// Runs `bmf` on `line`, split at spaces, with `DIR` standing for `dir`.
+fn bmf_in(dir: &Path, line: &str, bmf_log: Option<&str>) -> Output {
     let line = line.replace("DIR", dir.to_str().unwrap());
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bmf"));
     if let Some(level) = bmf_log {
         cmd.env("BMF_LOG", level);
     }
-    (cmd.args(line.split_whitespace()).output().unwrap(), dir)
+    cmd.args(line.split_whitespace()).output().unwrap()
 }
 
 /// Asserts that `line` exits 2 naming `flag` on stderr and writes no
@@ -80,6 +88,9 @@ fn every_subcommand_refuses_unknown_missing_repeated_and_malformed_flags() {
         ("diagnose --samples", "--profile", "--samples"),
         ("--threads 2", "diagnose", "--threads"),
         ("walk", "", "walk"),
+        // Without a subcommand there is no run to observe.
+        ("--trace-out DIR/t.json", "", "--trace-out"),
+        ("--help", "--events-out DIR/e.jsonl", "--events-out"),
     ] {
         assert_refused(&format!("{base} {extra}"), flag, None);
     }
@@ -102,5 +113,28 @@ fn obs_flags_go_on_either_side_of_the_subcommand_and_bmf_log_is_read() {
         std::fs::remove_dir_all(dir).unwrap();
     }
     assert!(outputs.windows(2).all(|w| w[0] == w[1]));
-    assert!(bmf("help", "--help", None).0.status.success());
+    // `--help` before the subcommand wins over it.
+    for line in ["--help", "--help estimate --early e.csv --late l.csv"] {
+        let out = bmf_in(Path::new("."), line, None);
+        assert!(out.status.success(), "bmf {line}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("subcommands:"));
+    }
+}
+
+#[test]
+fn a_usage_error_after_the_run_started_still_flushes_telemetry() {
+    // `--nu0 3` is checked against the merged study's d = 5, so only
+    // after the packets were read and merged: exit 2, no moments, but the
+    // event log of the merge is written.
+    let (out, dir) = bmf("flush", &SHARD.replace("0/3", "0/1"), None);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let merge = format!("{MERGE} --kappa0 1 --nu0 3 --events-out DIR/e.jsonl");
+    let out = bmf_in(&dir, &merge, None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--nu0"), "{stderr}");
+    assert!(!dir.join("o.csv").exists());
+    let events = std::fs::read_to_string(dir.join("e.jsonl")).unwrap();
+    assert!(events.contains("shard.merged"), "{events}");
+    std::fs::remove_dir_all(dir).unwrap();
 }
