@@ -195,7 +195,8 @@ pub fn run_figure(
 /// The whole of `fig4_opamp` and `fig5_adc`: reads the flags, runs and
 /// prints the figure, writes the `--svg <prefix>` pair as
 /// `<prefix>_mean.svg` and `<prefix>_cov.svg`, publishes the dashboard
-/// snapshot and writes the observability artifacts.
+/// snapshot and writes the observability artifacts. A panel that cannot
+/// be written fails the run (exit 1) once the rest is done.
 pub fn figure_main(spec: &FigureSpec) -> ExitCode {
     let grammar = Grammar::new("--svg --threads --fault-rate", "--quick", "");
     let flags = StudyFlags::from_env(&grammar);
@@ -213,19 +214,28 @@ pub fn figure_main(spec: &FigureSpec) -> ExitCode {
     for block in &figure.stdout {
         bmf_obs::outln!("{block}");
     }
+    let mut svg_written = true;
     if let Some(prefix) = flags.args.value("--svg") {
         let (mean, cov) = plot::figure_svgs(spec.plot_title, &figure.result);
         for (suffix, doc) in [("mean", mean), ("cov", cov)] {
             let path = format!("{prefix}_{suffix}.svg");
             match bmf_obs::atomic_write(&path, doc) {
                 Ok(()) => bmf_obs::info!("wrote {path}"),
-                Err(e) => bmf_obs::error!("failed to write {path}: {e}"),
+                Err(e) => {
+                    bmf_obs::error!("failed to write {path}: {e}");
+                    svg_written = false;
+                }
             }
         }
     }
     bmf_obs::info!("elapsed: {:.1?}", t0.elapsed());
     publish_dashboard_snapshot(&flags, (spec.testbench)(), spec.mc_seed);
-    finish(&flags.obs)
+    let flushed = finish(&flags.obs);
+    if svg_written {
+        flushed
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// The flags the figure bins and `ablations` share, read and checked.

@@ -1,4 +1,5 @@
-//! The bench binaries refuse what their grammar does not declare.
+//! The bench binaries refuse what their grammar does not declare, and a
+//! figure bin fails when it cannot write what it was asked to.
 //!
 //! Each bin parses through `bmf_obs::cli`: an unknown flag, a flag
 //! without its value, a repeated single-valued flag and a malformed
@@ -106,4 +107,35 @@ fn tool_bins_refuse_bad_flags() {
     ] {
         assert_refused(bin, args, flag);
     }
+}
+
+#[test]
+fn unwritable_svg_prefix_fails_the_figure_run() {
+    // The figure is still printed and the telemetry flushed; then the
+    // run exits 1, and no panel exists anywhere.
+    let dir = std::env::temp_dir().join(format!("bmf-bench-cli-svg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fig5_adc"))
+        .args(["--quick", "--threads", "1", "--svg"])
+        .arg(dir.join("missing").join("fig5"))
+        .arg("--metrics-out")
+        .arg(dir.join("m.json"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed to write"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with(bmf_bench::FIG5.banner), "{stdout}");
+    assert!(
+        stdout.contains("CV-selected hyper-parameters at n = 32"),
+        "{stdout}"
+    );
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(written, ["m.json"], "only the metrics are written");
+    std::fs::remove_dir_all(dir).unwrap();
 }

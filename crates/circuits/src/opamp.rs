@@ -19,15 +19,16 @@
 //! 4. builds the small-signal [`Netlist`], extracts its transfer function
 //!    `H(s) = N(s)/D(s)` once from the MNA pencil `G + sC`
 //!    ([`crate::mna::AcAnalysis::transfer_function`]) and measures it:
-//!    DC gain, then a log scan plus bisection for the −3 dB and the
-//!    unity-gain crossing, each probe one Horner evaluation, and the
-//!    phase margin `180° + ∠H(jω_u)` in closed form: the Horner value of
-//!    the angle, turned by the sum of the angles under which the roots of
-//!    `N` and `D` see `[0, jω_u]` ([`RationalTransfer::phase`]). The
-//!    reference it is tested against
-//!    runs the same crossings on the dense per-`ω` solve
-//!    ([`crate::mna::AcAnalysis::transfer`]) and unwraps the phase along a
-//!    240-point sweep,
+//!    DC gain, then for the −3 dB and the unity-gain crossing a 60-point
+//!    log scan that brackets it and a bracketed false position in
+//!    `ln f` that polishes it to a few ulps (about 67 probes a die, each
+//!    one Horner evaluation), and the phase margin `180° + ∠H(jω_u)` in
+//!    closed form: the Horner value of the angle, turned by the sum of
+//!    the angles under which the roots of `N` and `D` see `[0, jω_u]`
+//!    ([`RationalTransfer::phase`]). Two references are tested against:
+//!    the same scan with its bracket bisected 60 times (to 1e-13), and
+//!    the dense per-`ω` solve ([`crate::mna::AcAnalysis::transfer`])
+//!    with the phase unwrapped along a 240-point sweep (to 1e-9),
 //! 5. computes power from the actual branch currents and the input offset
 //!    from the mismatch terms.
 //!
@@ -43,6 +44,7 @@ use crate::netlist::Netlist;
 use crate::variation::VariationModel;
 use crate::{CircuitError, Result};
 use bmf_linalg::Complex64;
+use bmf_obs::histograms;
 use bmf_stats::sample_standard_normal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -372,10 +374,23 @@ impl OpAmpTestbench {
         }
     }
 
-    /// Simulates one die at the given stage and variation set.
-    fn simulate(&self, stage: Stage, vars: &DieVariations) -> Result<OpAmpPerformance> {
-        let die = self.bias_die(stage, vars)?;
-        let h = AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)?;
+    /// Simulates one die at the given stage on the variations `draw`
+    /// returns. The draw with the bias and the transfer-function extraction
+    /// each record their latency histogram, as [`measure_ac`] does for the
+    /// crossings and the phase.
+    fn simulate(
+        &self,
+        stage: Stage,
+        draw: impl FnOnce() -> DieVariations,
+    ) -> Result<OpAmpPerformance> {
+        let die = {
+            let _timer = histograms::OPAMP_BIAS_NS.timer();
+            self.bias_die(stage, &draw())?
+        };
+        let h = {
+            let _timer = histograms::OPAMP_EXTRACTION_NS.timer();
+            AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)?
+        };
         let ac = measure_ac(&h)?;
         Ok(OpAmpPerformance {
             gain_db: ac.gain_db,
@@ -482,7 +497,7 @@ impl OpAmpTestbench {
     ///
     /// Propagates simulation/measurement failures.
     pub fn nominal_performance(&self, stage: Stage) -> Result<OpAmpPerformance> {
-        self.simulate(stage, &DieVariations::nominal())
+        self.simulate(stage, DieVariations::nominal)
     }
 
     /// Simulates one Monte Carlo die.
@@ -496,8 +511,7 @@ impl OpAmpTestbench {
         stage: Stage,
         rng: &mut R,
     ) -> Result<OpAmpPerformance> {
-        let vars = self.draw_variations(rng, stage);
-        self.simulate(stage, &vars)
+        self.simulate(stage, || self.draw_variations(rng, stage))
     }
 }
 
@@ -514,18 +528,26 @@ struct Crossings {
 /// Measures DC gain, −3 dB bandwidth and phase margin on the die's
 /// transfer function: the crossings from probes of `|H(jω)|`, the phase
 /// margin `180° + ∠H(jω_u)` unwrapped by the roots of `N` and `D`
-/// ([`RationalTransfer::phase`]).
+/// ([`RationalTransfer::phase`]). The crossings and the phase each record
+/// their latency histogram.
 ///
 /// # Errors
 ///
 /// [`CircuitError::MeasurementFailure`] naming the metric that could not
 /// be measured; evaluation errors propagate where a value is required.
 fn measure_ac(h: &RationalTransfer) -> Result<AcMetrics> {
-    let c = crossings(|omega| h.eval(omega))?;
+    let c = {
+        let _timer = histograms::OPAMP_CROSSINGS_NS.timer();
+        crossings(|omega| h.eval(omega))?
+    };
+    let phase_margin_deg = {
+        let _timer = histograms::OPAMP_PHASE_NS.timer();
+        phase_margin(h, c.unity_hz)?
+    };
     Ok(AcMetrics {
         gain_db: 20.0 * c.gain0.log10(),
         bandwidth_hz: c.bandwidth_hz,
-        phase_margin_deg: phase_margin(h, c.unity_hz)?,
+        phase_margin_deg,
     })
 }
 
@@ -553,16 +575,23 @@ fn phase_margin(h: &RationalTransfer, unity_hz: f64) -> Result<f64> {
 /// be measured; evaluator errors propagate where a value is required.
 fn crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
     let probes = std::cell::Cell::new(0u64);
-    let result = search_crossings(|omega| {
+    let probe = |omega| {
         probes.set(probes.get() + 1);
         h(omega)
+    };
+    let result = search_crossings(probe, |h, target, f_lo, f_hi| {
+        find_crossing_freq(h, target, f_lo, f_hi)
     });
     bmf_obs::counters::OPAMP_CROSSING_EVALS.add(probes.get());
     result
 }
 
-/// [`crossings`] without the count.
-fn search_crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
+/// [`crossings`] without the count, each crossing found by `find` (the
+/// tests pass the bisection reference here).
+fn search_crossings<H: Fn(f64) -> Result<Complex64>>(
+    h: H,
+    find: impl Fn(&H, f64, f64, f64) -> Option<f64>,
+) -> Result<Crossings> {
     let gain0 = h(0.0)?.abs();
     if !(gain0 > 1.0) {
         return Err(CircuitError::MeasurementFailure {
@@ -570,18 +599,17 @@ fn search_crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
             reason: format!("|H(0)| = {gain0:.3e} <= 1"),
         });
     }
-    let bandwidth_hz = find_crossing_freq(&h, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
+    let bandwidth_hz = find(&h, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
         CircuitError::MeasurementFailure {
             metric: "-3dB bandwidth",
             reason: "no crossing in [1 Hz, 100 GHz]".to_string(),
         }
     })?;
-    let unity_hz = find_crossing_freq(&h, 1.0, bandwidth_hz, 1e12).ok_or_else(|| {
-        CircuitError::MeasurementFailure {
+    let unity_hz =
+        find(&h, 1.0, bandwidth_hz, 1e12).ok_or_else(|| CircuitError::MeasurementFailure {
             metric: "unity-gain frequency",
             reason: "no crossing above the -3dB point".to_string(),
-        }
-    })?;
+        })?;
     Ok(Crossings {
         gain0,
         bandwidth_hz,
@@ -589,10 +617,22 @@ fn search_crossings(h: impl Fn(f64) -> Result<Complex64>) -> Result<Crossings> {
     })
 }
 
-/// Finds the frequency (Hz) where `|H|` first crosses `target` from above,
-/// searching `[f_lo, f_hi]` on a log grid followed by bisection. Returns
-/// `None` if no bracket is found or `|H|` is NaN (a failed evaluation) at
-/// any probe.
+/// Points of the log scan that brackets a crossing.
+const SCAN_POINTS: usize = 60;
+
+/// Half the log-width `ln(f_b/f_a)`, in ulps of 1, at which the polish
+/// stops: the bracket is then a few ulps of `f` wide.
+const POLISH_ULPS: f64 = 2.0;
+
+/// Hard cap on the polish steps. A crossing of the op-amp takes at most 10
+/// (over the 2,000 seeded dies per stage and the 12σ corners of the tests).
+const MAX_POLISH_STEPS: usize = 64;
+
+/// Finds the frequency (Hz) where `|H|` first crosses `target` from above
+/// in `[f_lo, f_hi]`: a 60-point log scan brackets the first crossing
+/// ([`scan_bracket`]) and a safeguarded false position polishes it inside
+/// that bracket ([`polish`]). Returns `None` if no bracket is found or a
+/// probe fails (`h` errs or `|H|` is NaN).
 fn find_crossing_freq(
     h: impl Fn(f64) -> Result<Complex64>,
     target: f64,
@@ -600,43 +640,97 @@ fn find_crossing_freq(
     f_hi: f64,
 ) -> Option<f64> {
     let mag = |f: f64| -> f64 { h(TWO_PI * f).map(|v| v.abs()).unwrap_or(f64::NAN) };
-    // Coarse log scan to bracket the crossing.
-    let points = 60;
+    polish(mag, target, scan_bracket(mag, target, f_lo, f_hi)?)
+}
+
+/// The first step of a [`SCAN_POINTS`]-point log grid over `[f_lo, f_hi]`
+/// whose upper end has `|H| ≤ target`, as `(f, |H|)` at both ends (`|H|
+/// > target` at the lower). `None` if `|H(f_lo)|` is not above `target`,
+/// a probe is NaN, or the grid never falls to `target`.
+fn scan_bracket(
+    mag: impl Fn(f64) -> f64,
+    target: f64,
+    f_lo: f64,
+    f_hi: f64,
+) -> Option<[(f64, f64); 2]> {
     let l0 = f_lo.log10();
     let l1 = f_hi.log10();
-    if !(mag(f_lo) > target) {
+    let mut prev = (f_lo, mag(f_lo));
+    if !(prev.1 > target) {
         return None; // already below target at the low end
     }
-    let mut prev_f = f_lo;
-    let mut bracket = None;
-    for k in 1..=points {
-        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
+    for k in 1..=SCAN_POINTS {
+        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / SCAN_POINTS as f64);
         let m = mag(f);
         if m.is_nan() {
             return None;
         }
         if m <= target {
-            bracket = Some((prev_f, f));
+            return Some([prev, (f, m)]);
+        }
+        prev = (f, m);
+    }
+    None
+}
+
+/// Polishes a [`scan_bracket`] to the crossing by false position on
+/// `g = ln(|H|/target)` over `ln f`, which needs no derivative and is near
+/// linear across a scan step. The bracket `[f_a, f_b]` keeps
+/// `g(f_a) > 0 ≥ g(f_b)` and is held in `f`: each step goes to `f_a·eᵘ`
+/// for a `u` within the log-width `w = ln(f_b/f_a)`, so the crossing is
+/// resolved to ulps of `f`, not of `ln f`. The safeguards:
+/// - a chord that leaves the bracket (or is NaN, as at `|H| = 0`) is
+///   replaced by a bisection;
+/// - a step within `tol` of an end moves `tol` inside, so a converged end
+///   pulls the other one in;
+/// - when the same end moves twice running, the value kept at the other
+///   end is scaled down (the Anderson–Björck form of the Illinois rule),
+///   which keeps the convergence superlinear.
+///
+/// Stops once `w ≤ 2·tol` (`tol` is [`POLISH_ULPS`] ulps of 1), once no
+/// float lies between the ends, or after [`MAX_POLISH_STEPS`]; returns
+/// the bracket's geometric centre, or `None` at a NaN probe.
+fn polish(mag: impl Fn(f64) -> f64, target: f64, bracket: [(f64, f64); 2]) -> Option<f64> {
+    const TOL: f64 = POLISH_ULPS * f64::EPSILON;
+    let g = |m: f64| (m / target).ln();
+    let [(mut fa, mut ga), (mut fb, mut gb)] = bracket.map(|(f, m)| (f, g(m)));
+    let mut last_above = None;
+    for _ in 0..MAX_POLISH_STEPS {
+        let w = (fb / fa).ln();
+        if w <= 2.0 * TOL {
             break;
         }
-        prev_f = f;
-    }
-    let (mut lo, mut hi) = bracket?;
-    // Log-domain bisection.
-    for _ in 0..60 {
-        let mid = (lo.log10() + hi.log10()) / 2.0;
-        let fm = 10f64.powf(mid);
-        let m = mag(fm);
-        if m.is_nan() {
+        // Where the chord crosses zero, as a share of the log-width.
+        let t = ga / (ga - gb);
+        let u = if t > 0.0 && t <= 1.0 {
+            (t * w).max(TOL).min(w - TOL)
+        } else {
+            0.5 * w
+        };
+        let f = fa * u.exp();
+        if !(f > fa && f < fb) {
+            break;
+        }
+        let gf = g(mag(f));
+        if gf.is_nan() {
             return None;
         }
-        if m > target {
-            lo = fm;
+        let above = gf > 0.0;
+        let (moved, kept) = if above {
+            fa = f;
+            (&mut ga, &mut gb)
         } else {
-            hi = fm;
+            fb = f;
+            (&mut gb, &mut ga)
+        };
+        if last_above == Some(above) {
+            let scale = 1.0 - gf / *moved;
+            *kept *= if scale > 0.0 { scale } else { 0.5 };
         }
+        *moved = gf;
+        last_above = Some(above);
     }
-    Some((lo * hi).sqrt())
+    Some((fa * fb).sqrt())
 }
 
 #[cfg(test)]
@@ -788,7 +882,7 @@ mod tests {
             find_crossing_freq(dense, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap(),
             find_crossing_freq(pencil, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap(),
         ] {
-            assert!((f - fc).abs() / fc < 1e-6, "f = {f}, fc = {fc}");
+            assert!((f - fc).abs() <= 1e-12 * fc, "f = {f}, fc = {fc}");
         }
         // No crossing when the target is above the passband value.
         assert!(find_crossing_freq(dense, 2.0, 1.0, 1e10).is_none());
@@ -800,7 +894,7 @@ mod tests {
         // One pole at f_c ≈ 159 kHz. The log scan over [1 Hz, 10 GHz]
         // brackets it between 10^(31/6) ≈ 147 kHz and 10^(32/6) ≈ 215 kHz;
         // every probe strictly inside (150, 210) kHz fails, so the first
-        // bisection midpoint (≈ 178 kHz) does.
+        // polish step (≈ 157 kHz, the chord in log–log) does.
         let fc = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
         let one_pole =
             |w: f64| Complex64::ONE / Complex64::new(1.0, w / (2.0 * std::f64::consts::PI * fc));
@@ -869,6 +963,102 @@ mod tests {
         })
     }
 
+    /// The reference crossing search: the same log scan, its bracket then
+    /// bisected 60 times in log f.
+    fn find_crossing_freq_bisected(
+        h: impl Fn(f64) -> Result<Complex64>,
+        target: f64,
+        f_lo: f64,
+        f_hi: f64,
+    ) -> Option<f64> {
+        let mag = |f: f64| -> f64 { h(TWO_PI * f).map(|v| v.abs()).unwrap_or(f64::NAN) };
+        let [(mut lo, _), (mut hi, _)] = scan_bracket(mag, target, f_lo, f_hi)?;
+        for _ in 0..60 {
+            let mid = (lo.log10() + hi.log10()) / 2.0;
+            let fm = 10f64.powf(mid);
+            let m = mag(fm);
+            if m.is_nan() {
+                return None;
+            }
+            if m > target {
+                lo = fm;
+            } else {
+                hi = fm;
+            }
+        }
+        Some((lo * hi).sqrt())
+    }
+
+    /// The crossings of `tf` by `find`, with the phase margin at the unity
+    /// crossing, as `(name, value)` pairs.
+    fn crossings_and_margin(
+        tf: &RationalTransfer,
+        find: impl Fn(&dyn Fn(f64) -> Result<Complex64>, f64, f64, f64) -> Option<f64>,
+    ) -> Result<[(&'static str, f64); 4]> {
+        let eval: &dyn Fn(f64) -> Result<Complex64> = &|w| tf.eval(w);
+        let c = search_crossings(eval, |h, t, lo, hi| find(*h, t, lo, hi))?;
+        Ok([
+            ("dc gain", c.gain0),
+            ("bandwidth", c.bandwidth_hz),
+            ("unity frequency", c.unity_hz),
+            ("phase margin", phase_margin(tf, c.unity_hz)?),
+        ])
+    }
+
+    /// Asserts that two measurements of one die agree to `rel` relative,
+    /// metric by metric, or fail with the same metric; returns whether
+    /// they failed.
+    fn assert_agree<const N: usize>(
+        label: &str,
+        a: Result<[(&str, f64); N]>,
+        b: Result<[(&str, f64); N]>,
+        rel: f64,
+    ) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                for ((name, x), (_, y)) in a.into_iter().zip(b) {
+                    assert!(
+                        (x - y).abs() <= rel * x.abs(),
+                        "{label}: {name} {x} vs {y} ({:.2e} relative)",
+                        (x - y).abs() / x.abs()
+                    );
+                }
+                false
+            }
+            (
+                Err(CircuitError::MeasurementFailure { metric: m1, .. }),
+                Err(CircuitError::MeasurementFailure { metric: m2, .. }),
+            ) => {
+                assert_eq!(m1, m2, "{label}");
+                true
+            }
+            (a, b) => panic!("{label}: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// Calls `check` with the MNA analysis of each of `dies` seeded dies
+    /// per stage that biases (bias failures happen before any evaluator
+    /// is built) and a label naming the die.
+    fn for_each_die(
+        tb: &OpAmpTestbench,
+        dies: usize,
+        seed: u64,
+        mut check: impl FnMut(&str, &AcAnalysis),
+    ) {
+        for stage in [Stage::Schematic, Stage::PostLayout] {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            for die in 0..dies {
+                let vars = tb.draw_variations(&mut r, stage);
+                if let Ok(biased) = tb.bias_die(stage, &vars) {
+                    check(
+                        &format!("{stage} die {die}"),
+                        &AcAnalysis::new(&biased.netlist),
+                    );
+                }
+            }
+        }
+    }
+
     /// Measures `dies` seeded dies per stage twice: the testbench's way, on
     /// the extracted transfer function with the phase from its roots, and
     /// the reference way, on the dense per-ω solve with the swept phase.
@@ -876,42 +1066,38 @@ mod tests {
     /// with the same metric. Returns the number of measurement failures.
     fn check_pencil_against_dense(tb: &OpAmpTestbench, dies: usize, seed: u64) -> usize {
         let mut failures = 0;
-        for stage in [Stage::Schematic, Stage::PostLayout] {
-            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-            for die in 0..dies {
-                let vars = tb.draw_variations(&mut r, stage);
-                // Bias failures happen before either evaluator is built.
-                let Ok(biased) = tb.bias_die(stage, &vars) else {
-                    continue;
-                };
-                let ac = AcAnalysis::new(&biased.netlist);
-                let tf = ac.transfer_function(OUT_NODE).unwrap();
-                let dense = measure_ac_swept(|w| ac.transfer(OUT_NODE, w));
-                let pencil = measure_ac(&tf);
-                match (dense, pencil) {
-                    (Ok(a), Ok(b)) => {
-                        for (name, x, y) in [
-                            ("gain", a.gain_db, b.gain_db),
-                            ("bandwidth", a.bandwidth_hz, b.bandwidth_hz),
-                            ("phase margin", a.phase_margin_deg, b.phase_margin_deg),
-                        ] {
-                            assert!(
-                                (x - y).abs() <= 1e-9 * x.abs(),
-                                "{stage} die {die}: {name} {x} (dense) vs {y} (pencil)"
-                            );
-                        }
-                    }
-                    (
-                        Err(CircuitError::MeasurementFailure { metric: m1, .. }),
-                        Err(CircuitError::MeasurementFailure { metric: m2, .. }),
-                    ) => {
-                        assert_eq!(m1, m2, "{stage} die {die}");
-                        failures += 1;
-                    }
-                    (a, b) => panic!("{stage} die {die}: dense {a:?} vs pencil {b:?}"),
-                }
-            }
-        }
+        let metrics = |m: AcMetrics| {
+            [
+                ("gain", m.gain_db),
+                ("bandwidth", m.bandwidth_hz),
+                ("phase margin", m.phase_margin_deg),
+            ]
+        };
+        for_each_die(tb, dies, seed, |label, ac| {
+            let tf = ac.transfer_function(OUT_NODE).unwrap();
+            let dense = measure_ac_swept(|w| ac.transfer(OUT_NODE, w)).map(metrics);
+            let pencil = measure_ac(&tf).map(metrics);
+            failures += usize::from(assert_agree(label, dense, pencil, 1e-9));
+        });
+        failures
+    }
+
+    /// Crosses `dies` seeded dies per stage by the polish and by the
+    /// bisection reference on the same transfer function: the crossings
+    /// and the phase margin must agree to 1e-13 relative and the same
+    /// dies must fail with the same metric. Returns the number of
+    /// measurement failures.
+    fn check_polish_against_bisection(tb: &OpAmpTestbench, dies: usize, seed: u64) -> usize {
+        let mut failures = 0;
+        for_each_die(tb, dies, seed, |label, ac| {
+            let tf = ac.transfer_function(OUT_NODE).unwrap();
+            let polished =
+                crossings_and_margin(&tf, |h, t, lo, hi| find_crossing_freq(h, t, lo, hi));
+            let bisected = crossings_and_margin(&tf, |h, t, lo, hi| {
+                find_crossing_freq_bisected(h, t, lo, hi)
+            });
+            failures += usize::from(assert_agree(label, bisected, polished, 1e-13));
+        });
         failures
     }
 
@@ -1002,11 +1188,9 @@ mod tests {
         assert_eq!(check_pencil_against_dense(&tb, 2000, 2015), 0);
     }
 
-    #[test]
-    fn pencil_measurement_matches_dense_oracle_at_corners() {
-        // Every σ twelve-fold: corner dies whose λ nearly vanishes have
-        // their −3 dB corner below 1 Hz, and both paths must reject the
-        // same ones with the same metric.
+    /// Every σ twelve-fold: corner dies whose λ nearly vanishes have their
+    /// −3 dB corner below 1 Hz.
+    fn corner_testbench() -> OpAmpTestbench {
         let base = OpAmpTestbench::default_45nm();
         let v = VariationModel::nominal_45nm();
         let wide = VariationModel {
@@ -1016,9 +1200,21 @@ mod tests {
             ak: 12.0 * v.ak,
             sigma_lambda_global: 12.0 * v.sigma_lambda_global,
         };
-        let tb =
-            OpAmpTestbench::new(base.design, base.nmos, base.pmos, wide, base.parasitics).unwrap();
-        let failures = check_pencil_against_dense(&tb, 1000, 7);
+        OpAmpTestbench::new(base.design, base.nmos, base.pmos, wide, base.parasitics).unwrap()
+    }
+
+    #[test]
+    fn pencil_measurement_matches_dense_oracle_at_corners() {
+        // Both paths must reject the same corner dies with the same metric.
+        let failures = check_pencil_against_dense(&corner_testbench(), 1000, 7);
+        assert!(failures > 0, "the widened run must reach failing dies");
+    }
+
+    #[test]
+    fn polished_crossings_match_the_bisection_reference() {
+        let tb = OpAmpTestbench::default_45nm();
+        assert_eq!(check_polish_against_bisection(&tb, 2000, 2015), 0);
+        let failures = check_polish_against_bisection(&corner_testbench(), 1000, 7);
         assert!(failures > 0, "the widened run must reach failing dies");
     }
 }

@@ -5,17 +5,24 @@
 //! Any change to a single bit of either testbench's output fails here, so a
 //! re-baseline is always a deliberate, reviewed edit of these constants.
 //!
-//! The op-amp digests date from the switch of its phase margin to
-//! `arg(H(jω_u)/H(0))` by Horner, with the sum of the root angles of `N(s)`
-//! and `D(s)` picking only the whole turn (`RationalTransfer::phase`).
-//! That moved the last bits of `phase_margin_deg` only: over 120,000
-//! seeded dies, 41% of the margins moved, by at most 6.5e-16 relative, and
-//! gain, bandwidth, power and offset kept every bit. Gain and bandwidth
-//! come from one `G + sC` transfer-function extraction per die. The
-//! oracle bounding all of them is `opamp.rs`'s
-//! `pencil_measurement_matches_dense_oracle` (and its 12σ-corner twin):
-//! the dense per-frequency solve with the swept phase agrees to 1e-9
-//! relative, and the same dies fail with the same metric.
+//! The op-amp digests date from the switch of its crossings to a polish
+//! inside the unchanged 60-point log scan: false position on
+//! `ln(|H|/target)` over `ln f` (Anderson–Björck) instead of 60 bisection
+//! steps. That moved the last bits of `bandwidth_hz` and, through the
+//! unity-gain frequency, of `phase_margin_deg` only: over 20,000 seeded
+//! dies per stage, 82% of the bandwidths moved, by at most 1.7e-15
+//! relative, and 60% of the margins, by at most 8.7e-16; gain, power and
+//! offset kept every bit. The oracles bounding them are `opamp.rs`'s
+//! `polished_crossings_match_the_bisection_reference` (the 60-step
+//! bisection, kept under `#[cfg(test)]`, agrees to 1e-13 relative on
+//! both crossings and the margin, over 2,000 seeded dies per stage and
+//! the 12σ corners, and the same dies fail with the same metric) and
+//! `pencil_measurement_matches_dense_oracle` with its 12σ-corner twin
+//! (the dense per-frequency solve with the swept phase agrees to 1e-9
+//! relative). Gain and bandwidth come from one `G + sC` transfer-function
+//! extraction per die, and the phase margin is `arg(H(jω_u)/H(0))` by
+//! Horner with the sum of the root angles of `N(s)` and `D(s)` picking
+//! only the whole turn (`RationalTransfer::phase`).
 //!
 //! The two ADC digests date from the switch of its spectral path to the
 //! split-format radix-2² FFT: the comparator walk fills the FFT's input
@@ -58,7 +65,7 @@ fn opamp_schematic_digest() {
     check(
         &OpAmpTestbench::default_45nm(),
         Stage::Schematic,
-        0xb8ca_21ec_8155_ae03,
+        0x7822_5ecb_cdc8_6dfd,
     );
 }
 
@@ -67,7 +74,7 @@ fn opamp_post_layout_digest() {
     check(
         &OpAmpTestbench::default_45nm(),
         Stage::PostLayout,
-        0x9fd0_1322_8089_2180,
+        0x20a9_ab7d_7dc3_a501,
     );
 }
 

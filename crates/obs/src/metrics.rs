@@ -403,8 +403,27 @@ pub mod histograms {
     pub static EIGEN_NS: Histogram = Histogram::new("eigen.ns");
     /// Wall time of each spectrum analysis (FFT + metric extraction).
     pub static SPECTRUM_NS: Histogram = Histogram::new("spectrum.ns");
+    /// Per op-amp die: the variation draw, bias resolution and
+    /// small-signal netlist (the nominal run draws nothing).
+    pub static OPAMP_BIAS_NS: Histogram = Histogram::new("opamp.bias.ns");
+    /// Per op-amp die: the `H(s) = N(s)/D(s)` extraction from the MNA
+    /// pencil.
+    pub static OPAMP_EXTRACTION_NS: Histogram = Histogram::new("opamp.extraction.ns");
+    /// Per op-amp die: the DC gain and the −3 dB and unity-gain crossing
+    /// searches.
+    pub static OPAMP_CROSSINGS_NS: Histogram = Histogram::new("opamp.crossings.ns");
+    /// Per op-amp die: the phase margin at the unity crossing.
+    pub static OPAMP_PHASE_NS: Histogram = Histogram::new("opamp.phase.ns");
 
-    static ALL: [&Histogram; 3] = [&CHOLESKY_NS, &EIGEN_NS, &SPECTRUM_NS];
+    static ALL: [&Histogram; 7] = [
+        &CHOLESKY_NS,
+        &EIGEN_NS,
+        &SPECTRUM_NS,
+        &OPAMP_BIAS_NS,
+        &OPAMP_EXTRACTION_NS,
+        &OPAMP_CROSSINGS_NS,
+        &OPAMP_PHASE_NS,
+    ];
 
     /// Every registered histogram, in snapshot order.
     pub fn all() -> &'static [&'static Histogram] {

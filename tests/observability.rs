@@ -200,8 +200,10 @@ fn opamp_dies_extract_once_and_probe_a_pinned_count() {
         .expect("die");
     let one = bmf_ams::obs::metrics::snapshot();
     assert_eq!(one.counter("mna.transfer_functions"), 1);
-    // 1 DC probe, then per crossing 1 + its log-scan steps + 60 bisections.
-    assert_eq!(one.counter("opamp.crossing_evals"), 175);
+    // 1 DC probe; per crossing 1 low-end probe and its log-scan steps
+    // (52 for the two here); then the polish inside each bracket (12 for
+    // the two, where 60 bisection steps each took 120): 67 in all.
+    assert_eq!(one.counter("opamp.crossing_evals"), 67);
 
     // A Monte Carlo stage: its nominal run plus one extraction per die.
     bmf_ams::obs::reset();
@@ -211,6 +213,38 @@ fn opamp_dies_extract_once_and_probe_a_pinned_count() {
     assert_eq!(mc.counter("monte_carlo.sims"), 16);
     assert_eq!(mc.counter("monte_carlo.retries"), 0);
     assert_eq!(mc.counter("mna.transfer_functions"), 17);
+    bmf_ams::obs::reset();
+}
+
+/// The op-amp's per-die phase histograms: with recording on, a seeded
+/// 16-die stage records one sample per die in each, plus one for its
+/// nominal run; with recording off they stay empty.
+#[test]
+fn opamp_phase_histograms_record_one_sample_per_die() {
+    let _g = obs_lock();
+    let tb = OpAmpTestbench::default_45nm();
+    let phases = [
+        "opamp.bias.ns",
+        "opamp.extraction.ns",
+        "opamp.crossings.ns",
+        "opamp.phase.ns",
+    ];
+    let counts = || {
+        let snapshot = bmf_ams::obs::metrics::snapshot();
+        phases.map(|name| {
+            let h = snapshot.histograms.iter().find(|h| h.name == name);
+            h.unwrap_or_else(|| panic!("{name} is not registered"))
+                .count
+        })
+    };
+    run_monte_carlo_seeded(&tb, Stage::PostLayout, 16, 5, 2).expect("mc");
+    assert_eq!(counts(), [0; 4], "recording off");
+
+    bmf_ams::obs::enable();
+    run_monte_carlo_seeded(&tb, Stage::PostLayout, 16, 5, 2).expect("mc");
+    let retries = bmf_ams::obs::metrics::snapshot().counter("monte_carlo.retries");
+    assert_eq!(retries, 0);
+    assert_eq!(counts(), [17; 4], "16 dies and the nominal run");
     bmf_ams::obs::reset();
 }
 

@@ -601,15 +601,15 @@ fn cli_report_write_is_atomic_and_complete() {
 /// A mismatch means a command now writes different bits; re-baseline
 /// only on purpose.
 const GOLDEN_DIGESTS: &[(&str, u64)] = &[
-    ("early.csv", 0x2B66_1B52_73F8_0029),
-    ("late.csv", 0x17AC_906C_3310_D914),
-    ("estimate.csv", 0x4913_AF41_CE9B_ED04),
-    ("estimate.json", 0x35AC_03DC_6D54_41B1),
-    ("p0.json", 0xD726_940B_5975_F632),
-    ("p1.json", 0xB263_D98B_195D_2791),
-    ("p2.json", 0xC472_6A13_D16F_F1F0),
-    ("merge.csv", 0x70B9_9A01_4C95_326B),
-    ("merge.json", 0x1DBA_F85B_CBAE_C3AE),
+    ("early.csv", 0x4654_F94D_E3F3_514F),
+    ("late.csv", 0xF6EC_3319_6480_B4EA),
+    ("estimate.csv", 0x6B0C_0832_7818_79A3),
+    ("estimate.json", 0xAB27_9F89_8ABD_6BED),
+    ("p0.json", 0xB7CB_E13C_5B72_D501),
+    ("p1.json", 0x284B_CAD1_CF5F_3364),
+    ("p2.json", 0x5F88_7283_4B78_28D3),
+    ("merge.csv", 0x42B7_2928_4CC1_B5F4),
+    ("merge.json", 0x0006_4A2D_AA22_D058),
 ];
 
 /// `json` without the member `"key":value` and the comma after it. The
