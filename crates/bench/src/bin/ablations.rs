@@ -62,7 +62,7 @@ fn cv_map_estimate(
     seed: u64,
     threads: usize,
 ) -> bmf_core::Result<MomentEstimate> {
-    let sel = CrossValidation::default().select_seeded(early, samples, seed, threads)?;
+    let sel = CrossValidation.select_seeded(early, samples, seed, threads)?;
     map_estimate(early, (sel.kappa0, sel.nu0), samples)
 }
 
@@ -181,7 +181,7 @@ fn ablation_prior_corruption(
     threads: usize,
 ) {
     bmf_obs::outln!("--- ablation 3: prior corruption vs selected confidence (n = {n}) ---");
-    let cv = CrossValidation::default();
+    let cv = CrossValidation;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
     let mut corrupt_mean = study.early_moments.clone();

@@ -4,7 +4,7 @@
 //! Three of the tracked stages (see [`bmf_bench::stages`]) are timed at
 //! several thread counts:
 //!
-//! 1. **cv_select_default_grid** — `CrossValidation::default()` (12×12
+//! 1. **cv_select_default_grid** — `CrossValidation` (12×12
 //!    grid, Q = 4, 8 repeats) via `CrossValidation::select_seeded`.
 //! 2. **monte_carlo_opamp** — seeded Monte Carlo on the 45 nm op-amp
 //!    testbench.
@@ -34,6 +34,7 @@
 
 use bmf_bench::stages::Workloads;
 use bmf_circuits::monte_carlo::{run_monte_carlo_seeded, Stage};
+use bmf_core::cv::CrossValidation;
 use bmf_core::parallel::available_threads;
 use bmf_obs::cli::{self, Grammar, ObsOptions};
 
@@ -105,14 +106,14 @@ fn main() {
     let w = Workloads::prepare(quick, avail);
 
     // Stage 1: default-grid CV selection.
-    let reference =
-        w.cv.select_seeded(&w.cv_early, &w.cv_late, 6, 1)
-            .expect("cv select");
+    let reference = CrossValidation
+        .select_seeded(&w.cv_early, &w.cv_late, 6, 1)
+        .expect("cv select");
     let mut cv_cells = Vec::new();
     for &t in &thread_counts {
-        let sel =
-            w.cv.select_seeded(&w.cv_early, &w.cv_late, 6, t)
-                .expect("cv select");
+        let sel = CrossValidation
+            .select_seeded(&w.cv_early, &w.cv_late, 6, t)
+            .expect("cv select");
         assert_eq!(
             sel, reference,
             "CV selection must be bit-identical at {t} threads"

@@ -19,12 +19,12 @@ use bmf_circuits::adc::AdcTestbench;
 use bmf_circuits::fault::{check_study_fault_rate, FaultConfig, FaultInjector};
 use bmf_circuits::monte_carlo::{two_stage_study_seeded, Testbench, TwoStageStudy};
 use bmf_circuits::opamp::OpAmpTestbench;
-use bmf_core::drift::{DriftConfig, DriftMonitor};
+use bmf_core::drift::DriftMonitor;
 use bmf_core::experiment::{
     cost_reduction, prepare, run_error_sweep_parallel, ErrorKind, SweepConfig, SweepResult,
     TwoStageData,
 };
-use bmf_core::guard::{self, GuardPolicy};
+use bmf_core::guard;
 use bmf_core::pipeline::RobustPipeline;
 use bmf_linalg::Matrix;
 use bmf_obs::cli::{self, Args, Grammar, ObsOptions, UsageError};
@@ -308,7 +308,6 @@ pub fn fault_config_for_rate(rate: f64) -> FaultConfig {
         sim_failure_rate: rate,
         nan_rate: rate / 5.0,
         outlier_rate: rate / 5.0,
-        ..FaultConfig::default()
     }
 }
 
@@ -340,12 +339,8 @@ pub fn study_data<T: Testbench>(
     let injector = FaultInjector::new(tb, fault_config_for_rate(fault_rate))?;
     let study = two_stage_study_seeded(&injector, pool, pool, mc_seed, threads)?;
     let mut data = study_to_data(&study);
-    let policy = GuardPolicy {
-        drop_outliers: true,
-        ..GuardPolicy::default()
-    };
-    let (early_clean, early_dq) = guard::screen(&data.early_samples, &policy)?;
-    let (late_clean, late_dq) = guard::screen(&data.late_samples, &policy)?;
+    let (early_clean, early_dq) = guard::screen(&data.early_samples, true)?;
+    let (late_clean, late_dq) = guard::screen(&data.late_samples, true)?;
     data.early_samples = early_clean;
     data.late_samples = late_clean;
     let summary = format!(
@@ -396,7 +391,7 @@ pub fn publish_dashboard_snapshot<T: Testbench>(flags: &StudyFlags, tb: T, mc_se
         RobustPipeline::new()
             .with_threads(flags.threads)
             .estimate(&prepared.early_moments, &late)?;
-        let mut monitor = DriftMonitor::new(&prepared.early_moments, DriftConfig::default())?;
+        let mut monitor = DriftMonitor::new(&prepared.early_moments)?;
         monitor.push_batch(pool)?;
         bmf_obs::serve::publish_drift(&monitor.into_timeline());
         Ok(())
@@ -429,7 +424,6 @@ pub fn format_cost_reduction(result: &SweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmf_core::cv::CrossValidation;
 
     #[test]
     fn study_conversion_preserves_shapes() {
@@ -450,7 +444,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8],
             repetitions: 2,
-            cv: CrossValidation::new(vec![1.0, 100.0], vec![10.0, 100.0], 2).unwrap(),
             seed: 3,
         };
         for fault_rate in [0.0, 0.1] {

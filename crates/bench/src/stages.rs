@@ -5,7 +5,7 @@
 //! meaningless, so the workload construction and the timing harness live
 //! here. The tracked stages mirror the pipeline's hot paths:
 //!
-//! 1. **cv_select_default_grid** — `CrossValidation::default()` (12×12
+//! 1. **cv_select_default_grid** — `CrossValidation` (12×12
 //!    grid, Q = 4, 8 repeats) on a synthetic d = 5 problem, in seconds.
 //! 2. **cv_candidate_throughput** — the same selection reported as
 //!    feasible candidates scored per second (higher is better; the
@@ -91,8 +91,6 @@ pub struct Workloads {
     pub cv_early: MomentEstimate,
     /// Synthetic late samples for the CV stage.
     pub cv_late: Matrix,
-    /// The paper-default CV grid (12×12, Q = 4, 8 repeats).
-    pub cv: CrossValidation,
     /// Monte Carlo sample count for the op-amp stage.
     pub mc_n: usize,
     /// The op-amp testbench the Monte Carlo stage simulates.
@@ -120,8 +118,6 @@ impl Workloads {
         let sweep = SweepConfig {
             sample_sizes: vec![8, 16],
             repetitions: reps,
-            // The full default grid so each repetition carries real work.
-            cv: CrossValidation::default(),
             seed: 3,
         };
         let shard_config = StudyConfig {
@@ -142,7 +138,6 @@ impl Workloads {
         Workloads {
             cv_early,
             cv_late,
-            cv: CrossValidation::default(),
             mc_n,
             opamp: OpAmpTestbench::default_45nm(),
             prepared,
@@ -160,7 +155,7 @@ impl Workloads {
     pub fn run(&self, stage: &str, threads: usize) {
         match stage {
             "cv_select_default_grid" | "cv_candidate_throughput" => {
-                self.cv
+                CrossValidation
                     .select_seeded(&self.cv_early, &self.cv_late, 6, threads)
                     .expect("cv select");
             }
@@ -193,7 +188,7 @@ impl Workloads {
     /// Number of feasible `(κ₀, ν₀)` candidates the CV stages score per
     /// select call (the numerator of `cv_candidate_throughput`).
     pub fn cv_feasible_candidates(&self) -> usize {
-        self.cv.feasible_candidate_count(self.cv_early.mean.len())
+        CrossValidation.feasible_candidate_count(self.cv_early.mean.len())
     }
 
     /// The recorded value of one stage: seconds for duration stages,

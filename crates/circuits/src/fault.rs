@@ -19,8 +19,13 @@ use crate::{CircuitError, Result};
 use bmf_linalg::Vector;
 use rand::Rng;
 
-/// Fault rates and shapes for a [`FaultInjector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Outlier severity: a corrupted metric is shifted by
+/// `±OUTLIER_MAGNITUDE · (1 + |value|)`, so it is gross at any metric
+/// scale.
+const OUTLIER_MAGNITUDE: f64 = 50.0;
+
+/// Fault rates for a [`FaultInjector`]; each defaults to zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a draw fails outright with
     /// [`CircuitError::InjectedFault`] (exercises the retry path).
@@ -31,21 +36,6 @@ pub struct FaultConfig {
     /// Probability that one metric of an otherwise-successful draw is
     /// perturbed into a gross outlier (exercises MAD flagging).
     pub outlier_rate: f64,
-    /// Outlier severity: the corrupted metric is shifted by
-    /// `±outlier_magnitude · (1 + |value|)`, so it is gross at any metric
-    /// scale. Default `50.0`.
-    pub outlier_magnitude: f64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            sim_failure_rate: 0.0,
-            nan_rate: 0.0,
-            outlier_rate: 0.0,
-            outlier_magnitude: 50.0,
-        }
-    }
 }
 
 impl FaultConfig {
@@ -57,8 +47,7 @@ impl FaultConfig {
         }
     }
 
-    /// Validates rates (each in `[0, 1]`) and the outlier magnitude
-    /// (finite, positive).
+    /// Validates rates (each in `[0, 1]`).
     ///
     /// # Errors
     ///
@@ -77,13 +66,6 @@ impl FaultConfig {
                     constraint: "0 <= rate <= 1",
                 });
             }
-        }
-        if !(self.outlier_magnitude > 0.0) || !self.outlier_magnitude.is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "fault outlier_magnitude",
-                value: self.outlier_magnitude,
-                constraint: "finite and > 0",
-            });
         }
         Ok(())
     }
@@ -205,7 +187,7 @@ impl<T: Testbench> Testbench for FaultInjector<T> {
         if u_out < self.config.outlier_rate && d > 0 {
             bmf_obs::counters::FAULT_INJECTIONS.incr();
             bmf_obs::event!(Debug, "fault.injected", "fault": "outlier", "col": out_col);
-            let shift = self.config.outlier_magnitude * (1.0 + v[out_col].abs());
+            let shift = OUTLIER_MAGNITUDE * (1.0 + v[out_col].abs());
             v[out_col] += if out_sign { shift } else { -shift };
         }
         // NaN after outlier so a doubly-unlucky draw ends up NaN — the
@@ -244,11 +226,6 @@ mod tests {
         for bad in [-0.1, 1.5, f64::NAN] {
             assert!(FaultConfig::failures(bad).validate().is_err(), "{bad}");
         }
-        let bad_mag = FaultConfig {
-            outlier_magnitude: 0.0,
-            ..FaultConfig::default()
-        };
-        assert!(bad_mag.validate().is_err());
         assert!(
             FaultInjector::new(OpAmpTestbench::default_45nm(), FaultConfig::failures(2.0)).is_err()
         );
@@ -313,7 +290,7 @@ mod tests {
         .unwrap();
         let dirty = run_monte_carlo_seeded(&tb, Stage::Schematic, 10, 5, 1).unwrap();
         // Every row has exactly one corrupted metric, displaced by at
-        // least `outlier_magnitude` (the shift is magnitude·(1+|v|)).
+        // least `OUTLIER_MAGNITUDE` (the shift is magnitude·(1+|v|)).
         let clean_norm: f64 = (0..10)
             .map(|i| (0..5).map(|j| clean.samples[(i, j)].abs()).sum::<f64>())
             .sum();
@@ -321,7 +298,7 @@ mod tests {
             .map(|i| (0..5).map(|j| dirty.samples[(i, j)].abs()).sum::<f64>())
             .sum();
         assert!(
-            dirty_norm > clean_norm + 10.0 * 50.0,
+            dirty_norm > clean_norm + 10.0 * OUTLIER_MAGNITUDE,
             "outliers not gross: clean {clean_norm:.3}, dirty {dirty_norm:.3}"
         );
     }
@@ -334,7 +311,6 @@ mod tests {
                 sim_failure_rate: 0.1,
                 nan_rate: 0.05,
                 outlier_rate: 0.05,
-                outlier_magnitude: 50.0,
             },
         )
         .unwrap();

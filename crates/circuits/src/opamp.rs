@@ -44,7 +44,7 @@ use crate::netlist::Netlist;
 use crate::variation::VariationModel;
 use crate::{CircuitError, Result};
 use bmf_linalg::Complex64;
-use bmf_obs::histograms;
+use bmf_obs::{histograms, PhaseClock};
 use bmf_stats::sample_standard_normal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -376,22 +376,19 @@ impl OpAmpTestbench {
 
     /// Simulates one die at the given stage on the variations `draw`
     /// returns. The draw with the bias and the transfer-function extraction
-    /// each record their latency histogram, as [`measure_ac`] does for the
-    /// crossings and the phase.
+    /// each record their latency histogram on one [`PhaseClock`], which
+    /// [`measure_ac`] carries on through the crossings and the phase.
     fn simulate(
         &self,
         stage: Stage,
         draw: impl FnOnce() -> DieVariations,
     ) -> Result<OpAmpPerformance> {
-        let die = {
-            let _timer = histograms::OPAMP_BIAS_NS.timer();
-            self.bias_die(stage, &draw())?
-        };
-        let h = {
-            let _timer = histograms::OPAMP_EXTRACTION_NS.timer();
-            AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)?
-        };
-        let ac = measure_ac(&h)?;
+        let mut clock = PhaseClock::start();
+        let die = clock.time(&histograms::OPAMP_BIAS_NS, || self.bias_die(stage, &draw()))?;
+        let h = clock.time(&histograms::OPAMP_EXTRACTION_NS, || {
+            AcAnalysis::new(&die.netlist).transfer_function(OUT_NODE)
+        })?;
+        let ac = measure_ac(&h, &mut clock)?;
         Ok(OpAmpPerformance {
             gain_db: ac.gain_db,
             bandwidth_hz: ac.bandwidth_hz,
@@ -529,21 +526,18 @@ struct Crossings {
 /// transfer function: the crossings from probes of `|H(jω)|`, the phase
 /// margin `180° + ∠H(jω_u)` unwrapped by the roots of `N` and `D`
 /// ([`RationalTransfer::phase`]). The crossings and the phase each record
-/// their latency histogram.
+/// their latency histogram on `clock`.
 ///
 /// # Errors
 ///
 /// [`CircuitError::MeasurementFailure`] naming the metric that could not
 /// be measured; evaluation errors propagate where a value is required.
-fn measure_ac(h: &RationalTransfer) -> Result<AcMetrics> {
-    let c = {
-        let _timer = histograms::OPAMP_CROSSINGS_NS.timer();
-        crossings(|omega| h.eval(omega))?
-    };
-    let phase_margin_deg = {
-        let _timer = histograms::OPAMP_PHASE_NS.timer();
-        phase_margin(h, c.unity_hz)?
-    };
+fn measure_ac(h: &RationalTransfer, clock: &mut PhaseClock) -> Result<AcMetrics> {
+    let c = clock.time(&histograms::OPAMP_CROSSINGS_NS, || {
+        crossings(|omega| h.eval(omega))
+    })?;
+    let phase_margin_deg =
+        clock.time(&histograms::OPAMP_PHASE_NS, || phase_margin(h, c.unity_hz))?;
     Ok(AcMetrics {
         gain_db: 20.0 * c.gain0.log10(),
         bandwidth_hz: c.bandwidth_hz,
@@ -1076,7 +1070,7 @@ mod tests {
         for_each_die(tb, dies, seed, |label, ac| {
             let tf = ac.transfer_function(OUT_NODE).unwrap();
             let dense = measure_ac_swept(|w| ac.transfer(OUT_NODE, w)).map(metrics);
-            let pencil = measure_ac(&tf).map(metrics);
+            let pencil = measure_ac(&tf, &mut PhaseClock::start()).map(metrics);
             failures += usize::from(assert_agree(label, dense, pencil, 1e-9));
         });
         failures
@@ -1137,7 +1131,9 @@ mod tests {
             let unit = RationalTransfer::from_roots(1.0, &zeros, &poles);
             let gain = 1.0 / unit.eval(w).unwrap().abs();
             let h = RationalTransfer::from_roots(gain, &zeros, &poles);
-            let pm = measure_ac(&h).unwrap().phase_margin_deg;
+            let pm = measure_ac(&h, &mut PhaseClock::start())
+                .unwrap()
+                .phase_margin_deg;
             let expected = 180.0 + phase.to_degrees();
             assert!(
                 (pm - expected).abs() <= 1e-12 * expected.abs(),
@@ -1162,7 +1158,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            measure_ac(&h),
+            measure_ac(&h, &mut PhaseClock::start()),
             Err(CircuitError::MeasurementFailure {
                 metric: "phase margin",
                 ..

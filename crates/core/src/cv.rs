@@ -137,68 +137,41 @@ impl HyperParameterSelection {
     }
 }
 
-/// Two-dimensional Q-fold cross-validation over a `(κ₀, ν₀)` grid.
-///
-/// The default reproduces the paper's setup: both axes span `[1, 1000]`
-/// (log-spaced, 12 points each — the paper reports non-integer optima such
-/// as κ₀ = 4.67, so the grid must be finer than integers), with `Q = 4`
-/// folds.
+/// Folds `Q` of the Q-fold cross-validation (the paper's Q = 4).
+pub const FOLDS: usize = 4;
+
+/// Re-randomised fold assignments averaged per grid point; averaging
+/// stabilises the argmax when the folds are tiny (n = 8, Q = 4 leaves
+/// two-sample test folds).
+pub const REPEATS: usize = 8;
+
+/// Points on each axis of the candidate grid.
+const GRID_POINTS: usize = 12;
+
+/// The candidate values of both axes: `GRID_POINTS` values log-spaced
+/// over `[1, 1000]`. The paper reports non-integer optima such as
+/// κ₀ = 4.67, so the grid must be finer than integers.
+fn grid() -> [f64; GRID_POINTS] {
+    let (lo, hi) = (1.0_f64.ln(), 1000.0_f64.ln());
+    std::array::from_fn(|k| (lo + (hi - lo) * k as f64 / (GRID_POINTS - 1) as f64).exp())
+}
+
+/// Two-dimensional Q-fold cross-validation over the paper's `(κ₀, ν₀)`
+/// grid: both axes span `[1, 1000]`, log-spaced with 12 points each,
+/// scored with [`FOLDS`] folds averaged over [`REPEATS`] fold
+/// assignments. Like [`crate::mle::MleEstimator`] it holds nothing.
 ///
 /// # Example
 ///
 /// ```
-/// use bmf_core::cv::CrossValidation;
+/// use bmf_core::cv::{CrossValidation, FOLDS};
 ///
-/// let cv = CrossValidation::default();
-/// assert_eq!(cv.fold_count(), 4);
-/// assert!(cv.kappa_grid().len() >= 10);
+/// assert_eq!(FOLDS, 4);
+/// // Of the 12 ν₀ values, 9 exceed d = 5; each pairs with 12 κ₀ values.
+/// assert_eq!(CrossValidation.feasible_candidate_count(5), 108);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossValidation {
-    kappa_grid: Vec<f64>,
-    nu_grid: Vec<f64>,
-    q: usize,
-    repeats: usize,
-}
-
-/// Builds a log-spaced grid over `[lo, hi]` with `points` entries.
-fn log_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
-    if points == 1 {
-        // A single point has no spacing to interpolate; the general
-        // formula below would divide by zero and yield NaN.
-        return vec![lo];
-    }
-    let llo = lo.ln();
-    let lhi = hi.ln();
-    (0..points)
-        .map(|k| (llo + (lhi - llo) * k as f64 / (points - 1) as f64).exp())
-        .collect()
-}
-
-impl Default for CrossValidation {
-    fn default() -> Self {
-        CrossValidation {
-            kappa_grid: log_grid(1.0, 1000.0, 12),
-            nu_grid: log_grid(1.0, 1000.0, 12),
-            q: 4,
-            repeats: 8,
-        }
-    }
-}
-
-/// Drops exact (bitwise) duplicate grid values, keeping the first
-/// occurrence of each; returns the deduplicated grid and the number of
-/// entries dropped.
-fn dedupe_grid(grid: Vec<f64>) -> (Vec<f64>, usize) {
-    let before = grid.len();
-    let mut seen = std::collections::HashSet::with_capacity(before);
-    let deduped: Vec<f64> = grid
-        .into_iter()
-        .filter(|v| seen.insert(v.to_bits()))
-        .collect();
-    let dropped = before - deduped.len();
-    (deduped, dropped)
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CrossValidation;
 
 /// The stage at which a CV candidate's scoring failed — reported when
 /// *every* feasible candidate fails, so the error names the actual
@@ -240,106 +213,11 @@ fn dominant_failure(failures: &[ScoreFailure]) -> Option<ScoreFailure> {
 }
 
 impl CrossValidation {
-    /// Creates a search with explicit grids and fold count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BmfError::InvalidConfig`] for empty grids, non-positive
-    /// candidates or `q < 2`.
-    pub fn new(kappa_grid: Vec<f64>, nu_grid: Vec<f64>, q: usize) -> Result<Self> {
-        Self::with_repeats(kappa_grid, nu_grid, q, 1)
-    }
-
-    /// Creates a **repeated** Q-fold search: the fold assignment is
-    /// re-randomised `repeats` times and scores are averaged, which
-    /// stabilises the argmax when the folds are tiny (e.g. n = 8, Q = 4 →
-    /// two-sample test folds).
-    ///
-    /// Exact duplicate grid values are dropped (first occurrence kept) —
-    /// a duplicated candidate would be scored twice for no information
-    /// gain — and counted on the `cv.grid_duplicates` warning counter.
-    ///
-    /// # Errors
-    ///
-    /// As [`CrossValidation::new`], plus `repeats >= 1`.
-    pub fn with_repeats(
-        kappa_grid: Vec<f64>,
-        nu_grid: Vec<f64>,
-        q: usize,
-        repeats: usize,
-    ) -> Result<Self> {
-        if kappa_grid.is_empty() || nu_grid.is_empty() {
-            return Err(BmfError::InvalidConfig {
-                reason: "hyper-parameter grids must be non-empty".to_string(),
-            });
-        }
-        if q < 2 {
-            return Err(BmfError::InvalidConfig {
-                reason: format!("need at least 2 folds, got {q}"),
-            });
-        }
-        if repeats == 0 {
-            return Err(BmfError::InvalidConfig {
-                reason: "need at least one CV repeat".to_string(),
-            });
-        }
-        for &k in &kappa_grid {
-            if !(k > 0.0) || !k.is_finite() {
-                return Err(BmfError::InvalidConfig {
-                    reason: format!("kappa candidate {k} must be positive and finite"),
-                });
-            }
-        }
-        for &v in &nu_grid {
-            if !(v > 0.0) || !v.is_finite() {
-                return Err(BmfError::InvalidConfig {
-                    reason: format!("nu candidate {v} must be positive and finite"),
-                });
-            }
-        }
-        let (kappa_grid, kappa_dupes) = dedupe_grid(kappa_grid);
-        let (nu_grid, nu_dupes) = dedupe_grid(nu_grid);
-        let dropped = kappa_dupes + nu_dupes;
-        if dropped > 0 {
-            bmf_obs::counters::CV_GRID_DUPLICATES.add(dropped as u64);
-        }
-        Ok(CrossValidation {
-            kappa_grid,
-            nu_grid,
-            q,
-            repeats,
-        })
-    }
-
     /// Number of grid candidates that survive the `ν₀ > d` feasibility
     /// filter for dimension `d` — what one select call actually scores
     /// (used by benches to report candidates/sec).
     pub fn feasible_candidate_count(&self, d: usize) -> usize {
-        self.nu_grid
-            .iter()
-            .filter(|&&nu0| nu0 > d as f64 + 1e-9)
-            .count()
-            * self.kappa_grid.len()
-    }
-
-    /// The κ₀ candidate grid.
-    pub fn kappa_grid(&self) -> &[f64] {
-        &self.kappa_grid
-    }
-
-    /// The ν₀ candidate grid.
-    pub fn nu_grid(&self) -> &[f64] {
-        &self.nu_grid
-    }
-
-    /// Number of folds `Q`.
-    pub fn fold_count(&self) -> usize {
-        self.q
-    }
-
-    /// Number of re-randomised fold assignments averaged per grid point.
-    pub fn repeat_count(&self) -> usize {
-        self.repeats
+        grid().iter().filter(|&&nu0| nu0 > d as f64 + 1e-9).count() * GRID_POINTS
     }
 
     /// Runs the search: scores every `(κ₀, ν₀)` combination by Q-fold CV
@@ -408,23 +286,22 @@ impl CrossValidation {
         }
 
         // Feasible candidate pairs (Eq. 20 needs ν₀ > d), built ν-major so
-        // candidate `c` maps to feasible-ν index `c / kappa_grid.len()`.
-        let nu_values: Vec<f64> = self
-            .nu_grid
+        // candidate `c` maps to feasible-ν index `c / GRID_POINTS`.
+        let axis = grid();
+        let nu_values: Vec<f64> = axis
             .iter()
             .copied()
             .filter(|&nu0| nu0 > d as f64 + 1e-9)
             .collect();
         let candidates: Vec<(f64, f64)> = nu_values
             .iter()
-            .flat_map(|&nu0| self.kappa_grid.iter().map(move |&kappa0| (kappa0, nu0)))
+            .flat_map(|&nu0| axis.iter().map(move |&kappa0| (kappa0, nu0)))
             .collect();
         if candidates.is_empty() {
             return Err(BmfError::InvalidConfig {
                 reason: format!(
-                    "no feasible (kappa0, nu0) candidate for d = {d}: every nu0 in the \
-                     grid is <= d, but the prior of Eq. 20 requires nu0 > d; extend the \
-                     nu grid above {d}"
+                    "no feasible (kappa0, nu0) candidate for d = {d}: the prior of Eq. 20 \
+                     requires nu0 > d, and the grid's largest nu0 is 1000"
                 ),
             });
         }
@@ -435,8 +312,8 @@ impl CrossValidation {
         // item, and each candidate's score accumulates in repeat order, so
         // the reduction is scheduling-invariant.
         bmf_obs::counters::CV_CANDIDATES.add(candidates.len() as u64);
-        let q = self.q.min(n);
-        let repeats_f = self.repeats as f64;
+        let q = FOLDS.min(n);
+        let repeats_f = REPEATS as f64;
         let scored = if let Some(stage) = global_failure(early, late_samples) {
             vec![(f64::NEG_INFINITY, Some(stage)); candidates.len()]
         } else {
@@ -445,9 +322,9 @@ impl CrossValidation {
                 samples: late_samples,
                 q,
                 nu_values: &nu_values,
-                kappa_grid: &self.kappa_grid,
+                kappa_grid: &axis,
             };
-            let per_repeat = parallel::map_range(self.repeats, threads, |rep| {
+            let per_repeat = parallel::map_range(REPEATS, threads, |rep| {
                 scorer.score_repeat(&fold_order(seed, rep, n))
             })?;
             (0..candidates.len())
@@ -888,38 +765,13 @@ mod tests {
     }
 
     #[test]
-    fn log_grid_spans_range() {
-        let g = log_grid(1.0, 1000.0, 12);
-        assert_eq!(g.len(), 12);
-        assert!((g[0] - 1.0).abs() < 1e-12);
-        assert!((g[11] - 1000.0).abs() < 1e-9);
+    fn grid_is_log_spaced_over_1_to_1000() {
+        let g = grid();
+        assert_eq!(g[0], 1.0);
+        assert!((g[GRID_POINTS - 1] - 1000.0).abs() < 1e-9);
         assert!(g.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn log_grid_single_point_is_lo_not_nan() {
-        // Regression: `points == 1` used to interpolate with a 0/0 step
-        // and produce a NaN candidate, which the CV constructor rejects.
-        assert_eq!(log_grid(5.0, 1000.0, 1), vec![5.0]);
-        let cv = CrossValidation::new(vec![3.0], vec![7.0], 2).unwrap();
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: truth().mean().clone(),
-            cov: truth().cov().clone(),
-        };
-        let late = truth().sample_matrix(&mut r, 8);
-        let sel = cv.select(&early, &late, &mut r).unwrap();
-        assert_eq!((sel.kappa0, sel.nu0), (3.0, 7.0));
-    }
-
-    #[test]
-    fn construction_validates() {
-        assert!(CrossValidation::new(vec![], vec![1.0], 4).is_err());
-        assert!(CrossValidation::new(vec![1.0], vec![], 4).is_err());
-        assert!(CrossValidation::new(vec![1.0], vec![5.0], 1).is_err());
-        assert!(CrossValidation::new(vec![0.0], vec![5.0], 4).is_err());
-        assert!(CrossValidation::new(vec![1.0], vec![-5.0], 4).is_err());
-        assert!(CrossValidation::new(vec![1.0], vec![5.0], 4).is_ok());
+        let ratio = g[1] / g[0];
+        assert!(g.windows(2).all(|w| (w[1] / w[0] - ratio).abs() < 1e-12));
     }
 
     #[test]
@@ -933,7 +785,7 @@ mod tests {
             mean: truth().mean().clone(),
             cov: truth().cov().clone(),
         };
-        let cv = CrossValidation::default();
+        let cv = CrossValidation;
         let reps = 10;
         let mut nu_sum = 0.0;
         let mut bmf_err = 0.0;
@@ -976,9 +828,7 @@ mod tests {
             cov: truth().cov().clone(),
         };
         let late = truth().sample_matrix(&mut r, 32);
-        let sel = CrossValidation::default()
-            .select(&early, &late, &mut r)
-            .unwrap();
+        let sel = CrossValidation.select(&early, &late, &mut r).unwrap();
         assert!(
             sel.kappa0 < 20.0,
             "expected small kappa0 for a wrong mean prior, got {}",
@@ -1000,9 +850,7 @@ mod tests {
             cov: truth().cov() * 25.0,
         };
         let late = truth().sample_matrix(&mut r, 64);
-        let sel = CrossValidation::default()
-            .select(&early, &late, &mut r)
-            .unwrap();
+        let sel = CrossValidation.select(&early, &late, &mut r).unwrap();
         assert!(
             sel.nu0 < 50.0,
             "expected small nu0 for a wrong covariance prior, got {}",
@@ -1012,24 +860,26 @@ mod tests {
 
     #[test]
     fn infeasible_nu_candidates_are_skipped() {
-        // Grid contains only nu0 <= d → no feasible candidate.
-        let cv = CrossValidation::new(vec![1.0], vec![1.0, 2.0], 2).unwrap();
+        // At d = 2 the grid's ν₀ = 1 and 1.87 are infeasible: 10 of the
+        // 12 ν₀ values survive, each with all 12 κ₀ values.
+        let cv = CrossValidation;
+        assert_eq!(cv.feasible_candidate_count(2), 120);
+        assert_eq!(cv.feasible_candidate_count(999), 12);
+        assert_eq!(cv.feasible_candidate_count(1000), 0);
         let mut r = rng();
         let early = MomentEstimate {
             mean: Vector::zeros(2),
             cov: Matrix::identity(2),
         };
         let late = truth().sample_matrix(&mut r, 8);
-        assert!(cv.select(&early, &late, &mut r).is_err());
-        // Adding one feasible candidate fixes it.
-        let cv = CrossValidation::new(vec![1.0], vec![2.0, 5.0], 2).unwrap();
         let sel = cv.select(&early, &late, &mut r).unwrap();
-        assert_eq!(sel.nu0, 5.0);
+        assert_eq!(sel.grid.len(), 120);
+        assert!(sel.grid.iter().all(|p| p.nu0 > 2.0));
     }
 
     #[test]
     fn rejects_insufficient_samples() {
-        let cv = CrossValidation::default();
+        let cv = CrossValidation;
         let mut r = rng();
         let early = MomentEstimate {
             mean: Vector::zeros(2),
@@ -1050,17 +900,13 @@ mod tests {
             cov: truth().cov().clone(),
         };
         let late = truth().sample_matrix(&mut r, 3);
-        let sel = CrossValidation::default()
-            .select(&early, &late, &mut r)
-            .unwrap();
+        let sel = CrossValidation.select(&early, &late, &mut r).unwrap();
         assert!(sel.score.is_finite());
     }
 
     #[test]
     fn select_seeded_is_bit_identical_across_thread_counts() {
-        let cv =
-            CrossValidation::with_repeats(vec![1.0, 10.0, 100.0], vec![5.0, 50.0, 500.0], 3, 3)
-                .unwrap();
+        let cv = CrossValidation;
         let mut r = rng();
         let early = MomentEstimate {
             mean: truth().mean().clone(),
@@ -1075,35 +921,18 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_grid_values_are_deduplicated() {
-        let cv =
-            CrossValidation::new(vec![1.0, 10.0, 1.0, 10.0, 1.0], vec![5.0, 5.0, 50.0], 2).unwrap();
-        assert_eq!(cv.kappa_grid(), &[1.0, 10.0]);
-        assert_eq!(cv.nu_grid(), &[5.0, 50.0]);
-        assert_eq!(cv.feasible_candidate_count(2), 4);
-        assert_eq!(cv.feasible_candidate_count(49), 2);
-        assert_eq!(cv.feasible_candidate_count(50), 0);
-        // Selection still works and scores each unique candidate once.
-        let mut r = rng();
-        let early = MomentEstimate {
-            mean: truth().mean().clone(),
-            cov: truth().cov().clone(),
-        };
-        let late = truth().sample_matrix(&mut r, 10);
-        let sel = cv.select(&early, &late, &mut r).unwrap();
-        assert_eq!(sel.grid.len(), 4);
-    }
-
-    #[test]
     fn infeasible_grid_error_names_the_grid() {
-        let cv = CrossValidation::new(vec![1.0], vec![1.0, 2.0], 2).unwrap();
-        let mut r = rng();
+        // d = 1000 metrics, as a wide CSV can have: no ν₀ ≤ 1000 of the
+        // grid exceeds d. The error comes before any factorisation.
+        let d = 1000;
         let early = MomentEstimate {
-            mean: Vector::zeros(2),
-            cov: Matrix::identity(2),
+            mean: Vector::zeros(d),
+            cov: Matrix::identity(d),
         };
-        let late = truth().sample_matrix(&mut r, 8);
-        let err = cv.select(&early, &late, &mut r).unwrap_err();
+        let late = Matrix::from_fn(3, d, |i, j| ((i * 7 + j) % 5) as f64);
+        let err = CrossValidation
+            .select_seeded(&early, &late, 1, 1)
+            .unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("no feasible (kappa0, nu0) candidate"),
@@ -1114,10 +943,9 @@ mod tests {
 
     #[test]
     fn all_failed_error_names_the_failing_stage_not_the_grid() {
-        // The grid IS feasible (nu0 = 5 > d = 2); a NaN late sample makes
+        // The grid IS feasible (120 candidates at d = 2); a NaN late sample makes
         // every candidate fail at the sufficient-statistics stage. The old
         // code conflated this with grid infeasibility.
-        let cv = CrossValidation::new(vec![1.0, 10.0], vec![5.0], 2).unwrap();
         let mut r = rng();
         let early = MomentEstimate {
             mean: Vector::zeros(2),
@@ -1125,7 +953,7 @@ mod tests {
         };
         let mut late = truth().sample_matrix(&mut r, 8);
         late[(3, 1)] = f64::NAN;
-        let msg = cv
+        let msg = CrossValidation
             .select_seeded(&early, &late, 11, 1)
             .unwrap_err()
             .to_string();
@@ -1145,15 +973,14 @@ mod tests {
 
     #[test]
     fn grid_scores_are_reported_for_all_feasible_points() {
-        let cv = CrossValidation::new(vec![1.0, 10.0], vec![5.0, 50.0], 2).unwrap();
         let mut r = rng();
         let early = MomentEstimate {
             mean: truth().mean().clone(),
             cov: truth().cov().clone(),
         };
         let late = truth().sample_matrix(&mut r, 10);
-        let sel = cv.select(&early, &late, &mut r).unwrap();
-        assert_eq!(sel.grid.len(), 4);
+        let sel = CrossValidation.select(&early, &late, &mut r).unwrap();
+        assert_eq!(sel.grid.len(), 120);
         assert!(sel.grid.iter().all(|p| p.score.is_finite()));
         // Winner really is the argmax of the reported grid.
         let max = sel

@@ -4,12 +4,13 @@
 //! distribution up to the §4.1 shift/scale; when a process drifts (or
 //! the populations decorrelate, as the multiple-population work warns),
 //! that assumption silently decays. [`DriftMonitor`] watches for this:
-//! late-stage samples stream in, every full window of `window` samples
+//! late-stage samples stream in, every full window of [`WINDOW`] samples
 //! is closed into a [`DriftWindow`] comparing the window's sample
 //! moments against the early-stage reference — Gaussian KL divergence
 //! `KL(N_window ‖ N_early)` plus the mean distance and the relative
 //! Frobenius drift of the covariance — and each window is classified
-//! with the documented thresholds from [`bmf_obs::health`].
+//! by [`classify_drift`], the documented thresholds of
+//! [`bmf_obs::health`].
 //!
 //! Monitoring is strictly passive: the monitor only *reads* sample
 //! values, never touches an RNG stream, and its outputs feed telemetry
@@ -19,44 +20,16 @@
 
 use crate::{BmfError, MomentEstimate, Result};
 use bmf_linalg::{Cholesky, Matrix};
-use bmf_obs::health::{classify_drift, DriftTimeline, DriftWindow, Severity};
+use bmf_obs::health::{
+    classify_drift, DriftTimeline, DriftWindow, Severity, DRIFT_KL_CRITICAL, DRIFT_KL_WARN,
+};
 use bmf_stats::descriptive;
 
-/// Configuration for [`DriftMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Samples per window. Must exceed the data dimension `d`, or the
-    /// window covariance is always singular. The default of 32 keeps
-    /// the finite-window KL bias `(d + d(d+1)/2)/(2·window)` well below
-    /// the warn threshold for the dimensionalities in this repo.
-    pub window: usize,
-    /// KL divergence (nats) above which a window warns.
-    pub kl_warn: f64,
-    /// KL divergence (nats) above which a window is critical.
-    pub kl_critical: f64,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            window: 32,
-            kl_warn: bmf_obs::health::DRIFT_KL_WARN,
-            kl_critical: bmf_obs::health::DRIFT_KL_CRITICAL,
-        }
-    }
-}
-
-impl DriftConfig {
-    fn classify(&self, kl: f64) -> Severity {
-        if !kl.is_finite() || kl > self.kl_critical {
-            Severity::Critical
-        } else if kl > self.kl_warn {
-            Severity::Warn
-        } else {
-            Severity::Ok
-        }
-    }
-}
+/// Samples per window. A window must exceed the data dimension `d`, or
+/// its covariance is always singular; 32 keeps the finite-window KL bias
+/// `(d + d(d+1)/2)/(2·WINDOW)` well below the warn threshold for the
+/// dimensionalities in this repo.
+pub const WINDOW: usize = 32;
 
 /// Streaming monitor comparing windowed late-stage batches against a
 /// fixed early-stage reference model. See the module docs.
@@ -66,7 +39,6 @@ pub struct DriftMonitor {
     chol_early: Cholesky,
     ln_det_early: f64,
     early_frob: f64,
-    config: DriftConfig,
     /// Row-major buffer of the current (not yet closed) window.
     buffer: Vec<f64>,
     samples_seen: usize,
@@ -78,30 +50,16 @@ impl DriftMonitor {
     ///
     /// # Errors
     ///
-    /// [`BmfError::InvalidConfig`] when the window does not exceed the
-    /// dimension or the thresholds are not ordered finite positives;
-    /// propagates the Cholesky error when the reference covariance is
-    /// not SPD.
-    pub fn new(early: &MomentEstimate, config: DriftConfig) -> Result<Self> {
+    /// [`BmfError::InvalidConfig`] when [`WINDOW`] does not exceed the
+    /// dimension; propagates the Cholesky error when the reference
+    /// covariance is not SPD.
+    pub fn new(early: &MomentEstimate) -> Result<Self> {
         let d = early.dim();
-        if config.window <= d {
+        if WINDOW <= d {
             return Err(BmfError::InvalidConfig {
                 reason: format!(
-                    "drift window = {} must exceed the dimension d = {d} \
-                     (a smaller window has a singular sample covariance)",
-                    config.window
-                ),
-            });
-        }
-        if !(config.kl_warn > 0.0)
-            || !(config.kl_critical > config.kl_warn)
-            || !config.kl_critical.is_finite()
-        {
-            return Err(BmfError::InvalidConfig {
-                reason: format!(
-                    "drift thresholds warn = {}, critical = {} must satisfy \
-                     0 < warn < critical < inf",
-                    config.kl_warn, config.kl_critical
+                    "drift window = {WINDOW} must exceed the dimension d = {d} \
+                     (a smaller window has a singular sample covariance)"
                 ),
             });
         }
@@ -114,16 +72,10 @@ impl DriftMonitor {
             chol_early,
             ln_det_early,
             early_frob,
-            config,
-            buffer: Vec::with_capacity(config.window * d),
+            buffer: Vec::with_capacity(WINDOW * d),
             samples_seen: 0,
             timeline: DriftTimeline::default(),
         })
-    }
-
-    /// The configuration the monitor runs with.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// Feeds one sample (length `d`).
@@ -144,7 +96,7 @@ impl DriftMonitor {
         }
         self.buffer.extend_from_slice(row);
         self.samples_seen += 1;
-        if self.buffer.len() == self.config.window * d {
+        if self.buffer.len() == WINDOW * d {
             self.close_window();
         }
         Ok(())
@@ -185,17 +137,14 @@ impl DriftMonitor {
 
     fn close_window(&mut self) {
         let d = self.early.dim();
-        let n = self.config.window;
+        let n = WINDOW;
         let index = self.timeline.windows.len();
         let start_sample = self.samples_seen - n;
         let window = Matrix::from_fn(n, d, |i, j| self.buffer[i * d + j]);
         self.buffer.clear();
 
         let (kl, mean_dist, cov_frob) = self.window_divergence(&window);
-        let severity = self.config.classify(kl);
-        // The documented-threshold classification must agree with the
-        // default-config one when defaults are in use.
-        debug_assert!(self.config != DriftConfig::default() || severity == classify_drift(kl));
+        let severity = classify_drift(kl);
         bmf_obs::counters::DRIFT_WINDOWS.incr();
         if severity >= Severity::Warn {
             bmf_obs::counters::DRIFT_ALERTS.incr();
@@ -221,9 +170,9 @@ impl DriftMonitor {
                 start_sample + n,
                 severity.label(),
                 if severity == Severity::Critical {
-                    self.config.kl_critical
+                    DRIFT_KL_CRITICAL
                 } else {
-                    self.config.kl_warn
+                    DRIFT_KL_WARN
                 },
             ));
         }
@@ -300,6 +249,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises the tests that close windows: a window closed on another
+    /// test thread while `drift_counters_track_windows_and_alerts` records
+    /// would land in the process-wide `drift.windows` counter it reads.
+    fn window_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn reference(d: usize) -> MomentEstimate {
         MomentEstimate {
@@ -319,39 +277,23 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_rejects_bad_setups() {
-        let early = reference(3);
-        assert!(DriftMonitor::new(
-            &early,
-            DriftConfig {
-                window: 3,
-                ..DriftConfig::default()
-            }
-        )
-        .is_err());
-        assert!(DriftMonitor::new(
-            &early,
-            DriftConfig {
-                kl_warn: 5.0,
-                kl_critical: 2.0,
-                ..DriftConfig::default()
-            }
-        )
-        .is_err());
-        assert!(DriftMonitor::new(&early, DriftConfig::default()).is_ok());
+    fn window_must_exceed_the_dimension() {
+        assert!(DriftMonitor::new(&reference(WINDOW)).is_err());
+        assert!(DriftMonitor::new(&reference(WINDOW - 1)).is_ok());
     }
 
     #[test]
     fn stationary_stream_stays_ok_and_counts_windows() {
+        let _g = window_lock();
         let d = 2;
         let early_samples = gaussian_ish(d, 2000, 11, 0.0);
         let early = MomentEstimate {
             mean: descriptive::mean_vector(&early_samples).unwrap(),
             cov: descriptive::covariance_mle(&early_samples).unwrap(),
         };
-        let mut monitor = DriftMonitor::new(&early, DriftConfig::default()).unwrap();
+        let mut monitor = DriftMonitor::new(&early).unwrap();
         monitor
-            .push_batch(&gaussian_ish(d, 3 * 32 + 5, 12, 0.0))
+            .push_batch(&gaussian_ish(d, 3 * WINDOW + 5, 12, 0.0))
             .unwrap();
         let timeline = monitor.timeline();
         assert_eq!(timeline.windows.len(), 3); // 5 samples still buffered
@@ -359,24 +301,29 @@ mod tests {
         assert!(timeline.alerts.is_empty());
         for (i, w) in timeline.windows.iter().enumerate() {
             assert_eq!(w.index, i);
-            assert_eq!(w.start_sample, i * 32);
-            assert_eq!(w.n, 32);
+            assert_eq!(w.start_sample, i * WINDOW);
+            assert_eq!(w.n, WINDOW);
             assert!(w.kl.is_finite() && w.kl >= 0.0);
         }
     }
 
     #[test]
     fn shifted_stream_raises_alerts() {
+        let _g = window_lock();
         let d = 2;
         let early_samples = gaussian_ish(d, 2000, 11, 0.0);
         let early = MomentEstimate {
             mean: descriptive::mean_vector(&early_samples).unwrap(),
             cov: descriptive::covariance_mle(&early_samples).unwrap(),
         };
-        let mut monitor = DriftMonitor::new(&early, DriftConfig::default()).unwrap();
+        let mut monitor = DriftMonitor::new(&early).unwrap();
         // One healthy window, then a hard mean shift.
-        monitor.push_batch(&gaussian_ish(d, 32, 12, 0.0)).unwrap();
-        monitor.push_batch(&gaussian_ish(d, 64, 13, 4.0)).unwrap();
+        monitor
+            .push_batch(&gaussian_ish(d, WINDOW, 12, 0.0))
+            .unwrap();
+        monitor
+            .push_batch(&gaussian_ish(d, 2 * WINDOW, 13, 4.0))
+            .unwrap();
         let timeline = monitor.timeline();
         assert_eq!(timeline.windows.len(), 3);
         assert_eq!(timeline.windows[0].severity, Severity::Ok);
@@ -389,13 +336,17 @@ mod tests {
 
     #[test]
     fn drift_counters_track_windows_and_alerts() {
-        // Serialized against other obs tests via the shared registry.
+        let _g = window_lock();
         let early = reference(2);
-        let mut monitor = DriftMonitor::new(&early, DriftConfig::default()).unwrap();
+        let mut monitor = DriftMonitor::new(&early).unwrap();
         bmf_obs::reset();
         bmf_obs::enable();
-        monitor.push_batch(&gaussian_ish(2, 64, 5, 0.0)).unwrap();
-        monitor.push_batch(&gaussian_ish(2, 32, 6, 8.0)).unwrap();
+        monitor
+            .push_batch(&gaussian_ish(2, 2 * WINDOW, 5, 0.0))
+            .unwrap();
+        monitor
+            .push_batch(&gaussian_ish(2, WINDOW, 6, 8.0))
+            .unwrap();
         bmf_obs::disable();
         let snap = bmf_obs::metrics::snapshot();
         assert_eq!(snap.counter("drift.windows"), 3);
@@ -406,7 +357,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_rejected() {
         let early = reference(3);
-        let mut monitor = DriftMonitor::new(&early, DriftConfig::default()).unwrap();
+        let mut monitor = DriftMonitor::new(&early).unwrap();
         assert!(monitor.push_sample(&[1.0, 2.0]).is_err());
         assert!(monitor
             .push_batch(&Matrix::from_fn(4, 2, |_, _| 0.0))
@@ -415,23 +366,16 @@ mod tests {
 
     #[test]
     fn identical_moments_give_near_zero_kl() {
-        // Feed the exact reference-generating samples: window moments
-        // approximate the reference, so KL stays near the finite-window
-        // bias level.
+        let _g = window_lock();
+        // Feed the exact reference-generating samples as one window: its
+        // moments are the reference's, so KL is round-off.
         let d = 2;
-        let samples = gaussian_ish(d, 320, 21, 0.0);
+        let samples = gaussian_ish(d, WINDOW, 21, 0.0);
         let early = MomentEstimate {
             mean: descriptive::mean_vector(&samples).unwrap(),
             cov: descriptive::covariance_mle(&samples).unwrap(),
         };
-        let mut monitor = DriftMonitor::new(
-            &early,
-            DriftConfig {
-                window: 320,
-                ..DriftConfig::default()
-            },
-        )
-        .unwrap();
+        let mut monitor = DriftMonitor::new(&early).unwrap();
         monitor.push_batch(&samples).unwrap();
         let w = &monitor.timeline().windows[0];
         assert!(w.kl < 0.05, "kl = {}", w.kl);

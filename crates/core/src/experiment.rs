@@ -165,8 +165,6 @@ pub struct SweepConfig {
     pub sample_sizes: Vec<usize>,
     /// Repetitions per sample count (the paper uses 100).
     pub repetitions: usize,
-    /// Hyper-parameter search strategy.
-    pub cv: CrossValidation,
     /// RNG seed for reproducible subsampling.
     pub seed: u64,
 }
@@ -178,7 +176,6 @@ impl SweepConfig {
         SweepConfig {
             sample_sizes: vec![8, 16, 32, 64, 128, 256, 512],
             repetitions: 100,
-            cv: CrossValidation::default(),
             seed: 2015,
         }
     }
@@ -310,7 +307,7 @@ fn run_repetition(
     let samples = subsample(&study.late_pool, n, &mut rng);
 
     let mle_est = MleEstimator::new().estimate(&samples)?;
-    let selection = config.cv.select(&study.early_moments, &samples, &mut rng)?;
+    let selection = CrossValidation.select(&study.early_moments, &samples, &mut rng)?;
     let prior = NormalWishartPrior::from_early_moments(
         &study.early_moments,
         selection.kappa0,
@@ -551,7 +548,6 @@ mod tests {
                     &SweepConfig {
                         sample_sizes: vec![8],
                         repetitions: 2,
-                        cv: CrossValidation::default(),
                         seed: 1,
                     },
                     1,
@@ -591,7 +587,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8, 64],
             repetitions: 20,
-            cv: CrossValidation::default(),
             seed: 7,
         };
         let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
@@ -617,7 +612,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![32],
             repetitions: 20,
-            cv: CrossValidation::default(),
             seed: 11,
         };
         let ka = run_error_sweep_parallel(&aligned, &config, 1).unwrap().rows[0].mean_kappa0;
@@ -635,7 +629,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8, 16, 32, 64, 128, 256],
             repetitions: 15,
-            cv: CrossValidation::default(),
             seed: 13,
         };
         let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
@@ -726,7 +719,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8, 16],
             repetitions: 3,
-            cv: CrossValidation::default(),
             seed: 1,
         };
         let result = run_error_sweep_parallel(&study, &config, 1).unwrap();
@@ -742,7 +734,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![16],
             repetitions: 5,
-            cv: CrossValidation::default(),
             seed: 21,
         };
         let a = run_error_sweep_parallel(&study, &config, 1).unwrap();
@@ -757,7 +748,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8, 16],
             repetitions: 6,
-            cv: CrossValidation::default(),
             seed: 33,
         };
         let seq = run_error_sweep_parallel(&study, &config, 1).unwrap();
@@ -775,7 +765,6 @@ mod tests {
         let config = SweepConfig {
             sample_sizes: vec![8],
             repetitions: 2,
-            cv: CrossValidation::default(),
             seed: 5,
         };
         let seq = run_error_sweep_parallel(&study, &config, 1).unwrap();

@@ -22,63 +22,14 @@ use std::collections::HashMap;
 /// a Gaussian standard deviation (`1/Φ⁻¹(3/4)`).
 const MAD_TO_SIGMA: f64 = 1.4826;
 
-/// Screening policy: what to detect, what to drop, and how much loss is
-/// tolerable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GuardPolicy {
-    /// Drop rows containing NaN/Inf cells (`true`) or report them as an
-    /// error (`false`). Default `true`.
-    pub drop_nonfinite_rows: bool,
-    /// Robust-z threshold above which a cell marks its row as an outlier
-    /// (MAD-based, per column). Default `8.0` — conservative: the guard
-    /// must not clip genuine heavy process tails.
-    pub mad_threshold: f64,
-    /// Drop flagged outlier rows (`true`) or only record them (`false`).
-    /// Default `false`: outliers are physical until proven otherwise.
-    pub drop_outliers: bool,
-    /// Maximum fraction of rows the guard may drop before the matrix is
-    /// declared unusable. Default `0.5`.
-    pub max_drop_fraction: f64,
-}
+/// Robust-z threshold above which a cell marks its row as an outlier
+/// (MAD-based, per column). Conservative: the guard must not clip genuine
+/// heavy process tails.
+const MAD_THRESHOLD: f64 = 8.0;
 
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            drop_nonfinite_rows: true,
-            mad_threshold: 8.0,
-            drop_outliers: false,
-            max_drop_fraction: 0.5,
-        }
-    }
-}
-
-impl GuardPolicy {
-    /// Validates the policy parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BmfError::InvalidConfig`] for a non-positive MAD
-    /// threshold or an out-of-range drop fraction.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.mad_threshold > 0.0) || !self.mad_threshold.is_finite() {
-            return Err(BmfError::InvalidConfig {
-                reason: format!(
-                    "guard mad_threshold = {} must be positive and finite",
-                    self.mad_threshold
-                ),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.max_drop_fraction) || !self.max_drop_fraction.is_finite() {
-            return Err(BmfError::InvalidConfig {
-                reason: format!(
-                    "guard max_drop_fraction = {} must lie in [0, 1]",
-                    self.max_drop_fraction
-                ),
-            });
-        }
-        Ok(())
-    }
-}
+/// Largest fraction of rows the guard may drop before the matrix is
+/// declared unusable.
+const MAX_DROP_FRACTION: f64 = 0.5;
 
 /// Everything the guard found, with original (pre-drop) row/column
 /// indices so findings can be traced back to the source data.
@@ -91,7 +42,7 @@ pub struct DataQualityReport {
     /// `(row, column)` positions of NaN/Inf cells.
     pub nonfinite_cells: Vec<(usize, usize)>,
     /// Original indices of rows removed by the screen (non-finite and,
-    /// under [`GuardPolicy::drop_outliers`], outlier rows).
+    /// when [`screen`] is asked to drop outliers, outlier rows).
     pub dropped_rows: Vec<usize>,
     /// Columns whose finite entries are all identical (stuck-instrument
     /// signature; downstream scaling will reject these).
@@ -155,32 +106,29 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Screens an `n × d` sample matrix against `policy`.
+/// Screens an `n × d` sample matrix.
 ///
 /// Detection steps, in order:
 ///
 /// 1. **Non-finite cells** — every NaN/Inf cell is recorded with its
-///    `(row, column)`; affected rows are dropped (or, with
-///    `drop_nonfinite_rows = false`, reported as a typed error).
+///    `(row, column)`, and its row is dropped. A caller that must refuse
+///    such data does so on the report (`FailureMode::Strict` in the
+///    pipeline).
 /// 2. **Constant columns** — columns whose surviving entries are all
 ///    identical (recorded; the caller decides whether that is fatal).
 /// 3. **Duplicate rows** — bitwise-identical surviving rows (recorded).
 /// 4. **MAD outliers** — a surviving row is flagged when any cell's
-///    robust z-score `|x − median| / (1.4826·MAD)` exceeds
-///    [`GuardPolicy::mad_threshold`]; flagged rows are dropped only under
-///    [`GuardPolicy::drop_outliers`].
+///    robust z-score `|x − median| / (1.4826·MAD)` exceeds 8; flagged
+///    rows are dropped only when `drop_outliers` is set. Outliers are
+///    physical until proven otherwise, so the pipeline only flags them.
 ///
 /// Returns the cleaned matrix (row order preserved) and the report.
 ///
 /// # Errors
 ///
-/// * [`BmfError::InvalidConfig`] for an invalid policy.
-/// * [`BmfError::InvalidSamples`] for an empty matrix, for non-finite
-///   data when dropping is disabled (the error names the first offending
-///   row/column), or when more than `max_drop_fraction` of rows would be
-///   dropped.
-pub fn screen(samples: &Matrix, policy: &GuardPolicy) -> Result<(Matrix, DataQualityReport)> {
-    policy.validate()?;
+/// [`BmfError::InvalidSamples`] for an empty matrix, or when more than
+/// half of the rows would be dropped (so at least one row survives).
+pub fn screen(samples: &Matrix, drop_outliers: bool) -> Result<(Matrix, DataQualityReport)> {
     let (n, d) = samples.shape();
     if n == 0 || d == 0 {
         return Err(BmfError::InvalidSamples {
@@ -205,16 +153,8 @@ pub fn screen(samples: &Matrix, policy: &GuardPolicy) -> Result<(Matrix, DataQua
         }
         if row_ok {
             keep.push(i);
-        } else if policy.drop_nonfinite_rows {
-            report.dropped_rows.push(i);
         } else {
-            let &(r, c) = report.nonfinite_cells.first().expect("just pushed");
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "non-finite value at row {r}, column {c} (strict guard; \
-                     enable drop_nonfinite_rows to screen such rows)"
-                ),
-            });
+            report.dropped_rows.push(i);
         }
     }
 
@@ -260,14 +200,14 @@ pub fn screen(samples: &Matrix, policy: &GuardPolicy) -> Result<(Matrix, DataQua
                 let sigma = MAD_TO_SIGMA * col_mad[j];
                 // A zero MAD (half the column identical) gives no robust
                 // scale; skip the column rather than flagging everything.
-                sigma > 0.0 && (samples[(i, j)] - col_med[j]).abs() > policy.mad_threshold * sigma
+                sigma > 0.0 && (samples[(i, j)] - col_med[j]).abs() > MAD_THRESHOLD * sigma
             });
             if is_outlier {
                 flagged.push(i);
             }
         }
         report.outlier_rows = flagged;
-        if policy.drop_outliers && !report.outlier_rows.is_empty() {
+        if drop_outliers && !report.outlier_rows.is_empty() {
             let outliers: std::collections::HashSet<usize> =
                 report.outlier_rows.iter().copied().collect();
             keep.retain(|i| {
@@ -284,20 +224,15 @@ pub fn screen(samples: &Matrix, policy: &GuardPolicy) -> Result<(Matrix, DataQua
     report.rows_out = keep.len();
 
     let dropped_fraction = report.dropped_rows.len() as f64 / n as f64;
-    if dropped_fraction > policy.max_drop_fraction {
+    if dropped_fraction > MAX_DROP_FRACTION {
         return Err(BmfError::InvalidSamples {
             reason: format!(
                 "guard dropped {} of {n} rows ({:.0}% > {:.0}% allowed): {}",
                 report.dropped_rows.len(),
                 dropped_fraction * 100.0,
-                policy.max_drop_fraction * 100.0,
+                MAX_DROP_FRACTION * 100.0,
                 report.summary()
             ),
-        });
-    }
-    if keep.is_empty() {
-        return Err(BmfError::InvalidSamples {
-            reason: format!("guard removed every row: {}", report.summary()),
         });
     }
 
@@ -332,7 +267,7 @@ mod tests {
     #[test]
     fn clean_data_passes_untouched() {
         let m = clean_matrix();
-        let (out, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (out, report) = screen(&m, false).unwrap();
         assert_eq!(out, m);
         assert!(report.is_clean(), "{}", report.summary());
         assert_eq!(report.rows_in, 20);
@@ -345,7 +280,7 @@ mod tests {
         m[(3, 1)] = f64::NAN;
         m[(7, 0)] = f64::INFINITY;
         m[(7, 2)] = f64::NEG_INFINITY;
-        let (out, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (out, report) = screen(&m, false).unwrap();
         assert_eq!(out.nrows(), 18);
         assert_eq!(report.dropped_rows, vec![3, 7]);
         assert_eq!(report.nonfinite_cells, vec![(3, 1), (7, 0), (7, 2)]);
@@ -355,25 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn strict_nonfinite_mode_errors_with_location() {
-        let mut m = clean_matrix();
-        m[(5, 2)] = f64::NAN;
-        let policy = GuardPolicy {
-            drop_nonfinite_rows: false,
-            ..GuardPolicy::default()
-        };
-        let err = screen(&m, &policy).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("row 5") && msg.contains("column 2"), "{msg}");
-    }
-
-    #[test]
     fn constant_columns_are_detected() {
         let mut m = clean_matrix();
         for i in 0..m.nrows() {
             m[(i, 1)] = 42.0;
         }
-        let (_, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (_, report) = screen(&m, false).unwrap();
         assert_eq!(report.constant_columns, vec![1]);
     }
 
@@ -384,7 +306,7 @@ mod tests {
             m[(9, j)] = m[(2, j)];
             m[(15, j)] = m[(2, j)];
         }
-        let (out, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (out, report) = screen(&m, false).unwrap();
         assert_eq!(out.nrows(), 20); // duplicates are informational
         assert_eq!(report.duplicate_rows, vec![(2, 9), (2, 15)]);
     }
@@ -393,15 +315,11 @@ mod tests {
     fn mad_outliers_are_flagged_and_optionally_dropped() {
         let mut m = clean_matrix();
         m[(4, 0)] = 1e6; // gross outlier
-        let (out, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (out, report) = screen(&m, false).unwrap();
         assert_eq!(report.outlier_rows, vec![4]);
         assert_eq!(out.nrows(), 20); // flag-only by default
 
-        let policy = GuardPolicy {
-            drop_outliers: true,
-            ..GuardPolicy::default()
-        };
-        let (out, report) = screen(&m, &policy).unwrap();
+        let (out, report) = screen(&m, true).unwrap();
         assert_eq!(out.nrows(), 19);
         assert_eq!(report.dropped_rows, vec![4]);
     }
@@ -410,7 +328,7 @@ mod tests {
     fn normal_spread_is_not_flagged() {
         // Conservative threshold: ordinary variation must never trip it.
         let m = clean_matrix();
-        let (_, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (_, report) = screen(&m, false).unwrap();
         assert!(report.outlier_rows.is_empty());
     }
 
@@ -420,7 +338,7 @@ mod tests {
         for i in 0..15 {
             m[(i, 0)] = f64::NAN;
         }
-        let err = screen(&m, &GuardPolicy::default()).unwrap_err();
+        let err = screen(&m, false).unwrap_err();
         assert!(err.to_string().contains("dropped 15 of 20"), "{err}");
     }
 
@@ -430,28 +348,13 @@ mod tests {
         for i in 0..3 {
             m[(i, 0)] = f64::NAN;
         }
-        let policy = GuardPolicy {
-            max_drop_fraction: 1.0,
-            ..GuardPolicy::default()
-        };
-        assert!(screen(&m, &policy).is_err());
+        let err = screen(&m, false).unwrap_err();
+        assert!(err.to_string().contains("dropped 3 of 3"), "{err}");
     }
 
     #[test]
-    fn policy_validation() {
-        assert!(GuardPolicy::default().validate().is_ok());
-        let bad = GuardPolicy {
-            mad_threshold: 0.0,
-            ..GuardPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = GuardPolicy {
-            max_drop_fraction: 1.5,
-            ..GuardPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(screen(&clean_matrix(), &bad).is_err());
-        assert!(screen(&Matrix::zeros(0, 3), &GuardPolicy::default()).is_err());
+    fn empty_matrix_is_an_error() {
+        assert!(screen(&Matrix::zeros(0, 3), false).is_err());
     }
 
     #[test]
@@ -461,7 +364,7 @@ mod tests {
         for i in 0..13 {
             m[(i, 1)] = 5.0;
         }
-        let (_, report) = screen(&m, &GuardPolicy::default()).unwrap();
+        let (_, report) = screen(&m, false).unwrap();
         assert!(report.outlier_rows.is_empty(), "{:?}", report.outlier_rows);
     }
 

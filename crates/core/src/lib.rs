@@ -58,7 +58,7 @@
 //! let late_samples = truth.sample_matrix(&mut rng, 10);
 //!
 //! // Fuse: CV-select hyper-parameters, then MAP-estimate the moments.
-//! let selection = CrossValidation::default().select(&early, &late_samples, &mut rng)?;
+//! let selection = CrossValidation.select(&early, &late_samples, &mut rng)?;
 //! let prior = NormalWishartPrior::from_early_moments(
 //!     &early, selection.kappa0, selection.nu0)?;
 //! let estimate = BmfEstimator::new(prior)?.estimate(&late_samples)?;
@@ -150,10 +150,10 @@ impl MomentEstimate {
 /// Common imports for downstream users.
 pub mod prelude {
     pub use crate::cv::{CrossValidation, HyperParameterSelection};
-    pub use crate::drift::{DriftConfig, DriftMonitor};
+    pub use crate::drift::DriftMonitor;
     pub use crate::error_metrics::{error_cov, error_mean};
     pub use crate::experiment::{SweepConfig, TwoStageData};
-    pub use crate::guard::{DataQualityReport, GuardPolicy};
+    pub use crate::guard::DataQualityReport;
     pub use crate::health::assess as assess_health;
     pub use crate::map::{BmfEstimate, BmfEstimator};
     pub use crate::mle::MleEstimator;

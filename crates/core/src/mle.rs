@@ -1,8 +1,8 @@
 //! Maximum-likelihood moment estimation — the paper's baseline (Eq. 10–11).
 
-use crate::{BmfError, MomentEstimate, Result};
+use crate::suffstats::SufficientStats;
+use crate::{MomentEstimate, Result};
 use bmf_linalg::Matrix;
-use bmf_stats::descriptive;
 
 /// The traditional MLE estimator: sample mean and biased sample covariance.
 ///
@@ -34,45 +34,25 @@ impl MleEstimator {
         MleEstimator
     }
 
-    /// Estimates the moments of an `n × d` sample matrix.
+    /// Estimates the moments of an `n × d` sample matrix: its sufficient
+    /// statistics, then [`Self::estimate_from_stats`].
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidSamples`] for an empty matrix or
+    /// Returns [`crate::BmfError::InvalidSamples`] for an empty matrix or
     /// non-finite entries.
     pub fn estimate(&self, samples: &Matrix) -> Result<MomentEstimate> {
-        if samples.nrows() == 0 || samples.ncols() == 0 {
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "need at least one sample and one metric, got {}x{}",
-                    samples.nrows(),
-                    samples.ncols()
-                ),
-            });
-        }
-        if !samples.is_finite() {
-            return Err(BmfError::InvalidSamples {
-                reason: "sample matrix contains non-finite entries".to_string(),
-            });
-        }
-        let mean = descriptive::mean_vector(samples)?;
-        let cov = descriptive::covariance_mle(samples)?;
-        let est = MomentEstimate { mean, cov };
-        est.validate()?;
-        Ok(est)
+        self.estimate_from_stats(&SufficientStats::from_samples(samples)?)
     }
 
     /// Estimates the moments from sufficient statistics `(n, X̄, S)`:
-    /// `μ_MLE = X̄`, `Σ_MLE = S/n` — the stats-path twin of
-    /// [`Self::estimate`] used by sharded merges.
+    /// `μ_MLE = X̄`, `Σ_MLE = S/n`, the one path behind
+    /// [`Self::estimate`] and sharded merges.
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidSamples`] for invalid statistics.
-    pub fn estimate_from_stats(
-        &self,
-        stats: &crate::suffstats::SufficientStats,
-    ) -> Result<MomentEstimate> {
+    /// Returns [`crate::BmfError::InvalidSamples`] for invalid statistics.
+    pub fn estimate_from_stats(&self, stats: &SufficientStats) -> Result<MomentEstimate> {
         stats.validate()?;
         let est = MomentEstimate {
             mean: stats.mean.clone(),
@@ -88,7 +68,7 @@ mod tests {
     use super::*;
     use bmf_linalg::Vector;
     use bmf_stats::MultivariateNormal;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matches_hand_computation() {
@@ -115,6 +95,38 @@ mod tests {
         let mut nan = Matrix::zeros(2, 2);
         nan[(0, 0)] = f64::NAN;
         assert!(mle.estimate(&nan).is_err());
+    }
+
+    /// The pre-delegation MLE: its own mean, then `covariance_mle`.
+    fn direct_estimate(samples: &Matrix) -> Result<MomentEstimate> {
+        let mean = bmf_stats::descriptive::mean_vector(samples)?;
+        let cov = bmf_stats::descriptive::covariance_mle(samples)?;
+        Ok(MomentEstimate { mean, cov })
+    }
+
+    #[test]
+    fn estimate_is_bit_identical_to_the_direct_formulas() {
+        // Seeded matrices over n, d and scale: the sufficient-statistics
+        // path gives the bits of the sample mean and `covariance_mle`.
+        let bits = |e: &MomentEstimate| -> Vec<u64> {
+            let (mean, cov) = (e.mean.as_slice(), e.cov.as_slice());
+            mean.iter().chain(cov).map(|v| v.to_bits()).collect()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for case in 0..2000 {
+            let n = 1 + (case * 37) % 300;
+            let d = 1 + case % 7;
+            let scale = 10f64.powi((case % 9) as i32 - 4);
+            let samples =
+                Matrix::from_fn(n, d, |_, j| scale * (rng.gen_range(-1.0..1.0) + j as f64));
+            let fused = MleEstimator::new().estimate(&samples).unwrap();
+            let direct = direct_estimate(&samples).unwrap();
+            assert_eq!(
+                bits(&fused),
+                bits(&direct),
+                "n = {n}, d = {d}, scale = {scale:e}"
+            );
+        }
     }
 
     #[test]

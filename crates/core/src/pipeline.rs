@@ -33,7 +33,7 @@
 //! what it is — nothing is silently patched.
 
 use crate::cv::{CrossValidation, HyperParameterSelection};
-use crate::guard::{self, DataQualityReport, GuardPolicy};
+use crate::guard::{self, DataQualityReport};
 use crate::map::BmfEstimator;
 use crate::mle::MleEstimator;
 use crate::prior::NormalWishartPrior;
@@ -346,8 +346,6 @@ impl FusionReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RobustPipeline {
-    cv: CrossValidation,
-    guard: GuardPolicy,
     mode: FailureMode,
     seed: u64,
     threads: usize,
@@ -361,12 +359,11 @@ impl Default for RobustPipeline {
 }
 
 impl RobustPipeline {
-    /// Degrade-mode pipeline with the default CV grid and guard policy,
-    /// seed 2015, one thread.
+    /// Degrade-mode pipeline, seed 2015, one thread. Its guard flags
+    /// outliers without dropping them, and its CV searches the paper's
+    /// grid ([`CrossValidation`]).
     pub fn new() -> Self {
         RobustPipeline {
-            cv: CrossValidation::default(),
-            guard: GuardPolicy::default(),
             mode: FailureMode::Degrade,
             seed: 2015,
             threads: 1,
@@ -384,12 +381,6 @@ impl RobustPipeline {
     /// [`BmfError::InvalidConfig`] in either mode, before any stage.
     pub fn with_fixed_hypers(mut self, kappa0: f64, nu0: f64) -> Self {
         self.fixed_hypers = Some((kappa0, nu0));
-        self
-    }
-
-    /// Replaces the cross-validation strategy.
-    pub fn with_cv(mut self, cv: CrossValidation) -> Self {
-        self.cv = cv;
         self
     }
 
@@ -420,8 +411,8 @@ impl RobustPipeline {
     ///
     /// # Errors
     ///
-    /// * [`BmfError::InvalidConfig`] for an invalid guard policy, thread
-    ///   count or pinned `(κ₀, ν₀)` pair.
+    /// * [`BmfError::InvalidConfig`] for an invalid thread count or
+    ///   pinned `(κ₀, ν₀)` pair.
     /// * [`BmfError::InvalidMoments`] when the early moments are
     ///   structurally unusable (nothing to degrade to).
     /// * [`BmfError::InvalidSamples`] in strict mode on any anomaly, or
@@ -625,7 +616,6 @@ impl RobustPipeline {
         timings: &mut StageTimings,
     ) -> Result<(MomentEstimate, FusionReport)> {
         self.check_config(early.dim())?;
-        self.guard.validate()?;
         // The early moments are the last rung of the ladder; if they are
         // structurally broken there is nothing to return at any rung.
         early.validate()?;
@@ -642,7 +632,7 @@ impl RobustPipeline {
         // ── Stage 1: data-quality guard on the late samples. ──────────
         let guard_span = bmf_obs::span("pipeline.guard");
         let stage_start = std::time::Instant::now();
-        let screened = guard::screen(late_samples, &self.guard);
+        let screened = guard::screen(late_samples, false);
         timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
         drop(guard_span);
         let (cleaned, dq) = match screened {
@@ -697,10 +687,9 @@ impl RobustPipeline {
         // single-process run select identically.
         let selected = match self.fixed_hypers {
             Some(_) => None,
-            None => Some(
-                self.cv
-                    .select_seeded(&prior.early, &cleaned, self.seed, self.threads),
-            ),
+            None => {
+                Some(CrossValidation.select_seeded(&prior.early, &cleaned, self.seed, self.threads))
+            }
         };
         timings.cv_ns = stage_start.elapsed().as_nanos() as u64;
         // Keep the full selection (grid + per-point scores) alive for the
@@ -901,17 +890,10 @@ mod tests {
         truth.sample_matrix(&mut rng, n)
     }
 
-    fn small_cv() -> CrossValidation {
-        CrossValidation::new(vec![1.0, 10.0], vec![10.0, 100.0], 2).unwrap()
-    }
-
     #[test]
     fn happy_path_is_map_with_clean_report() {
         let late = clean_late(16, 1);
-        let (est, report) = RobustPipeline::new()
-            .with_cv(small_cv())
-            .estimate(&early(), &late)
-            .unwrap();
+        let (est, report) = RobustPipeline::new().estimate(&early(), &late).unwrap();
         assert_eq!(report.fallback, FallbackLevel::Map);
         assert!(report.fallback_reason.is_none());
         assert!(report.data_quality.is_clean());
@@ -930,10 +912,7 @@ mod tests {
         let mut late = clean_late(16, 2);
         late[(3, 0)] = f64::NAN;
         late[(9, 1)] = f64::INFINITY;
-        let (est, report) = RobustPipeline::new()
-            .with_cv(small_cv())
-            .estimate(&early(), &late)
-            .unwrap();
+        let (est, report) = RobustPipeline::new().estimate(&early(), &late).unwrap();
         assert_eq!(report.fallback, FallbackLevel::Map);
         assert_eq!(report.data_quality.dropped_rows, vec![3, 9]);
         assert_eq!(report.data_quality.rows_out, 14);
@@ -947,10 +926,7 @@ mod tests {
             cov: Matrix::outer(&Vector::from_slice(&[1.0, 1.0])), // rank 1
         };
         let late = clean_late(16, 3);
-        let (est, report) = RobustPipeline::new()
-            .with_cv(small_cv())
-            .estimate(&singular, &late)
-            .unwrap();
+        let (est, report) = RobustPipeline::new().estimate(&singular, &late).unwrap();
         assert_eq!(report.fallback, FallbackLevel::MapRepairedPrior);
         assert!(report.prior_repair.is_repaired());
         assert!(report.prior_condition.is_infinite());
@@ -996,7 +972,6 @@ mod tests {
         late[(0, 0)] = f64::NAN;
         let err = RobustPipeline::new()
             .with_mode(FailureMode::Strict)
-            .with_cv(small_cv())
             .estimate(&early(), &late)
             .unwrap_err();
         assert!(err.to_string().contains("strict mode"), "{err}");
@@ -1011,7 +986,6 @@ mod tests {
         let late = clean_late(16, 7);
         let err = RobustPipeline::new()
             .with_mode(FailureMode::Strict)
-            .with_cv(small_cv())
             .estimate(&singular, &late)
             .unwrap_err();
         assert!(err.to_string().contains("repair"), "{err}");
@@ -1022,7 +996,6 @@ mod tests {
         let late = clean_late(16, 8);
         let (est, report) = RobustPipeline::new()
             .with_mode(FailureMode::Strict)
-            .with_cv(small_cv())
             .estimate(&early(), &late)
             .unwrap();
         assert_eq!(report.fallback, FallbackLevel::Map);
@@ -1056,12 +1029,10 @@ mod tests {
     fn result_is_thread_count_invariant() {
         let late = clean_late(24, 11);
         let a = RobustPipeline::new()
-            .with_cv(small_cv())
             .with_threads(1)
             .estimate(&early(), &late)
             .unwrap();
         let b = RobustPipeline::new()
-            .with_cv(small_cv())
             .with_threads(7)
             .estimate(&early(), &late)
             .unwrap();
@@ -1227,10 +1198,7 @@ mod tests {
     fn report_serializes_to_json_and_summary() {
         let mut late = clean_late(16, 12);
         late[(2, 1)] = f64::NAN;
-        let (_, report) = RobustPipeline::new()
-            .with_cv(small_cv())
-            .estimate(&early(), &late)
-            .unwrap();
+        let (_, report) = RobustPipeline::new().estimate(&early(), &late).unwrap();
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"fallback\":\"map\""));
@@ -1280,10 +1248,7 @@ mod tests {
         use bmf_obs::json;
 
         let late = clean_late(16, 13);
-        let (_, mut report) = RobustPipeline::new()
-            .with_cv(small_cv())
-            .estimate(&early(), &late)
-            .unwrap();
+        let (_, mut report) = RobustPipeline::new().estimate(&early(), &late).unwrap();
 
         // Recording was off → counters are empty; the JSON must still be
         // a parseable object with an empty counters map. With no run

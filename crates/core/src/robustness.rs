@@ -188,7 +188,7 @@ pub fn skew_robustness_sweep<R: Rng + ?Sized>(
 
     let d = core_cov.nrows();
     let mut out = Vec::with_capacity(gammas.len());
-    let cv = CrossValidation::default();
+    let cv = CrossValidation;
     let mle = MleEstimator::new();
 
     for &gamma in gammas {

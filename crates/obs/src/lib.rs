@@ -122,7 +122,9 @@ pub use event::{EventRecord, Heartbeat, Level, ProgressEntry};
 pub use export::{chrome_trace_json, metrics_json, profile_json, profile_table, HardwareContext};
 pub use fsio::atomic_write;
 pub use health::{DriftTimeline, DriftWindow, HealthReport, Severity};
-pub use metrics::{counters, histograms, Counter, Histogram, MetricsSnapshot, ProcessStats};
+pub use metrics::{
+    counters, histograms, Counter, Histogram, MetricsSnapshot, PhaseClock, ProcessStats,
+};
 pub use run::RunContext;
 pub use serve::ObsServer;
 pub use shard::ShardCoverage;

@@ -168,6 +168,41 @@ impl Drop for HistogramTimer {
     }
 }
 
+/// Times consecutive phases of one piece of work, each into its own
+/// histogram, with one clock read per phase boundary: the read that ends
+/// a phase also starts the next, so `k` phases read the clock `k + 1`
+/// times where a [`HistogramTimer`] per phase would read it `2k` times.
+/// When recording is disabled at [`PhaseClock::start`], no clock is read.
+pub struct PhaseClock {
+    /// The last boundary; `None` when recording was disabled at start.
+    last: Option<Instant>,
+}
+
+impl PhaseClock {
+    /// Starts the first phase: one relaxed load and, when recording is
+    /// enabled, one clock read.
+    #[inline]
+    pub fn start() -> Self {
+        PhaseClock {
+            last: crate::is_enabled().then(Instant::now),
+        }
+    }
+
+    /// Runs `phase`, records the time since the previous boundary into
+    /// `histogram` whatever `phase` returned (a failing phase counts as
+    /// one sample too), and starts the next phase.
+    #[inline]
+    pub fn time<T>(&mut self, histogram: &Histogram, phase: impl FnOnce() -> T) -> T {
+        let out = phase();
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            histogram.record(now.duration_since(last).as_nanos() as u64);
+            self.last = Some(now);
+        }
+        out
+    }
+}
+
 /// Point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramStats {
@@ -328,9 +363,6 @@ pub mod counters {
     /// to per-fold scalars (288 for the default 12×12 grid at d = 5:
     /// 8 repeats × 4 folds × 9 feasible ν₀), never per candidate.
     pub static CV_FOLD_EVALS: Counter = Counter::new("cv.fold_evals");
-    /// Duplicate grid values dropped by the CV constructor (a non-zero
-    /// value means a caller supplied a grid with repeated candidates).
-    pub static CV_GRID_DUPLICATES: Counter = Counter::new("cv.grid_duplicates");
     /// Faults fired by `FaultInjector` (failures, NaNs, outliers).
     pub static FAULT_INJECTIONS: Counter = Counter::new("fault.injections");
     /// Cells/rows/columns flagged by the data-quality guard.
@@ -361,7 +393,7 @@ pub mod counters {
     /// Packets rejected by a merge (corrupt, incompatible, invalid).
     pub static SHARD_REJECTS: Counter = Counter::new("shard.rejects");
 
-    static ALL: [&Counter; 23] = [
+    static ALL: [&Counter; 22] = [
         &MONTE_CARLO_SIMS,
         &MONTE_CARLO_RETRIES,
         &CHOLESKY_CALLS,
@@ -371,7 +403,6 @@ pub mod counters {
         &EIGEN_SWEEPS,
         &CV_CANDIDATES,
         &CV_FOLD_EVALS,
-        &CV_GRID_DUPLICATES,
         &FAULT_INJECTIONS,
         &GUARD_FLAGS,
         &LADDER_RUNG_TRANSITIONS,
@@ -645,6 +676,30 @@ mod tests {
             let _t = histograms::EIGEN_NS.timer();
         }
         assert_eq!(histograms::EIGEN_NS.stats().count, 1);
+        crate::reset();
+    }
+
+    #[test]
+    fn phase_clock_shares_each_boundary_and_is_inert_when_disabled() {
+        let _g = test_lock();
+        crate::reset();
+        let (a, b) = (&histograms::OPAMP_BIAS_NS, &histograms::OPAMP_PHASE_NS);
+        let mut clock = PhaseClock::start();
+        clock.time(a, || ());
+        assert!(clock.last.is_none(), "recording off reads no clock");
+        assert_eq!(a.stats().count, 0);
+
+        crate::enable();
+        let mut clock = PhaseClock::start();
+        let first = clock.last.expect("recording on reads the clock at start");
+        let failed: Result<(), ()> = clock.time(a, || Err(()));
+        assert!(failed.is_err());
+        clock.time(b, || std::hint::black_box(7));
+        let span = clock.last.expect("boundary").duration_since(first);
+        // Both phases ran between the first read and the last, and no
+        // time fell between them: their sum is that span to the ns.
+        assert_eq!((a.stats().count, b.stats().count), (1, 1));
+        assert_eq!(a.stats().sum_ns + b.stats().sum_ns, span.as_nanos() as u64);
         crate::reset();
     }
 }

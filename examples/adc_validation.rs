@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (early_moments, exact_late) = (&study.early_moments, &study.exact_late);
     let few = bmf_ams::linalg::Matrix::from_fn(n_late, 5, |i, j| study.late_pool[(i, j)]);
 
-    let selection = CrossValidation::default().select(early_moments, &few, &mut rng)?;
+    let selection = CrossValidation.select(early_moments, &few, &mut rng)?;
     println!(
         "CV selected kappa0 = {:.2}, nu0 = {:.1}",
         selection.kappa0, selection.nu0

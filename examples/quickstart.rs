@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("normalised early cov:\n{}", early_moments.cov);
 
     // --- Step 2: hyper-parameter selection (§4.2) ---------------------------
-    let selection = CrossValidation::default().select(&early_moments, &late_norm, &mut rng)?;
+    let selection = CrossValidation.select(&early_moments, &late_norm, &mut rng)?;
     println!(
         "cross-validation selected kappa0 = {:.2}, nu0 = {:.1} (score {:.3})\n",
         selection.kappa0, selection.nu0, selection.score

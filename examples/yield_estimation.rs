@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (early_moments, late_t) = (&study.early_moments, &study.late_transform);
     let few = Matrix::from_fn(n_late, 5, |i, j| study.late_pool[(i, j)]);
 
-    let selection = CrossValidation::default().select(early_moments, &few, &mut rng)?;
+    let selection = CrossValidation.select(early_moments, &few, &mut rng)?;
     let prior =
         NormalWishartPrior::from_early_moments(early_moments, selection.kappa0, selection.nu0)?;
     let bmf_norm = BmfEstimator::new(prior)?.estimate(&few)?.map;

@@ -415,7 +415,7 @@ fn cmd_estimate(args: &Args, obs: &ObsOptions) -> CliResult {
         // early-stage model. The final timeline is published here, as the
         // figure bins' snapshot publishes theirs, so a late pool shorter
         // than one window shows an empty drift section.
-        match DriftMonitor::new(&study.early_moments, DriftConfig::default())
+        match DriftMonitor::new(&study.early_moments)
             .and_then(|mut m| m.push_batch(&study.late_pool).map(|()| m))
         {
             Ok(monitor) => bmf_ams::obs::serve::publish_drift(&monitor.into_timeline()),

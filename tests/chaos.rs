@@ -18,7 +18,6 @@ use bmf_ams::circuits::monte_carlo::{
     run_monte_carlo_seeded_with_policy, RetryPolicy, Stage, Testbench,
 };
 use bmf_ams::circuits::opamp::OpAmpTestbench;
-use bmf_ams::core::cv::CrossValidation;
 use bmf_ams::core::error_metrics::error_cov;
 use bmf_ams::core::experiment::{prepare, PreparedStudy, TwoStageData};
 use bmf_ams::core::pipeline::{FailureMode, FallbackLevel, RobustPipeline};
@@ -32,12 +31,6 @@ fn base_fault_rate() -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.1)
-}
-
-/// Small CV grid so each property case stays cheap (the container runs
-/// the 64 deterministic proptest cases serially).
-fn small_cv() -> CrossValidation {
-    CrossValidation::new(vec![1.0, 100.0], vec![10.0, 100.0], 2).unwrap()
 }
 
 /// A clean op-amp study, normalised: prior moments, exact late moments
@@ -94,12 +87,11 @@ proptest! {
             sim_failure_rate: (base * fail_scale).min(0.9),
             nan_rate: (base / 5.0 * nan_scale).min(0.5),
             outlier_rate: (base / 5.0 * outlier_scale).min(0.5),
-            ..FaultConfig::default()
         };
         let (study, _) = clean_study(40, 40, 2015);
         let late = faulted_late_samples(&study, config, 12, seed);
 
-        let pipeline = RobustPipeline::new().with_cv(small_cv()).with_seed(seed);
+        let pipeline = RobustPipeline::new().with_seed(seed);
         match pipeline.estimate(&study.early_moments, &late) {
             Ok((est, report)) => {
                 // Whatever rung produced it, the estimate is structurally
@@ -149,7 +141,6 @@ proptest! {
         let late = faulted_late_samples(&study, config, 12, seed);
 
         let pipeline = RobustPipeline::new()
-            .with_cv(small_cv())
             .with_seed(seed)
             .with_mode(FailureMode::Strict);
         if let Ok((est, report)) = pipeline.estimate(&study.early_moments, &late) {
@@ -172,7 +163,6 @@ fn faulted_map_covariance_error_within_2x_of_fault_free() {
 
     let run = |late: &Matrix| -> (MomentEstimate, FallbackLevel) {
         let (est, report) = RobustPipeline::new()
-            .with_cv(small_cv())
             .with_seed(7)
             .estimate(&study.early_moments, late)
             .expect("robust estimate");
@@ -233,7 +223,6 @@ fn faulted_robust_estimate_is_thread_count_invariant() {
                 .unwrap();
         let norm = study.late_transform.apply_samples(&late.samples).unwrap();
         let (est, _) = RobustPipeline::new()
-            .with_cv(small_cv())
             .with_seed(5)
             .with_threads(threads)
             .estimate(&study.early_moments, &norm)

@@ -18,13 +18,15 @@
 //!   threads (the per-repeat work split must not perturb the reduction
 //!   order).
 //!
-//! Cases deliberately include ν₀ just above the `ν₀ > d` feasibility
-//! floor, infeasible ν₀ ≤ d values, `n < Q` (shrunken fold counts),
-//! unequal folds (`n mod Q ≠ 0`) with both fewer and more held-out rows
-//! than `d` (a rank-deficient and a full-rank held-out scatter), and a
-//! prior mean up to 30σ away from the data.
+//! Every case runs the grid the library ships: 12 × 12 log-spaced over
+//! `[1, 1000]`, Q = 4, 8 repeats. Cases deliberately include ν₀ just
+//! above the `ν₀ > d` feasibility floor (the grid's ν₀ = 23.10 at d = 23
+//! leaves `M(ν₀) = S + 0.10·Σ_E`), infeasible ν₀ ≤ d values, `n < Q`
+//! (shrunken fold counts), unequal folds (`n mod Q ≠ 0`) with both fewer
+//! and more held-out rows than `d` (a rank-deficient and a full-rank
+//! held-out scatter), and a prior mean up to 30σ away from the data.
 
-use bmf_ams::core::cv::{CrossValidation, CvGridPoint};
+use bmf_ams::core::cv::{CrossValidation, CvGridPoint, FOLDS, REPEATS};
 use bmf_ams::core::map::BmfEstimator;
 use bmf_ams::core::parallel::{derive_seed, streams};
 use bmf_ams::core::prior::NormalWishartPrior;
@@ -57,9 +59,18 @@ fn synthetic(d: usize, n: usize, seed: u64, gap: f64) -> (MomentEstimate, Matrix
     (early, samples)
 }
 
-/// The naive oracle's grid for `cv.select_seeded(early, late, seed, _)`:
-/// every feasible `(κ₀, ν₀)` in the library's order (ν₀ major), scored by
-/// refitting per candidate × repeat × fold.
+/// The paper's candidate values on each axis, computed as the library
+/// documents them: 12 points log-spaced over `[1, 1000]`.
+fn paper_grid() -> Vec<f64> {
+    let (lo, hi) = (1.0_f64.ln(), 1000.0_f64.ln());
+    (0..12)
+        .map(|k| (lo + (hi - lo) * k as f64 / 11.0).exp())
+        .collect()
+}
+
+/// The naive oracle's grid for `select_seeded(early, late, seed, _)`:
+/// every feasible `(κ₀, ν₀)` of [`paper_grid`] in the library's order
+/// (ν₀ major), scored by refitting per candidate × repeat × fold.
 ///
 /// Repeat `rep` shuffles the row indices with the library's seed
 /// `derive_seed(seed, CV_FOLD_SHUFFLE, rep)`; position `i` of the shuffle
@@ -67,17 +78,12 @@ fn synthetic(d: usize, n: usize, seed: u64, gap: f64) -> (MomentEstimate, Matrix
 /// stacks the other folds in fold order. The score is the mean held-out
 /// log-likelihood per row over the folds, averaged over the repeats; any
 /// failing fit or likelihood makes it −∞.
-fn naive_grid(
-    cv: &CrossValidation,
-    early: &MomentEstimate,
-    late: &Matrix,
-    seed: u64,
-) -> Vec<CvGridPoint> {
+fn naive_grid(early: &MomentEstimate, late: &Matrix, seed: u64) -> Vec<CvGridPoint> {
     let (n, d) = late.shape();
-    let q = cv.fold_count().min(n);
+    let q = FOLDS.min(n);
     let rows = |idx: &[usize]| Matrix::from_fn(idx.len(), d, |i, j| late[(idx[i], j)]);
     // Per repeat, each fold's (training, held-out) rows.
-    let repeats: Vec<Vec<(Matrix, Matrix)>> = (0..cv.repeat_count())
+    let repeats: Vec<Vec<(Matrix, Matrix)>> = (0..REPEATS)
         .map(|rep| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(
                 seed,
@@ -110,9 +116,10 @@ fn naive_grid(
         }
         Some(total / count as f64)
     };
-    let nu_feasible = cv.nu_grid().iter().filter(|&&nu0| nu0 > d as f64 + 1e-9);
+    let grid = paper_grid();
+    let nu_feasible = grid.iter().filter(|&&nu0| nu0 > d as f64 + 1e-9);
     nu_feasible
-        .flat_map(|&nu0| cv.kappa_grid().iter().map(move |&kappa0| (kappa0, nu0)))
+        .flat_map(|&nu0| grid.iter().map(move |&kappa0| (kappa0, nu0)))
         .map(|(kappa0, nu0)| {
             let mut score = 0.0;
             for folds in &repeats {
@@ -124,21 +131,12 @@ fn naive_grid(
         .collect()
 }
 
-/// Selects the grid values whose bit is set in `mask` (non-empty by
-/// construction since masks are drawn from 1..16).
-fn masked(all: &[f64; 4], mask: u8) -> Vec<f64> {
-    all.iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, &v)| v)
-        .collect()
-}
-
-/// The per-case body of `fast_path_matches_naive_oracle` for a feasible
-/// grid: fast bit-identity across threads, grid-score agreement to
-/// 1e-10, and argmax agreement away from near-ties.
-fn check_fast_vs_naive(cv: &CrossValidation, early: &MomentEstimate, late: &Matrix, seed: u64) {
-    let naive = naive_grid(cv, early, late, seed);
+/// The per-case body of the oracle tests: fast bit-identity across
+/// threads, grid-score agreement to 1e-10, and argmax agreement away from
+/// near-ties.
+fn check_fast_vs_naive(early: &MomentEstimate, late: &Matrix, seed: u64) {
+    let cv = CrossValidation;
+    let naive = naive_grid(early, late, seed);
     let reference = cv.select_seeded(early, late, seed, 1).expect("fast");
     for &t in &[2usize, 7] {
         let sel = cv.select_seeded(early, late, seed, t).expect("fast");
@@ -192,47 +190,29 @@ fn check_fast_vs_naive(cv: &CrossValidation, early: &MomentEstimate, late: &Matr
 }
 
 proptest! {
-    /// Fast vs naive: same grids, same seed — scores within 1e-10, same
-    /// argmax away from ties, and the fast path bit-identical at 1/2/7
-    /// threads. d ∈ {1, 3, 5} and Q ∈ {2, 4, 5}; ν₀ = d + 0.02 sits just
-    /// above the feasibility floor and ν₀ = d − 0.5 below it; n runs from
-    /// 2 (n < Q) to about 300, never a multiple of Q, so the held-out
-    /// folds are unequal and hold fewer or more rows than d.
+    /// Fast vs naive on the shipped grid, same seed: scores within 1e-10,
+    /// same argmax away from ties, and the fast path bit-identical at
+    /// 1/2/7 threads. At d ∈ {1, 3, 6} the lowest feasible ν₀ (1.87,
+    /// 3.51, 6.58) sits 0.87, 0.51 and 0.58 above d, and the lower ν₀
+    /// are infeasible; n runs from 2 (n < Q) to 48, never a multiple of
+    /// Q, so the held-out folds are unequal and hold fewer or more rows
+    /// than d.
     #[test]
     fn fast_path_matches_naive_oracle(
         seed in 0u64..10_000,
         d_pick in 0usize..3,
-        q_pick in 0usize..3,
-        ln_n in 0.7f64..5.7,
+        n_pick in 2usize..48,
         gap in 0.0f64..30.0,
-        kmask in 1u8..16,
-        nmask in 1u8..16,
     ) {
-        let d = [1, 3, 5][d_pick];
-        let q = [2, 4, 5][q_pick];
-        // Log-uniform over [2, 300): small folds are as common as large.
-        let n_pick = (ln_n.exp() as usize).max(2);
-        let n = if n_pick.is_multiple_of(q) { n_pick + 1 } else { n_pick };
-        let df = d as f64;
-        let kappa = masked(&[0.7, 4.67, 55.0, 900.0], kmask);
-        let nu = masked(&[df - 0.5, df + 0.02, 12.0, 420.0], nmask);
+        let d = [1, 3, 6][d_pick];
+        let n = if n_pick.is_multiple_of(FOLDS) { n_pick + 1 } else { n_pick };
         let (early, late) = synthetic(d, n, seed ^ 0xC0FE, gap);
-        let cv = CrossValidation::with_repeats(kappa, nu, q, 2).expect("cv");
-
-        if cv.feasible_candidate_count(d) == 0 {
-            // Only the infeasible ν₀ survived the mask: the grid must be
-            // rejected (and the grid blamed, not scoring).
-            let err = cv.select_seeded(&early, &late, seed, 1).expect_err("infeasible");
-            prop_assert!(err.to_string().contains("no feasible"));
-        } else {
-            check_fast_vs_naive(&cv, &early, &late, seed);
-        }
+        check_fast_vs_naive(&early, &late, seed);
     }
 }
 
-/// A fixed d = 2 case beside the proptest's d ∈ {1, 3, 5}: a prior mean
-/// and covariance both off the data, a ν₀ = 2.5 just above d, and n = 12
-/// in three folds.
+/// A fixed d = 2 case beside the proptest's d ∈ {1, 3, 6}: a prior mean
+/// and covariance both off the data, and n = 12 in four folds.
 #[test]
 fn fixed_d2_grid_matches_naive_oracle() {
     let truth = MultivariateNormal::new(
@@ -245,9 +225,23 @@ fn fixed_d2_grid_matches_naive_oracle() {
         cov: truth.cov() * 1.7,
     };
     let late = truth.sample_matrix(&mut rand::rngs::StdRng::seed_from_u64(99), 12);
-    let cv =
-        CrossValidation::with_repeats(vec![1.0, 4.67, 120.0], vec![2.5, 7.0, 310.0], 3, 2).unwrap();
-    check_fast_vs_naive(&cv, &early, &late, 7);
+    check_fast_vs_naive(&early, &late, 7);
+}
+
+/// The grid's tightest feasibility edge: at d = 23 its ν₀ = 23.10 leaves
+/// `M(ν₀) = S + 0.10·Σ_E`, with a prior mean 30σ off and held-out folds
+/// of about 10 rows, fewer than d.
+#[test]
+fn d23_feasibility_edge_matches_naive_oracle() {
+    let (early, late) = synthetic(23, 41, 23, 30.0);
+    check_fast_vs_naive(&early, &late, 23);
+}
+
+/// Many rows: d = 5 and n = 150, held-out folds of 37 and 38 rows.
+#[test]
+fn d5_n150_matches_naive_oracle() {
+    let (early, late) = synthetic(5, 150, 5, 2.0);
+    check_fast_vs_naive(&early, &late, 5);
 }
 
 /// Regression: when every candidate fails to score (all-NaN late
@@ -257,8 +251,7 @@ fn fixed_d2_grid_matches_naive_oracle() {
 fn all_nan_samples_error_names_scoring_stage_not_grid() {
     let (early, _) = synthetic(2, 8, 1, 0.0);
     let late = Matrix::from_fn(8, 2, |_, _| f64::NAN);
-    let cv = CrossValidation::new(vec![1.0, 10.0], vec![5.0, 50.0], 4).unwrap();
-    let msg = cv
+    let msg = CrossValidation
         .select_seeded(&early, &late, 3, 1)
         .unwrap_err()
         .to_string();
@@ -275,7 +268,7 @@ fn all_nan_samples_error_names_scoring_stage_not_grid() {
         "must not blame a feasible grid, got: {msg}"
     );
     // The oracle reaches the same verdict: no finite score anywhere.
-    assert!(naive_grid(&cv, &early, &late, 3)
+    assert!(naive_grid(&early, &late, 3)
         .iter()
         .all(|p| p.score == f64::NEG_INFINITY));
 }

@@ -9,7 +9,7 @@
 //! mutex and resets the state on entry (same discipline as
 //! `tests/observability.rs`).
 
-use bmf_ams::core::drift::{DriftConfig, DriftMonitor};
+use bmf_ams::core::drift::{DriftMonitor, WINDOW};
 use bmf_ams::core::pipeline::RobustPipeline;
 use bmf_ams::core::MomentEstimate;
 use bmf_ams::linalg::{Matrix, Vector};
@@ -147,14 +147,7 @@ fn estimates_bit_identical_with_health_drift_and_dashboard_active() {
             if active {
                 // Exercise the full observability surface the CLI would:
                 // drift-scan the late pool and render the dashboard.
-                let mut monitor = DriftMonitor::new(
-                    &early,
-                    DriftConfig {
-                        window: 8,
-                        ..DriftConfig::default()
-                    },
-                )
-                .expect("monitor");
+                let mut monitor = DriftMonitor::new(&early).expect("monitor");
                 monitor.push_batch(&late).expect("push");
                 let timeline = monitor.into_timeline();
                 let snapshot = bmf_ams::obs::metrics::snapshot();
@@ -191,18 +184,11 @@ fn estimates_bit_identical_with_health_drift_and_dashboard_active() {
 fn drift_monitor_alerts_on_shifted_stream_and_counts_windows() {
     let _g = obs_lock();
     bmf_ams::obs::enable();
-    let (early, steady) = study(3, 32, 9, 0.0);
-    let (_, shifted) = study(3, 32, 10, 6.0);
+    let (early, steady) = study(3, 2 * WINDOW, 9, 0.0);
+    let (_, shifted) = study(3, 2 * WINDOW, 10, 6.0);
 
     let before_windows = bmf_ams::obs::metrics::snapshot().counter("drift.windows");
-    let mut monitor = DriftMonitor::new(
-        &early,
-        DriftConfig {
-            window: 16,
-            ..DriftConfig::default()
-        },
-    )
-    .expect("monitor");
+    let mut monitor = DriftMonitor::new(&early).expect("monitor");
     monitor.push_batch(&steady).expect("steady batch");
     assert!(
         monitor.timeline().alerts.is_empty(),
@@ -211,7 +197,7 @@ fn drift_monitor_alerts_on_shifted_stream_and_counts_windows() {
     );
     monitor.push_batch(&shifted).expect("shifted batch");
     let timeline = monitor.into_timeline();
-    assert_eq!(timeline.windows.len(), 4, "64 samples / window of 16");
+    assert_eq!(timeline.windows.len(), 4, "4 windows of samples");
     assert!(
         !timeline.alerts.is_empty(),
         "6-sigma shifted stream must raise a drift alert"
@@ -230,20 +216,13 @@ fn drift_monitor_alerts_on_shifted_stream_and_counts_windows() {
 #[test]
 fn dashboard_document_contains_every_section_and_blob() {
     let _g = obs_lock();
-    let (early, late) = study(3, 24, 101, 0.0);
+    let (early, late) = study(3, 3 * WINDOW, 101, 0.0);
     let (_, report) = RobustPipeline::new()
         .with_seed(5)
         .with_threads(1)
         .estimate(&early, &late)
         .expect("estimate");
-    let mut monitor = DriftMonitor::new(
-        &early,
-        DriftConfig {
-            window: 8,
-            ..DriftConfig::default()
-        },
-    )
-    .expect("monitor");
+    let mut monitor = DriftMonitor::new(&early).expect("monitor");
     monitor.push_batch(&late).expect("push");
     let timeline = monitor.into_timeline();
     let snapshot = bmf_ams::obs::metrics::snapshot();

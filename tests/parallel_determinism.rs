@@ -8,7 +8,7 @@
 
 use bmf_ams::circuits::adc::AdcTestbench;
 use bmf_ams::circuits::monte_carlo::{run_monte_carlo_seeded, two_stage_study_seeded, Stage};
-use bmf_ams::core::cv::CrossValidation;
+use bmf_ams::core::cv::{CrossValidation, REPEATS};
 use bmf_ams::core::experiment::{prepare, run_error_sweep_parallel, PreparedStudy, SweepConfig};
 use bmf_ams::core::MomentEstimate;
 use bmf_ams::linalg::{Matrix, Vector};
@@ -63,8 +63,8 @@ proptest! {
         n in 8usize..24,
     ) {
         let (early, late) = synthetic(5, n, seed ^ 0xA5A5);
-        let cv = CrossValidation::default();
-        prop_assert_eq!(cv.repeat_count(), 8);
+        let cv = CrossValidation;
+        prop_assert_eq!(REPEATS, 8);
         let reference = cv.select_seeded(&early, &late, seed, THREAD_COUNTS[0]).expect("select");
         for &t in &THREAD_COUNTS[1..] {
             let sel = cv.select_seeded(&early, &late, seed, t).expect("select");
@@ -92,8 +92,9 @@ proptest! {
         }
     }
 
-    /// The repetition-parallel error sweep is bit-identical for
-    /// threads ∈ {1, 2, 7}, including when threads exceed repetitions.
+    /// The repetition-parallel error sweep, CV on the shipped grid
+    /// included, is bit-identical for threads ∈ {1, 2, 7}, including when
+    /// threads exceed repetitions.
     #[test]
     fn error_sweep_is_thread_count_invariant(
         seed in 0u64..10_000,
@@ -101,7 +102,6 @@ proptest! {
         let config = SweepConfig {
             sample_sizes: vec![8],
             repetitions: 2,
-            cv: CrossValidation::new(vec![1.0, 100.0], vec![10.0, 100.0], 2).expect("cv"),
             seed,
         };
         let prepared = shared_study();

@@ -38,7 +38,6 @@ fn opamp_full_pipeline_beats_mle_at_small_n() {
     let config = SweepConfig {
         sample_sizes: vec![8],
         repetitions: 8,
-        cv: CrossValidation::default(),
         seed: 2,
     };
     let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
@@ -59,7 +58,6 @@ fn adc_full_pipeline_beats_mle_in_both_moments() {
     let config = SweepConfig {
         sample_sizes: vec![8],
         repetitions: 8,
-        cv: CrossValidation::default(),
         seed: 4,
     };
     let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
@@ -76,7 +74,6 @@ fn cost_reduction_exceeds_one_at_small_n() {
     let config = SweepConfig {
         sample_sizes: vec![8, 32, 128],
         repetitions: 6,
-        cv: CrossValidation::default(),
         seed: 6,
     };
     let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
@@ -100,7 +97,6 @@ fn pipeline_is_fully_reproducible_from_seeds() {
     let config = SweepConfig {
         sample_sizes: vec![8],
         repetitions: 3,
-        cv: CrossValidation::default(),
         seed: 8,
     };
     let ra =
@@ -140,7 +136,6 @@ fn opamp_signature_mean_prior_weak_cov_prior_strong() {
     let config = SweepConfig {
         sample_sizes: vec![32],
         repetitions: 10,
-        cv: CrossValidation::default(),
         seed: 11,
     };
     let result = run_error_sweep_parallel(&prepared, &config, THREADS).expect("sweep");
@@ -173,7 +168,7 @@ fn physical_unit_round_trip_through_the_pipeline() {
         cov: descriptive::covariance_mle(&early_norm).expect("cov"),
     };
     let few = Matrix::from_fn(16, 5, |i, j| late_norm[(i, j)]);
-    let sel = CrossValidation::default()
+    let sel = CrossValidation
         .select(&early_moments, &few, &mut rng)
         .expect("cv");
     let prior =
@@ -242,7 +237,7 @@ fn yield_from_bmf_is_closer_than_mle_on_average() {
     for r in 0..reps {
         let offset = r * n;
         let few = Matrix::from_fn(n, 5, |i, j| late_norm[(offset + i, j)]);
-        let sel = CrossValidation::default()
+        let sel = CrossValidation
             .select(&early_moments, &few, &mut rng)
             .expect("cv");
         let prior = NormalWishartPrior::from_early_moments(&early_moments, sel.kappa0, sel.nu0)
