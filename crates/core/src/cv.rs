@@ -18,29 +18,50 @@
 //!
 //! `Σ_t (x_t−μ)ᵀΣ⁻¹(x_t−μ) = tr(Σ⁻¹S_t) + n_t·(X̄_t−μ)ᵀΣ⁻¹(X̄_t−μ)`.
 //!
-//! * Per repeat, one pass over the permuted rows reduces the `Q` held-out
-//!   folds to `(n_t, X̄_t, S_t)`. A fold's training statistics `(n, X̄, S)`
-//!   are the merge of the other `Q − 1`; `δ = μ_E − X̄` is the prior–data
-//!   mean gap and `e = X̄_t − X̄` the held-out mean's offset.
-//! * Per (fold, ν₀), the base matrix `M(ν₀) = S + (ν₀−d)Σ_E` is factorised
-//!   **once** (`|ν|` Cholesky calls per fold instead of `|ν|·|κ|`) and
-//!   reduced to six scalars: `ln|M|`, `g = δᵀM⁻¹δ`, `tr(M⁻¹S_t)`,
-//!   `h = δᵀM⁻¹S_tM⁻¹δ`, `eᵀM⁻¹e` and `eᵀM⁻¹δ`. The trace and `eᵀM⁻¹e` are
-//!   kept as their parts across `M⁻¹δ` (`tr(M⁻¹S_t) − h/g`,
-//!   `eᵀM⁻¹e − (eᵀM⁻¹δ)²/g`), which the candidate formula needs and which
-//!   stay accurate however far the prior mean sits from the data. The
-//!   trace costs O(d²·min(n_t, d)): one triangular solve per centred
-//!   held-out row when there are at most `d` of them, else two per row of
-//!   `S_t`.
-//! * Per candidate, the posterior inverse scale differs from `M(ν₀)` only
-//!   by the rank-one term `c·δδᵀ`, `c = κ₀n/(κ₀+n)` (Eq. 25), and the MAP
-//!   covariance by the scalar `1/(ν₀+n−d)` (Eq. 32), so the matrix
+//! * **Per select**, `Σ_E = L_E L_Eᵀ` is factorised once, and the late rows
+//!   and `μ_E` are whitened, `x̂ = L_E⁻¹x`. The base matrix of a fold,
+//!   `M(ν₀) = S + (ν₀−d)Σ_E`, is then `L_E (Ŝ + sI) L_Eᵀ` with
+//!   `s = ν₀ − d`, so `ln|M| = ln|Σ_E| + ln|Ŝ + sI|` and every scalar below
+//!   is a quadratic form in whitened coordinates. This is the only
+//!   factorisation of a select; a Σ_E that is not SPD or a non-finite row
+//!   fails every candidate alike.
+//! * **Per repeat**, one pass over the permuted rows reduces the `Q`
+//!   held-out folds to `(n_t, X̄_t, S_t)`. A fold's training statistics
+//!   `(n, X̄, S)` are the merge of the other `Q − 1`; `δ = μ_E − X̄` is the
+//!   prior–data mean gap and `e = X̄_t − X̄` the held-out mean's offset.
+//! * **Per (repeat, fold)**, `d − 2` Householder reflectors reduce the
+//!   whitened training scatter to a tridiagonal `T = PᵀŜP` (none at
+//!   `d ≤ 2`), and the same reflectors rotate `δ̂`, `ê` and either the
+//!   `n_t ≤ d` centred held-out rows or the held-out scatter `PᵀŜ_tP`.
+//!   Every ν₀ shares this reduction, since `Ŝ + sI = P(T + sI)Pᵀ`.
+//! * **Per (repeat, fold, ν₀)**, the LDLᵀ of the tridiagonal `T + sI` costs
+//!   O(d) and yields six scalars: `ln|M|` (one `ln` of the pivots'
+//!   product), `g = δᵀM⁻¹δ`, `tr(M⁻¹S_t)`, `h = δᵀM⁻¹S_tM⁻¹δ`, `eᵀM⁻¹e` and
+//!   `eᵀM⁻¹δ`, each a sum weighted by the inverse pivots over the
+//!   bidiagonal solves `L⁻¹δ̃` and `L⁻¹ẽ`. The trace and `eᵀM⁻¹e` are kept
+//!   as their parts across `M⁻¹δ` (`tr(M⁻¹S_t) − h/g`,
+//!   `eᵀM⁻¹e − (eᵀM⁻¹δ)²/g`, the latter a weighted sum of squares with no
+//!   cancellation), which the candidate formula needs and which stay
+//!   accurate however far the prior mean sits from the data. The trace
+//!   costs O(d) per held-out row, or O(d²) from the held-out scatter when
+//!   the fold has more than `d` rows. A pivot that is not positive and
+//!   finite means `M(ν₀)` is not SPD.
+//! * **Per candidate**, the posterior inverse scale differs from `M(ν₀)`
+//!   only by the rank-one term `c·δδᵀ`, `c = κ₀n/(κ₀+n)` (Eq. 25), and the
+//!   MAP covariance by the scalar `1/(ν₀+n−d)` (Eq. 32), so the matrix
 //!   determinant lemma and Sherman–Morrison score each fold in O(1) from
-//!   the six scalars: no factorisation, solve, row or allocation.
+//!   the six scalars. The determinant lemma's `1 + c·g` factors of folds
+//!   of one size are multiplied and logged once, so a candidate takes one
+//!   `ln` per fold size (two at most, since fold sizes differ by at most
+//!   one row) instead of one per fold.
 //!
-//! One search therefore costs `|ν|·Q·repeats` factorisations of O(d³)
-//! plus `|κ|·|ν|·Q·repeats` O(1) scores, and beyond the O(n·d²) pass that
-//! forms the fold statistics it no longer grows with `n`.
+//! One search therefore costs one O(d³) factorisation and `Q·repeats`
+//! O(d³) reductions, plus O(d) per (fold, ν₀) and O(1) per (fold,
+//! candidate); beyond the O(n·d²) pass that whitens the rows and forms
+//! the fold statistics it does not grow with `n`. A reduction costs about
+//! as much as four factorisations of `M(ν₀)`, so it pays off wherever at
+//! least four ν₀ are feasible: `d < 152` on the shipped grid, nine at the
+//! figures' `d = 5`.
 //!
 //! The naive per-candidate refit lives in `tests/cv_equivalence.rs` as the
 //! equivalence oracle, written on the public estimator API; the two agree
@@ -314,31 +335,32 @@ impl CrossValidation {
         bmf_obs::counters::CV_CANDIDATES.add(candidates.len() as u64);
         let q = FOLDS.min(n);
         let repeats_f = REPEATS as f64;
-        let scored = if let Some(stage) = global_failure(early, late_samples) {
-            vec![(f64::NEG_INFINITY, Some(stage)); candidates.len()]
-        } else {
-            let scorer = FoldScorer {
-                early,
-                samples: late_samples,
-                q,
-                nu_values: &nu_values,
-                kappa_grid: &axis,
-            };
-            let per_repeat = parallel::map_range(REPEATS, threads, |rep| {
-                scorer.score_repeat(&fold_order(seed, rep, n))
-            })?;
-            (0..candidates.len())
-                .map(|c| {
-                    let mut score = 0.0_f64;
-                    let mut failure = None;
-                    for scores in &per_repeat {
-                        let (s, f) = scores[c];
-                        score += s / repeats_f;
-                        failure = failure.or(f);
-                    }
-                    (score, failure)
-                })
-                .collect()
+        let scored = match whiten(early, late_samples) {
+            Err(stage) => vec![(f64::NEG_INFINITY, Some(stage)); candidates.len()],
+            Ok(white) => {
+                let scorer = FoldScorer {
+                    white: &white,
+                    d,
+                    q,
+                    nu_values: &nu_values,
+                    kappa_grid: &axis,
+                };
+                let per_repeat = parallel::map_range(REPEATS, threads, |rep| {
+                    scorer.score_repeat(&fold_order(seed, rep, n))
+                })?;
+                (0..candidates.len())
+                    .map(|c| {
+                        let mut score = 0.0_f64;
+                        let mut failure = None;
+                        for scores in &per_repeat {
+                            let (s, f) = scores[c];
+                            score += s / repeats_f;
+                            failure = failure.or(f);
+                        }
+                        (score, failure)
+                    })
+                    .collect()
+            }
         };
 
         let mut grid = Vec::with_capacity(candidates.len());
@@ -405,24 +427,43 @@ fn fold_order(seed: u64, rep: usize, n: usize) -> Vec<usize> {
     order
 }
 
-/// A condition that fails every candidate identically (non-SPD early
-/// covariance, non-finite samples), detected once up front instead of
-/// once per candidate.
-fn global_failure(early: &MomentEstimate, samples: &Matrix) -> Option<ScoreFailure> {
-    if Cholesky::new(&early.cov).is_err() {
-        Some(ScoreFailure::Prior)
-    } else if !samples.is_finite() {
-        Some(ScoreFailure::Statistics)
-    } else {
-        None
+/// The late rows and `μ_E` whitened by the one factorisation of a select,
+/// `Σ_E = L_E L_Eᵀ`: `x̂ = L_E⁻¹x`.
+struct Whitened {
+    /// The `n × d` whitened rows, row-major.
+    rows: Vec<f64>,
+    /// `L_E⁻¹μ_E`.
+    prior_mean: Vec<f64>,
+    /// `ln|Σ_E|`.
+    ln_det: f64,
+}
+
+/// Whitens the late rows and `μ_E`, or names the stage that fails every
+/// candidate alike: a Σ_E that is not SPD, or a non-finite late row.
+fn whiten(early: &MomentEstimate, samples: &Matrix) -> std::result::Result<Whitened, ScoreFailure> {
+    let chol = Cholesky::new(&early.cov).map_err(|_| ScoreFailure::Prior)?;
+    if !samples.is_finite() {
+        return Err(ScoreFailure::Statistics);
     }
+    let l = chol.factor().as_slice();
+    let mut rows = samples.as_slice().to_vec();
+    for row in rows.chunks_exact_mut(early.dim()) {
+        forward_solve(l, row);
+    }
+    let mut prior_mean = early.mean.as_slice().to_vec();
+    forward_solve(l, &mut prior_mean);
+    Ok(Whitened {
+        rows,
+        prior_mean,
+        ln_det: chol.ln_det(),
+    })
 }
 
 /// The candidate-independent inputs of the fast scorer, shared read-only
 /// by every repeat task.
 struct FoldScorer<'a> {
-    early: &'a MomentEstimate,
-    samples: &'a Matrix,
+    white: &'a Whitened,
+    d: usize,
     /// Effective fold count `min(Q, n)`.
     q: usize,
     /// The feasible ν₀ candidates (`ν₀ > d`).
@@ -436,9 +477,6 @@ struct FoldScorer<'a> {
 /// `M⁻¹δ`), and `eᵀM⁻¹δ`.
 #[derive(Debug, Clone, Copy)]
 struct FoldScalars {
-    /// Training rows `n` and held-out rows `n_t` of the fold.
-    n_train: f64,
-    n_test: f64,
     /// `a = ν₀ + n − d`: `Σ_MAP = (M + c·δδᵀ)/a` (Eq. 32).
     a: f64,
     /// `d·ln 2π + ln|M| − d·ln a`: the candidate-independent part of
@@ -456,29 +494,34 @@ struct FoldScalars {
     gap_perp: f64,
 }
 
-impl FoldScalars {
-    /// The held-out log-likelihood of the fold's `n_test` rows under the
-    /// MAP fit of `(κ₀, ν₀)` to its `n_train` training rows.
-    ///
-    /// With `w = κ₀/(κ₀+n)` and `c = κ₀n/(κ₀+n)`, the posterior mean is
-    /// `X̄ + wδ` (Eq. 24) and `Σ_MAP = (M + c·δδᵀ)/a` (Eq. 25, 32). The
-    /// determinant lemma gives `ln|Σ_MAP| = ln|M| + ln(1+cg) − d·ln a`;
-    /// Sherman–Morrison gives the summed Mahalanobis term as `a` times
-    /// `trace_perp + h·r + n_test·(gap_perp + (gap_dot − wg)²·r)`,
-    /// `r = 1/(g(1+cg))`. At `δ = 0` (`g = 0`) the `r` terms vanish.
-    fn ln_likelihood(&self, kappa0: f64) -> f64 {
-        let (n_train, n_test) = (self.n_train, self.n_test);
-        let w = kappa0 / (kappa0 + n_train);
-        let c = w * n_train;
-        let cg = c * self.g;
-        let r = if self.g > 0.0 {
-            1.0 / (self.g * (1.0 + cg))
+/// `ln Π xᵢ` over positive factors with one `ln`, as long as the running
+/// product stays a normal float; a factor that would take it out of that
+/// range first moves the product so far into the log. At `d = 999` the
+/// pivots' product alone would underflow.
+#[derive(Debug, Clone, Copy)]
+struct LnProduct {
+    product: f64,
+    ln: f64,
+}
+
+impl LnProduct {
+    const ONE: LnProduct = LnProduct {
+        product: 1.0,
+        ln: 0.0,
+    };
+
+    fn mul(&mut self, x: f64) {
+        let next = self.product * x;
+        if next.is_normal() {
+            self.product = next;
         } else {
-            0.0
-        };
-        let along = self.gap_dot - w * self.g;
-        let quad = self.trace_perp + self.h * r + n_test * (self.gap_perp + along * along * r);
-        -0.5 * (n_test * (self.ln_norm + cg.ln_1p()) + self.a * quad)
+            self.ln += self.product.ln();
+            self.product = x;
+        }
+    }
+
+    fn ln(self) -> f64 {
+        self.ln + self.product.ln()
     }
 }
 
@@ -498,6 +541,45 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Applies the reflector `I − τvvᵀ` to `y`.
+fn reflect(y: &mut [f64], v: &[f64], tau: f64) {
+    let s = tau * dot(v, y);
+    for (yi, &vi) in y.iter_mut().zip(v) {
+        *yi -= s * vi;
+    }
+}
+
+/// `C ← HCH` for the symmetric row-major `d × d` matrix `c`, where `H`
+/// is the reflector `I − τvvᵀ` on indices `off..d`, updating rows and
+/// columns `lo..d` only (`lo ≤ off`): `p = τCv`, `q = p − ½τ(vᵀp)v` and
+/// `C ← C − vqᵀ − qvᵀ`, formed on the lower triangle and mirrored.
+fn reflect_both(
+    c: &mut [f64],
+    d: usize,
+    lo: usize,
+    off: usize,
+    v: &[f64],
+    tau: f64,
+    p: &mut [f64],
+) {
+    for i in lo..d {
+        p[i] = tau * dot(&c[i * d + off..(i + 1) * d], v);
+    }
+    let half = 0.5 * tau * dot(v, &p[off..d]);
+    for (pi, &vi) in p[off..d].iter_mut().zip(v) {
+        *pi -= half * vi;
+    }
+    let vv = |i: usize| if i < off { 0.0 } else { v[i - off] };
+    for i in off..d {
+        let (vi, qi) = (v[i - off], p[i]);
+        for j in lo..=i {
+            let x = c[i * d + j] - (vi * p[j] + qi * vv(j));
+            c[i * d + j] = x;
+            c[j * d + i] = x;
+        }
+    }
+}
+
 /// The per-task buffers of [`FoldScorer::score_repeat`], allocated once
 /// per repeat and reused for every (fold, ν₀).
 struct Scratch {
@@ -505,88 +587,163 @@ struct Scratch {
     count: Vec<usize>,
     mean: Vec<f64>,
     scatter: Vec<f64>,
-    /// One fold's training mean and scatter, `δ` and `e`.
+    /// One fold's training mean, and its training scatter, reduced in
+    /// place to the tridiagonal `T`.
     train_mean: Vec<f64>,
-    train_scatter: Vec<f64>,
+    tri: Vec<f64>,
+    /// `δ` and `e`, rotated to `δ̃ = Pᵀδ̂` and `ẽ = Pᵀê`.
     delta: Vec<f64>,
     gap: Vec<f64>,
-    /// The centred held-out rows of a fold with at most `d` of them;
-    /// else, per ν₀, `S_t` solved in place to `S_t L⁻ᵀ`.
-    rows: Vec<f64>,
-    /// `M(ν₀)`, refilled per ν₀.
-    m: Matrix,
-    /// `L⁻¹δ`, `L⁻¹e` and one solve's workspace.
+    /// The rotated centred held-out rows of a fold with at most `d` of
+    /// them, else its rotated held-out scatter `PᵀŜ_tP`.
+    held: Vec<f64>,
+    /// A Householder vector and its product with the scatter.
+    v: Vec<f64>,
+    p: Vec<f64>,
+    /// Per ν₀: the inverse pivots and multipliers of `T + sI = LDLᵀ`,
+    /// `z = L⁻¹δ̃`, `e′ = L⁻¹ẽ` and one more vector.
+    inv_piv: Vec<f64>,
+    mult: Vec<f64>,
     z: Vec<f64>,
     e: Vec<f64>,
     work: Vec<f64>,
 }
 
-impl FoldScorer<'_> {
-    /// Scores every candidate (ν-major, like the caller's list) on the
-    /// folds of one repeat: mean held-out per-sample log-likelihood, plus
-    /// the failing stage on −∞.
-    fn score_repeat(&self, order: &[usize]) -> Vec<(f64, Option<ScoreFailure>)> {
-        let d = self.samples.ncols();
-        let q = self.q;
-        let mut sc = Scratch {
+impl Scratch {
+    fn new(d: usize, q: usize) -> Scratch {
+        Scratch {
             count: vec![0; q],
             mean: vec![0.0; q * d],
             scatter: vec![0.0; q * d * d],
             train_mean: vec![0.0; d],
-            train_scatter: vec![0.0; d * d],
+            tri: vec![0.0; d * d],
             delta: vec![0.0; d],
             gap: vec![0.0; d],
-            rows: vec![0.0; d * d],
-            m: Matrix::zeros(d, d),
+            held: vec![0.0; d * d],
+            v: vec![0.0; d],
+            p: vec![0.0; d],
+            inv_piv: vec![0.0; d],
+            mult: vec![0.0; d],
             z: vec![0.0; d],
             e: vec![0.0; d],
             work: vec![0.0; d],
-        };
+        }
+    }
+}
+
+impl FoldScorer<'_> {
+    fn row(&self, i: usize) -> &[f64] {
+        &self.white.rows[i * self.d..(i + 1) * self.d]
+    }
+
+    /// Scores every candidate (ν-major, like the caller's list) on the
+    /// folds of one repeat: mean held-out per-sample log-likelihood, plus
+    /// the failing stage on −∞.
+    fn score_repeat(&self, order: &[usize]) -> Vec<(f64, Option<ScoreFailure>)> {
+        let (d, q) = (self.d, self.q);
+        let mut sc = Scratch::new(d, q);
         self.reduce_folds(order, &mut sc);
 
         // Each fold's scalars per ν₀ (`None` where `M(ν₀)` is not SPD),
         // fold-major. `q = min(Q, n)` with `n ≥ 2` leaves every fold and
         // its training complement non-empty.
+        let n = order.len();
         let nv = self.nu_values.len();
         let mut scalars: Vec<Option<FoldScalars>> = Vec::with_capacity(q * nv);
         for t in 0..q {
-            let n_train = order.len() - sc.count[t];
-            self.merge_training(t, n_train, &mut sc);
-            self.centre_held_out_rows(order, t, &mut sc);
+            let n_train = n - sc.count[t];
+            self.reduce_fold(order, t, n_train, &mut sc);
             for &nu0 in self.nu_values {
-                bmf_obs::counters::CV_FOLD_EVALS.incr();
-                scalars.push(self.fold_scalars(nu0, t, n_train, &mut sc));
+                scalars.push(self.fold_scalars(nu0, sc.count[t], n_train, &mut sc));
             }
         }
+        bmf_obs::counters::CV_FOLD_EVALS.add((q * nv) as u64);
 
-        let n = order.len() as f64;
+        // Position `i` joins fold `i mod q`, so the first `n mod q` folds
+        // hold one row more than the rest: at most two fold sizes, each
+        // paying one `ln` per candidate for its folds' `1 + c·g` product.
+        let split = n % q;
+        let groups = [(0..split, n / q + 1), (split..q, n / q)];
         let nk = self.kappa_grid.len();
-        (0..nv * nk)
-            .map(|c| {
-                let (v, kappa0) = (c / nk, self.kappa_grid[c % nk]);
-                let mut total = 0.0;
-                for fold in scalars.chunks_exact(nv) {
-                    let Some(s) = fold[v] else {
-                        return (f64::NEG_INFINITY, Some(ScoreFailure::Factorisation));
-                    };
-                    let ll = s.ln_likelihood(kappa0);
-                    if !ll.is_finite() {
-                        return (f64::NEG_INFINITY, Some(ScoreFailure::Likelihood));
-                    }
-                    total += ll;
+        let mut out = Vec::with_capacity(nv * nk);
+        for v in 0..nv {
+            let at_nu = |t: usize| scalars[t * nv + v];
+            if (0..q).any(|t| at_nu(t).is_none()) {
+                out.extend((0..nk).map(|_| (f64::NEG_INFINITY, Some(ScoreFailure::Factorisation))));
+                continue;
+            }
+            // The κ₀-free part of −2·(held-out log-likelihood): per fold,
+            // `n_t·ln_norm + a·(trace_perp + n_t·gap_perp)`.
+            let mut base = 0.0;
+            for (folds, n_test) in groups.clone() {
+                let n_test = n_test as f64;
+                for s in folds.filter_map(at_nu) {
+                    base += n_test * s.ln_norm + s.a * (s.trace_perp + n_test * s.gap_perp);
                 }
-                (total / n, None)
-            })
-            .collect()
+            }
+            for &kappa0 in self.kappa_grid {
+                let mut sum = base;
+                for (folds, n_test) in groups.clone() {
+                    if folds.is_empty() {
+                        continue;
+                    }
+                    sum += self.fold_group(folds.filter_map(at_nu), kappa0, n, n_test);
+                }
+                let total = -0.5 * sum;
+                out.push(if total.is_finite() {
+                    (total / n as f64, None)
+                } else {
+                    (f64::NEG_INFINITY, Some(ScoreFailure::Likelihood))
+                });
+            }
+        }
+        out
+    }
+
+    /// The κ₀-dependent part of −2·(held-out log-likelihood) summed over
+    /// folds of `n_test` held-out rows, under the MAP fit of `(κ₀, ν₀)` to
+    /// their `n − n_test` training rows.
+    ///
+    /// With `w = κ₀/(κ₀+n)` and `c = κ₀n/(κ₀+n)` (`n` the training rows
+    /// here), the posterior mean is `X̄ + wδ` (Eq. 24) and
+    /// `Σ_MAP = (M + c·δδᵀ)/a` (Eq. 25, 32). The determinant lemma gives
+    /// `ln|Σ_MAP| = ln|M| + ln(1+cg) − d·ln a`; Sherman–Morrison gives the
+    /// summed Mahalanobis term as `a` times
+    /// `trace_perp + h·r + n_t·(gap_perp + (gap_dot − wg)²·r)`,
+    /// `r = 1/(g(1+cg))`. At `δ = 0` (`g = 0`) the `r` terms vanish. The
+    /// folds' `ln(1+cg)` terms share the weight `n_t`, so they cost one
+    /// `ln` of their product.
+    fn fold_group(
+        &self,
+        folds: impl Iterator<Item = FoldScalars>,
+        kappa0: f64,
+        n: usize,
+        n_test: usize,
+    ) -> f64 {
+        let n_train = (n - n_test) as f64;
+        let n_test = n_test as f64;
+        let w = kappa0 / (kappa0 + n_train);
+        let c = w * n_train;
+        let mut det = LnProduct::ONE;
+        let mut quad = 0.0;
+        for s in folds {
+            let opc = 1.0 + c * s.g;
+            det.mul(opc);
+            if s.g > 0.0 {
+                let along = s.gap_dot - w * s.g;
+                quad += s.a * (s.h + n_test * along * along) / (s.g * opc);
+            }
+        }
+        n_test * det.ln() + quad
     }
 
     /// One pass over the permuted rows: position `i` joins fold `i mod q`,
     /// whose count, mean and scatter are updated in place (Welford).
     fn reduce_folds(&self, order: &[usize], sc: &mut Scratch) {
-        let d = self.samples.ncols();
+        let d = self.d;
         for (i, &row) in order.iter().enumerate() {
             let k = i % self.q;
-            let x = self.samples.row(row);
+            let x = self.row(row);
             sc.count[k] += 1;
             let inv = 1.0 / sc.count[k] as f64;
             let mean = &mut sc.mean[k * d..(k + 1) * d];
@@ -612,10 +769,67 @@ impl FoldScorer<'_> {
         }
     }
 
+    /// Forms held-out fold `t`'s training statistics, `δ`, `e` and
+    /// held-out part in whitened coordinates, and reduces the training
+    /// scatter to tridiagonal form `T = PᵀŜP` with `d − 2` Householder
+    /// reflectors, each applied to `δ`, `e` and the held-out part too.
+    fn reduce_fold(&self, order: &[usize], t: usize, n_train: usize, sc: &mut Scratch) {
+        let d = self.d;
+        self.merge_training(t, n_train, sc);
+        let n_test = sc.count[t];
+        if n_test <= d {
+            let mean = &sc.mean[t * d..(t + 1) * d];
+            let rows = order.iter().skip(t).step_by(self.q);
+            for (y, &row) in sc.held.chunks_exact_mut(d).zip(rows) {
+                for ((yj, &xj), &mj) in y.iter_mut().zip(self.row(row)).zip(mean) {
+                    *yj = xj - mj;
+                }
+            }
+        } else {
+            sc.held
+                .copy_from_slice(&sc.scatter[t * d * d..(t + 1) * d * d]);
+        }
+
+        for k in 0..d.saturating_sub(2) {
+            let off = k + 1;
+            let x0 = sc.tri[off * d + k];
+            let tail: f64 = (off + 1..d).map(|i| sc.tri[i * d + k].powi(2)).sum();
+            if tail == 0.0 {
+                continue;
+            }
+            let norm = (x0 * x0 + tail).sqrt();
+            let alpha = if x0 >= 0.0 { -norm } else { norm };
+            let v = &mut sc.v[..d - off];
+            v[0] = x0 - alpha;
+            for (vi, i) in v[1..].iter_mut().zip(off + 1..d) {
+                *vi = sc.tri[i * d + k];
+            }
+            let tau = 1.0 / (-alpha * v[0]);
+            let v = &sc.v[..d - off];
+            reflect_both(&mut sc.tri, d, off, off, v, tau, &mut sc.p);
+            sc.tri[off * d + k] = alpha;
+            sc.tri[k * d + off] = alpha;
+            for i in off + 1..d {
+                sc.tri[i * d + k] = 0.0;
+                sc.tri[k * d + i] = 0.0;
+            }
+            reflect(&mut sc.delta[off..], v, tau);
+            reflect(&mut sc.gap[off..], v, tau);
+            if n_test <= d {
+                for y in sc.held.chunks_exact_mut(d).take(n_test) {
+                    reflect(&mut y[off..], v, tau);
+                }
+            } else {
+                reflect_both(&mut sc.held, d, 0, off, v, tau, &mut sc.p);
+            }
+        }
+    }
+
     /// Merges every fold but `t` into the training statistics of fold
-    /// `t`, and forms `δ = μ_E − X̄` and `e = X̄_t − X̄`.
+    /// `t` (its scatter into `sc.tri`), and forms `δ = μ_E − X̄` and
+    /// `e = X̄_t − X̄`.
     fn merge_training(&self, t: usize, n_train: usize, sc: &mut Scratch) {
-        let d = self.samples.ncols();
+        let d = self.d;
         let others = (0..self.q).filter(|&k| k != t);
         sc.train_mean.fill(0.0);
         for k in others.clone() {
@@ -627,7 +841,7 @@ impl FoldScorer<'_> {
         for v in &mut sc.train_mean {
             *v /= n_train as f64;
         }
-        sc.train_scatter.fill(0.0);
+        sc.tri.fill(0.0);
         for k in others {
             let nk = sc.count[k] as f64;
             for j in 0..d {
@@ -636,106 +850,120 @@ impl FoldScorer<'_> {
             let scatter = &sc.scatter[k * d * d..(k + 1) * d * d];
             for a in 0..d {
                 for b in 0..d {
-                    sc.train_scatter[a * d + b] +=
-                        scatter[a * d + b] + nk * sc.work[a] * sc.work[b];
+                    sc.tri[a * d + b] += scatter[a * d + b] + nk * sc.work[a] * sc.work[b];
                 }
             }
         }
         for j in 0..d {
-            sc.delta[j] = self.early.mean[j] - sc.train_mean[j];
+            sc.delta[j] = self.white.prior_mean[j] - sc.train_mean[j];
             sc.gap[j] = sc.mean[t * d + j] - sc.train_mean[j];
         }
     }
 
-    /// Stores the centred rows of held-out fold `t` in `sc.rows` when it
-    /// has at most `d` of them (the cheaper way to its trace term).
-    fn centre_held_out_rows(&self, order: &[usize], t: usize, sc: &mut Scratch) {
-        let d = self.samples.ncols();
-        if sc.count[t] > d {
-            return;
-        }
-        let mean = &sc.mean[t * d..(t + 1) * d];
-        let rows = order.iter().skip(t).step_by(self.q);
-        for (y, &row) in sc.rows.chunks_exact_mut(d).zip(rows) {
-            for ((yj, &xj), &mj) in y.iter_mut().zip(self.samples.row(row)).zip(mean) {
-                *yj = xj - mj;
-            }
-        }
-    }
-
-    /// Factorises `M(ν₀)` for held-out fold `t` (training statistics in
-    /// `sc`) and reduces it to its six scalars; `None` when `M(ν₀)` is not
-    /// SPD.
+    /// The six scalars of a fold at `ν₀` from its tridiagonal reduction in
+    /// `sc`, through the LDLᵀ of `T + sI`, `s = ν₀ − d`; `None` when a
+    /// pivot is not positive and finite (`M(ν₀)` not SPD).
     fn fold_scalars(
         &self,
         nu0: f64,
-        t: usize,
+        n_test: usize,
         n_train: usize,
         sc: &mut Scratch,
     ) -> Option<FoldScalars> {
-        let d = self.samples.ncols();
+        let d = self.d;
         let df = d as f64;
-        let cov = self.early.cov.as_slice();
-        for ((m, &c), &s) in
-            sc.m.as_mut_slice()
-                .iter_mut()
-                .zip(cov)
-                .zip(&sc.train_scatter)
-        {
-            *m = c * (nu0 - df) + s;
+        let s = nu0 - df;
+        let a = nu0 + n_train as f64 - df;
+        let inv_a = 1.0 / a;
+
+        // Pivots `p_i = T_ii + s − l_{i−1}T_{i,i−1}`, multipliers
+        // `l_i = T_{i+1,i}/p_i`; `ln|T + sI| − d·ln a` as one `ln`.
+        let mut det = LnProduct::ONE;
+        let mut carry = 0.0;
+        for i in 0..d {
+            let piv = sc.tri[i * d + i] + s - carry;
+            if !(piv > 0.0 && piv.is_finite()) {
+                return None;
+            }
+            let inv = 1.0 / piv;
+            sc.inv_piv[i] = inv;
+            det.mul(piv * inv_a);
+            if i + 1 < d {
+                let beta = sc.tri[(i + 1) * d + i];
+                sc.mult[i] = beta * inv;
+                carry = sc.mult[i] * beta;
+            }
         }
-        let chol = Cholesky::new(&sc.m).ok()?;
-        let l = chol.factor().as_slice();
 
-        sc.z.copy_from_slice(&sc.delta);
-        forward_solve(l, &mut sc.z);
-        let g = dot(&sc.z, &sc.z);
-        sc.e.copy_from_slice(&sc.gap);
-        forward_solve(l, &mut sc.e);
-        let gap_dot = dot(&sc.e, &sc.z);
+        // z = L⁻¹δ̃ and e′ = L⁻¹ẽ; every quadratic form is Σ(·)(·)/p_i.
+        let (mut g, mut gap_dot) = (0.0, 0.0);
+        for i in 0..d {
+            let (z, e) = if i == 0 {
+                (sc.delta[0], sc.gap[0])
+            } else {
+                let l = sc.mult[i - 1];
+                (sc.delta[i] - l * sc.z[i - 1], sc.gap[i] - l * sc.e[i - 1])
+            };
+            sc.z[i] = z;
+            sc.e[i] = e;
+            g += z * z * sc.inv_piv[i];
+            gap_dot += e * z * sc.inv_piv[i];
+        }
         let along = if g > 0.0 { gap_dot / g } else { 0.0 };
-        let gap_perp =
-            sc.e.iter()
-                .zip(&sc.z)
-                .map(|(e, z)| (e - along * z) * (e - along * z))
-                .sum();
+        let mut gap_perp = 0.0;
+        for i in 0..d {
+            let r = sc.e[i] - along * sc.z[i];
+            gap_perp += r * r * sc.inv_piv[i];
+        }
 
-        // tr(M⁻¹S_t) and h = ẑᵀ(L⁻¹S_tL⁻ᵀ)ẑ with ẑ = L⁻¹δ. From the
-        // centred rows y_r: Σ‖L⁻¹y_r‖² and Σ(ẑ·L⁻¹y_r)². From S_t: L⁻¹ on
-        // each row of S_t gives the rows of S_tL⁻ᵀ, and L⁻¹ on each column
-        // of that the columns of L⁻¹S_tL⁻ᵀ.
+        // tr(M⁻¹S_t) and h = δ̃ᵀ(T+sI)⁻¹S̃_t(T+sI)⁻¹δ̃. From the rotated
+        // rows y: Σ‖L⁻¹y‖²_D and Σ(zᵀD⁻¹L⁻¹y)². From the rotated scatter
+        // S̃: the diagonal of L⁻¹S̃L⁻ᵀ by the row recurrence of L⁻¹
+        // (`b` the previous row of L⁻¹S̃), and h = wᵀS̃w with
+        // w = L⁻ᵀD⁻¹z.
         let (mut trace, mut h) = (0.0, 0.0);
-        let n_test = sc.count[t];
         if n_test <= d {
-            for y in sc.rows.chunks_exact(d).take(n_test) {
-                sc.work.copy_from_slice(y);
-                forward_solve(l, &mut sc.work);
-                trace += dot(&sc.work, &sc.work);
-                let zy = dot(&sc.z, &sc.work);
+            for y in sc.held.chunks_exact(d).take(n_test) {
+                let (mut prev, mut zy) = (0.0, 0.0);
+                for i in 0..d {
+                    let yi = if i == 0 {
+                        y[0]
+                    } else {
+                        y[i] - sc.mult[i - 1] * prev
+                    };
+                    trace += yi * yi * sc.inv_piv[i];
+                    zy += sc.z[i] * yi * sc.inv_piv[i];
+                    prev = yi;
+                }
                 h += zy * zy;
             }
         } else {
-            sc.rows
-                .copy_from_slice(&sc.scatter[t * d * d..(t + 1) * d * d]);
-            for row in sc.rows.chunks_exact_mut(d) {
-                forward_solve(l, row);
-            }
-            for j in 0..d {
-                for (w, row) in sc.work.iter_mut().zip(sc.rows.chunks_exact(d)) {
-                    *w = row[j];
+            let st = &sc.held;
+            let b = &mut sc.work;
+            b.copy_from_slice(&st[..d]);
+            let mut c = st[0];
+            trace += c * sc.inv_piv[0];
+            for i in 1..d {
+                let l = sc.mult[i - 1];
+                c = st[i * d + i] - 2.0 * l * b[i] + l * l * c;
+                trace += c * sc.inv_piv[i];
+                for j in i + 1..d {
+                    b[j] = st[i * d + j] - l * b[j];
                 }
-                forward_solve(l, &mut sc.work);
-                trace += sc.work[j];
-                h += sc.z[j] * dot(&sc.z, &sc.work);
+            }
+            let w = &mut sc.e;
+            w[d - 1] = sc.z[d - 1] * sc.inv_piv[d - 1];
+            for i in (0..d - 1).rev() {
+                w[i] = sc.z[i] * sc.inv_piv[i] - sc.mult[i] * w[i + 1];
+            }
+            for (row, &wi) in st.chunks_exact(d).zip(w.iter()) {
+                h += wi * dot(row, w);
             }
         }
         let trace_perp = if g > 0.0 { trace - h / g } else { trace };
-        let a = nu0 + n_train as f64 - df;
         Some(FoldScalars {
-            n_train: n_train as f64,
-            n_test: n_test as f64,
             a,
-            ln_norm: df * (2.0 * std::f64::consts::PI).ln() + chol.ln_det() - df * a.ln(),
+            ln_norm: df * (2.0 * std::f64::consts::PI).ln() + self.white.ln_det + det.ln(),
             g,
             h,
             trace_perp,
@@ -969,6 +1197,152 @@ mod tests {
             !msg.contains("no feasible"),
             "must not blame a feasible grid, got: {msg}"
         );
+    }
+
+    /// The dense reference for held-out fold 0 of the identity order
+    /// (rows `0, q, 2q, …`): `M(ν₀) = S + (ν₀−d)Σ_E` factorised, and
+    /// `[ln|M|, g, h, tr(M⁻¹S_t), eᵀM⁻¹δ, eᵀM⁻¹e]` from its solves.
+    fn dense_terms(early: &MomentEstimate, rows: &Matrix, q: usize, nu0: f64) -> [f64; 6] {
+        let (n, d) = rows.shape();
+        let pick = |test: bool| -> Vec<usize> { (0..n).filter(|i| (i % q == 0) == test).collect() };
+        let stats = |idx: &[usize]| {
+            let m = idx.len() as f64;
+            let mean = Vector::from_fn(d, |j| idx.iter().map(|&i| rows[(i, j)]).sum::<f64>() / m);
+            let scatter = Matrix::from_fn(d, d, |a, b| {
+                idx.iter()
+                    .map(|&i| (rows[(i, a)] - mean[a]) * (rows[(i, b)] - mean[b]))
+                    .sum()
+            });
+            (mean, scatter)
+        };
+        let (train_mean, train_scatter) = stats(&pick(false));
+        let (test_mean, test_scatter) = stats(&pick(true));
+        let m = Matrix::from_fn(d, d, |a, b| {
+            train_scatter[(a, b)] + (nu0 - d as f64) * early.cov[(a, b)]
+        });
+        let chol = Cholesky::new(&m).unwrap();
+        let delta = Vector::from_fn(d, |j| early.mean[j] - train_mean[j]);
+        let gap = Vector::from_fn(d, |j| test_mean[j] - train_mean[j]);
+        let u = chol.solve_vec(&delta).unwrap();
+        let st_u = Vector::from_fn(d, |a| (0..d).map(|b| test_scatter[(a, b)] * u[b]).sum());
+        let m_inv_st = chol.solve_mat(&test_scatter).unwrap();
+        [
+            chol.ln_det(),
+            delta.dot(&u).unwrap(),
+            u.dot(&st_u).unwrap(),
+            (0..d).map(|j| m_inv_st[(j, j)]).sum(),
+            gap.dot(&u).unwrap(),
+            gap.dot(&chol.solve_vec(&gap).unwrap()).unwrap(),
+        ]
+    }
+
+    /// The same six terms from the tridiagonal route: whitening, one
+    /// Householder reduction of the fold, and the LDLᵀ of `T + sI`.
+    fn tridiagonal_terms(early: &MomentEstimate, rows: &Matrix, q: usize, nu0: f64) -> [f64; 6] {
+        let (n, d) = rows.shape();
+        let white = whiten(early, rows).unwrap();
+        let scorer = FoldScorer {
+            white: &white,
+            d,
+            q,
+            nu_values: &[nu0],
+            kappa_grid: &[1.0],
+        };
+        let order: Vec<usize> = (0..n).collect();
+        let mut sc = Scratch::new(d, q);
+        scorer.reduce_folds(&order, &mut sc);
+        let (n_test, n_train) = (sc.count[0], n - sc.count[0]);
+        scorer.reduce_fold(&order, 0, n_train, &mut sc);
+        let s = scorer.fold_scalars(nu0, n_test, n_train, &mut sc).unwrap();
+        let df = d as f64;
+        [
+            s.ln_norm - df * (2.0 * std::f64::consts::PI).ln() + df * s.a.ln(),
+            s.g,
+            s.h,
+            s.trace_perp + s.h / s.g,
+            s.gap_dot,
+            s.gap_perp + s.gap_dot * s.gap_dot / s.g,
+        ]
+    }
+
+    #[test]
+    fn tridiagonal_route_matches_dense_factorisation() {
+        // (d, n): at q = 4, fold 0 holds ⌈n/4⌉ rows. d = 1 and 2 need no
+        // reflector; held-out folds of at most d rows take the row route,
+        // larger ones the scatter route; (5, 5) and (23, 12) train on 3
+        // and 9 rows, fewer than d, so S is rank-deficient there.
+        let cases = [
+            (1, 4),
+            (1, 9),
+            (2, 6),
+            (2, 12),
+            (5, 5),
+            (5, 8),
+            (5, 40),
+            (23, 12),
+            (23, 100),
+        ];
+        let mut r = rng();
+        for (d, n) in cases {
+            let b = Matrix::from_fn(d, d, |i, j| ((i + 2 * j) % 5) as f64 / 5.0);
+            let mut cov = b.mat_mul(&b.transpose()).unwrap();
+            for i in 0..d {
+                cov[(i, i)] += 1.0;
+            }
+            let early = MomentEstimate {
+                mean: Vector::from_fn(d, |i| 3.0 * if i % 2 == 0 { 1.0 } else { -1.0 }),
+                cov: cov.clone(),
+            };
+            let truth = MultivariateNormal::new(Vector::zeros(d), &cov * 1.5).unwrap();
+            let rows = truth.sample_matrix(&mut r, n);
+            let nus: Vec<f64> = grid()
+                .into_iter()
+                .filter(|&nu0| nu0 > d as f64 + 1e-9)
+                .collect();
+            if d == 23 {
+                // The grid's tightest feasibility edge: s = 0.10.
+                assert!((nus[0] - 23.0 - 0.10).abs() < 0.005, "{}", nus[0]);
+            }
+            for nu0 in nus {
+                let fast = tridiagonal_terms(&early, &rows, FOLDS, nu0);
+                let dense = dense_terms(&early, &rows, FOLDS, nu0);
+                let names = ["ln|M|", "g", "h", "trace", "eᵀM⁻¹δ", "eᵀM⁻¹e"];
+                for k in 0..6 {
+                    // ln|M| is judged on the log's own scale, eᵀM⁻¹δ on
+                    // its Cauchy–Schwarz bound √(g·eᵀM⁻¹e).
+                    let scale = match k {
+                        0 => dense[0].abs().max(1.0),
+                        4 => (dense[1] * dense[5]).sqrt(),
+                        _ => dense[k].abs(),
+                    };
+                    assert!(
+                        (fast[k] - dense[k]).abs() <= 1e-12 * scale,
+                        "d = {d}, n = {n}, nu0 = {nu0}: {} fast {} dense {}",
+                        names[k],
+                        fast[k],
+                        dense[k]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ln_product_survives_underflow_and_overflow() {
+        for (x, count) in [(1e-3, 999), (1e300, 40), (0.37, 5)] {
+            let mut p = LnProduct::ONE;
+            for _ in 0..count {
+                p.mul(x);
+            }
+            let expected = count as f64 * f64::ln(x);
+            assert!(
+                (p.ln() - expected).abs() <= 1e-12 * expected.abs(),
+                "{x}^{count}"
+            );
+        }
+        let mut p = LnProduct::ONE;
+        p.mul(f64::INFINITY);
+        assert_eq!(p.ln(), f64::INFINITY);
     }
 
     #[test]

@@ -339,6 +339,12 @@ mod tests {
         let _g = window_lock();
         let early = reference(2);
         let mut monitor = DriftMonitor::new(&early).unwrap();
+        // Recording is process-wide, so a strict failure in a unit test on
+        // another thread may dump the flight ring while it is on: send the
+        // dump to a temporary directory, not the crate's source tree.
+        let dir = std::env::temp_dir().join(format!("bmf-core-utest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        bmf_obs::flight::set_dump_dir(&dir);
         bmf_obs::reset();
         bmf_obs::enable();
         monitor

@@ -5,7 +5,8 @@
 //! public estimator API: per candidate × repeat × fold it refits the MAP
 //! estimator on the training folds and scores the held-out rows under the
 //! fitted Gaussian, with the folds the library draws. The fast path
-//! (per-fold sufficient statistics scored through the determinant lemma
+//! (per-fold sufficient statistics in coordinates whitened by Σ_E, one
+//! tridiagonal reduction per fold, scored through the determinant lemma
 //! and Sherman–Morrison, see `bmf_core::cv`) reaches the same numbers by
 //! different arithmetic, so bit-identity between the two is not
 //! achievable — the contract is:
@@ -24,7 +25,8 @@
 //! leaves `M(ν₀) = S + 0.10·Σ_E`), infeasible ν₀ ≤ d values, `n < Q`
 //! (shrunken fold counts), unequal folds (`n mod Q ≠ 0`) with both fewer
 //! and more held-out rows than `d` (a rank-deficient and a full-rank
-//! held-out scatter), and a prior mean up to 30σ away from the data.
+//! held-out scatter), a prior mean up to 30σ away from the data, the
+//! figures' d = 5 at n = 8, and a Σ_E with condition number 1e6.
 
 use bmf_ams::core::cv::{CrossValidation, CvGridPoint, FOLDS, REPEATS};
 use bmf_ams::core::map::BmfEstimator;
@@ -46,6 +48,13 @@ fn synthetic(d: usize, n: usize, seed: u64, gap: f64) -> (MomentEstimate, Matrix
     for i in 0..d {
         cov[(i, i)] += 1.0;
     }
+    with_covariance(cov, n, seed, gap)
+}
+
+/// [`synthetic`] around a given covariance, shared by the prior and the
+/// truth.
+fn with_covariance(cov: Matrix, n: usize, seed: u64, gap: f64) -> (MomentEstimate, Matrix) {
+    let d = cov.nrows();
     let sign = |i: usize| if i.is_multiple_of(2) { 1.0 } else { -1.0 };
     let early = MomentEstimate {
         mean: Vector::from_fn(d, |i| {
@@ -242,6 +251,47 @@ fn d23_feasibility_edge_matches_naive_oracle() {
 fn d5_n150_matches_naive_oracle() {
     let (early, late) = synthetic(5, 150, 5, 2.0);
     check_fast_vs_naive(&early, &late, 5);
+}
+
+/// The figures' dimension and headline sample count: d = 5 and n = 8,
+/// so every held-out fold has two rows and trains on six, with the prior
+/// mean 30σ off.
+#[test]
+fn d5_n8_far_prior_matches_naive_oracle() {
+    let (early, late) = synthetic(5, 8, 58, 30.0);
+    check_fast_vs_naive(&early, &late, 58);
+}
+
+/// The fast path whitens every row by Σ_E before anything else, so Σ_E's
+/// conditioning reaches every score. Here cond(Σ_E) = 1e6 at d = 5: the
+/// eigenvalues run from 1 down to 1e-6 over a rotated basis. At n = 8, 13
+/// and 40 the held-out folds are equal, unequal, and larger than d.
+#[test]
+fn ill_conditioned_prior_covariance_matches_naive_oracle() {
+    let d = 5;
+    // A Householder reflector I − 2uuᵀ/uᵀu rotates the eigenbasis off the
+    // axes; the eigenvalues are log-spaced over [1e-6, 1].
+    let u: Vec<f64> = (0..d).map(|i| 1.0 + i as f64).collect();
+    let uu: f64 = u.iter().map(|x| x * x).sum();
+    let basis = Matrix::from_fn(d, d, |i, j| {
+        f64::from(u8::from(i == j)) - 2.0 * u[i] * u[j] / uu
+    });
+    let lambda = Matrix::from_fn(d, d, |i, j| {
+        if i == j {
+            1e-6_f64.powf(i as f64 / (d - 1) as f64)
+        } else {
+            0.0
+        }
+    });
+    let cov = basis
+        .mat_mul(&lambda)
+        .and_then(|m| m.mat_mul(&basis.transpose()))
+        .expect("square");
+    let cov = Matrix::from_fn(d, d, |i, j| 0.5 * (cov[(i, j)] + cov[(j, i)]));
+    for n in [8, 13, 40] {
+        let (early, late) = with_covariance(cov.clone(), n, 1_000_000 + n as u64, 1.0);
+        check_fast_vs_naive(&early, &late, n as u64);
+    }
 }
 
 /// Regression: when every candidate fails to score (all-NaN late

@@ -177,7 +177,15 @@ fn fold_eval_counts_are_thread_count_invariant() {
         bmf_ams::obs::reset();
         bmf_ams::obs::enable();
         cv.select_seeded(&early, &late, 4, threads).expect("select");
-        counts.push(bmf_ams::obs::metrics::snapshot().counter("cv.fold_evals"));
+        let snap = bmf_ams::obs::metrics::snapshot();
+        counts.push(snap.counter("cv.fold_evals"));
+        // The select factorises Σ_E once to whiten; no (fold, ν₀) pair
+        // factorises anything.
+        assert_eq!(
+            snap.counter("cholesky.calls"),
+            1,
+            "factorisations of one select at {threads} threads"
+        );
     }
     // One per (repeat, fold, feasible ν₀): 10 of the 12 ν₀ exceed d = 2.
     assert_eq!(counts[0], (REPEATS * FOLDS * 10) as u64);

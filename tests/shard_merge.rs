@@ -604,7 +604,7 @@ const GOLDEN_DIGESTS: &[(&str, u64)] = &[
     ("early.csv", 0x4654_F94D_E3F3_514F),
     ("late.csv", 0xF6EC_3319_6480_B4EA),
     ("estimate.csv", 0x6B0C_0832_7818_79A3),
-    ("estimate.json", 0xAB27_9F89_8ABD_6BED),
+    ("estimate.json", 0x9157_0248_90FC_FA33),
     ("p0.json", 0xB7CB_E13C_5B72_D501),
     ("p1.json", 0x284B_CAD1_CF5F_3364),
     ("p2.json", 0x5F88_7283_4B78_28D3),
